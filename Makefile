@@ -1,8 +1,8 @@
 # Developer conveniences. Everything also works as plain commands —
 # see README.md.
 
-.PHONY: install test lint check native-smoke bench-scaling trace \
-	analyze dashboard serve serve-smoke telemetry macro tune \
+.PHONY: install test lint check oracle native-smoke bench-scaling \
+	trace analyze dashboard serve serve-smoke telemetry macro tune \
 	tune-smoke perf-diff bench bench-quick repro quick charts csv \
 	clean
 
@@ -24,6 +24,15 @@ lint:
 # violation. See docs/correctness.md.
 check:
 	PYTHONPATH=src python -m repro.harness.cli check --fuzz 25
+
+# Byte-identical sim output, as a gate: runs the perf ledger's four
+# simulator workloads (fig6_hit, table3_miss, serve_sim, macro_sim) at
+# seed 42 and fails unless all 12 result digests equal those in
+# benchmarks/ledger/reference.json. A refactor of the harness, the
+# runtimes or anything below them must keep this green. ~30 s. The CI
+# smoke job runs exactly this.
+oracle:
+	python benchmarks/oracle.py --out out/oracle
 
 # Native-runtime smoke: a multi-threaded wall-clock run on real OS
 # threads under a hard timeout (deadlock guard), plus the layering

@@ -7,7 +7,7 @@ unpinned pages ahead of demand. The paper's evaluation runs with it
 regime on write-heavy DBT-2 — without it, every dirty eviction stalls
 a backend for a full disk write.
 
-:class:`BackgroundWriter` is a simulated daemon thread: every
+:class:`BackgroundWriter` is a daemon on a runtime thread: every
 ``interval_us`` it sweeps up to ``batch_pages`` dirty, unpinned, valid
 frames (round-robin over the pool, like bgwriter's clock-hand scan)
 and writes them through the disk model. A page is pinned during its
@@ -21,19 +21,17 @@ from typing import Dict, Optional
 
 from repro.bufmgr.manager import BufferManager
 from repro.errors import ConfigError
-from repro.runtime.base import Runtime, ThreadContext, Waits
+from repro.runtime.base import ThreadContext, Waits
 
 __all__ = ["BackgroundWriter"]
 
 
 class BackgroundWriter:
-    """A simulated bgwriter daemon sweeping one buffer pool."""
+    """A bgwriter daemon sweeping one buffer pool on ``thread``."""
 
-    def __init__(self, sim: "Runtime", manager: BufferManager,
-                 pool=None, interval_us: float = 20_000.0,
-                 batch_pages: int = 8,
-                 shared_stop: Optional[Dict[str, bool]] = None,
-                 thread: Optional[ThreadContext] = None) -> None:
+    def __init__(self, manager: BufferManager, thread: ThreadContext,
+                 interval_us: float = 20_000.0, batch_pages: int = 8,
+                 shared_stop: Optional[Dict[str, bool]] = None) -> None:
         if manager.disk is None:
             raise ConfigError(
                 "background writer needs a manager with a disk model")
@@ -43,24 +41,14 @@ class BackgroundWriter:
         if batch_pages < 1:
             raise ConfigError(
                 f"batch_pages must be >= 1, got {batch_pages}")
-        self.sim = sim
         self.manager = manager
+        #: The thread the daemon runs on (``runtime.create_thread``).
+        self.thread = thread
         self.interval_us = interval_us
         self.batch_pages = batch_pages
         #: Shared flag dict ({"stop": bool}); the daemon exits when set.
         self.shared_stop = shared_stop if shared_stop is not None else {
             "stop": False}
-        if thread is None:
-            if pool is None:
-                raise ConfigError(
-                    "background writer needs a thread or a processor "
-                    "pool to build one on")
-            # Legacy constructor path: build a simulated thread on the
-            # given pool. Imported lazily so this module stays free of
-            # top-level simcore dependencies.
-            from repro.simcore.cpu import CpuBoundThread
-            thread = CpuBoundThread(pool, name="bgwriter")
-        self.thread = thread
         self._sweep_hand = 0
         # Accounting.
         self.pages_cleaned = 0
@@ -71,7 +59,8 @@ class BackgroundWriter:
         self.shared_stop["stop"] = True
 
     def start(self):
-        """Spawn the daemon process; returns the simcore Process."""
+        """Spawn the daemon; returns what the thread's ``start`` does
+        (the simcore Process, or the OS thread under native)."""
         return self.thread.start(self._run())
 
     # -- daemon body --------------------------------------------------------

@@ -76,11 +76,16 @@ class TransactionLog:
             return 0.0
         return self.count / (elapsed_us / 1_000_000.0)
 
+    def _ordered_response_times_us(self) -> List[float]:
+        return sorted(outcome.response_time_us for outcome in self.outcomes)
+
     def mean_response_time_us(self) -> float:
         if not self.outcomes:
             return 0.0
-        total = sum(outcome.response_time_us for outcome in self.outcomes)
-        return total / len(self.outcomes)
+        # Summed in ascending order, not arrival order: float addition
+        # is not associative, and every archived result was produced
+        # from the sorted list.
+        return sum(self._ordered_response_times_us()) / len(self.outcomes)
 
     def percentile_response_time_us(self, percentile: float) -> float:
         """Response-time percentile (nearest-rank), e.g. 95.0 for p95.
@@ -93,8 +98,7 @@ class TransactionLog:
         if not 0.0 < percentile <= 100.0:
             raise ValueError(
                 f"percentile must be in (0, 100], got {percentile}")
-        ordered = sorted(outcome.response_time_us
-                         for outcome in self.outcomes)
+        ordered = self._ordered_response_times_us()
         rank = max(0, int(len(ordered) * percentile / 100.0 + 0.5) - 1)
         return ordered[min(rank, len(ordered) - 1)]
 

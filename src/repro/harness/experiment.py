@@ -21,21 +21,21 @@ Two methodological details matter for clean measurements:
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Generator, Iterator, List, Optional
 
-from repro.control import TRACE_DEFAULTS, bp_kwargs, make_controller
+from repro.control import TRACE_DEFAULTS, bp_kwargs
 from repro.core.bpwrapper import ThreadSlot
-from repro.db.storage import DiskArray
 from repro.db.transactions import (Transaction, TransactionLog,
                                    TransactionOutcome)
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
+from repro.harness.driver import IN_PROCESS, Run, access_ordered_prefix
+from repro.harness.driver import run as drive
 from repro.harness.systems import SystemBuild, build_system
-from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Event, Simulator
-from repro.simcore.rng import split_seed, stream_rng
+from repro.runtime.base import Runtime, Wait
+from repro.simcore.rng import stream_rng
 from repro.sync.stats import LockStats
 from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
@@ -286,14 +286,14 @@ class RunResult:
         )
 
 
-def _thread_body(sim: Simulator, slot: ThreadSlot, manager,
+def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
                  stream: Iterator[Transaction], log: TransactionLog,
                  shared: Dict[str, bool], target_accesses: int,
                  warmup_accesses: int,
                  begin_measurement: Callable[[], None],
                  user_work_us: float, quantum_us: float,
                  stagger_us: float,
-                 work_rng=None) -> Generator[Event, None, None]:
+                 work_rng=None) -> Generator[Wait, None, None]:
     thread = slot.thread
     if stagger_us > 0:
         yield from thread.sleep_blocked(stagger_us)
@@ -358,13 +358,19 @@ def run_experiment(config: ExperimentConfig,
     off by ``max_sim_time_us``), the checker's end-of-run quiescence
     sweep runs too. Like the observer, the checker never alters
     simulated time.
+
+    ``runtime="native"`` runs the identical handler/manager/policy
+    code on real OS threads (:mod:`repro.runtime.native`): blocking
+    means blocking an OS thread and ``elapsed_us`` is wall-clock time —
+    a micro-benchmark of *genuine* ``threading.Lock`` contention on the
+    host's cores. The checker is sim-only, the observer is wrapped in a
+    :class:`~repro.runtime.native.ThreadSafeObserver`, and
+    ``max_sim_time_us`` becomes the join timeout (the deadlock guard).
+    Results are *not* deterministic run-to-run (the kernel schedules),
+    but a single-threaded native run replays accesses in exactly the
+    sim's per-thread order — the cross-runtime equivalence tests rely
+    on that.
     """
-    if config.runtime not in ("sim", "native", "mp"):
-        raise ConfigError(
-            f"unknown runtime {config.runtime!r}; available: sim, "
-            f"native, mp")
-    if config.runtime == "native":
-        return _run_native(config, workload, observer, checker)
     if config.runtime == "mp":
         if config.controller:
             raise ConfigError(
@@ -374,177 +380,137 @@ def run_experiment(config: ExperimentConfig,
         from repro.runtime.mp import run_mp_experiment
         return run_mp_experiment(config, workload, observer=observer,
                                  checker=checker)
-    sim = Simulator()
-    if observer is not None:
-        sim.observer = observer
-    if checker is not None:
-        sim.checker = checker
-    machine = config.machine
-    if config.n_processors > machine.max_processors:
-        raise ConfigError(
-            f"{machine.name} has at most {machine.max_processors} "
-            f"processors, asked for {config.n_processors}")
     if not 0.0 <= config.warmup_fraction < 1.0:
         raise ConfigError(
             f"warmup_fraction must be in [0, 1), got "
             f"{config.warmup_fraction}")
-    if workload is None:
-        workload = make_workload(config.workload, seed=config.seed,
-                                 **config.workload_kwargs)
-    working_set = workload.working_set_pages()
-    capacity = config.buffer_pages
-    if capacity is None:
-        capacity = len(working_set) + 64
-    disk = None
-    if config.use_disk:
-        disk = DiskArray(sim, machine.costs.disk_read_us,
-                         machine.costs.disk_concurrency, seed=config.seed)
-    build: SystemBuild = build_system(
-        config.system, sim, capacity, machine, **bp_kwargs(config),
-        disk=disk, policy_kwargs=config.policy_kwargs,
-        simulate_bucket_locks=config.simulate_bucket_locks)
-    if config.controller:
-        build.control.controller = make_controller(config.controller)
-    manager = build.manager
-    if config.prewarm:
-        if capacity >= len(working_set):
-            manager.warm_with(working_set)
-        else:
-            # Partial buffer: warm with the first `capacity` *distinct
-            # pages in access order*, the state a running system would
-            # be in — schema order would leave the hottest pages cold
-            # and bias the measurement window with cold-start misses.
-            manager.warm_with(_access_ordered_prefix(workload, capacity))
-    pool = ProcessorPool(sim, config.n_processors,
-                         machine.costs.context_switch_us)
+    costs = config.machine.costs
     log = TransactionLog()
-    shared = {"stop": False, "measuring": config.warmup_fraction == 0.0}
-    bgwriter = None
-    if config.background_writer and disk is not None:
-        from repro.bufmgr.bgwriter import BackgroundWriter
-        bgwriter = BackgroundWriter(sim, manager, pool,
-                                    shared_stop=shared)
-        bgwriter.start()
-    warmup_accesses = int(config.target_accesses * config.warmup_fraction)
-    baseline: Dict[str, object] = {
-        "start_us": 0.0, "lock": LockStats(), "accesses": 0,
-        "hits": 0, "misses": 0, "transactions": 0,
-    }
-
-    def begin_measurement() -> None:
-        baseline["start_us"] = sim.now
-        # Window-relative max-hold tracking: reset each live lock's
-        # window so the measured delta cannot leak a warm-up transient.
-        for stats_obj in _live_lock_stats(build):
-            stats_obj.begin_window()
-        baseline["lock"] = _collect_lock_stats(build).copy()
-        baseline["accesses"] = manager.stats.accesses
-        baseline["hits"] = manager.stats.hits
-        baseline["misses"] = manager.stats.misses
-        baseline["transactions"] = log.count
-
-    n_threads = config.resolved_threads()
-    # Stagger window: about one queue-fill period, so commit waves
-    # de-synchronize.
-    stagger_window = (machine.costs.user_work_us
-                      * max(8, config.queue_size))
     slots: List[ThreadSlot] = []
-    for index in range(n_threads):
-        thread = CpuBoundThread(pool, name=f"backend-{index}")
+    warmup_accesses = int(config.target_accesses * config.warmup_fraction)
+    window: Optional[_Window] = None
+
+    def build(run: Run) -> None:
+        nonlocal workload, window
+        if workload is None:
+            workload = make_workload(config.workload, seed=config.seed,
+                                     **config.workload_kwargs)
+        working_set = workload.working_set_pages()
+        capacity = config.buffer_pages
+        if capacity is None:
+            capacity = len(working_set) + 64
+        pool = run.adopt(build_system(
+            config.system, run.runtime, capacity, config.machine,
+            **bp_kwargs(config), disk=run.create_disk(config.seed),
+            policy_kwargs=config.policy_kwargs,
+            simulate_bucket_locks=config.simulate_bucket_locks))
+        if config.prewarm:
+            pool.manager.warm_with(
+                working_set if capacity >= len(working_set)
+                else access_ordered_prefix(workload, capacity))
+        run.shared["measuring"] = config.warmup_fraction == 0.0
+        window = _Window(run, pool, log)
+        run.start_bgwriter(pool.manager)
+
+    def body(run: Run, thread, index: int):
         slot = ThreadSlot(thread, thread_id=index,
                           queue_size=config.queue_size)
         slots.append(slot)
-        stagger_rng = stream_rng(config.seed, "stagger", index)
-        body = _thread_body(
-            sim, slot, manager, workload.transaction_stream(index), log,
-            shared, config.target_accesses, warmup_accesses,
-            begin_measurement, machine.costs.user_work_us,
-            machine.costs.scheduler_quantum_us,
-            stagger_us=stagger_rng.uniform(0.0, stagger_window),
+        return _thread_body(
+            run.runtime, slot, run.builds[0].manager,
+            workload.transaction_stream(index), log, run.shared,
+            config.target_accesses, warmup_accesses, window.begin,
+            costs.user_work_us, costs.scheduler_quantum_us,
+            stagger_us=run.stagger_us("stagger", index),
             work_rng=stream_rng(config.seed, "work", index))
-        thread.start(body)
-    sim.run(until=config.max_sim_time_us)
-    elapsed_total = sim.now
-    if checker is not None and elapsed_total < config.max_sim_time_us:
-        # The event queue drained: every thread reached quiescence, so
-        # leftover lock waiters would mean a lost wakeup.
-        checker.finalize()
 
-    return _finalize_result(config, build, pool, log, slots, baseline,
-                            elapsed_total, disk=disk, bgwriter=bgwriter,
-                            observer=observer)
+    names = [f"backend-{index}"
+             for index in range(config.resolved_threads())]
+    run = drive(config, build, names, body, observer=observer,
+                checker=checker, runtimes=(*IN_PROCESS, "mp"))
+    return _finalize_result(config, run, log, slots, window)
 
 
-def _finalize_result(config: ExperimentConfig, build: SystemBuild, pool,
+class _Window:
+    """The measurement window's base: every counter as it stood when
+    the warm-up ended (all zero for a run without warm-up)."""
+
+    def __init__(self, run: Run, build: SystemBuild,
+                 log: TransactionLog) -> None:
+        self._runtime = run.runtime
+        self._build = build
+        self._log = log
+        self._guard = self._runtime.mutex() or nullcontext()
+        self._begun = False
+        self.start_us = 0.0
+        self.lock = LockStats()
+        self.accesses = self.hits = self.misses = self.transactions = 0
+
+    def begin(self) -> None:
+        # On OS threads two bodies can cross the warm-up threshold at
+        # once; only the first snapshot may win or the base is torn.
+        with self._guard:
+            if self._begun:
+                return
+            self._begun = True
+            self.start_us = self._runtime.now
+            # Window-relative max-hold tracking: reset each live lock's
+            # window so the measured delta cannot leak a warm-up
+            # transient.
+            for stats_obj in _live_lock_stats(self._build):
+                stats_obj.begin_window()
+            self.lock = self._build.lock_stats().copy()
+            stats = self._build.manager.stats
+            self.accesses = stats.accesses
+            self.hits = stats.hits
+            self.misses = stats.misses
+            self.transactions = self._log.count
+
+
+def _finalize_result(config: ExperimentConfig, run: Run,
                      log: TransactionLog, slots: List[ThreadSlot],
-                     baseline: Dict[str, object], elapsed_total: float,
-                     disk=None, bgwriter=None, observer=None) -> RunResult:
+                     window: _Window) -> RunResult:
     """Assemble a :class:`RunResult` from a finished run's state.
 
     Pure computation shared by both runtime backends; under the sim
     backend the values are exactly what the historical inline code
     produced (golden-trace verified).
     """
-    manager = build.manager
-    stats = manager.stats
-    final_lock = _collect_lock_stats(build)
-    lock_stats = final_lock.delta_since(baseline["lock"])
-    accesses = stats.accesses - baseline["accesses"]
-    hits = stats.hits - baseline["hits"]
-    misses = stats.misses - baseline["misses"]
-    elapsed = elapsed_total - baseline["start_us"]
-    measured_outcomes = log.outcomes[baseline["transactions"]:]
-    transactions = len(measured_outcomes)
-    if measured_outcomes:
-        response_times = sorted(o.response_time_us
-                                for o in measured_outcomes)
-        mean_response_us = sum(response_times) / transactions
-        p95_rank = max(0, int(transactions * 0.95 + 0.5) - 1)
-        p95_response_us = response_times[min(p95_rank, transactions - 1)]
-    else:
-        mean_response_us = 0.0
-        p95_response_us = 0.0
-    throughput = (transactions / (elapsed / 1_000_000.0)
-                  if elapsed > 0 else 0.0)
+    build = run.builds[0]
+    stats = build.manager.stats
+    lock_stats = build.lock_stats().delta_since(window.lock)
+    accesses = stats.accesses - window.accesses
+    hits = stats.hits - window.hits
+    misses = stats.misses - window.misses
+    elapsed = run.elapsed_us - window.start_us
+    measured = TransactionLog(log.outcomes[window.transactions:])
 
     batch_sizes = [slot.queue.mean_batch_size() for slot in slots
                    if slot.queue.commits > 0]
     mean_batch = (sum(batch_sizes) / len(batch_sizes)
                   if batch_sizes else 0.0)
     cache = build.metadata_cache
-    if (observer is not None and observer.metrics is not None
-            and observer.trace is not None):
-        # Surface ring-buffer overflow loudly: a truncated trace is
-        # easy to misread as a quiet run. Idempotent across repeated
-        # finalizes (the counter is set to the recorder's total, not
-        # incremented by it).
-        dropped = observer.trace.dropped
-        counter = observer.metrics.counter("trace.dropped_records")
-        counter.inc(max(0, dropped - counter.value))
-    controller_summary = None
-    if build.control is not None and build.control.controller is not None:
-        # The decision trail plus where the threshold converged.
-        controller_summary = dict(build.control.controller.to_dict())
-        controller_summary["batch_threshold"] = \
-            build.control.batch_threshold
+    disk = build.manager.disk
+    if run.observer is not None:
+        run.observer.publish_trace_drops()
     return RunResult(
         config=config,
-        throughput_tps=throughput,
-        mean_response_ms=mean_response_us / 1000.0,
-        p95_response_ms=p95_response_us / 1000.0,
+        throughput_tps=measured.throughput_tps(elapsed),
+        mean_response_ms=measured.mean_response_time_us() / 1000.0,
+        p95_response_ms=measured.percentile_response_time_us(95.0) / 1000.0,
         contention_per_million=lock_stats.contentions_per_million(accesses),
         lock_time_per_access_us=lock_stats.lock_time_per_access_us(accesses),
         hit_ratio=hits / accesses if accesses else 0.0,
-        transactions=transactions,
+        transactions=measured.count,
         accesses=accesses,
         hits=hits,
         misses=misses,
         elapsed_us=elapsed,
         lock_stats=lock_stats,
-        cpu_utilization=pool.utilization(elapsed_total),
+        cpu_utilization=run.pool.utilization(run.elapsed_us),
         mean_batch_size=mean_batch,
         stale_queue_entries=sum(slot.stale_entries for slot in slots),
-        bgwriter_cleaned=bgwriter.pages_cleaned if bgwriter else 0,
+        bgwriter_cleaned=run.bgwriter.pages_cleaned if run.bgwriter else 0,
         disk_reads=disk.reads if disk is not None else 0,
         disk_writes=disk.writes if disk is not None else 0,
         write_backs=stats.write_backs,
@@ -552,215 +518,16 @@ def _finalize_result(config: ExperimentConfig, build: SystemBuild, pool,
         prefetches_valid=cache.prefetches_valid_at_use,
         total_accesses=stats.accesses,
         total_transactions=log.count,
-        warmup_end_us=float(baseline["start_us"]),
-        metrics=(observer.metrics.snapshot()
-                 if observer is not None and observer.metrics is not None
-                 else None),
-        controller=controller_summary,
+        warmup_end_us=float(window.start_us),
+        metrics=run.metrics(),
+        controller=build.controller_summary(),
     )
-
-
-def _run_native(config: ExperimentConfig,
-                workload: Optional[Workload] = None,
-                observer=None, checker=None) -> RunResult:
-    """Execute ``config`` on real OS threads (``runtime="native"``).
-
-    The identical handler/manager/policy code runs, but blocking means
-    blocking an OS thread and ``elapsed_us`` is wall-clock time — a
-    micro-benchmark of *genuine* ``threading.Lock`` contention on the
-    host's cores. Differences from the sim path, all enforced here:
-
-    * no checker (it shadows the sim lock protocol — still sim-only);
-    * the disk model is a :class:`~repro.runtime.native.NativeDisk`
-      (semaphore-bounded, same cost model, real sleeps) and the
-      bgwriter daemon runs on its own native thread, stopped and
-      joined after the backends finish;
-    * lock-free-hit systems (``pgclock``) run hits through the
-      policy's race-tolerant ``on_hit_relaxed`` path — policies
-      without one are rejected;
-    * the observer is wrapped in a
-      :class:`~repro.runtime.native.ThreadSafeObserver`;
-    * every descriptor gets a header lock so pin/unpin are atomic;
-    * ``max_sim_time_us`` becomes the join timeout — the deadlock
-      guard: threads still alive after it raise ``SimulationError``.
-
-    Results are *not* deterministic run-to-run (the kernel schedules),
-    but a single-threaded native run replays accesses in exactly the
-    sim's per-thread order — the cross-runtime equivalence tests rely
-    on that.
-    """
-    import threading
-
-    from repro.errors import SimulationError
-    from repro.policies.base import LockDiscipline
-    from repro.runtime.native import (NativeDisk, NativeRuntime,
-                                      ThreadSafeObserver)
-
-    if checker is not None:
-        raise ConfigError(
-            "the correctness checker shadows the sim lock protocol; "
-            "use runtime='sim' for checked runs")
-    machine = config.machine
-    if config.n_processors > machine.max_processors:
-        raise ConfigError(
-            f"{machine.name} has at most {machine.max_processors} "
-            f"processors, asked for {config.n_processors}")
-    if not 0.0 <= config.warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got "
-            f"{config.warmup_fraction}")
-    if workload is None:
-        workload = make_workload(config.workload, seed=config.seed,
-                                 **config.workload_kwargs)
-    runtime = NativeRuntime(
-        observer=ThreadSafeObserver(observer) if observer is not None
-        else None,
-        seed=config.seed)
-    working_set = workload.working_set_pages()
-    capacity = config.buffer_pages
-    if capacity is None:
-        capacity = len(working_set) + 64
-    disk = None
-    if config.use_disk:
-        disk = NativeDisk(runtime, machine.costs.disk_read_us,
-                          machine.costs.disk_concurrency,
-                          seed=config.seed)
-    build: SystemBuild = build_system(
-        config.system, runtime, capacity, machine, **bp_kwargs(config),
-        disk=disk, policy_kwargs=config.policy_kwargs,
-        simulate_bucket_locks=config.simulate_bucket_locks)
-    if config.controller:
-        build.control.controller = make_controller(config.controller)
-    policy = build.handler.policy
-    if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-            and not hasattr(policy, "on_hit_relaxed")):
-        raise ConfigError(
-            f"policy {policy.name!r} mutates shared state without the "
-            "lock on hits and has no race-tolerant on_hit_relaxed path; "
-            "that combination is only safe under the simulator")
-    manager = build.manager
-    manager.attach_header_locks(threading.Lock)
-    if config.prewarm:
-        if capacity >= len(working_set):
-            manager.warm_with(working_set)
-        else:
-            manager.warm_with(_access_ordered_prefix(workload, capacity))
-    pool = runtime.create_pool(config.n_processors,
-                               machine.costs.context_switch_us)
-    log = TransactionLog()
-    shared = {"stop": False, "measuring": config.warmup_fraction == 0.0}
-    bgwriter = None
-    if config.background_writer and disk is not None:
-        from repro.bufmgr.bgwriter import BackgroundWriter
-        bg_thread = runtime.create_thread(
-            pool, name="bgwriter",
-            seed=split_seed(config.seed, "native-bgwriter", 0))
-        bgwriter = BackgroundWriter(runtime, manager, thread=bg_thread,
-                                    shared_stop=shared)
-        bgwriter.start()
-    warmup_accesses = int(config.target_accesses * config.warmup_fraction)
-    baseline: Dict[str, object] = {
-        "start_us": 0.0, "lock": LockStats(), "accesses": 0,
-        "hits": 0, "misses": 0, "transactions": 0,
-    }
-    measure_mutex = threading.Lock()
-    measure_done = [False]
-
-    def begin_measurement() -> None:
-        # Two threads can cross the warm-up threshold simultaneously;
-        # only the first snapshot may win or the window base is torn.
-        with measure_mutex:
-            if measure_done[0]:
-                return
-            measure_done[0] = True
-            baseline["start_us"] = runtime.now
-            for stats_obj in _live_lock_stats(build):
-                stats_obj.begin_window()
-            baseline["lock"] = _collect_lock_stats(build).copy()
-            baseline["accesses"] = manager.stats.accesses
-            baseline["hits"] = manager.stats.hits
-            baseline["misses"] = manager.stats.misses
-            baseline["transactions"] = log.count
-
-    n_threads = config.resolved_threads()
-    stagger_window = (machine.costs.user_work_us
-                      * max(8, config.queue_size))
-    slots: List[ThreadSlot] = []
-    threads = []
-    for index in range(n_threads):
-        thread = runtime.create_thread(
-            pool, name=f"backend-{index}",
-            seed=split_seed(config.seed, "native-thread", index))
-        slot = ThreadSlot(thread, thread_id=index,
-                          queue_size=config.queue_size)
-        slots.append(slot)
-        threads.append(thread)
-        stagger_rng = stream_rng(config.seed, "stagger", index)
-        body = _thread_body(
-            runtime, slot, manager, workload.transaction_stream(index),
-            log, shared, config.target_accesses, warmup_accesses,
-            begin_measurement, machine.costs.user_work_us,
-            machine.costs.scheduler_quantum_us,
-            stagger_us=stagger_rng.uniform(0.0, stagger_window),
-            work_rng=stream_rng(config.seed, "work", index))
-        thread.start(body)
-    deadline = time.monotonic() + config.max_sim_time_us / 1_000_000.0
-    stuck = []
-    for thread in threads:
-        remaining = deadline - time.monotonic()
-        if not thread.join(timeout=max(0.0, remaining)):
-            stuck.append(thread.name)
-    if bgwriter is not None:
-        # The backends have stopped (or are stuck); either way the
-        # daemon must exit at its next wakeup — one sweep interval.
-        bgwriter.stop()
-        grace = max(0.0, deadline - time.monotonic()) \
-            + 2 * bgwriter.interval_us / 1_000_000.0
-        if not bgwriter.thread.join(timeout=grace):
-            stuck.append(bgwriter.thread.name)
-    if stuck:
-        shared["stop"] = True
-        raise SimulationError(
-            f"native run exceeded its {config.max_sim_time_us / 1e6:.0f}s "
-            f"wall budget; threads still alive: {', '.join(stuck)} "
-            "(possible deadlock)")
-    joined = threads if bgwriter is None else threads + [bgwriter.thread]
-    errors = [t.error for t in joined if t.error is not None]
-    if errors:
-        raise errors[0]
-    elapsed_total = runtime.now
-    return _finalize_result(config, build, pool, log, slots, baseline,
-                            elapsed_total, disk=disk, bgwriter=bgwriter,
-                            observer=observer)
-
-
-def _access_ordered_prefix(workload: Workload, capacity: int):
-    """First ``capacity`` distinct pages in merged access order."""
-    distinct: Dict[object, None] = {}
-    streams = [workload.transaction_stream(index) for index in range(8)]
-    # Bounded scan: stop once enough distinct pages are found or the
-    # streams have clearly covered their hot sets.
-    for _round in range(200):
-        for stream in streams:
-            for page in next(stream).pages:
-                if page not in distinct:
-                    distinct[page] = None
-                    if len(distinct) >= capacity:
-                        return list(distinct)
-    return list(distinct)
-
-
-def _collect_lock_stats(build: SystemBuild) -> LockStats:
-    merged = getattr(build.handler, "merged_lock_stats", None)
-    if callable(merged):
-        return merged()
-    return build.lock.stats
 
 
 def _live_lock_stats(build: SystemBuild) -> List[LockStats]:
     """The mutable :class:`LockStats` of every lock a build owns.
 
-    Unlike :func:`_collect_lock_stats` — which may return a merged
+    Unlike :meth:`SystemBuild.lock_stats` — which may return a merged
     *copy* — these are the live objects the locks write into, so
     window resets (``begin_window``) actually take effect.
     """

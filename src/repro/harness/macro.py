@@ -26,8 +26,6 @@ non-zero in the run summary.
 
 from __future__ import annotations
 
-import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, Iterator, List, Optional
 
@@ -35,16 +33,14 @@ from repro.core.bpwrapper import ThreadSlot
 from repro.db.exec.context import (ExecContext, LiveExecContext,
                                    ShardedExecContext)
 from repro.db.exec.executor import run_plan
-from repro.db.storage import DiskArray
 from repro.db.transactions import TransactionLog, TransactionOutcome
-from repro.control import SERVE_DEFAULTS, bp_kwargs, make_controller
+from repro.control import SERVE_DEFAULTS, bp_kwargs
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
-from repro.harness.experiment import _access_ordered_prefix
-from repro.harness.systems import SystemBuild, build_system
-from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Simulator
-from repro.simcore.rng import split_seed, stream_rng
+from repro.harness.driver import Run, access_ordered_prefix
+from repro.harness.driver import run as drive
+from repro.harness.systems import build_system
+from repro.simcore.rng import stream_rng
 from repro.sync.stats import LockStats
 from repro.workloads.registry import make_workload
 
@@ -235,277 +231,112 @@ def _merge_breakdowns(contexts: List[ExecContext]
     return merged
 
 
-def _finalize(config: MacroConfig, log: TransactionLog, elapsed_us: float,
-              contexts: List[ExecContext], stats, lock_stats: LockStats,
-              evictions: int, disk, bgwriter, rows: int,
-              controls=None) -> MacroResult:
-    outcomes = log.outcomes
-    kinds = Counter(outcome.kind for outcome in outcomes)
-    if outcomes:
-        ordered = sorted(o.response_time_us for o in outcomes)
-        mean_us = sum(ordered) / len(ordered)
-        rank = max(0, int(len(ordered) * 0.95 + 0.5) - 1)
-        p95_us = ordered[min(rank, len(ordered) - 1)]
-    else:
-        mean_us = p95_us = 0.0
-    qps = (len(outcomes) / (elapsed_us / 1e6)) if elapsed_us > 0 else 0.0
-    return MacroResult(
-        config=config,
-        queries=len(outcomes),
-        queries_by_kind=dict(kinds),
-        rows=rows,
-        accesses=stats["accesses"],
-        hits=stats["hits"],
-        misses=stats["misses"],
-        hit_ratio=(stats["hits"] / stats["accesses"]
-                   if stats["accesses"] else 0.0),
-        evictions=evictions,
-        write_backs=stats["write_backs"],
-        pinned_victim_skips=stats["pinned_victim_skips"],
-        stale_hit_retries=stats["stale_hit_retries"],
-        absorbed_misses=stats["absorbed_misses"],
-        disk_reads=disk.reads if disk is not None else 0,
-        disk_writes=disk.writes if disk is not None else 0,
-        bgwriter_cleaned=bgwriter.pages_cleaned if bgwriter else 0,
-        elapsed_us=elapsed_us,
-        queries_per_sec=qps,
-        mean_response_ms=mean_us / 1000.0,
-        p95_response_ms=p95_us / 1000.0,
-        lock_stats=lock_stats,
-        op_breakdown=_merge_breakdowns(contexts),
-        controllers=([dict(c.controller.to_dict(),
-                           batch_threshold=c.batch_threshold)
-                      for c in controls] if controls else None),
-    )
-
-
-def _sum_stats(managers) -> dict:
-    totals = {"accesses": 0, "hits": 0, "misses": 0, "write_backs": 0,
-              "pinned_victim_skips": 0, "stale_hit_retries": 0,
-              "absorbed_misses": 0}
-    evictions = 0
-    for manager in managers:
-        stats = manager.stats
-        totals["accesses"] += stats.accesses
-        totals["hits"] += stats.hits
-        totals["misses"] += stats.misses
-        totals["write_backs"] += stats.write_backs
-        totals["pinned_victim_skips"] += stats.pinned_victim_skips
-        totals["stale_hit_retries"] += stats.stale_hit_retries
-        totals["absorbed_misses"] += stats.absorbed_misses
-        evictions += stats.evictions
-    return {**totals, "evictions": evictions}
-
-
 def run_macro(config: MacroConfig, workload=None) -> MacroResult:
     """Execute one macro configuration and return its measurements."""
-    if config.runtime not in ("sim", "native"):
-        raise ConfigError(
-            f"unknown runtime {config.runtime!r}; available: sim, native")
     if config.n_shards < 0:
         raise ConfigError(f"n_shards must be >= 0, got {config.n_shards}")
     if config.n_shards and config.runtime != "sim":
         raise ConfigError(
             "sharded macro runs are sim-only; drop n_shards or use "
             "runtime='sim'")
-    if workload is None:
-        workload = make_workload(config.workload, seed=config.seed,
-                                 **config.workload_kwargs)
-    if not hasattr(workload, "plan_stream"):
+    if config.n_shards and config.background_writer:
         raise ConfigError(
-            f"workload {config.workload!r} has no plan_stream(); the "
-            "macro tier needs a query-plan workload (e.g. tpcc_lite)")
-    if config.runtime == "native":
-        return _run_native(config, workload)
-    machine = config.machine
-    sim = Simulator()
-    disk = None
-    if config.use_disk:
-        disk = DiskArray(sim, machine.costs.disk_read_us,
-                         machine.costs.disk_concurrency, seed=config.seed)
-
+            "the background writer sweeps one pool; drop n_shards or "
+            "background_writer")
+    costs = config.machine.costs
+    log = TransactionLog()
     shards: List = []
-    managers: List = []
-    controls: List = []
-    if config.n_shards:
-        from repro.serve.shard import BufferShard, shard_of
-        per_shard = max(16, config.buffer_pages // config.n_shards)
-        for shard_id in range(config.n_shards):
-            shard = BufferShard(sim, shard_id, config.system, per_shard,
-                                machine, **bp_kwargs(config), disk=disk)
-            if config.controller:
-                # Per-shard controller instances: each pool adapts to
-                # its own slice's contention independently.
-                shard.control.controller = make_controller(
-                    config.controller)
-                controls.append(shard.control)
-            shards.append(shard)
-            managers.append(shard.manager)
-        if config.prewarm:
-            prefix = _access_ordered_prefix(workload,
-                                            config.buffer_pages)
-            for shard_id, shard in enumerate(shards):
+    contexts: List[ExecContext] = []
+    rows_box = [0]
+
+    def build(run: Run) -> None:
+        nonlocal workload
+        if workload is None:
+            workload = make_workload(config.workload, seed=config.seed,
+                                     **config.workload_kwargs)
+        if not hasattr(workload, "plan_stream"):
+            raise ConfigError(
+                f"workload {config.workload!r} has no plan_stream(); the "
+                "macro tier needs a query-plan workload (e.g. tpcc_lite)")
+        disk = run.create_disk(config.seed)
+        prefix = (access_ordered_prefix(workload, config.buffer_pages)
+                  if config.prewarm else [])
+        if config.n_shards:
+            from repro.serve.shard import BufferShard, shard_of
+            per_shard = max(16, config.buffer_pages // config.n_shards)
+            for shard_id in range(config.n_shards):
+                shard = BufferShard(run.runtime, shard_id, config.system,
+                                    per_shard, config.machine,
+                                    **bp_kwargs(config), disk=disk)
+                run.adopt(shard.build)
+                shards.append(shard)
                 routed = [page for page in prefix
                           if shard_of(page, config.n_shards) == shard_id]
                 shard.warm_with(routed[:per_shard])
-        build = None
-    else:
-        build: SystemBuild = build_system(
-            config.system, sim, config.buffer_pages, machine,
-            **bp_kwargs(config), disk=disk)
-        if config.controller:
-            build.control.controller = make_controller(config.controller)
-            controls.append(build.control)
-        managers.append(build.manager)
-        if config.prewarm:
-            build.manager.warm_with(
-                _access_ordered_prefix(workload, config.buffer_pages))
-
-    pool = ProcessorPool(sim, config.n_processors,
-                         machine.costs.context_switch_us)
-    log = TransactionLog()
-    shared: Dict[str, object] = {"stop": False, "queries": 0}
-    bgwriter = None
-    if config.background_writer and disk is not None and build is not None:
-        from repro.bufmgr.bgwriter import BackgroundWriter
-        bgwriter = BackgroundWriter(sim, build.manager, pool,
-                                    shared_stop=shared)
-        bgwriter.start()
-    n_threads = config.resolved_threads()
-    stagger_window = machine.costs.user_work_us * max(8, config.queue_size)
-    contexts: List[ExecContext] = []
-    rows_box = [0]
-    for index in range(n_threads):
-        thread = CpuBoundThread(pool, name=f"backend-{index}")
-        if shards:
-            slots = [ThreadSlot(thread, thread_id=index,
-                                queue_size=config.queue_size)
-                     for _ in shards]
-            ctx: ExecContext = ShardedExecContext(slots, shards)
         else:
-            slot = ThreadSlot(thread, thread_id=index,
-                              queue_size=config.queue_size)
-            ctx = LiveExecContext(slot, build.manager)
+            pool = run.adopt(build_system(
+                config.system, run.runtime, config.buffer_pages,
+                config.machine, **bp_kwargs(config), disk=disk))
+            pool.manager.warm_with(prefix)
+            run.start_bgwriter(pool.manager)
+        run.shared["queries"] = 0
+
+    def body(run: Run, thread, index: int):
+        if shards:
+            ctx: ExecContext = ShardedExecContext(
+                [ThreadSlot(thread, thread_id=index,
+                            queue_size=config.queue_size)
+                 for _ in shards], shards)
+        else:
+            ctx = LiveExecContext(
+                ThreadSlot(thread, thread_id=index,
+                           queue_size=config.queue_size),
+                run.builds[0].manager)
         contexts.append(ctx)
-        stagger_rng = stream_rng(config.seed, "macro-stagger", index)
-        body = _query_body(
-            sim, thread, ctx, workload.plan_stream(index), log, shared,
-            config.target_queries, machine.costs.user_work_us,
-            machine.costs.scheduler_quantum_us,
-            stagger_us=stagger_rng.uniform(0.0, stagger_window),
+        return _query_body(
+            run.runtime, thread, ctx, workload.plan_stream(index), log,
+            run.shared, config.target_queries, costs.user_work_us,
+            costs.scheduler_quantum_us,
+            stagger_us=run.stagger_us("macro-stagger", index),
             work_rng=stream_rng(config.seed, "macro-work", index),
             rows_box=rows_box)
-        thread.start(body)
-    sim.run(until=config.max_sim_time_us)
 
-    if shards:
-        lock_stats = LockStats()
-        for shard in shards:
-            lock_stats = lock_stats.merged_with(shard.lock_stats())
-    else:
-        merged = getattr(build.handler, "merged_lock_stats", None)
-        lock_stats = merged() if callable(merged) else build.lock.stats
-    totals = _sum_stats(managers)
-    evictions = totals.pop("evictions")
-    return _finalize(config, log, sim.now, contexts, totals, lock_stats,
-                     evictions, disk, bgwriter, rows_box[0],
-                     controls=controls)
+    names = [f"backend-{index}"
+             for index in range(config.resolved_threads())]
+    return _finalize(config, drive(config, build, names, body), log,
+                     contexts, rows_box[0])
 
 
-def _run_native(config: MacroConfig, workload) -> MacroResult:
-    """Macro run on real OS threads (see experiment._run_native)."""
-    import threading
-
-    from repro.errors import SimulationError
-    from repro.policies.base import LockDiscipline
-    from repro.runtime.native import NativeDisk, NativeRuntime
-
-    machine = config.machine
-    runtime = NativeRuntime(seed=config.seed)
-    disk = None
-    if config.use_disk:
-        disk = NativeDisk(runtime, machine.costs.disk_read_us,
-                          machine.costs.disk_concurrency,
-                          seed=config.seed)
-    build: SystemBuild = build_system(
-        config.system, runtime, config.buffer_pages, machine,
-        **bp_kwargs(config), disk=disk)
-    if config.controller:
-        build.control.controller = make_controller(config.controller)
-    policy = build.handler.policy
-    if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-            and not hasattr(policy, "on_hit_relaxed")):
-        raise ConfigError(
-            f"policy {policy.name!r} is unsafe lock-free outside the "
-            "simulator")
-    manager = build.manager
-    manager.attach_header_locks(threading.Lock)
-    if config.prewarm:
-        manager.warm_with(
-            _access_ordered_prefix(workload, config.buffer_pages))
-    pool = runtime.create_pool(config.n_processors,
-                               machine.costs.context_switch_us)
-    log = TransactionLog()
-    shared: Dict[str, object] = {"stop": False, "queries": 0}
-    bgwriter = None
-    if config.background_writer and disk is not None:
-        from repro.bufmgr.bgwriter import BackgroundWriter
-        bg_thread = runtime.create_thread(
-            pool, name="bgwriter",
-            seed=split_seed(config.seed, "macro-bgwriter", 0))
-        bgwriter = BackgroundWriter(runtime, manager, thread=bg_thread,
-                                    shared_stop=shared)
-        bgwriter.start()
-    n_threads = config.resolved_threads()
-    stagger_window = machine.costs.user_work_us * max(8, config.queue_size)
-    contexts: List[ExecContext] = []
-    threads = []
-    rows_box = [0]
-    for index in range(n_threads):
-        thread = runtime.create_thread(
-            pool, name=f"backend-{index}",
-            seed=split_seed(config.seed, "macro-native", index))
-        slot = ThreadSlot(thread, thread_id=index,
-                          queue_size=config.queue_size)
-        ctx = LiveExecContext(slot, manager)
-        contexts.append(ctx)
-        threads.append(thread)
-        stagger_rng = stream_rng(config.seed, "macro-stagger", index)
-        body = _query_body(
-            runtime, thread, ctx, workload.plan_stream(index), log,
-            shared, config.target_queries, machine.costs.user_work_us,
-            machine.costs.scheduler_quantum_us,
-            stagger_us=stagger_rng.uniform(0.0, stagger_window),
-            work_rng=stream_rng(config.seed, "macro-work", index),
-            rows_box=rows_box)
-        thread.start(body)
-    deadline = time.monotonic() + config.max_sim_time_us / 1_000_000.0
-    stuck = []
-    for thread in threads:
-        remaining = deadline - time.monotonic()
-        if not thread.join(timeout=max(0.0, remaining)):
-            stuck.append(thread.name)
-    if bgwriter is not None:
-        bgwriter.stop()
-        grace = max(0.0, deadline - time.monotonic()) \
-            + 2 * bgwriter.interval_us / 1_000_000.0
-        if not bgwriter.thread.join(timeout=grace):
-            stuck.append(bgwriter.thread.name)
-    if stuck:
-        shared["stop"] = True
-        raise SimulationError(
-            f"macro native run exceeded its "
-            f"{config.max_sim_time_us / 1e6:.0f}s wall budget; threads "
-            f"still alive: {', '.join(stuck)} (possible deadlock)")
-    joined = threads if bgwriter is None else threads + [bgwriter.thread]
-    errors = [t.error for t in joined if t.error is not None]
-    if errors:
-        raise errors[0]
-    merged = getattr(build.handler, "merged_lock_stats", None)
-    lock_stats = merged() if callable(merged) else build.lock.stats
-    totals = _sum_stats([manager])
-    evictions = totals.pop("evictions")
-    return _finalize(config, log, runtime.now, contexts, totals,
-                     lock_stats, evictions, disk, bgwriter, rows_box[0],
-                     controls=[build.control] if config.controller
-                     else None)
+def _finalize(config: MacroConfig, run: Run, log: TransactionLog,
+              contexts: List[ExecContext], rows: int) -> MacroResult:
+    lock_stats = run.builds[0].lock_stats()
+    for build in run.builds[1:]:
+        lock_stats = lock_stats.merged_with(build.lock_stats())
+    stats = dict.fromkeys(
+        ("accesses", "hits", "misses", "evictions", "write_backs",
+         "pinned_victim_skips", "stale_hit_retries", "absorbed_misses"), 0)
+    for build in run.builds:
+        for name in stats:
+            stats[name] += getattr(build.manager.stats, name)
+    # Shards share one disk array, so any pool's manager has it.
+    disk = run.builds[0].manager.disk
+    return MacroResult(
+        config=config,
+        queries=log.count,
+        queries_by_kind=log.mix(),
+        rows=rows,
+        hit_ratio=(stats["hits"] / stats["accesses"]
+                   if stats["accesses"] else 0.0),
+        disk_reads=disk.reads if disk is not None else 0,
+        disk_writes=disk.writes if disk is not None else 0,
+        bgwriter_cleaned=run.bgwriter.pages_cleaned if run.bgwriter else 0,
+        elapsed_us=run.elapsed_us,
+        queries_per_sec=log.throughput_tps(run.elapsed_us),
+        mean_response_ms=log.mean_response_time_us() / 1000.0,
+        p95_response_ms=log.percentile_response_time_us(95.0) / 1000.0,
+        lock_stats=lock_stats,
+        op_breakdown=_merge_breakdowns(contexts),
+        controllers=([build.controller_summary() for build in run.builds]
+                     if config.controller else None),
+        **stats,
+    )

@@ -34,6 +34,7 @@ from repro.hardware.machines import MachineSpec
 from repro.policies.base import LockDiscipline
 from repro.policies.registry import make_policy
 from repro.runtime.base import MutexLock, Runtime
+from repro.sync.stats import LockStats
 
 __all__ = [
     "SYSTEM_NAMES",
@@ -118,6 +119,23 @@ class SystemBuild:
     #: attach a controller here to tune the pool while it runs.
     control: Optional[ControlState] = None
     extra: Dict[str, object] = field(default_factory=dict)
+
+    def lock_stats(self) -> LockStats:
+        """The pool's replacement-lock statistics: one lock's live
+        counters, or a merged copy for multi-lock handlers."""
+        merged = getattr(self.handler, "merged_lock_stats", None)
+        if callable(merged):
+            return merged()
+        return self.lock.stats
+
+    def controller_summary(self) -> Optional[dict]:
+        """The controller's decision trail plus where the threshold
+        converged; None for an uncontrolled pool."""
+        control = self.control
+        if control is None or control.controller is None:
+            return None
+        return dict(control.controller.to_dict(),
+                    batch_threshold=control.batch_threshold)
 
 
 def build_system(name: str, sim: "Runtime", capacity: int,

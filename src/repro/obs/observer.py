@@ -70,6 +70,17 @@ class Observer:
         ctx = self._contexts.get(thread_name)
         return ctx.as_args() if ctx is not None else None
 
+    def publish_trace_drops(self) -> None:
+        """Count ring-buffer overflow as ``trace.dropped_records``.
+
+        Surfaces it loudly: a truncated trace is easy to misread as a
+        quiet run. Idempotent across repeated finalizes (the counter is
+        set to the recorder's total, not incremented by it).
+        """
+        if self.metrics is not None and self.trace is not None:
+            counter = self.metrics.counter("trace.dropped_records")
+            counter.inc(max(0, self.trace.dropped - counter.value))
+
     # -- lock hooks (SimLock) ---------------------------------------------
 
     def on_lock_wait(self, lock_name: str, thread_name: str,

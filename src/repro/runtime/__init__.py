@@ -2,15 +2,15 @@
 
 :mod:`repro.runtime.base` defines the narrow protocols the BP-Wrapper
 core is written against (``Clock``, ``MutexLock``, ``ThreadContext``,
-``RuntimeObserver``, ``Runtime``); :mod:`repro.runtime.sim` adapts the
-deterministic discrete-event simulator and :mod:`repro.runtime.native`
-runs the identical code on real OS threads for wall-clock contention
-measurements (``--runtime native``).
+``RuntimeObserver``, ``Runtime``); the deterministic discrete-event
+:class:`~repro.simcore.engine.Simulator` implements them itself and
+:mod:`repro.runtime.native` runs the identical code on real OS threads
+for wall-clock contention measurements (``--runtime native``).
 
-This package must not import :mod:`repro.simcore` at the top level —
-only the sim adapter does, lazily from the harness's point of view —
-so that ``repro.core``/``repro.policies`` (which import ``base``) stay
-simulator-free (see ``tests/test_layering.py``).
+This package must not import :mod:`repro.simcore` — the dependency
+points the other way — so that ``repro.core``/``repro.policies``
+(which import ``base``) stay simulator-free (see
+``tests/test_layering.py``).
 """
 
 from repro.runtime.base import (Clock, MutexLock, Runtime, RuntimeObserver,

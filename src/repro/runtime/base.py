@@ -5,10 +5,10 @@ buffer manager) is written against the *narrow* structural interfaces
 defined here, not against the discrete-event simulator. Two adapters
 implement them:
 
-* :mod:`repro.runtime.sim` — the deterministic simulator backend
-  (:class:`repro.simcore.engine.Simulator` itself satisfies
-  :class:`Runtime`); blocking operations are generators that yield
-  engine events, and simulated time is advanced by the event loop.
+* :class:`repro.simcore.engine.Simulator` — the deterministic
+  simulator backend satisfies :class:`Runtime` itself; blocking
+  operations are generators that yield engine events, and simulated
+  time is advanced by the event loop.
 * :mod:`repro.runtime.native` — real OS threads
   (:mod:`threading`); blocking operations block the calling thread at
   call time and return an *empty* iterable, so the very same
@@ -26,8 +26,10 @@ it", ``MutexLock`` is the paper's ``Lock()``/``TryLock()`` pair with
 spend/wait/yield surface of a transaction-processing thread, and
 ``RuntimeObserver`` is the existing :mod:`repro.obs` hook surface. A
 :class:`Runtime` ties them together with the two factories lower
-layers need (bare events and locks), plus the ``observer``/``checker``
-attachment points.
+layers need (bare events and locks), the ``observer``/``checker``
+attachment points, and the run lifecycle the harness driver
+(:mod:`repro.harness.driver`) walks: pool, thread and disk factories,
+``prepare``, ``mutex`` and ``join``.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "WaitEvent",
     "MutexLock",
     "ThreadContext",
+    "Daemon",
     "RuntimeObserver",
     "Runtime",
 ]
@@ -143,6 +146,20 @@ class ThreadContext(Protocol):
     def yield_cpu(self) -> Iterable[Wait]: ...
 
 
+class Daemon(Protocol):
+    """A background thread that outlives no run (bgwriter, sampler).
+
+    It polls the run's stop flag every ``interval_us``;
+    :meth:`Runtime.join` calls :meth:`stop` once the bodies are done
+    and grants it that interval to notice.
+    """
+
+    thread: ThreadContext
+    interval_us: float
+
+    def stop(self) -> None: ...
+
+
 class RuntimeObserver(Protocol):
     """The :mod:`repro.obs` hook surface instrumented code may call.
 
@@ -185,12 +202,14 @@ class RuntimeObserver(Protocol):
 
 @runtime_checkable
 class Runtime(Protocol):
-    """The full backend surface: a clock plus the two factories.
+    """The full backend surface: a clock, the factories, the lifecycle.
 
     ``observer`` / ``checker`` are the obs and correctness attachment
     points (None = off). Both backends implement :meth:`event` and
     :meth:`create_lock` so no layer below the harness ever constructs
-    a backend-specific primitive by name.
+    a backend-specific primitive by name; the remaining methods are
+    the steps of one run, in the order the harness driver takes them,
+    so no tier names a backend either.
     """
 
     observer: Optional[Any]
@@ -203,6 +222,31 @@ class Runtime(Protocol):
 
     def create_lock(self, name: str = "lock", grant_cost_us: float = 0.0,
                     try_cost_us: float = 0.0) -> MutexLock: ...
+
+    def create_pool(self, n_processors: int,
+                    context_switch_us: float = 0.0) -> Any:
+        """The processors the run's threads are multiplexed over."""
+
+    def create_thread(self, pool: Any, name: str = "thread",
+                      seed: int = 0) -> ThreadContext: ...
+
+    def create_disk(self, service_time_us: float, concurrency: int,
+                    seed: int = 0) -> Any:
+        """The k-server disk model (simulated events or real sleeps)."""
+
+    def prepare(self, manager: Any) -> None:
+        """Make a freshly built pool safe to run on this backend, or
+        raise :class:`~repro.errors.ConfigError` if it cannot be."""
+
+    def mutex(self) -> Optional[Any]:
+        """A guard for harness-level shared state; None where events
+        are atomic and none is needed."""
+
+    def join(self, threads: Iterable[ThreadContext],
+             daemons: Iterable[Daemon], budget_us: float) -> None:
+        """Run ``threads`` to completion within ``budget_us`` (sim:
+        simulated; native: wall-clock, raising on stuck threads), then
+        stop ``daemons`` and surface the first thread error."""
 
 
 def drive(body: Generator[Wait, Any, Any]) -> Any:

@@ -614,7 +614,8 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
     transaction rates, ``elapsed_us`` is the parent-observed span from
     the start barrier to the last join.
     """
-    from repro.harness.experiment import (RunResult, _access_ordered_prefix)
+    from repro.harness.driver import access_ordered_prefix
+    from repro.harness.experiment import RunResult
     from repro.workloads.registry import make_workload
 
     if observer is not None:
@@ -649,7 +650,7 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
     # Deterministic dense page ids: access order first (the resident
     # prefix when the pool is smaller than the working set), then any
     # remaining working-set pages in sorted-repr order.
-    ordered = list(_access_ordered_prefix(workload, len(working_set)))
+    ordered = list(access_ordered_prefix(workload, len(working_set)))
     seen = set(ordered)
     ordered.extend(sorted((p for p in working_set if p not in seen),
                           key=repr))

@@ -15,7 +15,8 @@ microseconds:
   an empty iterable, so ``yield from`` delegation is a no-op and the
   body runs inline to completion (see :mod:`repro.runtime.base`).
 * :class:`NativeRuntime` — ``time.monotonic()`` microsecond clock plus
-  the ``event()``/``create_lock()`` factories.
+  the ``event()``/``create_lock()`` factories and the run lifecycle
+  (pool/thread/disk factories, ``prepare``, ``mutex``, ``join``).
 
 Concurrency model
 -----------------
@@ -26,7 +27,7 @@ is:
 
 * a per-descriptor header lock (``BufferDesc.hdr_lock``, the
   PostgreSQL buffer-header-lock analogue) making pin/unpin atomic —
-  attached by the native experiment runner;
+  attached by :meth:`NativeRuntime.prepare`;
 * a small internal mutex per :class:`NativeLock` guarding its stats.
 
 Shared *counters* (``AccessStats``, per-thread accounting) are updated
@@ -57,7 +58,8 @@ import threading
 import time
 from typing import Any, Generator, Optional
 
-from repro.errors import LockError, SimulationError
+from repro.errors import ConfigError, LockError, SimulationError
+from repro.policies.base import LockDiscipline
 from repro.sync.stats import LockStats
 
 __all__ = [
@@ -339,7 +341,6 @@ class NativeDisk:
         if time_scale < 0:
             raise SimulationError(
                 f"time scale must be >= 0, got {time_scale}")
-        self.sim = runtime  # legacy-named alias, as BufferManager's
         self.runtime = runtime
         self.service_time_us = service_time_us
         self.concurrency = concurrency
@@ -423,7 +424,6 @@ class NativeThread:
                  seed: int = 0) -> None:
         self.pool = pool
         self.runtime = pool.runtime
-        self.sim = pool.runtime  # legacy-named alias; same object
         self.name = name
         self.rng = random.Random(seed)
         self.cpu_time = 0.0
@@ -515,15 +515,13 @@ class NativeRuntime:
     name = "native"
 
     def __init__(self, observer: Optional[Any] = None,
-                 checker: Optional[Any] = None, seed: int = 0) -> None:
-        if checker is not None:
-            raise SimulationError(
-                "the correctness checker shadows the sim lock protocol "
-                "and requires the sim runtime")
+                 seed: int = 0) -> None:
         self._origin = time.monotonic()
         #: Obs attachment point; wrap with :class:`ThreadSafeObserver`
         #: before handing it to concurrent threads.
         self.observer = observer
+        #: Always None: the correctness checker shadows the sim lock
+        #: protocol (the run driver rejects the combination).
         self.checker = None
         self.seed = seed
 
@@ -550,6 +548,62 @@ class NativeRuntime:
     def create_thread(self, pool: NativePool, name: str = "thread",
                       seed: int = 0) -> NativeThread:
         return NativeThread(pool, name=name, seed=seed)
+
+    def create_disk(self, service_time_us: float, concurrency: int,
+                    seed: int = 0) -> NativeDisk:
+        return NativeDisk(self, service_time_us, concurrency, seed=seed)
+
+    def prepare(self, manager: Any) -> None:
+        """Make a freshly built pool safe for concurrent OS threads.
+
+        Every descriptor gets a header lock so pin/unpin are atomic,
+        and a lock-free-hit policy must have a race-tolerant
+        ``on_hit_relaxed`` path (``pgclock``'s hits run through it).
+        """
+        policy = manager.policy
+        if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
+                and not hasattr(policy, "on_hit_relaxed")):
+            raise ConfigError(
+                f"policy {policy.name!r} mutates shared state without the "
+                "lock on hits and has no race-tolerant on_hit_relaxed path; "
+                "that combination is only safe under the simulator")
+        manager.attach_header_locks(threading.Lock)
+
+    def mutex(self) -> Any:
+        """A plain mutex for harness-level shared counters."""
+        return threading.Lock()
+
+    def join(self, threads, daemons, budget_us: float) -> None:
+        """Join ``threads``, then stop and join ``daemons``.
+
+        ``budget_us`` bounds *wall-clock* microseconds — the deadlock
+        guard: anything still alive past it raises
+        :class:`~repro.errors.SimulationError` naming the stuck
+        threads. Otherwise the first error a thread died of is
+        re-raised.
+        """
+        deadline = time.monotonic() + budget_us / 1_000_000.0
+        stuck = []
+        for thread in threads:
+            remaining = deadline - time.monotonic()
+            if not thread.join(timeout=max(0.0, remaining)):
+                stuck.append(thread.name)
+        for daemon in daemons:
+            # The bodies have stopped (or are stuck); either way the
+            # daemon must exit at its next wakeup — one interval.
+            daemon.stop()
+            grace = max(0.0, deadline - time.monotonic()) \
+                + 2 * daemon.interval_us / 1_000_000.0
+            if not daemon.thread.join(timeout=grace):
+                stuck.append(daemon.thread.name)
+        if stuck:
+            raise SimulationError(
+                f"native run exceeded its {budget_us / 1e6:.0f}s wall "
+                f"budget; threads still alive: {', '.join(stuck)} "
+                "(possible deadlock)")
+        for thread in [*threads, *(daemon.thread for daemon in daemons)]:
+            if thread.error is not None:
+                raise thread.error
 
 
 class ThreadSafeObserver:

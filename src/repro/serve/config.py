@@ -14,6 +14,7 @@ from typing import Optional
 from repro.control import SERVE_DEFAULTS, available_controllers
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
+from repro.harness.driver import validate as validate_run
 from repro.obs.telemetry import SLOSpec
 
 __all__ = ["ServeConfig"]
@@ -121,12 +122,10 @@ class ServeConfig:
                        error_budget=self.slo_error_budget,
                        throttle_rate=self.slo_throttle_rate)
 
-    def validate(self) -> None:
-        """Raise :class:`~repro.errors.ConfigError` on bad geometry."""
-        if self.runtime not in ("sim", "native"):
-            raise ConfigError(
-                f"serve supports runtimes sim and native, got "
-                f"{self.runtime!r}")
+    def validate(self, checker=None) -> None:
+        """Raise :class:`~repro.errors.ConfigError` on bad geometry, or
+        on a ``checker`` the configured runtime cannot host."""
+        validate_run(self, checker)
         if self.n_shards < 1:
             raise ConfigError(f"need >= 1 shard, got {self.n_shards}")
         if self.n_tenants < 1:
@@ -185,11 +184,6 @@ class ServeConfig:
             raise ConfigError(
                 "use_disk attaches the simulated disk array; use "
                 "runtime='sim' for disk-backed serve runs")
-        if self.n_processors > self.machine.max_processors:
-            raise ConfigError(
-                f"{self.machine.name} has at most "
-                f"{self.machine.max_processors} processors, asked for "
-                f"{self.n_processors}")
 
     def describe(self) -> str:
         """Cell label used in sweeps and the dashboard."""

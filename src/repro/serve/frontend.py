@@ -31,14 +31,14 @@ which CI enforces (the ``serve-smoke`` job).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 from repro.bufmgr.tags import PageId
-from repro.control import bp_kwargs, make_controller
+from repro.control import bp_kwargs
 from repro.core.bpwrapper import ThreadSlot
-from repro.errors import ConfigError, SimulationError
+from repro.harness.driver import Run
+from repro.harness.driver import run as drive
 from repro.obs.telemetry import TelemetrySampler, TraceContext, evaluate_slo
 from repro.serve.config import ServeConfig
 from repro.serve.shard import BufferShard, shard_of
@@ -173,24 +173,16 @@ class ServeFrontend:
 
     def __init__(self, config: ServeConfig, observer=None,
                  checker=None) -> None:
-        config.validate()
-        if checker is not None and config.runtime != "sim":
-            # Must match run_experiment's native rejection verbatim:
-            # one error path for "the checker is sim-only", whichever
-            # entry point is used.
-            raise ConfigError(
-                "the correctness checker shadows the sim lock protocol; "
-                "use runtime='sim' for checked runs")
+        config.validate(checker)
         self.config = config
         self.observer = observer
         self.checker = checker
-        self.runtime = None
         self.shards: List[BufferShard] = []
         self.tenants: List[TenantState] = []
-        #: Windowed-telemetry container; created by the runners when
+        #: Windowed-telemetry container; created by the build when
         #: ``config.telemetry_interval_us > 0``, else stays None.
         self.sampler: Optional[TelemetrySampler] = None
-        self._shared = {"stop": False, "served": 0}
+        self._run: Optional[Run] = None
         self._result: Optional[ServeResult] = None
 
     # -- routing -----------------------------------------------------------
@@ -219,16 +211,14 @@ class ServeFrontend:
                      for block in range(self.config.hot_pages))
         return pages
 
-    def _build(self, runtime, native: bool) -> None:
+    def _build(self, run: Run) -> None:
         config = self.config
-        mutex_factory = None
-        if native:
-            import threading
-            mutex_factory = threading.Lock
+        runtime = run.runtime
+        self._run = run
+        run.shared["served"] = 0
         self.tenants = [
             TenantState(spec, config.hot_pages, config.hot_fraction,
-                        config.hot_skew,
-                        mutex=mutex_factory() if mutex_factory else None)
+                        config.hot_skew, mutex=runtime.mutex())
             for spec in self._tenant_specs()
         ]
         # Hash-split the page space to size and pre-warm each shard.
@@ -242,33 +232,39 @@ class ServeFrontend:
             if capacity is None:
                 capacity = len(working_set) + 16
             capacity = max(16, capacity)
-            disk = None
-            if config.use_disk:
-                from repro.db.storage import DiskArray
-                disk = DiskArray(
-                    runtime, config.machine.costs.disk_read_us,
-                    config.machine.costs.disk_concurrency,
-                    seed=split_seed(config.seed, "serve-disk", shard_id))
             shard = BufferShard(
                 runtime, shard_id, config.system, capacity,
-                config.machine, **bp_kwargs(config), disk=disk)
-            if config.controller:
-                # One controller instance per shard: each pool tunes
-                # itself from its own replacement lock's contention.
-                shard.control.controller = make_controller(
-                    config.controller)
-            if mutex_factory is not None:
-                shard.admit_mutex = mutex_factory()
+                config.machine, **bp_kwargs(config),
+                disk=run.create_disk(
+                    split_seed(config.seed, "serve-disk", shard_id)))
+            run.adopt(shard.build)
+            shard.admit_mutex = runtime.mutex()
             shard.warm_with(working_set[:capacity])
             self.shards.append(shard)
+        if config.telemetry_interval_us > 0:
+            self.sampler = TelemetrySampler(config.telemetry_interval_us)
+            run.start_daemon("telemetry-sampler",
+                             config.telemetry_interval_us,
+                             self._sampler_body)
 
     # -- the session body (runtime-agnostic) -------------------------------
+
+    def _session(self, run: Run, thread, session_index: int
+                 ) -> Generator[object, None, None]:
+        """The driver's body factory: session ``session_index`` with
+        one private BP-Wrapper queue per shard."""
+        tenant = self.tenants[session_index % self.config.n_tenants]
+        slots = {shard.shard_id:
+                 ThreadSlot(thread, thread_id=session_index,
+                            queue_size=self.config.queue_size)
+                 for shard in self.shards}
+        return self._session_body(run.runtime, tenant, slots, session_index)
 
     def _session_body(self, runtime, tenant: TenantState,
                       slots: Dict[int, ThreadSlot], session_index: int
                       ) -> Generator[object, None, None]:
         config = self.config
-        shared = self._shared
+        shared = self._run.shared
         thread = slots[0].thread
         observer = self.observer
         trace = observer.trace if observer is not None else None
@@ -276,14 +272,9 @@ class ServeFrontend:
         tenant_name = tenant.spec.name
         page_rng = stream_rng(config.seed, "serve-pages", session_index)
         work_rng = stream_rng(config.seed, "serve-work", session_index)
-        stagger_rng = stream_rng(config.seed, "serve-stagger",
-                                 session_index)
         user_work_us = config.machine.costs.user_work_us
         quantum_us = config.machine.costs.scheduler_quantum_us
-        # De-synchronize session start-up (same rationale as the
-        # experiment driver's stagger: no artificial convoys).
-        stagger_window = user_work_us * max(8, config.queue_size)
-        stagger_us = stagger_rng.uniform(0.0, stagger_window)
+        stagger_us = self._run.stagger_us("serve-stagger", session_index)
         if stagger_us > 0:
             yield from thread.sleep_blocked(stagger_us)
 
@@ -381,7 +372,7 @@ class ServeFrontend:
         sampler = self.sampler
         sampler.samples_taken += 1
         sampler.series("served.requests", "req").sample(
-            now_us, self._shared["served"])
+            now_us, self._run.shared["served"])
         for shard in self.shards:
             prefix = f"shard{shard.shard_id}"
             stats = shard.manager.stats
@@ -403,14 +394,16 @@ class ServeFrontend:
 
     def _sampler_body(self, runtime,
                       thread) -> Generator[object, None, None]:
-        """Sim-runtime sampler: one thread waking on the fixed cadence.
+        """The sampler daemon: one thread waking on the fixed cadence.
 
-        Runs as a regular simulated thread, so sampling is part of the
-        deterministic event order — two same-seed runs take identical
-        samples at identical sim times.
+        Under the simulator it is a regular simulated thread, so
+        sampling is part of the deterministic event order — two
+        same-seed runs take identical samples at identical sim times.
+        Under native the cadence is wall-clock, best effort (a host
+        micro-benchmark, not a deterministic record).
         """
         interval_us = self.config.telemetry_interval_us
-        shared = self._shared
+        shared = self._run.shared
         while not shared["stop"]:
             yield from thread.sleep_blocked(interval_us)
             self._take_sample(runtime.now)
@@ -418,129 +411,18 @@ class ServeFrontend:
     # -- execution ---------------------------------------------------------
 
     def run(self) -> ServeResult:
-        if self._result is not None:
-            return self._result
-        if self.config.runtime == "native":
-            self._result = self._run_native()
-        else:
-            self._result = self._run_sim()
+        if self._result is None:
+            config = self.config
+            specs = self._tenant_specs()
+            names = [f"session-{specs[index % config.n_tenants].name}-"
+                     f"{index // config.n_tenants}"
+                     for index in range(config.n_sessions)]
+            run = drive(config, self._build, names, self._session,
+                        observer=self.observer, checker=self.checker)
+            self._result = self._finalize(run)
         return self._result
 
-    def _run_sim(self) -> ServeResult:
-        from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-        from repro.simcore.engine import Simulator
-
-        config = self.config
-        sim = Simulator()
-        if self.observer is not None:
-            sim.observer = self.observer
-        if self.checker is not None:
-            sim.checker = self.checker
-        self.runtime = sim
-        self._build(sim, native=False)
-        pool = ProcessorPool(sim, config.n_processors,
-                             config.machine.costs.context_switch_us)
-        if config.telemetry_interval_us > 0:
-            self.sampler = TelemetrySampler(config.telemetry_interval_us)
-            sampler_thread = CpuBoundThread(pool, name="telemetry-sampler")
-            sampler_thread.start(self._sampler_body(sim, sampler_thread))
-        for session_index in range(config.n_sessions):
-            tenant = self.tenants[session_index % config.n_tenants]
-            thread = CpuBoundThread(
-                pool, name=f"session-{tenant.spec.name}-"
-                           f"{session_index // config.n_tenants}")
-            slots = {shard.shard_id:
-                     ThreadSlot(thread, thread_id=session_index,
-                                queue_size=config.queue_size)
-                     for shard in self.shards}
-            thread.start(self._session_body(sim, tenant, slots,
-                                            session_index))
-        sim.run(until=config.max_sim_time_us)
-        if self.checker is not None and sim.now < config.max_sim_time_us:
-            self.checker.finalize()
-        return self._finalize(sim.now)
-
-    def _run_native(self) -> ServeResult:
-        import threading
-
-        from repro.runtime.native import NativeRuntime, ThreadSafeObserver
-
-        config = self.config
-        runtime = NativeRuntime(
-            observer=(ThreadSafeObserver(self.observer)
-                      if self.observer is not None else None),
-            seed=config.seed)
-        self.runtime = runtime
-        self._build(runtime, native=True)
-        poller = None
-        poller_stop = threading.Event()
-        if config.telemetry_interval_us > 0:
-            self.sampler = TelemetrySampler(config.telemetry_interval_us)
-
-            def _poll() -> None:
-                # Wall-clock cadence (best effort; the native runtime is
-                # a host micro-benchmark, not a deterministic record).
-                period_s = config.telemetry_interval_us / 1_000_000.0
-                while not poller_stop.wait(period_s):
-                    self._take_sample(runtime.now)
-
-            poller = threading.Thread(target=_poll,
-                                      name="telemetry-sampler",
-                                      daemon=True)
-            poller.start()
-        from repro.policies.base import LockDiscipline
-        for shard in self.shards:
-            policy = shard.handler.policy
-            if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-                    and not hasattr(policy, "on_hit_relaxed")):
-                raise ConfigError(
-                    f"policy {policy.name!r} mutates shared state "
-                    "without the lock on hits and has no race-tolerant "
-                    "on_hit_relaxed path; that combination is only safe "
-                    "under the simulator")
-            shard.manager.attach_header_locks(threading.Lock)
-        pool = runtime.create_pool(config.n_processors,
-                                   config.machine.costs.context_switch_us)
-        threads = []
-        for session_index in range(config.n_sessions):
-            tenant = self.tenants[session_index % config.n_tenants]
-            thread = runtime.create_thread(
-                pool, name=f"session-{tenant.spec.name}-"
-                           f"{session_index // config.n_tenants}",
-                seed=split_seed(config.seed, "serve-native",
-                                session_index))
-            slots = {shard.shard_id:
-                     ThreadSlot(thread, thread_id=session_index,
-                                queue_size=config.queue_size)
-                     for shard in self.shards}
-            threads.append(thread)
-            thread.start(self._session_body(runtime, tenant, slots,
-                                            session_index))
-        try:
-            deadline = (time.monotonic()
-                        + config.max_sim_time_us / 1_000_000.0)
-            stuck = []
-            for thread in threads:
-                remaining = deadline - time.monotonic()
-                if not thread.join(timeout=max(0.0, remaining)):
-                    stuck.append(thread.name)
-            if stuck:
-                self._shared["stop"] = True
-                raise SimulationError(
-                    f"native serve run exceeded its "
-                    f"{config.max_sim_time_us / 1e6:.0f}s wall budget; "
-                    f"sessions still alive: {', '.join(stuck)} "
-                    "(possible deadlock)")
-            errors = [t.error for t in threads if t.error is not None]
-            if errors:
-                raise errors[0]
-        finally:
-            if poller is not None:
-                poller_stop.set()
-                poller.join(timeout=2.0)
-        return self._finalize(runtime.now)
-
-    def _finalize(self, elapsed_us: float) -> ServeResult:
+    def _finalize(self, run: Run) -> ServeResult:
         spec = self.config.slo_spec()
         slo_records = [
             evaluate_slo(spec, tenant.spec.name, tenant.latencies_us,
@@ -548,19 +430,15 @@ class ServeFrontend:
             for tenant in self.tenants
         ]
         self._publish_metrics(slo_records)
-        observer = self.observer
-        metrics = (observer.metrics.snapshot()
-                   if observer is not None
-                   and observer.metrics is not None else None)
         return ServeResult(
             config=self.config,
             requests=sum(t.completed for t in self.tenants),
             accesses=sum(s.manager.stats.accesses for s in self.shards),
             hits=sum(s.manager.stats.hits for s in self.shards),
-            elapsed_us=elapsed_us,
+            elapsed_us=run.elapsed_us,
             shard_records=[shard.to_record() for shard in self.shards],
             tenant_records=[t.to_record() for t in self.tenants],
-            metrics=metrics,
+            metrics=run.metrics(),
             slo_records=slo_records,
             telemetry=(self.sampler.to_dict()
                        if self.sampler is not None else None),
@@ -578,10 +456,7 @@ class ServeFrontend:
         if observer is None or observer.metrics is None:
             return
         registry = observer.metrics
-        if observer.trace is not None:
-            dropped = observer.trace.dropped
-            counter = registry.counter("trace.dropped_records")
-            counter.inc(max(0, dropped - counter.value))
+        observer.publish_trace_drops()
         for shard in self.shards:
             prefix = f"serve.shard{shard.shard_id}"
             record = shard.to_record()

@@ -99,10 +99,7 @@ class BufferShard:
         return list(self.manager.policy.resident_keys())
 
     def lock_stats(self) -> LockStats:
-        merged = getattr(self.handler, "merged_lock_stats", None)
-        if callable(merged):
-            return merged()
-        return self.build.lock.stats
+        return self.build.lock_stats()
 
     def to_record(self) -> dict:
         """JSON-able per-shard record (deterministic under the sim)."""
@@ -129,10 +126,10 @@ class BufferShard:
             "lock_wait_us": round(lock.total_wait_us, 3),
             "lock_hold_us": round(lock.total_hold_us, 3),
         }
-        control = self.build.control
-        if control is not None and control.controller is not None:
+        summary = self.build.controller_summary()
+        if summary is not None:
             # Controlled shards record where the knob landed; plain
             # shards keep the pre-control-plane record byte-for-byte.
-            record["batch_threshold"] = control.batch_threshold
-            record["controller"] = control.controller.to_dict()
+            record["batch_threshold"] = summary.pop("batch_threshold")
+            record["controller"] = summary
         return record

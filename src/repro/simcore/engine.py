@@ -353,6 +353,50 @@ class Simulator:
         return SimLock(self, name=name, grant_cost_us=grant_cost_us,
                        try_cost_us=try_cost_us)
 
+    # -- Runtime lifecycle (the twins of NativeRuntime's) --------------------
+    # Imports are lazy for the same reason as create_lock's: cpu and
+    # storage are built on this module.
+
+    def create_pool(self, n_processors: int,
+                    context_switch_us: float = 0.0):
+        """A :class:`~repro.simcore.cpu.ProcessorPool` on this engine."""
+        from repro.simcore.cpu import ProcessorPool
+        return ProcessorPool(self, n_processors, context_switch_us)
+
+    def create_thread(self, pool, name: str = "thread", seed: int = 0):
+        """A :class:`~repro.simcore.cpu.CpuBoundThread` on ``pool``.
+
+        ``seed`` is the native backend's lock-spin jitter stream; a
+        simulated thread draws no randomness of its own.
+        """
+        from repro.simcore.cpu import CpuBoundThread
+        return CpuBoundThread(pool, name=name)
+
+    def create_disk(self, service_time_us: float, concurrency: int,
+                    seed: int = 0):
+        """A simulated :class:`~repro.db.storage.DiskArray`."""
+        from repro.db.storage import DiskArray
+        return DiskArray(self, service_time_us, concurrency, seed=seed)
+
+    def prepare(self, manager) -> None:
+        """Nothing to do: events are atomic between yields, so a pool
+        needs no header locks and any lock discipline is safe."""
+
+    def mutex(self):
+        """None — shared counters need no guard under the simulator."""
+        return None
+
+    def join(self, threads, daemons, budget_us: float) -> None:
+        """Run the event loop until it drains or ``budget_us`` of
+        simulated time has passed (the safety net for pathological
+        configurations). Daemons need no stopping here: they poll the
+        run's stop flag in simulated time."""
+        self.run(until=budget_us)
+        if self.checker is not None and self._now < budget_us:
+            # The event queue drained: every thread reached quiescence,
+            # so leftover lock waiters would mean a lost wakeup.
+            self.checker.finalize()
+
     def spawn(self, body: ProcessBody, name: str = "") -> Process:
         """Start a new process driving ``body``."""
         return Process(self, body, name=name)

@@ -42,8 +42,9 @@ class TestBackgroundWriter:
             manager.lookup(page).dirty = True
         pool = ProcessorPool(sim, 2, 0.5)
         shared = {"stop": False}
-        writer = BackgroundWriter(sim, manager, pool, interval_us=100.0,
-                                  batch_pages=2, shared_stop=shared)
+        writer = BackgroundWriter(manager, sim.create_thread(pool, "bgwriter"),
+                                  interval_us=100.0, batch_pages=2,
+                                  shared_stop=shared)
         writer.start()
 
         def stopper():
@@ -66,8 +67,8 @@ class TestBackgroundWriter:
         desc.pin()
         pool = ProcessorPool(sim, 2, 0.5)
         shared = {"stop": False}
-        writer = BackgroundWriter(sim, manager, pool, interval_us=100.0,
-                                  shared_stop=shared)
+        writer = BackgroundWriter(manager, sim.create_thread(pool, "bgwriter"),
+                                  interval_us=100.0, shared_stop=shared)
         writer.start()
 
         def stopper():
@@ -82,7 +83,8 @@ class TestBackgroundWriter:
     def test_stop_method(self, sim):
         manager, _ = build(sim)
         pool = ProcessorPool(sim, 1, 0.0)
-        writer = BackgroundWriter(sim, manager, pool, interval_us=50.0)
+        writer = BackgroundWriter(manager, sim.create_thread(pool, "bgwriter"),
+                                  interval_us=50.0)
         process = writer.start()
         writer.stop()
         sim.run()
@@ -110,12 +112,11 @@ class TestBackgroundWriter:
         handler = DirectHandler(policy, lock, cache, costs,
                                 BPConfig.baseline())
         manager = BufferManager(sim, 4, policy, handler, costs)  # no disk
-        pool = ProcessorPool(sim, 1, 0.0)
+        thread = sim.create_thread(ProcessorPool(sim, 1, 0.0), "bgwriter")
         with pytest.raises(ConfigError):
-            BackgroundWriter(sim, manager, pool)
+            BackgroundWriter(manager, thread)
         manager_with_disk, _ = build(Simulator())
         with pytest.raises(ConfigError):
-            BackgroundWriter(sim, manager_with_disk, pool,
-                             interval_us=0.0)
+            BackgroundWriter(manager_with_disk, thread, interval_us=0.0)
         with pytest.raises(ConfigError):
-            BackgroundWriter(sim, manager_with_disk, pool, batch_pages=0)
+            BackgroundWriter(manager_with_disk, thread, batch_pages=0)

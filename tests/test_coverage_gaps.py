@@ -255,18 +255,6 @@ class TestDbt1BTree:
             _BTree(Relation("idx", 5), fanout=10)
 
 
-class TestAccessOrderedPrewarm:
-    def test_prefix_is_distinct_and_access_ordered(self):
-        from repro.harness.experiment import _access_ordered_prefix
-        from repro.workloads.registry import make_workload
-        workload = make_workload("dbt1", seed=2, scale=0.1)
-        prefix = _access_ordered_prefix(workload, 100)
-        assert len(prefix) == 100
-        assert len(set(prefix)) == 100
-        # The hottest page (item index root) appears early.
-        assert PageId("item_idx", 0) in prefix[:40]
-
-
 class TestSharedQueueDrops:
     def test_overflow_counted(self, tiny_machine):
         from repro.harness.systems import build_system
