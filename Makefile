@@ -3,8 +3,7 @@
 
 .PHONY: install test lint check oracle native-smoke bench-scaling \
 	trace analyze dashboard serve serve-smoke telemetry macro tune \
-	tune-smoke perf-diff bench bench-quick repro quick charts csv \
-	clean
+	tune-smoke perf-diff ledger bench repro quick charts csv clean
 
 install:
 	pip install -e .
@@ -137,22 +136,24 @@ tune-smoke:
 	cmp out/tune-a/tune.json out/tune-b/tune.json
 	cmp out/tune-a/tune_dashboard.html out/tune-b/tune_dashboard.html
 
-# Gate this checkout against BENCH_baseline.json (committed, sim-only
-# metrics). Non-zero exit on a >tolerance regression. Refresh with:
+# Gate this checkout against BENCH_baseline.json (committed; exact,
+# host-independent sim metrics). Non-zero exit on a >5% regression.
+# Refresh with:
 #   PYTHONPATH=src python -m repro.harness.cli perf-diff \
-#       --mode update --skip-wall
+#       --mode update --note "why the numbers moved"
 perf-diff:
-	PYTHONPATH=src python -m repro.harness.cli perf-diff --skip-wall
+	PYTHONPATH=src python -m repro.harness.cli perf-diff
+
+# "Did wall-clock perf regress?": run the perf ledger's six workloads
+# (benchmarks/ledger/, see its README) and compare the host-speed-
+# normalised results with the committed reference record.
+ledger:
+	python benchmarks/ledger/run.py --out out/ledger
+	python benchmarks/ledger/compare.py \
+		benchmarks/ledger/reference.json out/ledger/results.json
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Tenth-scale Fig. 6 grid, serial vs process pool (+ engine events/sec
-# microbenchmark); verifies bit-identical output and writes
-# BENCH_parallel.json with the speedup numbers.
-bench-quick:
-	REPRO_BENCH_SCALE=0.1 PYTHONPATH=src \
-		python benchmarks/bench_parallel.py --workers auto
 
 # Regenerate every paper artifact as plain tables (fast to read, slow
 # to run: ~3-5 minutes at full scale).

@@ -19,12 +19,7 @@ Outputs:
 
 * ``BENCH_scaling.json`` — the raw record (cells, host facts);
 * ``scaling.html`` — a self-contained chart page
-  (:func:`repro.harness.dashboard.render_scaling_page`);
-* with ``--baseline``, one trajectory entry of
-  ``wall.scaling.<system>.<N>w`` accesses/sec metrics appended to the
-  perf-baseline store (history only — the gate's ``sim.*`` metrics are
-  untouched; ``wall.scaling.*`` carries a loose 25% default tolerance,
-  see :mod:`repro.obs.baseline`).
+  (:func:`repro.harness.dashboard.render_scaling_page`).
 
 Usage (the ``make bench-scaling`` target)::
 
@@ -175,9 +170,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", metavar="DIR",
                         help="directory for BENCH_scaling.json and "
                              "scaling.html")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="append wall.scaling.* metrics to this "
-                             "perf-baseline trajectory")
     parser.add_argument("--assert-divergence", action="store_true",
                         help="exit 1 unless pgBat out-scales pg2Q at "
                              "the top worker count (multi-core hosts)")
@@ -202,20 +194,6 @@ def main(argv=None) -> int:
     html_path = out_dir / "scaling.html"
     html_path.write_text(render_scaling_page(record))
     print(f"[wrote {json_path} and {html_path}]")
-
-    if args.baseline:
-        from repro.obs.baseline import append_history
-        metrics = {
-            f"wall.scaling.{cell['system']}.{cell['workers']}w":
-                cell["events_per_sec"]
-            for cell in record["cells"]
-        }
-        metrics["wall.scaling.host_cpus"] = record["host_cpus"]
-        append_history(args.baseline, {
-            "note": f"bench_scaling ({record['backend']})",
-            "metrics": metrics,
-        })
-        print(f"[trajectory appended to {args.baseline}]")
 
     ok, message = check_divergence(record)
     print(("[divergence] " if ok else "[DIVERGENCE FAILURE] ") + message)

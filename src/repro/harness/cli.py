@@ -17,6 +17,9 @@ Usage::
                                                       # + contention heatmap
     python -m repro.harness.cli serve --shards 2 4 --tenants 4 8 \
                                       --skews 0.2 0.8
+    python -m repro.harness.cli macro                 # query-execution
+                                                      # tier -> macro.json
+                                                      # + per-operator table
     python -m repro.harness.cli tune                  # control-plane
                                                       # sweep -> tune.json
                                                       # + Fig. 8 heatmap
@@ -49,8 +52,9 @@ from typing import Callable, Dict
 from repro.harness import figures, tables
 from repro.harness.report import render_table, rows_to_csv
 
-__all__ = ["analyze_main", "check_main", "main", "perf_diff_main",
-           "run_main", "serve_main", "trace_main", "tune_main"]
+__all__ = ["analyze_main", "check_main", "macro_main", "main",
+           "perf_diff_main", "run_main", "serve_main", "trace_main",
+           "tune_main"]
 
 _ARTIFACTS: Dict[str, Callable[[], object]] = {
     "fig2": figures.fig2,
@@ -61,6 +65,14 @@ _ARTIFACTS: Dict[str, Callable[[], object]] = {
     "table2": tables.table2,
     "table3": tables.table3,
 }
+
+
+def _write_json(path, doc) -> pathlib.Path:
+    """Write one record as deterministic JSON, creating its directory."""
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return path
 
 
 def trace_main(argv=None) -> int:
@@ -104,11 +116,9 @@ def trace_main(argv=None) -> int:
     elapsed = time.time() - started
 
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics_path = _write_json(out_dir / "trace_metrics.json",
+                               result.metrics)
     trace_path = recorder.write_json(out_dir / "trace.json")
-    metrics_path = out_dir / "trace_metrics.json"
-    metrics_path.write_text(json.dumps(result.metrics, indent=1,
-                                       sort_keys=True) + "\n")
     flame = recorder.flame_summary(top=args.top)
     (out_dir / "trace_summary.txt").write_text(flame + "\n")
 
@@ -212,10 +222,7 @@ def run_main(argv=None) -> int:
           f"({result.elapsed_us / 1e6:.3f}s {unit}) "
           f"in {elapsed:.1f}s wall]")
     if args.json:
-        target = pathlib.Path(args.json)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(result.to_dict(), indent=1, sort_keys=True) + "\n")
+        _write_json(args.json, result.to_dict())
         print(f"[wrote {args.json}]")
     return 0
 
@@ -282,10 +289,6 @@ def serve_main(argv=None) -> int:
     parser.add_argument("--no-metrics", action="store_true",
                         help="run without the observability layer "
                              "(drops the metrics block from serve.json)")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="append wall.serve.<S>s.<T>t throughput "
-                             "and wall.slo.<S>s.<T>t.p99_ms trajectory "
-                             "entries to this baseline store")
     parser.add_argument("--telemetry", default=None, metavar="PROM",
                         help="enable windowed telemetry sampling and "
                              "write the merged registry snapshot as "
@@ -366,8 +369,6 @@ def serve_main(argv=None) -> int:
         from repro.check.checker import CorrectnessChecker
         checker_factory = CorrectnessChecker
 
-    walls: Dict[tuple, float] = {}
-    requests: Dict[tuple, int] = {}
     results = []
     clock = {"mark": time.time()}
 
@@ -375,9 +376,6 @@ def serve_main(argv=None) -> int:
         now = time.time()
         cell_wall = now - clock["mark"]
         clock["mark"] = now
-        key = (result.config.n_shards, result.config.n_tenants)
-        walls[key] = walls.get(key, 0.0) + cell_wall
-        requests[key] = requests.get(key, 0) + result.requests
         results.append(result)
         print(f"  {result.summary()}  [{cell_wall:.1f}s wall]")
 
@@ -389,10 +387,7 @@ def serve_main(argv=None) -> int:
     elapsed = time.time() - started
 
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / "serve.json"
-    record_path.write_text(json.dumps(record, indent=1,
-                                      sort_keys=True) + "\n")
+    record_path = _write_json(out_dir / "serve.json", record)
     dashboard_path = out_dir / "serve_dashboard.html"
     dashboard_path.write_text(render_serve_page(record))
 
@@ -445,9 +440,8 @@ def serve_main(argv=None) -> int:
                      f"{result.config.n_tenants}t-"
                      f"skew{result.config.skew:g}")
             timeseries[label] = result.telemetry
-        timeseries_path = out_dir / "timeseries.json"
-        timeseries_path.write_text(json.dumps(timeseries, indent=1,
-                                              sort_keys=True) + "\n")
+        timeseries_path = _write_json(out_dir / "timeseries.json",
+                                      timeseries)
         telemetry_dash = out_dir / "telemetry_dashboard.html"
         telemetry_dash.write_text(render_telemetry_page(record, timeseries))
         print(f"[wrote {timeseries_path}]")
@@ -457,27 +451,6 @@ def serve_main(argv=None) -> int:
         recorders[0].write_json(trace_path)
         print(f"[wrote {trace_path} — first cell's request-scoped "
               f"trace; load in chrome://tracing or ui.perfetto.dev]")
-
-    if args.baseline:
-        from repro.obs.baseline import append_history
-        metrics = {}
-        for (shards, tenants), count in sorted(requests.items()):
-            wall = walls[(shards, tenants)]
-            metrics[f"wall.serve.{shards}s.{tenants}t"] = (
-                round(count / wall, 3) if wall > 0 else 0.0)
-        worst_p99: Dict[tuple, float] = {}
-        for result in results:
-            key = (result.config.n_shards, result.config.n_tenants)
-            worst_p99[key] = max(worst_p99.get(key, 0.0),
-                                 result.worst_p99_ms)
-        for (shards, tenants), p99_ms in sorted(worst_p99.items()):
-            metrics[f"wall.slo.{shards}s.{tenants}t.p99_ms"] = (
-                round(p99_ms, 3))
-        append_history(args.baseline, {
-            "note": f"cli serve ({args.runtime})",
-            "metrics": metrics,
-        })
-        print(f"[trajectory appended to {args.baseline}]")
     return 0
 
 
@@ -533,10 +506,6 @@ def macro_main(argv=None) -> int:
     parser.add_argument("--bgwriter", action="store_true",
                         help="run the background writer daemon")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="append wall.macro.<workload>.<system> "
-                             "trajectory entries to this baseline "
-                             "store")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default out/)")
     args = parser.parse_args(argv)
@@ -556,7 +525,6 @@ def macro_main(argv=None) -> int:
         seed=args.seed)
 
     cells = []
-    walls: Dict[str, float] = {}
     started = time.time()
     for system in args.systems:
         for n_shards in args.shards:
@@ -564,7 +532,6 @@ def macro_main(argv=None) -> int:
             cell_started = time.time()
             result = run_macro(config, workload=workload)
             cell_wall = time.time() - cell_started
-            walls[system] = walls.get(system, 0.0) + cell_wall
             cells.append(result)
             print(f"  {result.summary()}  [{cell_wall:.1f}s wall]")
     elapsed = time.time() - started
@@ -580,10 +547,7 @@ def macro_main(argv=None) -> int:
         "cells": [cell.to_dict() for cell in cells],
     }
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / "macro.json"
-    record_path.write_text(json.dumps(record, indent=1,
-                                      sort_keys=True) + "\n")
+    record_path = _write_json(out_dir / "macro.json", record)
     dashboard_path = out_dir / "macro_dashboard.html"
     dashboard_path.write_text(render_macro_page(record))
 
@@ -607,23 +571,6 @@ def macro_main(argv=None) -> int:
     print(f"[{len(cells)} cells in {elapsed:.1f}s wall]")
     print(f"[wrote {record_path}]")
     print(f"[wrote {dashboard_path} — open in any browser]")
-
-    if args.baseline:
-        from repro.obs.baseline import append_history
-        metrics = {}
-        by_system: Dict[str, int] = {}
-        for cell in cells:
-            by_system[cell.config.system] = (
-                by_system.get(cell.config.system, 0) + cell.queries)
-        for system, queries in sorted(by_system.items()):
-            wall = walls.get(system, 0.0)
-            metrics[f"wall.macro.{args.workload}.{system}"] = (
-                round(queries / wall, 3) if wall > 0 else 0.0)
-        append_history(args.baseline, {
-            "note": f"cli macro ({args.runtime})",
-            "metrics": metrics,
-        })
-        print(f"[trajectory appended to {args.baseline}]")
     return 0
 
 
@@ -665,12 +612,9 @@ def analyze_main(argv=None) -> int:
     elapsed = time.time() - started
 
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    analysis_path = _write_json(out_dir / "analysis.json", analysis)
     dashboard_path = out_dir / "dashboard.html"
     dashboard_path.write_text(render_dashboard(analysis))
-    analysis_path = out_dir / "analysis.json"
-    analysis_path.write_text(json.dumps(analysis, indent=1,
-                                        sort_keys=True) + "\n")
 
     headers, rows = scaling_table(analysis["scaling"])
     print(render_table(headers, rows, title="Sweep grid"))
@@ -749,10 +693,6 @@ def tune_main(argv=None) -> int:
                         help="expert pair the adaptive policy "
                              "switches between (default lru lfu)")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="append wall.tune.grid cell-throughput "
-                             "trajectory entries to this baseline "
-                             "store")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (default out/)")
     args = parser.parse_args(argv)
@@ -773,10 +713,7 @@ def tune_main(argv=None) -> int:
     elapsed = time.time() - started
 
     out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / "tune.json"
-    record_path.write_text(json.dumps(record, indent=1,
-                                      sort_keys=True) + "\n")
+    record_path = _write_json(out_dir / "tune.json", record)
     dashboard_path = out_dir / "tune_dashboard.html"
     dashboard_path.write_text(render_tune_page(record))
 
@@ -810,16 +747,6 @@ def tune_main(argv=None) -> int:
     print(f"[{len(record['grid'])} cells in {elapsed:.1f}s wall]")
     print(f"[wrote {record_path}]")
     print(f"[wrote {dashboard_path} — open in any browser]")
-
-    if args.baseline:
-        from repro.obs.baseline import append_history
-        total = sum(config.target_accesses for _ in record["grid"])
-        append_history(args.baseline, {
-            "note": "cli tune",
-            "metrics": {"wall.tune.grid": (round(total / elapsed, 3)
-                                           if elapsed > 0 else 0.0)},
-        })
-        print(f"[trajectory appended to {args.baseline}]")
     return 0
 
 
@@ -831,10 +758,11 @@ def perf_diff_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli perf-diff",
         description="Measure the perf gate metrics (deterministic "
-                    "fixed-seed throughput + wall-clock engine "
-                    "events/sec) and compare them against the "
-                    "baseline store; exits 1 on regression, 2 when "
-                    "the baseline is missing.")
+                    "fixed-seed sim throughput and lock time per "
+                    "access) and compare them against the baseline "
+                    "store; exits 1 on regression, 2 when the "
+                    "baseline is missing. Wall-clock speed is the "
+                    "perf ledger's job (benchmarks/ledger/).")
     parser.add_argument("--baseline", default="BENCH_baseline.json",
                         metavar="PATH",
                         help="baseline store (default "
@@ -844,9 +772,6 @@ def perf_diff_main(argv=None) -> int:
                         help="compare (gate, default), record (write a "
                              "fresh baseline), or update (compare then "
                              "re-record)")
-    parser.add_argument("--skip-wall", action="store_true",
-                        help="skip wall-clock metrics (for baselines "
-                             "meant to be compared across machines)")
     parser.add_argument("--threshold", type=float, default=None,
                         metavar="FRAC",
                         help="override every metric's tolerance with "
@@ -859,7 +784,7 @@ def perf_diff_main(argv=None) -> int:
                         help="also write the comparison rows as JSON")
     args = parser.parse_args(argv)
 
-    current = measure_current(skip_wall=args.skip_wall, seed=args.seed)
+    current = measure_current(seed=args.seed)
     if args.mode == "record":
         path = record_baseline(args.baseline, current, note=args.note)
         print(render_table(
@@ -886,8 +811,7 @@ def perf_diff_main(argv=None) -> int:
           row["status"]] for row in diff.rows],
         title=f"Perf diff vs {args.baseline}"))
     if args.json:
-        pathlib.Path(args.json).write_text(
-            json.dumps(diff.rows, indent=1, sort_keys=True) + "\n")
+        _write_json(args.json, diff.rows)
         print(f"[wrote {args.json}]")
     if args.mode == "update":
         record_baseline(args.baseline, current, note=args.note)
@@ -1068,9 +992,9 @@ def main(argv=None) -> int:
         else:
             result = driver(seed=args.seed, max_workers=args.workers)
         elapsed = time.time() - started
-        try:
+        if isinstance(result, figures.FigureResult):
             print(result.render(include_charts=args.charts))
-        except TypeError:  # table drivers have no charts
+        else:  # table drivers have no charts
             print(result.render())
         print(f"[{name} regenerated in {elapsed:.1f}s]\n")
         if csv_dir is not None:

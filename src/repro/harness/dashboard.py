@@ -162,6 +162,18 @@ footer {{ color: var(--text-muted); font-size: 12px;
 """
 
 
+def _page(title: str, sections: Sequence[str]) -> str:
+    """The self-contained HTML shell every dashboard page shares."""
+    body = "\n".join(sections)
+    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
+            f"<meta charset=\"utf-8\"/>\n"
+            f"<meta name=\"viewport\" content=\"width=device-width, "
+            f"initial-scale=1\"/>\n"
+            f"<title>{_escape(title)}</title>\n"
+            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
+            f"</body>\n</html>\n")
+
+
 def _tile(label: str, value: str, detail: str = "") -> str:
     detail_html = (f'<div class="detail">{_escape(detail)}</div>'
                    if detail else "")
@@ -293,14 +305,7 @@ def render_scaling_page(record: dict,
         "— wall-clock rates are host-dependent; compare shapes, not "
         "absolute numbers, across machines.</footer>")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(title, sections)
 
 
 def _serve_cell_label(cell: dict) -> str:
@@ -419,14 +424,7 @@ def render_serve_page(record: dict,
         "deterministic for a given seed on the sim runtime; see "
         "docs/architecture.md &sect;11.</footer>")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(title, sections)
 
 
 def render_telemetry_page(record: dict, timeseries: Dict[str, dict],
@@ -561,14 +559,7 @@ def render_telemetry_page(record: dict, timeseries: Dict[str, dict],
         "--telemetry</code> — deterministic for a given seed on the "
         "sim runtime; see docs/observability.md.</footer>")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(title, sections)
 
 
 def _tune_row_label(cell: dict) -> str:
@@ -693,14 +684,7 @@ def render_tune_page(record: dict,
         "deterministic for a given seed on the sim runtime; see "
         "docs/architecture.md &sect;13.</footer>")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(title, sections)
 
 
 def render_dashboard(analysis: dict,
@@ -816,14 +800,7 @@ def render_dashboard(analysis: dict,
         "deterministic for a given seed; see docs/observability.md."
         "</footer>")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(title, sections)
 
 
 def _macro_cell_label(cell: dict) -> str:
@@ -921,11 +898,4 @@ def render_macro_page(record: dict,
         "deterministic for a given seed on the sim runtime; see "
         "docs/architecture.md &sect;12.</footer>")
 
-    body = "\n".join(sections)
-    return (f"<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-            f"<meta charset=\"utf-8\"/>\n"
-            f"<meta name=\"viewport\" content=\"width=device-width, "
-            f"initial-scale=1\"/>\n"
-            f"<title>{_escape(title)}</title>\n"
-            f"<style>{_css()}</style>\n</head>\n<body>\n{body}\n"
-            f"</body>\n</html>\n")
+    return _page(title, sections)

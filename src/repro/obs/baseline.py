@@ -1,23 +1,16 @@
 """Perf-baseline store: record, compare, and gate on regressions.
 
 The parallel-engine PR made the hot paths ~1.7x faster; nothing since
-has *kept* them fast — ``BENCH_*.json`` records pile up but are never
-compared run-to-run, so a hot-path regression would ship silently.
+has *kept* them fast — a hot-path regression would ship silently.
 This module is the gate: a small JSON store (``BENCH_baseline.json``)
-holding named perf metrics with per-metric noise tolerances, plus a
-bounded history ("trajectory") so the numbers can be plotted over
-time.
+holding named perf metrics, plus a bounded history ("trajectory") so
+the numbers can be plotted over time.
 
-Two metric kinds with different trust levels:
-
-* ``sim`` — deterministic simulated-time quantities (throughput of a
-  fixed-seed run, lock time per access). Bit-stable across hosts, so
-  the default tolerance is tight (5%) and a committed baseline is
-  comparable anywhere.
-* ``wall`` — wall-clock rates (engine events/sec). Honest about speed
-  but noisy and host-dependent, so the default tolerance is 15% and
-  CI records its own baseline in-job rather than trusting one
-  committed from a different machine.
+Every metric is a deterministic simulated-time quantity (throughput of
+a fixed-seed run, lock time per access): bit-stable across hosts, so
+the tolerance is tight (5%) and a committed baseline is comparable
+anywhere. Wall-clock speed is not measured here — the host-normalised
+perf ledger (``benchmarks/ledger/``) is the one instrument for that.
 
 ``compare_baseline`` is pure; the ``cli perf-diff`` subcommand wraps
 it with measurement and process exit codes (non-zero on regression)
@@ -34,10 +27,8 @@ from typing import Dict, List, Optional
 
 __all__ = [
     "BaselineDiff",
-    "DEFAULT_TOLERANCES",
-    "append_history",
+    "TOLERANCE",
     "compare_baseline",
-    "default_tolerance",
     "load_baseline",
     "measure_current",
     "record_baseline",
@@ -45,43 +36,13 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Default relative tolerance per metric kind; a metric entry may
-#: override with its own ``tolerance``. ``wall.scaling``,
-#: ``wall.serve``, ``wall.slo``, ``wall.macro`` and ``wall.tune`` are
-#: looser classes *within* the wall kind, matched by name prefix (see
-#: :func:`default_tolerance`): multi-worker wall-clock rates add
-#: scheduler placement and core-count variance, the serve grid adds
-#: many-session interleaving on top, tail latencies (``wall.slo.*``
-#: gates on achieved p99) are the noisiest statistic of all, the
-#: macro tier's query rate sums whole operator pipelines per data
-#: point, and the tune sweep's rate sums several full experiment
-#: builds per measurement — so 15% would flap in CI.
-DEFAULT_TOLERANCES = {"sim": 0.05, "wall": 0.15, "wall.scaling": 0.25,
-                      "wall.serve": 0.25, "wall.slo": 0.25,
-                      "wall.macro": 0.25, "wall.tune": 0.25}
+#: Relative tolerance a metric gets when its entry sets none: the
+#: gate metrics are exact for a given seed, so 5% is all the slack a
+#: deliberate behaviour change should need before re-recording.
+TOLERANCE = 0.05
 
 #: History entries kept in the trajectory (oldest dropped first).
 MAX_HISTORY = 50
-
-
-def default_tolerance(name: str, kind: str) -> float:
-    """The tolerance a metric gets when its entry sets none.
-
-    Longest-prefix name classes first (``wall.scaling.*``), then the
-    kind default. Name classes let one metric family loosen its gate
-    without touching every entry or the kind-wide default.
-    """
-    if name.startswith("wall.scaling."):
-        return DEFAULT_TOLERANCES["wall.scaling"]
-    if name.startswith("wall.serve."):
-        return DEFAULT_TOLERANCES["wall.serve"]
-    if name.startswith("wall.slo."):
-        return DEFAULT_TOLERANCES["wall.slo"]
-    if name.startswith("wall.macro."):
-        return DEFAULT_TOLERANCES["wall.macro"]
-    if name.startswith("wall.tune."):
-        return DEFAULT_TOLERANCES["wall.tune"]
-    return DEFAULT_TOLERANCES[kind]
 
 
 def _metric(value: float, kind: str, direction: str = "higher",
@@ -149,33 +110,13 @@ def record_baseline(path, metrics: Dict[str, dict],
     return path
 
 
-def append_history(path, entry: dict) -> pathlib.Path:
-    """Append one trajectory entry without touching the gate metrics.
-
-    Used by ``benchmarks/bench_parallel.py`` so every benchmark run
-    lands on the trajectory even when nobody re-records the baseline.
-    Creates a metrics-less document if the file does not exist yet.
-    """
-    path = pathlib.Path(path)
-    document = load_baseline(path) or {
-        "version": SCHEMA_VERSION, "metrics": {}, "history": []}
-    entry = dict(entry)
-    entry.setdefault("recorded_unix", int(time.time()))
-    document["history"] = (document.get("history", [])
-                           + [entry])[-MAX_HISTORY:]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
-    return path
-
-
 def compare_baseline(baseline: dict, current: Dict[str, dict],
-                     include_wall: bool = True,
                      tolerance_override: Optional[float] = None
                      ) -> BaselineDiff:
     """Compare ``current`` metrics against a baseline document.
 
     A metric regresses when it moves against its ``direction`` by more
-    than its tolerance (entry override, else the kind default, else
+    than its tolerance (entry override, else :data:`TOLERANCE`, else
     ``tolerance_override`` over everything when given). Metrics absent
     from either side never fail the gate: a new metric reports as
     ``new``, a vanished one is ignored — so adding instrumentation
@@ -185,8 +126,6 @@ def compare_baseline(baseline: dict, current: Dict[str, dict],
     base_metrics = baseline.get("metrics", {})
     for name in sorted(current):
         entry = current[name]
-        if entry["kind"] == "wall" and not include_wall:
-            continue
         base = base_metrics.get(name)
         if base is None:
             diff.rows.append({"metric": name, "baseline": None,
@@ -195,8 +134,7 @@ def compare_baseline(baseline: dict, current: Dict[str, dict],
             continue
         tolerance = (tolerance_override
                      if tolerance_override is not None
-                     else base.get("tolerance",
-                                   default_tolerance(name, base["kind"])))
+                     else base.get("tolerance", TOLERANCE))
         base_value = base["value"]
         value = entry["value"]
         if base_value:
@@ -229,147 +167,12 @@ GATE_CONFIGS = (
 )
 
 
-def _engine_events_per_sec(repeats: int = 3,
-                           iterations: int = 2_000) -> float:
-    """Best-of-``repeats`` simulator dispatch rate (wall clock).
-
-    A self-contained copy of the ``bench_engine`` kernel's shape —
-    charge/spend, zero-charge spends, periodic lock cycles, quantum
-    checks — kept inside the package so ``cli perf-diff`` needs
-    nothing from ``benchmarks/``. One full-size run is discarded as
-    warm-up (fresh-process cold starts measure 20-40% slow), then the
-    best of ``repeats`` half-second runs is taken. Even so the result
-    is host-dependent and throttling-sensitive — which is why it is a
-    ``wall`` metric with the loose tolerance, and why CI's hard gate
-    assertions use ``--skip-wall``.
-    """
-    from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-    from repro.simcore.engine import Simulator
-    from repro.sync.locks import SimLock
-
-    def worker(thread, lock):
-        for index in range(iterations):
-            thread.charge(1.0)
-            yield from thread.spend()
-            yield from thread.spend()
-            if index % 8 == 0:
-                yield from lock.acquire(thread)
-                yield from thread.run_for(0.5)
-                lock.release(thread)
-            yield from thread.maybe_yield(250.0)
-
-    def one_run() -> float:
-        sim = Simulator()
-        pool = ProcessorPool(sim, 4, context_switch_us=5.0)
-        lock = SimLock(sim, name="gate", grant_cost_us=0.1)
-        for index in range(24):
-            thread = CpuBoundThread(pool, name=f"w{index}")
-            thread.start(worker(thread, lock))
-        started = time.perf_counter()
-        sim.run()
-        wall = time.perf_counter() - started
-        return sim.events_processed / wall if wall > 0 else 0.0
-
-    one_run()  # discard: cold-start penalty
-    return round(max(one_run() for _ in range(repeats)), 1)
-
-
-def _serve_gate(repeats: int = 2) -> tuple:
-    """Best-of-``repeats`` smoke-grid request rate, plus worst p99.
-
-    The same 2-shard x 3-tenant cell the CI ``serve-smoke`` job runs:
-    small enough for sub-second turns, enough sessions crossing enough
-    shards that a regression in the shard routing, admission path, or
-    per-shard BP-Wrapper queues moves the number. Returns
-    ``(requests_per_wall_sec, worst_p99_ms)`` — the wall rate is
-    host-dependent, but the worst achieved per-tenant p99 is in
-    *simulated* milliseconds from a fixed-seed run, so the SLO gate
-    catches latency-path regressions the throughput number hides
-    (e.g. one tenant starved while aggregate rate holds). Both gate at
-    the loose 25% class tolerances (``wall.serve`` / ``wall.slo``).
-    """
-    from repro.serve import ServeConfig, run_serve
-
-    config = ServeConfig(n_shards=2, n_tenants=3, sessions_per_tenant=2,
-                         pages_per_tenant=64, target_requests=600,
-                         quota_per_sec=4000.0, seed=7)
-
-    def one_run() -> tuple:
-        started = time.perf_counter()
-        result = run_serve(config)
-        wall = time.perf_counter() - started
-        rate = result.requests / wall if wall > 0 else 0.0
-        return rate, result.worst_p99_ms
-
-    one_run()  # discard: cold-start penalty
-    runs = [one_run() for _ in range(repeats)]
-    best_rate = max(rate for rate, _ in runs)
-    # The p99 is deterministic (simulated time): identical every run.
-    return round(best_rate, 1), round(runs[0][1], 3)
-
-
-def _macro_gate(repeats: int = 2) -> float:
-    """Best-of-``repeats`` macro-tier query rate (wall clock).
-
-    A shrunk ``cli macro`` cell — 120 tpcc_lite queries through the
-    full operator pipeline (B-tree walks, joins, ring inserts) over a
-    deliberately undersized pool, so the gate covers the exec layer,
-    ``access_pinned`` pin retention, dirty write-backs and pin-aware
-    victim selection in one number. Wall-clock and host-dependent,
-    hence the loose ``wall.macro`` class tolerance (25%).
-    """
-    from repro.harness.macro import MacroConfig, run_macro
-    from repro.workloads.registry import make_workload
-
-    config = MacroConfig(target_queries=120, n_threads=8, seed=7)
-    workload = make_workload(config.workload, seed=config.seed,
-                             **config.workload_kwargs)
-
-    def one_run() -> float:
-        started = time.perf_counter()
-        result = run_macro(config, workload=workload)
-        wall = time.perf_counter() - started
-        return result.queries / wall if wall > 0 else 0.0
-
-    one_run()  # discard: cold-start penalty
-    return round(max(one_run() for _ in range(repeats)), 1)
-
-
-def _tune_gate(repeats: int = 2) -> float:
-    """Best-of-``repeats`` tune-sweep access rate (wall clock).
-
-    A shrunk ``cli tune`` static grid — two thresholds over one
-    eviction-pressured pool — so the gate covers the control-plane
-    construction path (``ControlState`` threading through
-    ``build_system``) plus the full sim experiment stack it drives.
-    Wall-clock and host-dependent, hence the loose ``wall.tune`` class
-    tolerance (25%).
-    """
-    from repro.control.tune import TuneConfig, sweep_grid
-
-    config = TuneConfig(thresholds=(1, 8), queue_sizes=(32,),
-                        prefetch=(False,), n_processors=8,
-                        target_accesses=1_000, seed=7)
-
-    def one_run() -> float:
-        started = time.perf_counter()
-        cells = sweep_grid(config)
-        wall = time.perf_counter() - started
-        accesses = len(cells) * config.target_accesses
-        return accesses / wall if wall > 0 else 0.0
-
-    one_run()  # discard: cold-start penalty
-    return round(max(one_run() for _ in range(repeats)), 1)
-
-
-def measure_current(skip_wall: bool = False, seed: int = 7,
+def measure_current(seed: int = 7,
                     target_accesses: int = 3_000) -> Dict[str, dict]:
     """Measure the gate metrics on this checkout.
 
-    ``sim.*`` metrics are deterministic for a given seed/target;
-    ``wall.*`` metrics depend on the host and are skipped with
-    ``skip_wall`` (the mode used to produce the committed baseline,
-    which must be comparable on any machine).
+    Deterministic for a given seed/target, so the committed baseline
+    is comparable on any machine.
     """
     from repro.harness.experiment import ExperimentConfig, run_experiment
 
@@ -386,16 +189,4 @@ def measure_current(skip_wall: bool = False, seed: int = 7,
         metrics[f"sim.{system}.lock_us_per_access"] = _metric(
             round(result.lock_time_per_access_us, 4), "sim", "lower",
             "us")
-    if not skip_wall:
-        metrics["wall.engine_events_per_sec"] = _metric(
-            _engine_events_per_sec(), "wall", "higher", "events/s")
-        serve_rate, worst_p99_ms = _serve_gate()
-        metrics["wall.serve.2s.3t"] = _metric(
-            serve_rate, "wall", "higher", "req/s")
-        metrics["wall.slo.2s.3t.p99_ms"] = _metric(
-            worst_p99_ms, "wall", "lower", "ms")
-        metrics["wall.macro.tpcc_lite"] = _metric(
-            _macro_gate(), "wall", "higher", "queries/s")
-        metrics["wall.tune.grid"] = _metric(
-            _tune_gate(), "wall", "higher", "accesses/s")
     return metrics

@@ -110,3 +110,13 @@ class TestOracles:
         oracle.access("b")
         oracle.access("a")                   # hit, no refresh
         assert oracle.access("c") == "a"
+
+
+class TestAnalysisSweep:
+    def test_sweep_capacity_keys_and_policy_kwargs(self):
+        from repro.analysis.hitratio import sweep_capacity
+        trace = [PageId("t", block % 30) for block in range(500)]
+        results = sweep_capacity("2q", trace, [5, 10],
+                                 kin_fraction=0.5)
+        assert set(results) == {5, 10}
+        assert all(r.policy == "2q" for r in results.values())

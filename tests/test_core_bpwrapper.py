@@ -446,3 +446,60 @@ class TestPrefetching:
         cache = handler.cache
         assert cache.prefetches_issued >= 1
         assert cache.prefetches_valid_at_use >= 1
+
+
+class TestSharedQueueStats:
+    def test_merged_stats_include_record_lock(self, tiny_machine):
+        from repro.harness.systems import build_system
+        sim = Simulator()
+        build = build_system("pgBatShared", sim, 64, tiny_machine)
+        record_lock = build.extra["record_lock"]
+        record_lock.stats.requests = 7
+        build.lock.stats.requests = 3
+        assert build.handler.merged_lock_stats().requests == 10
+
+
+class TestSharedQueueDrops:
+    def test_overflow_counted(self, tiny_machine):
+        from repro.harness.systems import build_system
+        from repro.core.bpwrapper import ThreadSlot
+        from repro.simcore.cpu import CpuBoundThread, ProcessorPool
+
+        sim = Simulator()
+        build = build_system("pgBatShared", sim, 64, tiny_machine,
+                             queue_size=1, batch_threshold=1)
+        handler = build.handler
+        manager = build.manager
+        pages = [PageId("t", block) for block in range(8)]
+        manager.warm_with(pages)
+        # Saturate the shared queue directly, then hold the main lock
+        # so the worker's commit attempt blocks while a second worker
+        # arrives at a full queue and must drop its recording.
+        desc0 = manager.lookup(pages[0])
+        while not handler.shared_queue.full:
+            handler.shared_queue.record(desc0, pages[0])
+        pool = ProcessorPool(sim, 3, 0.0)
+        holder = CpuBoundThread(pool, "holder")
+        blocked_worker = CpuBoundThread(pool, "w1")
+        late_worker = CpuBoundThread(pool, "w2")
+        slot1 = ThreadSlot(blocked_worker, 0, queue_size=1)
+        slot2 = ThreadSlot(late_worker, 1, queue_size=1)
+
+        def holder_body():
+            yield from build.lock.acquire(holder)
+            yield from holder.run_for(1_000.0)
+            build.lock.release(holder)
+
+        def blocked_body():
+            yield from blocked_worker.run_for(1.0)
+            yield from manager.access(slot1, pages[0])
+
+        def late_body():
+            yield from late_worker.run_for(2.0)
+            yield from manager.access(slot2, pages[1])
+
+        holder.start(holder_body())
+        blocked_worker.start(blocked_body())
+        late_worker.start(late_body())
+        sim.run()
+        assert handler.dropped_records > 0

@@ -165,3 +165,28 @@ class TestBucketLocks:
         stats = manager.bucket_lock_stats()
         assert stats.requests == 800
         assert stats.contentions > 0
+
+
+class TestDistributedLockFreeRoute:
+    def test_partitioned_clock_hits_need_no_lock(self, tiny_machine):
+        from repro.core.bpwrapper import ThreadSlot
+        from repro.harness.distributed import build_distributed_system
+        from repro.simcore.cpu import CpuBoundThread, ProcessorPool
+
+        sim = Simulator()
+        build = build_distributed_system(sim, 64, tiny_machine,
+                                         policy_name="clock")
+        manager = build.manager
+        pages = [PageId("t", block) for block in range(16)]
+        manager.warm_with(pages)
+        pool = ProcessorPool(sim, 1, 0.0)
+        thread = CpuBoundThread(pool)
+        slot = ThreadSlot(thread, 0, queue_size=8)
+
+        def body():
+            for page in pages:
+                yield from manager.access(slot, page)
+
+        thread.start(body())
+        sim.run()
+        assert build.handler.merged_lock_stats().acquisitions == 0

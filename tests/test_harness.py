@@ -217,3 +217,42 @@ class TestResultExport:
         records = load_results_json(path)
         assert len(records) == 1
         assert records[0]["accesses"] == result.accesses
+
+
+class TestThinkTime:
+    def test_think_time_spends_off_cpu(self, tiny_machine):
+        from repro.db.relations import Relation, Schema
+        from repro.db.transactions import Transaction
+        from repro.harness.experiment import ExperimentConfig, run_experiment
+        from repro.workloads.base import Workload
+
+        class ThinkWorkload(Workload):
+            name = "think"
+
+            def __init__(self, think_us, seed=0):
+                super().__init__(seed)
+                self.think_us = think_us
+                self._relation = Relation("t", 16)
+                self._schema = Schema([self._relation])
+
+            @property
+            def schema(self):
+                return self._schema
+
+            def transaction_stream(self, thread_index):
+                while True:
+                    yield Transaction("think",
+                                      list(self._relation.pages()),
+                                      think_time_us=self.think_us)
+
+        def throughput(think_us):
+            workload = ThinkWorkload(think_us)
+            config = ExperimentConfig(
+                system="pgclock", workload="think",
+                machine=tiny_machine, n_processors=2, n_threads=2,
+                target_accesses=2000, warmup_fraction=0.0)
+            return run_experiment(config, workload=workload).throughput_tps
+
+        # Think time idles the client between transactions: with as
+        # many threads as CPUs, throughput must drop.
+        assert throughput(5_000.0) < throughput(0.0) * 0.5

@@ -86,3 +86,19 @@ class TestCli:
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["figNope"])
+
+    def test_type_error_inside_figure_render_propagates(self, monkeypatch):
+        from repro.harness import cli
+        from repro.harness.figures import FigureResult
+
+        class Broken(FigureResult):
+            def render(self, include_charts=False):
+                if include_charts:
+                    raise TypeError("boom")
+                return "rendered without charts"
+
+        monkeypatch.setitem(
+            cli._ARTIFACTS, "fig2",
+            lambda seed, max_workers: Broken("fig2", ["h"], [[1]]))
+        with pytest.raises(TypeError, match="boom"):
+            cli_main(["fig2", "--charts"])

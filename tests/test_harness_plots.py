@@ -75,3 +75,18 @@ class TestAsciiChart:
         # table1 has no charts; the flag must not break it.
         assert cli_main(["table1", "--charts"]) == 0
         assert "pgclock" in capsys.readouterr().out
+
+
+class TestFigureCharts:
+    def test_fig2_includes_loglog_chart(self):
+        from repro.harness.figures import fig2
+        result = fig2(target_accesses=5000, seed=3)
+        assert result.charts
+        assert "(log y axis)" in result.charts[0]
+        rendered = result.render(include_charts=True)
+        assert "log-log" in rendered or "(log y axis)" in rendered
+
+    def test_render_without_charts_by_default(self):
+        from repro.harness.figures import fig2
+        result = fig2(target_accesses=5000, seed=3)
+        assert "(log y axis)" not in result.render()

@@ -13,6 +13,7 @@ Three layers, matching the pipeline:
 """
 
 import json
+import pathlib
 import types
 
 import pytest
@@ -25,8 +26,7 @@ from repro.obs.analyze import (analyze_grid, analyze_run,
                                lock_breakdown, merge_snapshot_histograms,
                                scaling_table, thread_attribution,
                                warmup_cost, warmup_table)
-from repro.obs.baseline import (DEFAULT_TOLERANCES, MAX_HISTORY,
-                                append_history, compare_baseline,
+from repro.obs.baseline import (MAX_HISTORY, compare_baseline,
                                 load_baseline, measure_current,
                                 record_baseline)
 from repro.obs.metrics import MetricsRegistry
@@ -295,14 +295,14 @@ def test_record_baseline_keeps_trajectory(tmp_path):
         ["first", "second"]
 
 
-def test_append_history_bounded(tmp_path):
+def test_record_baseline_history_bounded(tmp_path):
     path = tmp_path / "base.json"
-    for index in range(MAX_HISTORY + 5):
-        append_history(path, {"note": f"run-{index}", "metrics": {}})
-    document = load_baseline(path)
-    assert document["metrics"] == {}
-    assert len(document["history"]) == MAX_HISTORY
-    assert document["history"][-1]["note"] == f"run-{MAX_HISTORY + 4}"
+    for index in range(MAX_HISTORY + 1):
+        record_baseline(path, _metrics(), note=f"run-{index}")
+    history = load_baseline(path)["history"]
+    assert len(history) == MAX_HISTORY
+    assert history[0]["note"] == "run-1"
+    assert history[-1]["note"] == f"run-{MAX_HISTORY}"
 
 
 def test_load_baseline_version_mismatch(tmp_path):
@@ -313,16 +313,46 @@ def test_load_baseline_version_mismatch(tmp_path):
 
 
 def test_measure_current_sim_metrics_deterministic():
-    first = measure_current(skip_wall=True, target_accesses=500)
-    second = measure_current(skip_wall=True, target_accesses=500)
+    first = measure_current(target_accesses=500)
+    second = measure_current(target_accesses=500)
     assert first == second
     assert all(entry["kind"] == "sim" for entry in first.values())
     assert any(name.endswith(".tps") for name in first)
 
 
+# The committed store, gated in tier-1 exactly as CI's smoke job gates
+# it through ``cli perf-diff``.
+_COMMITTED = (pathlib.Path(__file__).resolve().parents[1]
+              / "BENCH_baseline.json")
+
+
+@pytest.fixture(scope="module")
+def gate_metrics():
+    return measure_current()
+
+
+def test_committed_baseline_gates_clean(gate_metrics):
+    diff = compare_baseline(load_baseline(_COMMITTED), gate_metrics)
+    assert diff.ok, diff.regressions
+    assert {row["status"] for row in diff.rows} == {"ok"}
+
+
+def test_committed_baseline_catches_inflated_tps(gate_metrics):
+    inflated = load_baseline(_COMMITTED)
+    for name, entry in inflated["metrics"].items():
+        if name.endswith(".tps"):
+            entry["value"] = round(entry["value"] * 1.25, 3)
+    diff = compare_baseline(inflated, gate_metrics)
+    assert diff.regressions == ["sim.pg2Q.tps", "sim.pgBatPre.tps"]
+
+
+def test_measurer_and_committed_store_share_keys(gate_metrics):
+    assert set(gate_metrics) == set(load_baseline(_COMMITTED)["metrics"])
+
+
 @pytest.fixture()
 def fake_measure(monkeypatch):
-    def _fake(skip_wall=False, seed=7, target_accesses=3_000):
+    def _fake(seed=7, target_accesses=3_000):
         return _metrics()
     monkeypatch.setattr("repro.obs.baseline.measure_current", _fake)
     return _fake
@@ -359,7 +389,3 @@ def test_cli_perf_diff_update_rerecords(tmp_path, fake_measure):
     refreshed = load_baseline(baseline)
     assert refreshed["metrics"]["sim.sys.tps"]["value"] == 100.0
     assert len(refreshed["history"]) == 2
-
-
-def test_default_tolerances_shape():
-    assert DEFAULT_TOLERANCES["sim"] < DEFAULT_TOLERANCES["wall"]

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.errors import PolicyError
 from repro.policies import (ARCPolicy, CARPolicy, ClockProPolicy, LIRSPolicy,
                             MQPolicy, SEQPolicy, TwoQPolicy)
 
@@ -373,3 +374,35 @@ class TestSEQ:
         seq.on_miss(key(1))
         seq.on_hit(key(0))
         assert seq.on_miss(key(2)) == key(1)
+
+
+class TestSeqHousekeeping:
+    def test_max_sequences_trims_weakest(self):
+        from repro.policies.seq import SEQPolicy
+        policy = SEQPolicy(1000, seq_threshold=4, max_sequences=3)
+        # Start runs in 5 spaces; the two weakest must be forgotten.
+        for space_index in range(5):
+            for block in range(space_index + 1):
+                policy.on_miss((f"s{space_index}", block))
+        lengths = policy.active_sequence_lengths()
+        assert len(lengths) <= 3
+
+    def test_non_tuple_keys_do_not_track_sequences(self):
+        from repro.policies.seq import SEQPolicy
+        policy = SEQPolicy(10)
+        policy.on_miss("plain-string-key")
+        assert policy.active_sequence_lengths() == {}
+
+
+class TestLIRSEdges:
+    def test_capacity_one(self):
+        from repro.policies.lirs import LIRSPolicy
+        policy = LIRSPolicy(1)
+        for block in range(20):
+            policy.access(("t", block % 3))
+            assert policy.resident_count <= 1
+
+    def test_invalid_hir_fraction(self):
+        from repro.policies.lirs import LIRSPolicy
+        with pytest.raises(PolicyError):
+            LIRSPolicy(10, hir_fraction=1.5)

@@ -134,3 +134,31 @@ class TestTinyLFU:
     def test_validation(self):
         with pytest.raises(PolicyError):
             TinyLFUPolicy(10, window_fraction=0.0)
+
+
+class TestTinyLfuInRegistry:
+    def test_make_policy_with_kwargs(self):
+        from repro.policies.registry import make_policy
+        policy = make_policy("tinylfu", 50, window_fraction=0.1)
+        assert policy.window_capacity == 5
+
+    def test_register_policy_and_duplicate_collision(self):
+        import pytest
+
+        from repro.errors import ConfigError
+        from repro.policies.lru import LRUPolicy
+        from repro.policies.registry import (available_policies,
+                                             make_policy, register_policy)
+
+        class Custom(LRUPolicy):
+            name = "custom-test-policy"
+
+        register_policy("custom-test-policy", Custom)
+        assert "custom-test-policy" in available_policies()
+        assert isinstance(make_policy("custom-test-policy", 4), Custom)
+        # Re-registering the same name is a collision unless the
+        # caller explicitly opts into replacement.
+        with pytest.raises(ConfigError):
+            register_policy("custom-test-policy", Custom)
+        register_policy("custom-test-policy", Custom, replace=True)
+        assert isinstance(make_policy("custom-test-policy", 4), Custom)

@@ -245,27 +245,6 @@ def test_cli_serve_writes_deterministic_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_serve_appends_wall_trajectory(tmp_path):
-    from repro.harness.cli import serve_main
-    baseline = tmp_path / "baseline.json"
-    assert serve_main(["--shards", "2", "--tenants", "2",
-                       "--skews", "0.5", "--requests", "80",
-                       "--no-metrics", "--out", str(tmp_path / "out"),
-                       "--baseline", str(baseline)]) == 0
-    document = json.loads(baseline.read_text())
-    entry = document["history"][-1]
-    assert "wall.serve.2s.2t" in entry["metrics"]
-    assert entry["metrics"]["wall.serve.2s.2t"] > 0
-
-
-def test_wall_serve_tolerance_class():
-    from repro.obs.baseline import DEFAULT_TOLERANCES, default_tolerance
-    assert default_tolerance("wall.serve.2s.3t", "wall") == \
-        DEFAULT_TOLERANCES["wall.serve"]
-    assert default_tolerance("wall.engine_events_per_sec", "wall") == \
-        DEFAULT_TOLERANCES["wall"]
-
-
 def test_serve_page_renders_heatmap_for_ragged_shards():
     from repro.harness.dashboard import render_serve_page
     from repro.serve import serve_grid

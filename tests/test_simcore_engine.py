@@ -354,3 +354,25 @@ class TestFailureSurfacing:
         sim.run()
         sim.timeout(5.0)
         assert sim.run() == 6.0
+
+
+class TestEnginePeekAndBudget:
+    def test_peek_returns_next_timestamp(self, sim):
+        assert sim.peek() is None
+        sim.timeout(7.0)
+        sim.timeout(3.0)
+        assert sim.peek() == 3.0
+
+    def test_run_after_drain_is_noop(self, sim):
+        sim.timeout(1.0)
+        sim.run()
+        at = sim.now
+        sim.run()
+        assert sim.now == at
+
+    def test_events_processed_accumulates(self, sim):
+        for _ in range(5):
+            sim.timeout(1.0)
+        sim.run(max_events=2)
+        sim.run()
+        assert sim.events_processed == 5

@@ -237,3 +237,65 @@ class TestTraces:
         trace_b = merged_trace(workload, 5000)
         assert len(trace_a) == 5000
         assert trace_a == trace_b
+
+
+class TestDbt2Shapes:
+    def test_delivery_touches_ten_districts(self):
+        from repro.workloads.dbt2 import DBT2Workload
+        workload = DBT2Workload(seed=4, n_warehouses=3)
+        stream = workload.transaction_stream(0)
+        delivery = next(t for t in itertools.islice(stream, 500)
+                        if t.kind == "delivery")
+        new_order_pages = [page for page in delivery.pages
+                           if page.space == "new_order"]
+        assert len(new_order_pages) == 10
+
+    def test_stock_level_scans_contiguously(self):
+        from repro.workloads.dbt2 import DBT2Workload
+        workload = DBT2Workload(seed=4, n_warehouses=3)
+        stream = workload.transaction_stream(1)
+        stock_level = next(t for t in itertools.islice(stream, 800)
+                           if t.kind == "stock_level")
+        stock_blocks = [page.block for page in stock_level.pages
+                        if page.space == "stock"]
+        assert len(stock_blocks) == 40
+        deltas = {(b - a) % DBT2Workload.STOCK_PAGES
+                  for a, b in zip(stock_blocks, stock_blocks[1:])}
+        assert deltas == {1}  # a contiguous (wrapping) sweep
+
+    def test_remote_warehouse_probability(self):
+        from repro.workloads.dbt2 import DBT2Workload
+        workload = DBT2Workload(seed=4, n_warehouses=4,
+                                remote_warehouse_prob=1.0)
+        stream = workload.transaction_stream(0)  # home warehouse 0
+        new_order = next(t for t in itertools.islice(stream, 100)
+                         if t.kind == "new_order")
+        stock_warehouses = {page.block // DBT2Workload.STOCK_PAGES
+                            for page in new_order.pages
+                            if page.space == "stock"}
+        assert 0 not in stock_warehouses  # all lines remote
+
+
+class TestDbt1BTree:
+    def test_probe_walks_root_internal_leaf(self):
+        from repro.workloads.dbt1 import DBT1Workload
+        workload = DBT1Workload(seed=1, scale=0.2)
+        path = workload._item_btree.probe(0.5)
+        assert len(path) == 3
+        assert path[0].block == 0                     # root
+        assert 1 <= path[1].block <= 10               # internal
+        assert path[2].block > 10                     # leaf
+
+    def test_leaf_range_is_contiguous(self):
+        from repro.workloads.dbt1 import DBT1Workload
+        workload = DBT1Workload(seed=1, scale=0.2)
+        pages = workload._item_btree.leaf_range(0.3, n_leaves=5)
+        leaf_blocks = [page.block for page in pages[2:]]
+        assert leaf_blocks == list(range(leaf_blocks[0],
+                                         leaf_blocks[0] + len(leaf_blocks)))
+
+    def test_too_small_index_rejected(self):
+        from repro.db.relations import Relation
+        from repro.workloads.dbt1 import _BTree
+        with pytest.raises(WorkloadError):
+            _BTree(Relation("idx", 5), fanout=10)
