@@ -20,9 +20,13 @@ lint:
 # + policy invariants), the differential oracle (batched vs direct must
 # produce identical hit/miss/eviction streams) and a deterministic
 # schedule fuzzer over queue-geometry corners. Non-zero exit on any
-# violation. See docs/correctness.md.
+# violation. The second line runs the checked run on the shared-queue
+# system, whose commits the monitor and the sweep see like any other.
+# See docs/correctness.md.
 check:
 	PYTHONPATH=src python -m repro.harness.cli check --fuzz 25
+	PYTHONPATH=src python -m repro.harness.cli check \
+		--systems pgBatShared pgBat --fuzz 0
 
 # Byte-identical sim output, as a gate: runs the perf ledger's four
 # simulator workloads (fig6_hit, table3_miss, serve_sim, macro_sim) at

@@ -430,46 +430,6 @@ class BufferManager:
         self._free.append(desc)
         return True
 
-    def swap_policy(self, new_policy: ReplacementPolicy) -> int:
-        """Install a new replacement policy, migrating resident pages.
-
-        The control plane's policy-switch hook: every page the old
-        policy tracks is admitted into ``new_policy`` (which must be
-        empty and of matching capacity — admissions into a fresh policy
-        at or under capacity must never evict), the pin-aware victim
-        predicate is re-installed, and the handler is repointed —
-        including :class:`LockFreeHitHandler`'s cached ``_hit_op``,
-        which would otherwise keep feeding the dead policy.
-
-        Must be called at quiescence or while holding the replacement
-        lock: the migration walks policy structures that concurrent
-        hits/misses mutate. Returns the number of pages migrated.
-        """
-        if new_policy.capacity != self.capacity:
-            raise BufferError_(
-                f"new policy capacity {new_policy.capacity} != pool "
-                f"capacity {self.capacity}")
-        if new_policy.resident_count != 0:
-            raise BufferError_(
-                f"swap_policy needs an empty policy, got "
-                f"{new_policy.resident_count} residents")
-        migrated = 0
-        for page in list(self.policy.resident_keys()):
-            victim = new_policy.on_miss(page)
-            if victim is not None:
-                raise BufferError_(
-                    f"policy {new_policy.name!r} evicted {victim!r} "
-                    f"while being filled to {self.capacity} residents")
-            migrated += 1
-        new_policy.set_evictable_predicate(self._is_evictable)
-        self.policy = new_policy
-        self.handler.policy = new_policy
-        if hasattr(self.handler, "_hit_op"):
-            self.handler._hit_op = getattr(
-                new_policy, "on_hit_relaxed", new_policy.on_hit)
-        self.handler.control.policy_name = getattr(new_policy, "name", "")
-        return migrated
-
     # -- invariants (used by tests and failure injection) ----------------------------
 
     def check_invariants(self, expect_no_pins: bool = False) -> None:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.check.checker import Arrival, CorrectnessChecker
-from repro.core.bpwrapper import ThreadSlot
+from repro.core.fifoqueue import AccessQueue
 from repro.harness.systems import SystemBuild, build_system
 from repro.hardware.machines import MachineSpec
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
@@ -80,9 +80,9 @@ def resolve_capacity(config) -> int:
     """The buffer capacity ``run_experiment`` would use for ``config``."""
     if config.buffer_pages is not None:
         return config.buffer_pages
-    workload = make_workload(config.workload, seed=config.seed,
-                             **config.workload_kwargs)
-    return len(workload.working_set_pages()) + 64
+    return config.resolved_buffer_pages(
+        make_workload(config.workload, seed=config.seed,
+                      **config.workload_kwargs))
 
 
 def record_arrivals(config, checker: Optional[CorrectnessChecker] = None
@@ -139,9 +139,11 @@ def replay_arrivals(system: str, arrivals: Sequence[Arrival],
 
     pool = ProcessorPool(sim, 1, 0.0)
     thread = CpuBoundThread(pool, name="replayer")
-    slot = ThreadSlot(thread, thread_id=0, queue_size=queue_size)
+    slot = build.handler.new_slot(thread, 0)
+    queues = build.handler.queues([slot])
     if inject_reorder:
-        _reverse_drain(slot)
+        for queue in queues:
+            _reverse_drain(queue)
 
     hits: List[bool] = []
 
@@ -161,20 +163,20 @@ def replay_arrivals(system: str, arrivals: Sequence[Arrival],
         hits=tuple(hits),
         evictions=tuple(evictions),
         resident=frozenset(policy.resident_keys()),
-        stale_entries=slot.queue.total_stale,
+        stale_entries=sum(queue.total_stale for queue in queues),
     )
 
 
-def _reverse_drain(slot: ThreadSlot) -> None:
+def _reverse_drain(queue: AccessQueue) -> None:
     """Mutation canary: commit each batch in reverse enqueue order."""
-    original_drain = slot.queue.drain
+    original_drain = queue.drain
 
     def reversed_drain(_original=original_drain):
         entries = _original()
         entries.reverse()
         return entries
 
-    slot.queue.drain = reversed_drain  # type: ignore[method-assign]
+    queue.drain = reversed_drain  # type: ignore[method-assign]
 
 
 def differential_check(config, baseline: str = "pg2Q",

@@ -16,9 +16,6 @@ Mutability boundaries, per knob:
 ``batch_threshold``  Mutable at any commit boundary (handlers re-read
                      it on every Fig. 4 line-7 check).
 ``prefetch``         Mutable at any time (re-read per lock approach).
-``policy_name``      Mutable through
-                     :meth:`~repro.bufmgr.manager.BufferManager.swap_policy`
-                     (resident pages migrate to the new policy).
 ``queue_size``       Frozen geometry: the per-thread FIFO rings are
                      allocated at construction (and live in shared
                      memory under the mp backend), so it is recorded

@@ -7,17 +7,8 @@ into the handler and never touches the lock itself, mirroring the
 paper's framing of BP-Wrapper as a wrapper *around* the unchanged
 algorithm.
 
-Three handlers cover the paper's five systems (Table I):
-
-=============  =======================  =============================
-paper system   policy                   handler
-=============  =======================  =============================
-``pgclock``    clock (lock-free hits)   :class:`LockFreeHitHandler`
-``pg2Q``       2Q                       :class:`DirectHandler`
-``pgBat``      2Q                       :class:`BatchedHandler` (no prefetch)
-``pgPre``      2Q                       :class:`DirectHandler` (prefetch)
-``pgBatPre``   2Q                       :class:`BatchedHandler` (prefetch)
-=============  =======================  =============================
+Three handlers cover the paper's five systems; which system gets
+which is Table I, :mod:`repro.harness.systems`.
 
 The batched hit path is a line-for-line transcription of Figure 4:
 record the access; once ``batch_threshold`` entries accumulate, attempt
@@ -25,12 +16,16 @@ record the access; once ``batch_threshold`` entries accumulate, attempt
 which point a blocking ``Lock()`` is unavoidable; under the lock, replay
 every recorded access into the algorithm in FIFO order, re-validating
 each entry's BufferTag first.
+
+A handler also owns its insides, and callers ask instead of probing:
+``locks``, ``lock_stats()``, ``queues(slots)``, ``new_slot()`` and the
+``build`` factory, which creates whatever locks and caches it needs.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List
+from typing import Callable, List, Optional, Sequence
 
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
@@ -40,16 +35,12 @@ from repro.core.fifoqueue import AccessQueue, QueueEntry
 from repro.errors import SimulationError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
-from repro.policies.base import ReplacementPolicy
-from repro.runtime.base import MutexLock, ThreadContext, Waits
+from repro.policies.base import LockDiscipline, ReplacementPolicy
+from repro.runtime.base import MutexLock, Runtime, ThreadContext, Waits
+from repro.sync.stats import LockStats
 
-__all__ = [
-    "ThreadSlot",
-    "ReplacementHandler",
-    "DirectHandler",
-    "BatchedHandler",
-    "LockFreeHitHandler",
-]
+__all__ = ["ThreadSlot", "ReplacementHandler", "DirectHandler",
+           "BatchedHandler", "LockFreeHitHandler"]
 
 
 class ThreadSlot:
@@ -78,12 +69,18 @@ class ThreadSlot:
 class ReplacementHandler(ABC):
     """Owns the replacement lock on behalf of one policy instance."""
 
+    #: Names of the locks :meth:`build` creates beside the replacement
+    #: lock; the constructor takes them after ``config``.
+    extra_locks: Sequence[str] = ()
+
     def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
                  metadata_cache: MetadataCacheModel,
                  costs: CostModel, config: BPConfig,
                  control: "ControlState" = None) -> None:
         self.policy = policy
         self.lock = lock
+        #: Every live lock this handler takes, replacement lock first.
+        self.locks: List[MutexLock] = [lock]
         self.cache = metadata_cache
         self.costs = costs
         self.config = config
@@ -94,6 +91,47 @@ class ReplacementHandler(ABC):
         # ``config`` forever and behavior is unchanged.
         self.control = (control if control is not None
                         else ControlState.from_config(config))
+
+    @classmethod
+    def build(cls, runtime: Runtime, name: str,
+              make_policy: Callable[[int], ReplacementPolicy],
+              capacity: int, costs: CostModel, config: BPConfig,
+              control: Optional[ControlState] = None
+              ) -> "ReplacementHandler":
+        """System ``name``'s handler on ``runtime``, with the policy
+        (``make_policy(capacity)``), locks and cache model it needs."""
+        policy = make_policy(capacity)
+        locks = [cls.new_lock(runtime, lock_name, costs) for lock_name
+                 in (f"replacement-{name}", *cls.extra_locks)]
+        return cls.suited_to(policy)(
+            policy, locks[0], MetadataCacheModel(costs), costs, config,
+            *locks[1:], control=control)
+
+    @classmethod
+    def suited_to(cls, policy: ReplacementPolicy) -> type:
+        """The class to wrap ``policy`` in (``DirectHandler`` decides)."""
+        return cls
+
+    @staticmethod
+    def new_lock(runtime: Runtime, name: str, costs: CostModel) -> MutexLock:
+        return runtime.create_lock(
+            name=name, grant_cost_us=costs.lock_grant_us,
+            try_cost_us=costs.try_lock_us)
+
+    def lock_stats(self) -> LockStats:
+        """One lock's live counters, or a merged copy for several."""
+        stats = self.lock.stats
+        for lock in self.locks[1:]:
+            stats = stats.merged_with(lock.stats)
+        return stats
+
+    def new_slot(self, thread: ThreadContext, thread_id: int) -> ThreadSlot:
+        """``thread``'s private state for this pool."""
+        return ThreadSlot(thread, thread_id, self.control.queue_size)
+
+    def queues(self, slots: Sequence[ThreadSlot]) -> List[AccessQueue]:
+        """The queues recorded hits wait in: ``slots``' private ones."""
+        return [slot.queue for slot in slots]
 
     def _control_tick(self, slot: ThreadSlot) -> None:
         """Give an attached controller its per-commit observation."""
@@ -180,8 +218,13 @@ class ReplacementHandler(ABC):
         yield from slot.thread.spend()
         self.lock.release(slot.thread)
 
-    def _commit_locked(self, slot: ThreadSlot) -> None:
+    def _commit_locked(self, slot: ThreadSlot,
+                       queue: Optional[AccessQueue] = None,
+                       entries: Optional[List[QueueEntry]] = None) -> None:
         """Replay queued accesses into the algorithm (lock must be held).
+
+        ``queue`` defaults to the slot's own; a handler that already
+        drained it (under another lock) passes the ``entries`` too.
 
         Every entry's tag is compared against the descriptor first;
         stale entries (page evicted or invalidated since enqueue) are
@@ -197,14 +240,17 @@ class ReplacementHandler(ABC):
         if checker is not None:
             checker.on_commit(self.lock.name, thread.name,
                               self.lock.owner is thread)
-        entries: List[QueueEntry] = slot.queue.drain()
+        if queue is None:
+            queue = slot.queue
+        if entries is None:
+            entries = queue.drain()
         for entry in entries:
             thread.charge(self.costs.tag_check_us)
             if entry.desc.matches(entry.tag):
                 self.policy.on_hit(entry.tag)
                 thread.charge(self.costs.replacement_op_us)
             else:
-                slot.queue.note_stale()
+                queue.note_stale()
         if checker is not None:
             checker.on_policy_commit(self.policy)
 
@@ -214,6 +260,15 @@ class DirectHandler(ReplacementHandler):
     (``pg2Q``), optionally with prefetching (``pgPre``)."""
 
     name = "direct"
+
+    @classmethod
+    def suited_to(cls, policy: ReplacementPolicy) -> type:
+        # Without batching the policy's own discipline decides: clock-
+        # family hits never touch the lock (and prefetching would have
+        # nothing to hide, so the flag is ignored — as in the paper,
+        # where pgclock is stock PostgreSQL); every other policy locks.
+        lock_free = policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
+        return LockFreeHitHandler if lock_free else DirectHandler
 
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Waits:
@@ -235,25 +290,36 @@ class BatchedHandler(ReplacementHandler):
 
     name = "batched"
 
+    #: Fig. 4 line 13: a full queue behind a busy lock waits for it.
+    #: The one decision :class:`~repro.core.lossy.LossyBatchedHandler`
+    #: reverses.
+    blocks_when_full = True
+
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Waits:
         queue = slot.queue
         queue.record(desc, tag)                       # Fig. 4 lines 5-6
         slot.thread.charge(self.costs.queue_record_us)
-        if len(queue) < self.control.batch_threshold:  # Fig. 4 line 7
+        batch = len(queue)
+        if batch < self.control.batch_threshold:      # Fig. 4 line 7
             return
-        self._maybe_prefetch(slot, len(queue))
+        self._maybe_prefetch(slot, batch)
         # Realize accumulated work so TryLock sees true logical time.
         yield from slot.thread.spend()
         blocking = False
         if not self.lock.try_acquire(slot.thread):    # Fig. 4 line 8
-            if not queue.full:                        # Fig. 4 lines 10-12
-                return
+            if not queue.full or not self.blocks_when_full:
+                return                                # Fig. 4 lines 10-12
             blocking = True
             yield from self.lock.acquire(slot.thread)  # Fig. 4 line 13
+        yield from self._commit_held(slot, batch, blocking)
+
+    def _commit_held(self, slot: ThreadSlot, batch: int, blocking: bool
+                     ) -> Waits:
+        """Commit ``slot``'s ``batch`` queued hits under the lock the
+        caller just took, then release it (Fig. 4 lines 15-18)."""
         sim = slot.thread.runtime
         commit_started = sim.now
-        batch = len(queue)
         self._warmup_charge(slot, batch)
         self._commit_locked(slot)                     # Fig. 4 lines 15-17
         self.cache.note_commit(slot.thread_id)
@@ -270,18 +336,14 @@ class BatchedHandler(ReplacementHandler):
         self._control_tick(slot)
 
 
-class LockFreeHitHandler(ReplacementHandler):
+class LockFreeHitHandler(DirectHandler):
     """The clock family's native discipline: hits set a reference bit
     without any lock (stock PostgreSQL 8.2, the paper's ``pgclock``)."""
 
     name = "lock-free"
 
-    def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
-                 metadata_cache: MetadataCacheModel,
-                 costs: CostModel, config: BPConfig,
-                 control: "ControlState" = None) -> None:
-        super().__init__(policy, lock, metadata_cache, costs, config,
-                         control=control)
+    def __init__(self, policy: ReplacementPolicy, *args, **kwargs) -> None:
+        super().__init__(policy, *args, **kwargs)
         # On OS-thread backends the unlocked hit races with lock-holding
         # misses; policies expose ``on_hit_relaxed`` (race-tolerant,
         # identical to ``on_hit`` absent concurrency) for exactly this

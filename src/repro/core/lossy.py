@@ -12,9 +12,11 @@ contention.
 :class:`LossyBatchedHandler` implements that variant so the trade-off
 can be measured (``benchmarks/bench_ablation.py``):
 
-* hits: record; at the threshold, ``TryLock`` and commit on success;
-  on failure with a *full* queue, drop the new recording instead of
-  blocking;
+* hits: Fig. 4 as :class:`BatchedHandler` transcribes it, with one
+  decision reversed — a full queue behind a busy lock does not block
+  (``blocks_when_full = False``); the queue stays full and later hits
+  try once to flush it, dropping their recording while the lock is
+  busy;
 * misses: unchanged (they must run the algorithm anyway).
 
 The ``dropped_accesses`` counter plus the hit-ratio deferral study in
@@ -35,6 +37,7 @@ class LossyBatchedHandler(BatchedHandler):
     """Batching that drops rather than blocks (Caffeine-style)."""
 
     name = "lossy-batched"
+    blocks_when_full = False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -48,29 +51,9 @@ class LossyBatchedHandler(BatchedHandler):
         if queue.full:
             # Try once to flush; if the lock is busy, lose this access.
             yield from slot.thread.spend()
-            if self.lock.try_acquire(slot.thread):
-                self._warmup_charge(slot, len(queue))
-                self._commit_locked(slot)
-                self.cache.note_commit(slot.thread_id)
-                yield from slot.thread.spend()
-                self.lock.release(slot.thread)
-                self._control_tick(slot)
-                queue.record(desc, tag)
-            else:
+            if not self.lock.try_acquire(slot.thread):
                 self.dropped_accesses += 1
-            slot.thread.charge(self.costs.queue_record_us)
-            return
-        queue.record(desc, tag)
-        slot.thread.charge(self.costs.queue_record_us)
-        if len(queue) < self.control.batch_threshold:
-            return
-        self._maybe_prefetch(slot, len(queue))
-        yield from slot.thread.spend()
-        if not self.lock.try_acquire(slot.thread):
-            return  # never block on the hit path
-        self._warmup_charge(slot, len(queue))
-        self._commit_locked(slot)
-        self.cache.note_commit(slot.thread_id)
-        yield from slot.thread.spend()
-        self.lock.release(slot.thread)
-        self._control_tick(slot)
+                slot.thread.charge(self.costs.queue_record_us)
+                return
+            yield from self._commit_held(slot, len(queue), False)
+        yield from super().hit(slot, desc, tag)

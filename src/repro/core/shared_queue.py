@@ -18,7 +18,7 @@ tail's cache line ping-pongs between processors.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
@@ -41,6 +41,7 @@ class SharedQueueHandler(ReplacementHandler):
     #: Extra per-record cost: the shared tail's cache line bounces
     #: between processors on every append.
     RECORD_COHERENCE_US = 0.5
+    extra_locks = ("shared-queue-record",)
 
     def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
                  metadata_cache: MetadataCacheModel, costs: CostModel,
@@ -48,14 +49,20 @@ class SharedQueueHandler(ReplacementHandler):
                  control=None) -> None:
         super().__init__(policy, lock, metadata_cache, costs, config,
                          control=control)
+        # The record lock's contention is the price of sharing the queue;
+        # merging it into ``lock_stats`` is the honest comparison.
         self.record_lock = record_lock
+        self.locks.append(record_lock)
         # One queue for everyone; sized for the whole thread population
         # (a real implementation would size it n_threads * per-thread).
         self.shared_queue = AccessQueue(max(config.queue_size * 64, 64))
-        self.stale_entries = 0
         #: Recordings skipped because even the oversized common queue
         #: was full (all commit attempts losing the lock race).
         self.dropped_records = 0
+
+    def queues(self, slots: Sequence[ThreadSlot]) -> List[AccessQueue]:
+        """The one common queue, whatever the slots."""
+        return [self.shared_queue]
 
     # -- hit path ------------------------------------------------------------
 
@@ -105,22 +112,5 @@ class SharedQueueHandler(ReplacementHandler):
         yield from slot.thread.spend()
         self.record_lock.release(slot.thread)
         self._warmup_charge(slot, max(1, len(entries)))
-        for entry in entries:
-            slot.thread.charge(self.costs.tag_check_us)
-            if entry.desc.matches(entry.tag):
-                self.policy.on_hit(entry.tag)
-                slot.thread.charge(self.costs.replacement_op_us)
-            else:
-                self.stale_entries += 1
-                # Keep the queue's committed-batch accounting honest
-                # (stale drops never reach the algorithm).
-                self.shared_queue.note_stale()
+        self._commit_locked(slot, self.shared_queue, entries)
         self.cache.note_commit(slot.thread_id)
-
-    def merged_lock_stats(self):
-        """Replacement lock + record lock, combined.
-
-        The record lock's contention is the price of sharing the queue;
-        counting it is the honest comparison with private queues.
-        """
-        return self.lock.stats.merged_with(self.record_lock.stats)

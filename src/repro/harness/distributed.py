@@ -17,23 +17,18 @@ demonstrates quantitatively:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.bufmgr.descriptors import BufferDesc
-from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import BufferTag
 from repro.core.bpwrapper import ReplacementHandler, ThreadSlot
 from repro.core.config import BPConfig
-from repro.db.storage import DiskArray
 from repro.hardware.cpucache import MetadataCacheModel
-from repro.hardware.machines import MachineSpec
 from repro.policies.base import LockDiscipline
 from repro.policies.partitioned import PartitionedPolicy
-from repro.policies.registry import make_policy
-from repro.runtime.base import MutexLock, Runtime, Waits
-from repro.sync.stats import LockStats
+from repro.runtime.base import MutexLock, Waits
 
-__all__ = ["DistributedHandler", "build_distributed_system"]
+__all__ = ["DistributedHandler"]
 
 
 class DistributedHandler(ReplacementHandler):
@@ -43,28 +38,47 @@ class DistributedHandler(ReplacementHandler):
 
     def __init__(self, policy: PartitionedPolicy, locks: List[MutexLock],
                  metadata_caches: List[MetadataCacheModel], costs,
-                 config: BPConfig) -> None:
+                 config: BPConfig, control=None) -> None:
         # The base-class ``lock``/``cache`` slots hold partition 0 purely
         # for interface compatibility; all real work routes by page.
-        super().__init__(policy, locks[0], metadata_caches[0], costs, config)
+        super().__init__(policy, locks[0], metadata_caches[0], costs,
+                         config, control=control)
         self.locks = locks
         self.caches = metadata_caches
-        self._partitioned = policy
 
-    def merged_lock_stats(self) -> LockStats:
-        merged = LockStats()
-        for lock in self.locks:
-            merged = merged.merged_with(lock.stats)
-        return merged
+    @classmethod
+    def build(cls, runtime, name, make_policy, capacity, costs, config,
+              control=None) -> "DistributedHandler":
+        # 16 partitions, but keep each at least 8 pages: degenerate
+        # one-page partitions cannot honour pins (and no real system
+        # configures them).
+        n_partitions = max(1, min(16, capacity // 8))
+        policy = PartitionedPolicy(capacity, n_partitions, make_policy)
+        locks = [cls.new_lock(runtime, f"partition-{i}", costs)
+                 for i in range(n_partitions)]
+        caches = [MetadataCacheModel(costs) for _ in range(n_partitions)]
+        return cls(policy, locks, caches, costs, config, control=control)
 
     def _route(self, page: BufferTag):
-        index = self._partitioned.partition_of(page)
-        return self.locks[index], self.caches[index]
+        index = self.policy.partition_of(page)
+        return index, self.locks[index], self.caches[index]
+
+    def _report(self, slot: ThreadSlot, index: int) -> None:
+        """Tell an attached checker that ``slot`` just updated
+        partition ``index``'s policy and still holds its lock: the
+        commit-under-lock rule and the invariant sweep that
+        :meth:`_commit_locked` reports for a single lock."""
+        checker = slot.thread.runtime.checker
+        if checker is not None:
+            lock = self.locks[index]
+            checker.on_commit(lock.name, slot.thread.name,
+                              lock.owner is slot.thread)
+            checker.on_policy_commit(self.policy.partitions[index])
 
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Waits:
-        lock, cache = self._route(tag)
-        if self._partitioned.lock_discipline is LockDiscipline.LOCK_FREE_HIT:
+        index, lock, cache = self._route(tag)
+        if self.policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT:
             self.policy.on_hit(tag)
             slot.thread.charge(self.costs.ref_bit_us)
             yield from slot.thread.spend()
@@ -74,54 +88,21 @@ class DistributedHandler(ReplacementHandler):
         self.policy.on_hit(tag)
         slot.thread.charge(self.costs.replacement_op_us)
         cache.note_commit(slot.thread_id)
+        self._report(slot, index)
         yield from slot.thread.spend()
         lock.release(slot.thread)
 
     def acquire_for_miss(self, slot: ThreadSlot, page: BufferTag
                          ) -> Waits:
-        lock, cache = self._route(page)
+        _, lock, cache = self._route(page)
         yield from lock.acquire(slot.thread)
         slot.thread.charge(cache.warmup_cost(slot.thread_id, 1))
 
     def release_after_miss(self, slot: ThreadSlot, page: BufferTag
                            ) -> Waits:
-        lock, cache = self._route(page)
+        index, lock, cache = self._route(page)
+        self._report(slot, index)
         slot.thread.charge(2 * self.costs.replacement_op_us)
         cache.note_commit(slot.thread_id)
         yield from slot.thread.spend()
         lock.release(slot.thread)
-
-
-def build_distributed_system(sim: "Runtime", capacity: int,
-                             machine: MachineSpec,
-                             policy_name: str = "2q",
-                             n_partitions: int = 16,
-                             disk: Optional[DiskArray] = None,
-                             policy_kwargs: Optional[dict] = None):
-    """Construct the ``pgDist`` comparator system."""
-    from repro.harness.systems import SystemBuild, SystemSpec
-
-    costs = machine.costs
-    kwargs = dict(policy_kwargs or {})
-    # Keep partitions at least 8 pages: degenerate one-page partitions
-    # cannot honour pins (and no real system configures them).
-    n_partitions = max(1, min(n_partitions, capacity // 8))
-
-    def factory(part_capacity: int):
-        return make_policy(policy_name, part_capacity, **kwargs)
-
-    policy = PartitionedPolicy(capacity, n_partitions, factory)
-    locks = [sim.create_lock(name=f"partition-{i}",
-                             grant_cost_us=costs.lock_grant_us,
-                             try_cost_us=costs.try_lock_us)
-             for i in range(n_partitions)]
-    caches = [MetadataCacheModel(costs) for _ in range(n_partitions)]
-    config = BPConfig.baseline()
-    handler = DistributedHandler(policy, locks, caches, costs, config)
-    manager = BufferManager(sim, capacity, policy, handler, costs, disk=disk)
-    spec = SystemSpec("pgDist", policy_name, config,
-                      f"Distributed locks ({n_partitions} partitions)")
-    return SystemBuild(spec=spec, manager=manager, lock=locks[0],
-                       metadata_cache=caches[0], handler=handler,
-                       control=handler.control,
-                       extra={"locks": locks, "n_partitions": n_partitions})

@@ -185,14 +185,14 @@ class Run:
 
 def run(config, build: Callable[[Run], None], names: Sequence[str],
         body: Callable[[Run, Any, int], Body], observer=None,
-        checker=None, runtimes: Sequence[str] = IN_PROCESS) -> Run:
+        checker=None) -> Run:
     """Run ``len(names)`` bodies of one tier to completion.
 
     ``build(run)`` constructs and pre-warms the pool(s) and starts the
     daemons; ``body(run, thread, index)`` is the body factory (see the
     module docstring). Returns the finished :class:`Run`.
     """
-    validate(config, checker, runtimes)
+    validate(config, checker)
     if config.runtime == "native":
         runtime = NativeRuntime(
             observer=(ThreadSafeObserver(observer)

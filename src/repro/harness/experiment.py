@@ -31,7 +31,8 @@ from repro.db.transactions import (Transaction, TransactionLog,
                                    TransactionOutcome)
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
-from repro.harness.driver import IN_PROCESS, Run, access_ordered_prefix
+from repro.harness.driver import (IN_PROCESS, Run, access_ordered_prefix,
+                                  validate)
 from repro.harness.driver import run as drive
 from repro.harness.systems import SystemBuild, build_system
 from repro.runtime.base import Runtime, Wait
@@ -105,6 +106,12 @@ class ExperimentConfig:
                     f"n_threads must be >= 1, got {self.n_threads}")
             return self.n_threads
         return max(2 * self.n_processors, self.n_processors + 4)
+
+    def resolved_buffer_pages(self, workload: Workload) -> int:
+        """``buffer_pages``, or the whole working set plus slack."""
+        if self.buffer_pages is not None:
+            return self.buffer_pages
+        return len(workload.working_set_pages()) + 64
 
 
 @dataclass(frozen=True)
@@ -371,19 +378,14 @@ def run_experiment(config: ExperimentConfig,
     sim's per-thread order — the cross-runtime equivalence tests rely
     on that.
     """
-    if config.runtime == "mp":
-        if config.controller:
-            raise ConfigError(
-                "controllers are not supported on the mp backend: "
-                "workers read the batching knobs from a shared-memory "
-                "spec fixed at fork time")
-        from repro.runtime.mp import run_mp_experiment
-        return run_mp_experiment(config, workload, observer=observer,
-                                 checker=checker)
+    validate(config, checker, runtimes=(*IN_PROCESS, "mp"))
     if not 0.0 <= config.warmup_fraction < 1.0:
         raise ConfigError(
             f"warmup_fraction must be in [0, 1), got "
             f"{config.warmup_fraction}")
+    if config.runtime == "mp":
+        from repro.runtime.mp import run_mp_experiment
+        return run_mp_experiment(config, workload, observer=observer)
     costs = config.machine.costs
     log = TransactionLog()
     slots: List[ThreadSlot] = []
@@ -396,9 +398,7 @@ def run_experiment(config: ExperimentConfig,
             workload = make_workload(config.workload, seed=config.seed,
                                      **config.workload_kwargs)
         working_set = workload.working_set_pages()
-        capacity = config.buffer_pages
-        if capacity is None:
-            capacity = len(working_set) + 64
+        capacity = config.resolved_buffer_pages(workload)
         pool = run.adopt(build_system(
             config.system, run.runtime, capacity, config.machine,
             **bp_kwargs(config), disk=run.create_disk(config.seed),
@@ -413,8 +413,7 @@ def run_experiment(config: ExperimentConfig,
         run.start_bgwriter(pool.manager)
 
     def body(run: Run, thread, index: int):
-        slot = ThreadSlot(thread, thread_id=index,
-                          queue_size=config.queue_size)
+        slot = run.builds[0].handler.new_slot(thread, index)
         slots.append(slot)
         return _thread_body(
             run.runtime, slot, run.builds[0].manager,
@@ -427,7 +426,7 @@ def run_experiment(config: ExperimentConfig,
     names = [f"backend-{index}"
              for index in range(config.resolved_threads())]
     run = drive(config, build, names, body, observer=observer,
-                checker=checker, runtimes=(*IN_PROCESS, "mp"))
+                checker=checker)
     return _finalize_result(config, run, log, slots, window)
 
 
@@ -457,9 +456,9 @@ class _Window:
             # Window-relative max-hold tracking: reset each live lock's
             # window so the measured delta cannot leak a warm-up
             # transient.
-            for stats_obj in _live_lock_stats(self._build):
-                stats_obj.begin_window()
-            self.lock = self._build.lock_stats().copy()
+            for lock in self._build.handler.locks:
+                lock.stats.begin_window()
+            self.lock = self._build.handler.lock_stats().copy()
             stats = self._build.manager.stats
             self.accesses = stats.accesses
             self.hits = stats.hits
@@ -478,15 +477,16 @@ def _finalize_result(config: ExperimentConfig, run: Run,
     """
     build = run.builds[0]
     stats = build.manager.stats
-    lock_stats = build.lock_stats().delta_since(window.lock)
+    lock_stats = build.handler.lock_stats().delta_since(window.lock)
     accesses = stats.accesses - window.accesses
     hits = stats.hits - window.hits
     misses = stats.misses - window.misses
     elapsed = run.elapsed_us - window.start_us
     measured = TransactionLog(log.outcomes[window.transactions:])
 
-    batch_sizes = [slot.queue.mean_batch_size() for slot in slots
-                   if slot.queue.commits > 0]
+    queues = build.handler.queues(slots)
+    batch_sizes = [queue.mean_batch_size() for queue in queues
+                   if queue.commits > 0]
     mean_batch = (sum(batch_sizes) / len(batch_sizes)
                   if batch_sizes else 0.0)
     cache = build.metadata_cache
@@ -509,7 +509,7 @@ def _finalize_result(config: ExperimentConfig, run: Run,
         lock_stats=lock_stats,
         cpu_utilization=run.pool.utilization(run.elapsed_us),
         mean_batch_size=mean_batch,
-        stale_queue_entries=sum(slot.stale_entries for slot in slots),
+        stale_queue_entries=sum(queue.total_stale for queue in queues),
         bgwriter_cleaned=run.bgwriter.pages_cleaned if run.bgwriter else 0,
         disk_reads=disk.reads if disk is not None else 0,
         disk_writes=disk.writes if disk is not None else 0,
@@ -522,17 +522,3 @@ def _finalize_result(config: ExperimentConfig, run: Run,
         metrics=run.metrics(),
         controller=build.controller_summary(),
     )
-
-
-def _live_lock_stats(build: SystemBuild) -> List[LockStats]:
-    """The mutable :class:`LockStats` of every lock a build owns.
-
-    Unlike :meth:`SystemBuild.lock_stats` — which may return a merged
-    *copy* — these are the live objects the locks write into, so
-    window resets (``begin_window``) actually take effect.
-    """
-    locks = list(build.extra.get("locks") or [build.lock])
-    record_lock = build.extra.get("record_lock")
-    if record_lock is not None:
-        locks.append(record_lock)
-    return [lock.stats for lock in locks]

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Generator, Iterator, List, Optional
 
-from repro.core.bpwrapper import ThreadSlot
 from repro.db.exec.context import (ExecContext, LiveExecContext,
                                    ShardedExecContext)
 from repro.db.exec.executor import run_plan
@@ -284,14 +283,12 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
     def body(run: Run, thread, index: int):
         if shards:
             ctx: ExecContext = ShardedExecContext(
-                [ThreadSlot(thread, thread_id=index,
-                            queue_size=config.queue_size)
-                 for _ in shards], shards)
+                [shard.handler.new_slot(thread, index)
+                 for shard in shards], shards)
         else:
-            ctx = LiveExecContext(
-                ThreadSlot(thread, thread_id=index,
-                           queue_size=config.queue_size),
-                run.builds[0].manager)
+            pool = run.builds[0]
+            ctx = LiveExecContext(pool.handler.new_slot(thread, index),
+                                  pool.manager)
         contexts.append(ctx)
         return _query_body(
             run.runtime, thread, ctx, workload.plan_stream(index), log,
@@ -309,9 +306,9 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
 
 def _finalize(config: MacroConfig, run: Run, log: TransactionLog,
               contexts: List[ExecContext], rows: int) -> MacroResult:
-    lock_stats = run.builds[0].lock_stats()
+    lock_stats = run.builds[0].handler.lock_stats()
     for build in run.builds[1:]:
-        lock_stats = lock_stats.merged_with(build.lock_stats())
+        lock_stats = lock_stats.merged_with(build.handler.lock_stats())
     stats = dict.fromkeys(
         ("accesses", "hits", "misses", "evictions", "write_backs",
          "pinned_victim_skips", "stale_hit_retries", "absorbed_misses"), 0)

@@ -127,13 +127,6 @@ _SAMPLE_CAP = 2000
 _DEFAULT_WORK_US = 2.0
 
 
-def _work_us() -> float:
-    try:
-        return float(os.environ.get("REPRO_MP_WORK_US", _DEFAULT_WORK_US))
-    except ValueError:
-        return _DEFAULT_WORK_US
-
-
 # -- shared-memory geometry -------------------------------------------------
 
 
@@ -539,7 +532,9 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
         stats["transactions"] += 1
         stats["response_us"] += response
         stats["response_n"] += 1
-        if len(samples) < _SAMPLE_CAP:
+        # Sampled from the warm-up snapshot on, like the windowed
+        # ``response_us``/``transactions`` the p95 is reported beside.
+        if snapshot and len(samples) < _SAMPLE_CAP:
             samples.append(response)
     if batched and mem[qbase]:
         granted = lock_blocking()
@@ -592,6 +587,11 @@ def _validate(config) -> None:
         raise ConfigError(
             "the mp backend's shared policy core is a fixed LRU list "
             "(clock for pgclock); policy_name cannot be swapped")
+    if config.controller:
+        raise ConfigError(
+            "controllers are not supported on the mp backend: "
+            "workers read the batching knobs from a shared-memory "
+            "spec fixed at fork time")
     if config.use_disk or config.background_writer:
         raise ConfigError(
             "the mp backend is the in-memory scaling engine; disk and "
@@ -602,7 +602,7 @@ def _validate(config) -> None:
             "page map is probed lock-free")
 
 
-def run_mp_experiment(config, workload=None, observer=None, checker=None):
+def run_mp_experiment(config, workload=None, observer=None):
     """Execute ``config`` on worker processes (``runtime="mp"``).
 
     One worker process per ``config.n_processors`` (``n_threads`` is
@@ -627,15 +627,7 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
                 "metrics-only Observer (metrics=..., trace=None) to "
                 "collect merged per-worker registry snapshots, or use "
                 "runtime='sim' or 'native' for traces")
-    if checker is not None:
-        raise ConfigError(
-            "the correctness checker shadows the sim lock protocol; "
-            "use runtime='sim' for checked runs")
     _validate(config)
-    if not 0.0 <= config.warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got "
-            f"{config.warmup_fraction}")
     if workload is None:
         workload = make_workload(config.workload, seed=config.seed,
                                  **config.workload_kwargs)
@@ -644,9 +636,7 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
         raise ConfigError(f"need >= 1 worker, got {n_workers}")
 
     working_set = workload.working_set_pages()
-    capacity = config.buffer_pages
-    if capacity is None:
-        capacity = len(working_set) + 64
+    capacity = config.resolved_buffer_pages(workload)
     # Deterministic dense page ids: access order first (the resident
     # prefix when the pool is smaller than the working set), then any
     # remaining working-set pages in sorted-repr order.
@@ -706,7 +696,7 @@ def run_mp_experiment(config, workload=None, observer=None, checker=None):
             "accesses_per_worker": quota,
             "warmup_per_worker": int(quota * config.warmup_fraction),
             "page_index": page_index,
-            "work_us": _work_us(),
+            "work_us": _DEFAULT_WORK_US,
             "barrier_timeout_s": min(60.0, deadline_s),
             "start_method": ctx.get_start_method(),
             "metrics_dir": metrics_dir,

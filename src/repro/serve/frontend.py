@@ -255,8 +255,7 @@ class ServeFrontend:
         one private BP-Wrapper queue per shard."""
         tenant = self.tenants[session_index % self.config.n_tenants]
         slots = {shard.shard_id:
-                 ThreadSlot(thread, thread_id=session_index,
-                            queue_size=self.config.queue_size)
+                 shard.handler.new_slot(thread, session_index)
                  for shard in self.shards}
         return self._session_body(run.runtime, tenant, slots, session_index)
 
@@ -376,7 +375,7 @@ class ServeFrontend:
         for shard in self.shards:
             prefix = f"shard{shard.shard_id}"
             stats = shard.manager.stats
-            lock = shard.lock_stats()
+            lock = shard.handler.lock_stats()
             sampler.series(f"{prefix}.queue_depth", "req").sample(
                 now_us, shard.in_flight)
             sampler.series(f"{prefix}.contention_rate", "ratio").sample(

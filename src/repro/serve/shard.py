@@ -18,7 +18,6 @@ from typing import Iterable, List, Optional
 from repro.bufmgr.tags import PageId
 from repro.harness.systems import SystemBuild, build_system
 from repro.runtime.base import Runtime
-from repro.sync.stats import LockStats
 from repro.util import stable_hash
 
 __all__ = ["BufferShard", "shard_of"]
@@ -45,14 +44,11 @@ class BufferShard:
             system, runtime, capacity, machine, policy_name=policy_name,
             queue_size=queue_size, batch_threshold=batch_threshold,
             disk=disk)
-        # Scope every lock name to the shard so the obs layer's
-        # per-lock metrics/spans and the heatmap stay per-shard.
-        self.build.lock.name = f"shard{shard_id}:{self.build.lock.name}"
-        record_lock = self.build.extra.get("record_lock")
-        if record_lock is not None:
-            record_lock.name = f"shard{shard_id}:{record_lock.name}"
         self.manager = self.build.manager
         self.handler = self.build.handler
+        # Per-lock metrics, spans and the heatmap stay per-shard.
+        for lock in self.handler.locks:
+            lock.name = f"shard{shard_id}:{lock.name}"
         self.capacity = capacity
         #: Requests currently admitted and executing against this shard.
         self.in_flight = 0
@@ -98,13 +94,10 @@ class BufferShard:
     def resident_pages(self) -> List[PageId]:
         return list(self.manager.policy.resident_keys())
 
-    def lock_stats(self) -> LockStats:
-        return self.build.lock_stats()
-
     def to_record(self) -> dict:
         """JSON-able per-shard record (deterministic under the sim)."""
         stats = self.manager.stats
-        lock = self.lock_stats()
+        lock = self.handler.lock_stats()
         record = {
             "shard": self.shard_id,
             "capacity": self.capacity,

@@ -18,6 +18,7 @@ from repro.check import (CorrectnessChecker, LockMonitor, differential_check,
 from repro.check.fuzzer import FuzzCase
 from repro.errors import CheckError, PolicyError
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.systems import SYSTEM_NAMES
 from repro.policies.arc import ARCPolicy
 from repro.policies.lirs import LIRSPolicy
 from repro.policies.lru import LRUPolicy
@@ -245,6 +246,18 @@ class TestCheckedExperiment:
         # record per page access the buffer manager served.
         assert len(checker.arrivals) == result.total_accesses
         assert result.misses > 0           # evictions were exercised
+
+    @pytest.mark.parametrize("system", [
+        *SYSTEM_NAMES, "pgDist", "pgBatShared", "pgBatLossy"])
+    def test_checker_sees_every_system(self, system):
+        """pgBatShared and pgDist used to replay outside
+        ``_commit_locked``'s hooks: ``--check`` verified nothing."""
+        checker = CorrectnessChecker()
+        run_experiment(small_config(system=system, use_disk=True),
+                       checker=checker)
+        assert checker.finalized
+        assert checker.commit_checks > 0
+        assert checker.invariant_checks > 0
 
     def test_checker_does_not_alter_measurements(self):
         plain = run_experiment(small_config())

@@ -453,10 +453,11 @@ class TestSharedQueueStats:
         from repro.harness.systems import build_system
         sim = Simulator()
         build = build_system("pgBatShared", sim, 64, tiny_machine)
-        record_lock = build.extra["record_lock"]
+        replacement_lock, record_lock = build.handler.locks
+        assert replacement_lock is build.lock
         record_lock.stats.requests = 7
         build.lock.stats.requests = 3
-        assert build.handler.merged_lock_stats().requests == 10
+        assert build.handler.lock_stats().requests == 10
 
 
 class TestSharedQueueDrops:

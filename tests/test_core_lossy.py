@@ -96,6 +96,17 @@ class TestLossyHandler:
         build = build_system("pgBatLossy", sim, 64, tiny_machine)
         assert isinstance(build.handler, LossyBatchedHandler)
 
+    def test_observed_run_publishes_batch_commits(self):
+        from repro.obs import MetricsRegistry, Observer
+        observer = Observer(metrics=MetricsRegistry(), trace=None)
+        result = run_experiment(ExperimentConfig(
+            system="pgBatLossy", workload="tablescan",
+            workload_kwargs={"n_tables": 4, "pages_per_table": 40},
+            n_processors=2, n_threads=4, target_accesses=2_000, seed=5),
+            observer=observer)
+        counters = result.metrics["counters"]
+        assert counters["bpwrapper.batch_commits"] > 0
+
     def test_zero_contention_at_scale(self):
         config = ExperimentConfig(
             system="pgBatLossy", workload="dbt1",

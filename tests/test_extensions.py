@@ -40,7 +40,8 @@ class TestSharedQueueSystem:
         sim = Simulator()
         build = build_system("pgBatShared", sim, 64, tiny_machine)
         assert isinstance(build.handler, SharedQueueHandler)
-        assert "record_lock" in build.extra
+        assert build.handler.locks == [build.lock,
+                                       build.handler.record_lock]
 
     def test_shared_queue_pays_synchronization_cost(self):
         private = small_run("pgBat")
@@ -52,6 +53,12 @@ class TestSharedQueueSystem:
         # And it becomes a contention point of its own.
         assert (shared.contention_per_million
                 > private.contention_per_million)
+
+    def test_shared_queue_batches_are_accounted(self):
+        # The common queue is no slot's, so summing the slots used to
+        # report a mean batch of 0 for a run that commits.
+        result = small_run("pgBatShared")
+        assert result.mean_batch_size > 0
 
     def test_shared_queue_still_correct(self, sim):
         # Functional check: hits recorded through the shared queue are
@@ -94,7 +101,7 @@ class TestDistributedSystem:
     def test_hot_partition_skew(self, tiny_machine):
         sim = Simulator()
         build = build_system("pgDist", sim, 256, tiny_machine)
-        locks = build.extra["locks"]
+        locks = build.handler.locks
         assert len(locks) >= 2
 
     def test_partition_routing_stable(self):
@@ -135,6 +142,11 @@ class TestBucketLocks:
         build2 = build_system("pgclock", sim, 64, tiny_machine)
         assert build2.manager.bucket_lock_stats() is None
 
+    def test_distributed_system_takes_the_flag_too(self, tiny_machine):
+        build = build_system("pgDist", Simulator(), 64, tiny_machine,
+                             simulate_bucket_locks=True)
+        assert build.manager.bucket_lock_stats() is not None
+
     def test_single_bucket_degenerates_to_global_lock(self, sim):
         # The paper's reasoning inverted: with ONE bucket the "hash
         # table lock" becomes a global hot spot and contention appears.
@@ -170,12 +182,11 @@ class TestBucketLocks:
 class TestDistributedLockFreeRoute:
     def test_partitioned_clock_hits_need_no_lock(self, tiny_machine):
         from repro.core.bpwrapper import ThreadSlot
-        from repro.harness.distributed import build_distributed_system
         from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 
         sim = Simulator()
-        build = build_distributed_system(sim, 64, tiny_machine,
-                                         policy_name="clock")
+        build = build_system("pgDist", sim, 64, tiny_machine,
+                             policy_name="clock")
         manager = build.manager
         pages = [PageId("t", block) for block in range(16)]
         manager.warm_with(pages)
@@ -189,4 +200,4 @@ class TestDistributedLockFreeRoute:
 
         thread.start(body())
         sim.run()
-        assert build.handler.merged_lock_stats().acquisitions == 0
+        assert build.handler.lock_stats().acquisitions == 0

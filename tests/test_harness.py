@@ -76,8 +76,8 @@ class TestBuildSystem:
         sim = Simulator()
         build = build_system("pgDist", sim, 64, tiny_machine)
         assert isinstance(build.handler, DistributedHandler)
-        assert build.extra["n_partitions"] >= 2
-        stats = build.handler.merged_lock_stats()
+        assert len(build.handler.locks) >= 2
+        stats = build.handler.lock_stats()
         assert stats.requests == 0
 
     def test_lock_free_policy_under_batching_still_batches(self,

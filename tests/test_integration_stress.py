@@ -84,13 +84,9 @@ def test_random_schedules_preserve_invariants(params):
     # 2. Pool bookkeeping is consistent.
     manager.check_invariants()
     # 3. All locks quiesced.
-    assert not build.lock.held
-    assert build.lock.queue_length == 0
-    for extra_lock in build.extra.get("locks", []):
-        assert not extra_lock.held
-    record_lock = build.extra.get("record_lock")
-    if record_lock is not None:
-        assert not record_lock.held
+    for lock in build.handler.locks:
+        assert not lock.held
+        assert lock.queue_length == 0
     # 4. Access accounting adds up.
     expected = params["n_threads"] * params["accesses_per_thread"]
     assert manager.stats.accesses == expected

@@ -16,6 +16,7 @@ pull in the simulator; the layers under test must not.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -87,3 +88,38 @@ def test_guard_has_teeth():
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
     assert result.returncode != 0
+
+
+# -- nobody reaches around the wrapper --------------------------------------
+
+#: Where a handler's underscore attributes are the module's own business.
+_HANDLER_INSIDERS = ("repro/core/", "repro/harness/systems.py")
+
+
+def _handler_private_reads(tree):
+    """Underscore-prefixed attributes read through ``<expr>.handler``."""
+    return [f"line {node.lineno}: .handler.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "handler"]
+
+
+def test_no_module_reads_a_handlers_private_attributes():
+    """Callers ask the handler (``locks``, ``lock_stats()``,
+    ``queues()``, ``new_slot()``); none pokes at its insides."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        if any(inside in path.as_posix() for inside in _HANDLER_INSIDERS):
+            continue
+        reads = _handler_private_reads(ast.parse(path.read_text()))
+        offenders.extend(f"{path.relative_to(SRC)} {read}"
+                         for read in reads)
+    assert not offenders, offenders
+
+
+def test_handler_guard_has_teeth():
+    poke = "self.handler." + "_hit_op = build.handler.lock"
+    assert _handler_private_reads(ast.parse(poke)) == [
+        "line 1: .handler." + "_hit_op"]

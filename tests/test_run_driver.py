@@ -63,7 +63,12 @@ class TestAccessOrderedPrewarm:
 def test_same_bad_config_same_message_from_every_tier(bad, with_checker,
                                                       needle):
     messages = set()
-    for tier, entry_point in ENTRY_POINTS.items():
+    entry_points = dict(ENTRY_POINTS)
+    if "policy_name" not in bad:  # mp has its own fixed policy core
+        # The trace tier's third runtime: validated before the dispatch.
+        entry_points["trace-mp"] = lambda bad, checker: (
+            ENTRY_POINTS["trace"](dict(bad, runtime="mp"), checker))
+    for tier, entry_point in entry_points.items():
         if with_checker and tier == "macro":
             continue  # run_macro has no checker to reject
         checker = CorrectnessChecker() if with_checker else None

@@ -77,6 +77,28 @@ def test_eviction_path_conserves_counts(system):
     assert result.lock_stats.acquisitions >= result.misses
 
 
+def test_response_samples_start_with_the_measurement_window(monkeypatch):
+    """p95 used to be taken over the first 2,000 transactions of each
+    worker, warm-up included, beside a post-warm-up mean."""
+    from repro.runtime import mp
+
+    seen = []
+    assemble = mp._assemble_result
+
+    def spy(RunResult, config, workers, *rest):
+        seen.extend(workers)
+        return assemble(RunResult, config, workers, *rest)
+
+    monkeypatch.setattr(mp, "_assemble_result", spy)
+    result = _run("pgBat", workers=1, warmup_fraction=0.9,
+                  target_accesses=4_000,
+                  workload_kwargs={"n_tables": 2, "pages_per_table": 20})
+    worker, = seen
+    assert worker["totals"]["transactions"] >= 200
+    assert 0 < len(worker["samples"]) <= worker["measured"]["transactions"]
+    assert result.p95_response_ms > 0
+
+
 def test_single_worker_runs():
     result = _run("pgBatPre", workers=1)
     assert result.accesses >= 8_000

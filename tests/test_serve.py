@@ -78,6 +78,26 @@ def test_accesses_land_on_the_routed_shard_only():
     assert result.hits == result.accesses
 
 
+def test_every_lock_of_a_shard_carries_its_prefix():
+    """Only a pgDist shard's partition 0 used to be scoped; partitions
+    1.. collided across shards in every per-lock metric (reachable as
+    ``cli macro --systems pgDist --shards 2``)."""
+    from repro.hardware.machines import ALTIX_350
+    from repro.serve.shard import BufferShard
+    from repro.simcore.engine import Simulator
+
+    sim = Simulator()
+    names = [[lock.name for lock in
+              BufferShard(sim, shard_id, "pgDist", 64,
+                          ALTIX_350).handler.locks]
+             for shard_id in range(2)]
+    assert all(len(shard_names) >= 2 for shard_names in names)
+    for shard_id, shard_names in enumerate(names):
+        assert all(name.startswith(f"shard{shard_id}:")
+                   for name in shard_names)
+    assert not set(names[0]) & set(names[1])
+
+
 def test_hot_pages_collide_on_their_hashed_shard():
     """The shared hot set is cross-tenant by construction: every
     tenant's sessions must touch the shard each hot page hashes to."""
