@@ -40,13 +40,15 @@ from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.policies.base import ReplacementPolicy
 from repro.runtime.base import Runtime, Waits
+from repro.util import CounterArithmetic
 
 __all__ = ["AccessStats", "BufferManager"]
 
 
 @dataclass
-class AccessStats:
-    """Pool-wide access accounting."""
+class AccessStats(CounterArithmetic):
+    """Pool-wide access accounting (snapshot, window and pool sums:
+    :class:`~repro.util.CounterArithmetic`)."""
 
     accesses: int = 0
     hits: int = 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Sequence
 
 from repro.bufmgr.tags import PageId
+from repro.util import nearest_rank
 
 __all__ = ["Transaction", "TransactionOutcome"]
 
@@ -93,14 +94,10 @@ class TransactionLog:
         Tail latency is where lock convoys show first — the mean the
         paper plots hides the worst victims.
         """
-        if not self.outcomes:
-            return 0.0
-        if not 0.0 < percentile <= 100.0:
+        if self.outcomes and not 0.0 < percentile <= 100.0:
             raise ValueError(
                 f"percentile must be in (0, 100], got {percentile}")
-        ordered = self._ordered_response_times_us()
-        rank = max(0, int(len(ordered) * percentile / 100.0 + 0.5) - 1)
-        return ordered[min(rank, len(ordered) - 1)]
+        return nearest_rank(self._ordered_response_times_us(), percentile)
 
     def mix(self) -> dict:
         """Transaction counts by kind (diagnostics)."""

@@ -200,6 +200,15 @@ def run_main(argv=None) -> int:
 
     unit = ("simulated" if args.runtime == "sim" else "wall-clock")
     print(result.summary())
+    if args.runtime == "mp":
+        # What ran, in runtime/mp.py's own words: its policy core is
+        # fixed, whatever the system's Table-I row configures.
+        from repro.harness.systems import system_spec
+        print("[mp policy core: " + (
+            "reference-bit CLOCK sweep" if args.system == "pgclock" else
+            "intrusive doubly-linked LRU list (move-to-front on hit) under "
+            f"the {args.system} lock discipline, not the configured "
+            f"{system_spec(args.system).policy_name}") + "]")
     if result.controller is not None:
         print(render_table(
             ["stat", "value"],
@@ -408,7 +417,7 @@ def serve_main(argv=None) -> int:
     for result in results:
         cell = (f"{result.config.n_shards}s×"
                 f"{result.config.n_tenants}t@θ{result.config.skew:g}")
-        for rec in result.slo_records or []:
+        for rec in result.slo_records:
             slo_rows.append(
                 [cell, rec["tenant"], f'{rec["achieved_p99_ms"]:.3f}',
                  f'{rec["latency_burn_rate"]:.2f}',

@@ -15,7 +15,10 @@ one run against the :class:`~repro.runtime.base.Runtime` protocol —
 6. **join** (``runtime.join``: the sim event loop, or the wall-clock
    deadline join) —
 
-and hands the finished :class:`Run` back for the tier's finalize. The
+and hands the finished :class:`Run` back for the tier's finalize, which
+reads the pool-side totals off it (:meth:`Run.access_stats`,
+:meth:`Run.lock_stats`, :meth:`Run.pool_side`, controllers, metrics) and
+builds its :class:`~repro.harness.report.ResultRecord`. The
 trace tier (:mod:`repro.harness.experiment`), the macro tier
 (:mod:`repro.harness.macro`) and the serve tier
 (:mod:`repro.serve.frontend`) are a build/finalize pair around it and
@@ -37,11 +40,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.bufmgr.bgwriter import BackgroundWriter
+from repro.bufmgr.manager import AccessStats
 from repro.control import make_controller
 from repro.errors import ConfigError
 from repro.runtime.native import NativeRuntime, ThreadSafeObserver
 from repro.simcore.engine import Simulator
 from repro.simcore.rng import split_seed, stream_rng
+from repro.sync.stats import LockStats
 
 __all__ = ["IN_PROCESS", "Run", "access_ordered_prefix", "run", "validate"]
 
@@ -106,6 +111,7 @@ class Run:
         #: Adopted :class:`~repro.harness.systems.SystemBuild`\\ s (one
         #: per buffer pool), in build order.
         self.builds: List[Any] = []
+        self.disks: List[Any] = []
         self.daemons: List[Any] = []
         self.bgwriter: Optional[BackgroundWriter] = None
         self.threads: List[Any] = []
@@ -120,8 +126,9 @@ class Run:
         if not self.config.use_disk:
             return None
         costs = self.config.machine.costs
-        return self.runtime.create_disk(
-            costs.disk_read_us, costs.disk_concurrency, seed=seed)
+        self.disks.append(self.runtime.create_disk(
+            costs.disk_read_us, costs.disk_concurrency, seed=seed))
+        return self.disks[-1]
 
     def adopt(self, build):
         """Finish one freshly built pool and return it: attach the
@@ -174,6 +181,38 @@ class Run:
         window = (config.machine.costs.user_work_us
                   * max(8, config.queue_size))
         return stream_rng(config.seed, tag, index).uniform(0.0, window)
+
+    def access_stats(self) -> AccessStats:
+        """Every pool's access counters, summed (a fresh object, so it
+        doubles as a snapshot while the run is live)."""
+        total = AccessStats()
+        for build in self.builds:
+            total = total.merged_with(build.manager.stats)
+        return total
+
+    def lock_stats(self) -> LockStats:
+        """Every pool's replacement-lock counters, summed (fresh too)."""
+        total = LockStats()
+        for build in self.builds:
+            total = total.merged_with(build.handler.lock_stats())
+        return total
+
+    def pool_side(self) -> Dict[str, int]:
+        """What the disks and the bgwriter did over the whole run, by
+        result-field name (0 where the run had none)."""
+        return {
+            "disk_reads": sum(disk.reads for disk in self.disks),
+            "disk_writes": sum(disk.writes for disk in self.disks),
+            "bgwriter_cleaned": (self.bgwriter.pages_cleaned
+                                 if self.bgwriter else 0),
+        }
+
+    def controller_summaries(self) -> Optional[List[dict]]:
+        """One decision summary per pool in build order; None for an
+        uncontrolled run."""
+        if not self.config.controller:
+            return None
+        return [build.controller_summary() for build in self.builds]
 
     def metrics(self) -> Optional[dict]:
         """Snapshot of the observer's registry; None when unobserved."""

@@ -25,23 +25,25 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Generator, Iterator, List, Optional
 
+from repro.bufmgr.manager import AccessStats
 from repro.control import TRACE_DEFAULTS, bp_kwargs
 from repro.core.bpwrapper import ThreadSlot
 from repro.db.transactions import (Transaction, TransactionLog,
                                    TransactionOutcome)
 from repro.errors import ConfigError
-from repro.hardware.machines import ALTIX_350, MachineSpec
+from repro.hardware.machines import ALTIX_350, MachineSpec, machine_by_name
 from repro.harness.driver import (IN_PROCESS, Run, access_ordered_prefix,
                                   validate)
 from repro.harness.driver import run as drive
-from repro.harness.systems import SystemBuild, build_system
+from repro.harness.report import ResultRecord, derived, reported
+from repro.harness.systems import build_system
 from repro.runtime.base import Runtime, Wait
 from repro.simcore.rng import stream_rng
 from repro.sync.stats import LockStats
 from repro.workloads.base import Workload
 from repro.workloads.registry import make_workload
 
-__all__ = ["ExperimentConfig", "RunResult", "run_experiment"]
+__all__ = ["ExperimentConfig", "RunResult", "assemble", "run_experiment"]
 
 
 @dataclass(frozen=True)
@@ -115,57 +117,74 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(ResultRecord):
     """Measurements from one run (the paper's reported metrics first).
 
     All rates and ratios are computed over the post-warm-up window.
+    Fields are declared once, in record order: :meth:`to_dict` and
+    :meth:`from_dict` are read off this declaration and every runtime
+    builds the record through :func:`assemble`. A field that differs
+    by runtime says so here (table: docs/architecture.md §10).
     """
 
+    CONFIG_KEYS = ("system", "workload", "workload_kwargs", "machine",
+                   "n_processors", "n_threads", "queue_size",
+                   "batch_threshold", "target_accesses", "warmup_fraction",
+                   "seed")
+
     config: ExperimentConfig
-    #: Transactions per second (Fig. 6/7 row 1).
+    #: Transactions per second (Fig. 6/7 row 1). mp: the sum of each
+    #: worker's own post-warm-up rate.
     throughput_tps: float
     #: Average transaction response time, ms (Fig. 6/7 row 2).
     mean_response_ms: float
     #: 95th-percentile response time, ms (tail latency; convoys show
-    #: here first).
+    #: here first). mp: over at most 2,000 windowed samples per worker.
     p95_response_ms: float
     #: Lock contentions per million page accesses (Fig. 6/7 row 3).
-    contention_per_million: float
+    contention_per_million: float = derived()
     #: Average lock acquisition + holding time per access, µs (Fig. 2).
-    lock_time_per_access_us: float
-    hit_ratio: float
+    lock_time_per_access_us: float = derived()
+    hit_ratio: float = derived()
     transactions: int
     accesses: int
     hits: int
     misses: int
+    #: sim/native: the post-warm-up window (simulated / wall-clock µs).
+    #: mp: the *whole run*, start barrier to last worker result — the
+    #: ledger's scaling ratios divide ``total_accesses`` by it.
     elapsed_us: float
-    lock_stats: LockStats
+    #: sim: busy share of the simulated processors; native/mp: thread
+    #: / worker CPU seconds over wall seconds x processors.
     cpu_utilization: float
+    #: Unweighted mean of the per-queue mean batch sizes; like every
+    #: queue- and pool-side counter below, over the whole run.
     mean_batch_size: float
     stale_queue_entries: int
-    bgwriter_cleaned: int
-    disk_reads: int
-    disk_writes: int
-    write_backs: int
-    prefetches_issued: int
-    prefetches_valid: int
+    #: 0 for a run without a bgwriter / a disk (mp never has either).
+    bgwriter_cleaned: int = 0
+    disk_reads: int = 0
+    disk_writes: int = 0
+    write_backs: int = 0
+    #: Pre-commit prefetch passes (mp: pre-commit touch loops), and how
+    #: many prefetched lines were still cached at use — a cache-model
+    #: quantity with no mp analogue: always 0 there.
+    prefetches_issued: int = 0
+    prefetches_valid: int = 0
     #: Whole-run totals (warm-up included), for diagnostics.
     total_accesses: int = 0
     total_transactions: int = 0
     #: Simulated time at which the warm-up window ended and measurement
     #: began (0.0 when warmup_fraction is 0). The contention analyzer
     #: splits trace spans at this boundary to price the paper's "lock
-    #: warm-up" cost.
+    #: warm-up" cost. mp: the last worker's offset from the barrier.
     warmup_end_us: float = 0.0
-    #: Snapshot of the observability layer's MetricsRegistry (counters,
-    #: gauges, log-bucketed histograms with p50/p99), present only when
-    #: the run was observed (see :mod:`repro.obs`). None otherwise, and
-    #: omitted from :meth:`to_dict` so unobserved records are unchanged.
+    lock_stats: LockStats = reported("lock", default_factory=LockStats)
+    #: Optional blocks (None = absent from the record): the obs layer's
+    #: MetricsRegistry snapshot (counters, gauges, log-bucketed histograms
+    #: with p50/p99) of an observed run, and the controller's decision
+    #: summary (name, decisions, final threshold) of a controlled one.
     metrics: Optional[dict] = None
-    #: Controller decision summary (name, decisions, final threshold),
-    #: present only when ``config.controller`` was set. None otherwise,
-    #: and omitted from :meth:`to_dict` so uncontrolled records — and
-    #: their byte-identical goldens — are unchanged.
     controller: Optional[dict] = None
 
     def summary(self) -> str:
@@ -177,120 +196,26 @@ class RunResult:
                 f"cont/M={self.contention_per_million:10.1f} "
                 f"hit={self.hit_ratio:6.3f}")
 
-    def to_dict(self) -> dict:
-        """A JSON-serializable flat record (for archiving/replotting).
-
-        The record is complete: :meth:`from_dict` rebuilds a
-        :class:`RunResult` whose ``to_dict()`` is equal, so archived
-        grids and cross-process transports are lossless.
-        """
-        from dataclasses import asdict
-        record = {
-            "system": self.config.system,
-            "workload": self.config.workload,
-            "workload_kwargs": dict(self.config.workload_kwargs),
-            "machine": self.config.machine.name,
-            "n_processors": self.config.n_processors,
-            "n_threads": self.config.resolved_threads(),
-            "queue_size": self.config.queue_size,
-            "batch_threshold": self.config.batch_threshold,
-            "target_accesses": self.config.target_accesses,
-            "warmup_fraction": self.config.warmup_fraction,
-            "seed": self.config.seed,
-            "throughput_tps": self.throughput_tps,
-            "mean_response_ms": self.mean_response_ms,
-            "p95_response_ms": self.p95_response_ms,
-            "contention_per_million": self.contention_per_million,
-            "lock_time_per_access_us": self.lock_time_per_access_us,
-            "hit_ratio": self.hit_ratio,
-            "transactions": self.transactions,
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "elapsed_us": self.elapsed_us,
-            "cpu_utilization": self.cpu_utilization,
-            "mean_batch_size": self.mean_batch_size,
-            "stale_queue_entries": self.stale_queue_entries,
-            "bgwriter_cleaned": self.bgwriter_cleaned,
-            "disk_reads": self.disk_reads,
-            "disk_writes": self.disk_writes,
-            "write_backs": self.write_backs,
-            "prefetches_issued": self.prefetches_issued,
-            "prefetches_valid": self.prefetches_valid,
-            "total_accesses": self.total_accesses,
-            "total_transactions": self.total_transactions,
-            "warmup_end_us": self.warmup_end_us,
-            "lock": asdict(self.lock_stats),
-        }
-        if self.config.runtime != "sim":
-            # Only stamped for non-default backends so every archived
-            # sim record (and its byte-identical goldens) is unchanged.
-            record["runtime"] = self.config.runtime
-        if self.metrics is not None:
-            record["metrics"] = self.metrics
-        if self.controller is not None:
-            record["controller"] = self.controller
-        return record
-
     @classmethod
     def from_dict(cls, record: dict) -> "RunResult":
         """Rebuild a :class:`RunResult` from a :meth:`to_dict` record.
 
-        The inverse of :meth:`to_dict`: ``from_dict(r.to_dict())``
-        produces an equal record. Tolerates records written before the
-        record format grew the extra fields (missing values fall back
-        to derivable defaults). The machine is resolved by name through
-        :func:`~repro.hardware.machines.machine_by_name`; unregistered
-        ad-hoc specs come back as a named stand-in.
+        The same declaration read backwards:
+        ``from_dict(r.to_dict()).to_dict()`` equals the record. The
+        machine is resolved by name (:func:`machine_by_name`);
+        unregistered ad-hoc specs come back as a named stand-in.
         """
-        from repro.hardware.machines import machine_by_name
-        accesses = record["accesses"]
-        misses = record["misses"]
-        config = ExperimentConfig(
-            system=record["system"],
-            workload=record["workload"],
-            workload_kwargs=dict(record.get("workload_kwargs") or {}),
-            machine=machine_by_name(record["machine"], strict=False),
-            n_processors=record["n_processors"],
-            n_threads=record["n_threads"],
-            queue_size=record["queue_size"],
-            batch_threshold=record["batch_threshold"],
-            target_accesses=record.get("target_accesses", 60_000),
-            warmup_fraction=record.get("warmup_fraction", 0.2),
-            seed=record["seed"],
-            runtime=record.get("runtime", "sim"),
-            controller=(record["controller"]["controller"]
-                        if record.get("controller") else None),
-        )
+        head = {key: record[key] for key in cls.CONFIG_KEYS}
+        head["machine"] = machine_by_name(head["machine"], strict=False)
+        head["workload_kwargs"] = dict(head["workload_kwargs"])
+        values = cls.field_values(record)
+        values["lock_stats"] = LockStats(**values["lock_stats"])
+        controller = record.get("controller")
         return cls(
-            config=config,
-            throughput_tps=record["throughput_tps"],
-            mean_response_ms=record["mean_response_ms"],
-            p95_response_ms=record.get("p95_response_ms", 0.0),
-            contention_per_million=record["contention_per_million"],
-            lock_time_per_access_us=record["lock_time_per_access_us"],
-            hit_ratio=record["hit_ratio"],
-            transactions=record["transactions"],
-            accesses=accesses,
-            hits=record.get("hits", accesses - misses),
-            misses=misses,
-            elapsed_us=record["elapsed_us"],
-            lock_stats=LockStats(**record["lock"]),
-            cpu_utilization=record["cpu_utilization"],
-            mean_batch_size=record["mean_batch_size"],
-            stale_queue_entries=record["stale_queue_entries"],
-            bgwriter_cleaned=record["bgwriter_cleaned"],
-            disk_reads=record["disk_reads"],
-            disk_writes=record["disk_writes"],
-            write_backs=record["write_backs"],
-            prefetches_issued=record.get("prefetches_issued", 0),
-            prefetches_valid=record.get("prefetches_valid", 0),
-            total_accesses=record.get("total_accesses", 0),
-            total_transactions=record.get("total_transactions", 0),
-            warmup_end_us=record.get("warmup_end_us", 0.0),
-            metrics=record.get("metrics"),
-            controller=record.get("controller"),
-        )
+            config=ExperimentConfig(
+                **head, runtime=record.get("runtime", "sim"),
+                controller=controller["controller"] if controller else None),
+            **values, metrics=record.get("metrics"), controller=controller)
 
 
 def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
@@ -409,7 +334,7 @@ def run_experiment(config: ExperimentConfig,
                 working_set if capacity >= len(working_set)
                 else access_ordered_prefix(workload, capacity))
         run.shared["measuring"] = config.warmup_fraction == 0.0
-        window = _Window(run, pool, log)
+        window = _Window(run, log)
         run.start_bgwriter(pool.manager)
 
     def body(run: Run, thread, index: int):
@@ -427,23 +352,22 @@ def run_experiment(config: ExperimentConfig,
              for index in range(config.resolved_threads())]
     run = drive(config, build, names, body, observer=observer,
                 checker=checker)
-    return _finalize_result(config, run, log, slots, window)
+    return _finalize_result(run, log, slots, window)
 
 
 class _Window:
-    """The measurement window's base: every counter as it stood when
-    the warm-up ended (all zero for a run without warm-up)."""
+    """The measurement window's base: when the warm-up ended and every
+    counter as it stood then (all zero for a run without warm-up)."""
 
-    def __init__(self, run: Run, build: SystemBuild,
-                 log: TransactionLog) -> None:
-        self._runtime = run.runtime
-        self._build = build
+    def __init__(self, run: Run, log: TransactionLog) -> None:
+        self._run = run
         self._log = log
-        self._guard = self._runtime.mutex() or nullcontext()
+        self._guard = run.runtime.mutex() or nullcontext()
         self._begun = False
         self.start_us = 0.0
+        self.transactions = 0
+        self.access = AccessStats()
         self.lock = LockStats()
-        self.accesses = self.hits = self.misses = self.transactions = 0
 
     def begin(self) -> None:
         # On OS threads two bodies can cross the warm-up threshold at
@@ -452,73 +376,65 @@ class _Window:
             if self._begun:
                 return
             self._begun = True
-            self.start_us = self._runtime.now
-            # Window-relative max-hold tracking: reset each live lock's
-            # window so the measured delta cannot leak a warm-up
-            # transient.
-            for lock in self._build.handler.locks:
-                lock.stats.begin_window()
-            self.lock = self._build.handler.lock_stats().copy()
-            stats = self._build.manager.stats
-            self.accesses = stats.accesses
-            self.hits = stats.hits
-            self.misses = stats.misses
+            self.start_us = self._run.runtime.now
             self.transactions = self._log.count
+            # Restart each live lock's hold maximum, so the window's
+            # delta cannot leak a warm-up transient.
+            for lock in self._run.builds[0].handler.locks:
+                lock.stats.begin_window()
+            self.access = self._run.access_stats()
+            self.lock = self._run.lock_stats()
 
 
-def _finalize_result(config: ExperimentConfig, run: Run,
-                     log: TransactionLog, slots: List[ThreadSlot],
-                     window: _Window) -> RunResult:
-    """Assemble a :class:`RunResult` from a finished run's state.
-
-    Pure computation shared by both runtime backends; under the sim
-    backend the values are exactly what the historical inline code
-    produced (golden-trace verified).
-    """
+def _finalize_result(run: Run, log: TransactionLog,
+                     slots: List[ThreadSlot], window: _Window) -> RunResult:
+    """A finished in-process run's :class:`RunResult` (under the sim
+    runtime the values are golden-trace verified)."""
     build = run.builds[0]
-    stats = build.manager.stats
-    lock_stats = build.handler.lock_stats().delta_since(window.lock)
-    accesses = stats.accesses - window.accesses
-    hits = stats.hits - window.hits
-    misses = stats.misses - window.misses
+    total = run.access_stats()
     elapsed = run.elapsed_us - window.start_us
     measured = TransactionLog(log.outcomes[window.transactions:])
-
-    queues = build.handler.queues(slots)
-    batch_sizes = [queue.mean_batch_size() for queue in queues
-                   if queue.commits > 0]
-    mean_batch = (sum(batch_sizes) / len(batch_sizes)
-                  if batch_sizes else 0.0)
     cache = build.metadata_cache
-    disk = build.manager.disk
     if run.observer is not None:
         run.observer.publish_trace_drops()
-    return RunResult(
-        config=config,
+    return assemble(
+        run.config, total, total.delta_since(window.access),
+        run.lock_stats().delta_since(window.lock),
+        build.handler.queues(slots),
         throughput_tps=measured.throughput_tps(elapsed),
         mean_response_ms=measured.mean_response_time_us() / 1000.0,
         p95_response_ms=measured.percentile_response_time_us(95.0) / 1000.0,
-        contention_per_million=lock_stats.contentions_per_million(accesses),
-        lock_time_per_access_us=lock_stats.lock_time_per_access_us(accesses),
-        hit_ratio=hits / accesses if accesses else 0.0,
         transactions=measured.count,
-        accesses=accesses,
-        hits=hits,
-        misses=misses,
         elapsed_us=elapsed,
-        lock_stats=lock_stats,
         cpu_utilization=run.pool.utilization(run.elapsed_us),
-        mean_batch_size=mean_batch,
-        stale_queue_entries=sum(queue.total_stale for queue in queues),
-        bgwriter_cleaned=run.bgwriter.pages_cleaned if run.bgwriter else 0,
-        disk_reads=disk.reads if disk is not None else 0,
-        disk_writes=disk.writes if disk is not None else 0,
-        write_backs=stats.write_backs,
+        **run.pool_side(),
         prefetches_issued=cache.prefetches_issued,
         prefetches_valid=cache.prefetches_valid_at_use,
-        total_accesses=stats.accesses,
         total_transactions=log.count,
         warmup_end_us=float(window.start_us),
         metrics=run.metrics(),
-        controller=build.controller_summary(),
-    )
+        controller=build.controller_summary())
+
+
+def assemble(config: ExperimentConfig, total: AccessStats,
+             access: AccessStats, lock: LockStats, queues,
+             **measures) -> RunResult:
+    """Build the :class:`RunResult` of any runtime's finished run.
+
+    ``total`` is the whole run's access counters, ``access`` and
+    ``lock`` the measurement window's (``delta_since`` the warm-up
+    snapshot), ``queues`` every wrapper queue; ``measures`` are the
+    fields only the runtime can tell (clock, responses, pool side).
+    What derives from counters is derived here or in the record, so
+    sim, native and mp cannot disagree about it.
+    """
+    batch_sizes = [queue.mean_batch_size() for queue in queues
+                   if queue.commits > 0]
+    return RunResult(
+        config=config, accesses=access.accesses, hits=access.hits,
+        misses=access.misses, lock_stats=lock,
+        mean_batch_size=(sum(batch_sizes) / len(batch_sizes)
+                         if batch_sizes else 0.0),
+        stale_queue_entries=sum(queue.total_stale for queue in queues),
+        write_backs=total.write_backs, total_accesses=total.accesses,
+        **measures)

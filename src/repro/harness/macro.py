@@ -38,6 +38,7 @@ from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec
 from repro.harness.driver import Run, access_ordered_prefix
 from repro.harness.driver import run as drive
+from repro.harness.report import ResultRecord, derived, reported
 from repro.harness.systems import build_system
 from repro.simcore.rng import stream_rng
 from repro.sync.stats import LockStats
@@ -96,8 +97,14 @@ class MacroConfig:
 
 
 @dataclass(frozen=True)
-class MacroResult:
-    """Measurements from one macro run (whole run, no warm-up split)."""
+class MacroResult(ResultRecord):
+    """Measurements from one macro run (whole run, no warm-up split);
+    fields are declared once, in record order."""
+
+    CONFIG_KEYS = ("system", "workload", "workload_kwargs", "machine",
+                   "runtime", "n_shards", "n_processors", "n_threads",
+                   "buffer_pages", "target_queries", "queue_size",
+                   "batch_threshold", "background_writer", "seed")
 
     config: MacroConfig
     queries: int
@@ -106,7 +113,7 @@ class MacroResult:
     accesses: int
     hits: int
     misses: int
-    hit_ratio: float
+    hit_ratio: float = derived(digits=6)
     evictions: int
     write_backs: int
     pinned_victim_skips: int
@@ -115,11 +122,11 @@ class MacroResult:
     disk_reads: int
     disk_writes: int
     bgwriter_cleaned: int
-    elapsed_us: float
-    queries_per_sec: float
-    mean_response_ms: float
-    p95_response_ms: float
-    lock_stats: LockStats
+    elapsed_us: float = reported(digits=3)
+    queries_per_sec: float = derived(digits=3)
+    mean_response_ms: float = reported(digits=4)
+    p95_response_ms: float = reported(digits=4)
+    lock_stats: LockStats = reported("lock")
     #: op name -> {"accesses": n, "writes": n, "hits": n}, merged over
     #: every thread's context — the dashboard's per-operator breakdown.
     op_breakdown: Dict[str, Dict[str, int]]
@@ -135,51 +142,6 @@ class MacroResult:
                 f"hit={self.hit_ratio:6.3f} "
                 f"write_backs={self.write_backs:5d} "
                 f"pin_skips={self.pinned_victim_skips:4d}")
-
-    def to_dict(self) -> dict:
-        """JSON-able record; deterministic under the sim runtime."""
-        from dataclasses import asdict
-        record = {
-            "system": self.config.system,
-            "workload": self.config.workload,
-            "workload_kwargs": dict(self.config.workload_kwargs),
-            "machine": self.config.machine.name,
-            "runtime": self.config.runtime,
-            "n_shards": self.config.n_shards,
-            "n_processors": self.config.n_processors,
-            "n_threads": self.config.resolved_threads(),
-            "buffer_pages": self.config.buffer_pages,
-            "target_queries": self.config.target_queries,
-            "queue_size": self.config.queue_size,
-            "batch_threshold": self.config.batch_threshold,
-            "background_writer": self.config.background_writer,
-            "seed": self.config.seed,
-            "queries": self.queries,
-            "queries_by_kind": dict(sorted(self.queries_by_kind.items())),
-            "rows": self.rows,
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_ratio": round(self.hit_ratio, 6),
-            "evictions": self.evictions,
-            "write_backs": self.write_backs,
-            "pinned_victim_skips": self.pinned_victim_skips,
-            "stale_hit_retries": self.stale_hit_retries,
-            "absorbed_misses": self.absorbed_misses,
-            "disk_reads": self.disk_reads,
-            "disk_writes": self.disk_writes,
-            "bgwriter_cleaned": self.bgwriter_cleaned,
-            "elapsed_us": round(self.elapsed_us, 3),
-            "queries_per_sec": round(self.queries_per_sec, 3),
-            "mean_response_ms": round(self.mean_response_ms, 4),
-            "p95_response_ms": round(self.p95_response_ms, 4),
-            "lock": asdict(self.lock_stats),
-            "op_breakdown": {name: dict(entry) for name, entry
-                             in sorted(self.op_breakdown.items())},
-        }
-        if self.controllers is not None:
-            record["controllers"] = self.controllers
-        return record
 
 
 def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
@@ -220,6 +182,7 @@ def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
 
 def _merge_breakdowns(contexts: List[ExecContext]
                       ) -> Dict[str, Dict[str, int]]:
+    """Per-operator counters over every context, in name order."""
     merged: Dict[str, Dict[str, int]] = {}
     for ctx in contexts:
         for name, entry in ctx.op_stats.items():
@@ -227,7 +190,7 @@ def _merge_breakdowns(contexts: List[ExecContext]
                 name, {"accesses": 0, "writes": 0, "hits": 0})
             for key, value in entry.items():
                 into[key] += value
-    return merged
+    return dict(sorted(merged.items()))
 
 
 def run_macro(config: MacroConfig, workload=None) -> MacroResult:
@@ -306,34 +269,20 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
 
 def _finalize(config: MacroConfig, run: Run, log: TransactionLog,
               contexts: List[ExecContext], rows: int) -> MacroResult:
-    lock_stats = run.builds[0].handler.lock_stats()
-    for build in run.builds[1:]:
-        lock_stats = lock_stats.merged_with(build.handler.lock_stats())
-    stats = dict.fromkeys(
-        ("accesses", "hits", "misses", "evictions", "write_backs",
-         "pinned_victim_skips", "stale_hit_retries", "absorbed_misses"), 0)
-    for build in run.builds:
-        for name in stats:
-            stats[name] += getattr(build.manager.stats, name)
-    # Shards share one disk array, so any pool's manager has it.
-    disk = run.builds[0].manager.disk
+    stats = run.access_stats()
     return MacroResult(
         config=config,
         queries=log.count,
-        queries_by_kind=log.mix(),
+        queries_by_kind=dict(sorted(log.mix().items())),
         rows=rows,
-        hit_ratio=(stats["hits"] / stats["accesses"]
-                   if stats["accesses"] else 0.0),
-        disk_reads=disk.reads if disk is not None else 0,
-        disk_writes=disk.writes if disk is not None else 0,
-        bgwriter_cleaned=run.bgwriter.pages_cleaned if run.bgwriter else 0,
+        # Every pool-summed access counter the record declares.
+        **{name: count for name, count in vars(stats).items()
+           if name in MacroResult.__dataclass_fields__},
+        **run.pool_side(),
         elapsed_us=run.elapsed_us,
-        queries_per_sec=log.throughput_tps(run.elapsed_us),
         mean_response_ms=log.mean_response_time_us() / 1000.0,
         p95_response_ms=log.percentile_response_time_us(95.0) / 1000.0,
-        lock_stats=lock_stats,
+        lock_stats=run.lock_stats(),
         op_breakdown=_merge_breakdowns(contexts),
-        controllers=([build.controller_summary() for build in run.builds]
-                     if config.controller else None),
-        **stats,
+        controllers=run.controller_summaries(),
     )

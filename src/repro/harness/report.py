@@ -1,21 +1,128 @@
-"""Plain-text table rendering and CSV emission for experiment results.
+"""Result records, plain-text table rendering and CSV emission.
 
-Every figure/table driver returns structured rows; this module turns
-them into the aligned ASCII tables printed by the benchmarks and the
-``python -m repro.harness.cli`` entry point, and into CSV for anyone
-who wants to re-plot.
+:class:`ResultRecord` is the one way a tier's result dataclass becomes
+a flat record: each field is declared once and ``to_dict`` is read off
+the declaration. Every figure/table driver returns structured rows;
+the rest of this module turns them into the aligned ASCII tables
+printed by the benchmarks and the ``python -m repro.harness.cli`` entry
+point, and into CSV for anyone who wants to re-plot. It imports nothing
+from ``repro``, so every tier can use it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, List, Mapping, Sequence, Union
+from dataclasses import asdict, field, fields, is_dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
-__all__ = ["render_table", "rows_to_csv", "format_number",
-           "save_results_json", "load_results_json"]
+__all__ = ["ResultRecord", "derived", "reported", "render_table",
+           "rows_to_csv", "format_number", "save_results_json",
+           "load_results_json"]
 
 Cell = Union[str, int, float, None]
+
+
+# -- the result record --------------------------------------------------------
+
+def reported(key: Optional[str] = None, digits: Optional[int] = None,
+             **kwargs):
+    """Declare a result field whose record entry is not just
+    ``name: value``: stored under ``key``, rounded to ``digits``
+    decimals, or (``key=""``) kept out of the record altogether."""
+    return field(metadata={"key": key, "digits": digits}, **kwargs)
+
+
+def derived(digits: Optional[int] = None):
+    """Declare a result field that is computed from the counters beside
+    it (:attr:`ResultRecord.DERIVED`), never passed in or read back."""
+    return reported(digits=digits, init=False)
+
+
+def _per_second(count: int, elapsed_us: float) -> float:
+    return count / (elapsed_us / 1_000_000.0) if elapsed_us > 0 else 0.0
+
+
+class ResultRecord:
+    """What the tiers' frozen result dataclasses share: every field is
+    declared once, in record order, and ``to_dict`` is read off the
+    declaration.
+
+    A record is ``CONFIG_KEYS`` copied from ``config`` (the machine by
+    its name, ``n_threads`` resolved, dicts copied), then every field
+    in order (:func:`reported` renames or rounds it), then
+    ``runtime`` when it is not the sim default and not a config key,
+    then the optional blocks — fields defaulting to None — that are
+    present. Sim records therefore do not change when a block or a
+    backend is added.
+    """
+
+    #: ``config`` attributes that head the record (a pair is
+    #: ``(record key, attribute)`` where the two differ).
+    CONFIG_KEYS: Tuple[Any, ...] = ()
+    #: The ratios the tiers report, each derived in this one place; a
+    #: result class opts in by declaring the field :func:`derived`.
+    DERIVED: Dict[str, Callable[[Any], Any]] = {
+        "hit_ratio": lambda r: r.hits / r.accesses if r.accesses else 0.0,
+        "contention_per_million":
+            lambda r: r.lock_stats.contentions_per_million(r.accesses),
+        "lock_time_per_access_us":
+            lambda r: r.lock_stats.lock_time_per_access_us(r.accesses),
+        "queries_per_sec": lambda r: _per_second(r.queries, r.elapsed_us),
+        "requests_per_sec": lambda r: _per_second(r.requests, r.elapsed_us),
+    }
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            if not spec.init:
+                object.__setattr__(self, spec.name,
+                                   self.DERIVED[spec.name](self))
+
+    @staticmethod
+    def record_key(spec) -> str:
+        key = spec.metadata.get("key")
+        return spec.name if key is None else key
+
+    @classmethod
+    def field_values(cls, record: dict) -> Dict[str, Any]:
+        """:meth:`to_dict` read backwards: ``record``'s required fields
+        by field name (the config, the derived fields and the optional
+        blocks are the caller's to rebuild)."""
+        return {spec.name: record[cls.record_key(spec)]
+                for spec in fields(cls)[1:]
+                if spec.init and spec.default is not None}
+
+    def to_dict(self) -> dict:
+        """A JSON-serializable flat record (archiving, replotting);
+        deterministic under the sim runtime."""
+        config = self.config
+        record: Dict[str, Any] = {}
+        for key in self.CONFIG_KEYS:
+            key, name = key if isinstance(key, tuple) else (key, key)
+            value = getattr(config, name)
+            if key == "machine":
+                value = value.name
+            elif key == "n_threads":
+                value = config.resolved_threads()
+            record[key] = dict(value) if isinstance(value, dict) else value
+        blocks = {}
+        for spec in fields(self)[1:]:
+            key, value = self.record_key(spec), getattr(self, spec.name)
+            if not key or (spec.default is None and value is None):
+                continue
+            if is_dataclass(value):
+                value = asdict(value)
+            elif spec.metadata.get("digits") is not None:
+                value = round(value, spec.metadata["digits"])
+            (blocks if spec.default is None else record)[key] = value
+        if "runtime" not in record and config.runtime != "sim":
+            record["runtime"] = config.runtime
+        record.update(blocks)
+        return record
+
+
+# -- tables, CSV, JSON ---------------------------------------------------------
 
 
 def format_number(value: Cell) -> str:

@@ -85,12 +85,16 @@ import multiprocessing
 import os
 import time
 import traceback
+from dataclasses import fields
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional
 
+from repro.bufmgr.manager import AccessStats
 from repro.control.state import bp_kwargs
+from repro.core.fifoqueue import AccessQueue
 from repro.errors import ConfigError, SimulationError
 from repro.sync.stats import LockStats
+from repro.util import nearest_rank
 
 __all__ = [
     "FRAME_WORDS",
@@ -367,8 +371,8 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
         "accesses": 0, "hits": 0, "misses": 0, "transactions": 0,
         "requests": 0, "contentions": 0, "acquisitions": 0,
         "try_attempts": 0, "try_failures": 0,
-        "wait_us": 0.0, "hold_us": 0.0, "max_hold_us": 0.0,
-        "commits": 0, "committed_entries": 0, "stale": 0,
+        "total_wait_us": 0.0, "total_hold_us": 0.0, "window_max_hold_us": 0.0,
+        "commits": 0, "committed_entries": 0, "stale": 0, "prefetches": 0,
         "response_us": 0.0, "response_n": 0,
     }
     samples: List[float] = []
@@ -386,7 +390,7 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
         glock.acquire()
         granted = perf()
         wait = (granted - blocked) * 1e6
-        stats["wait_us"] += wait
+        stats["total_wait_us"] += wait
         if wait_hist is not None:
             wait_hist.record(wait)
         stats["acquisitions"] += 1
@@ -394,9 +398,9 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
 
     def lock_release(granted: float) -> None:
         hold = (perf() - granted) * 1e6
-        stats["hold_us"] += hold
-        if hold > stats["max_hold_us"]:
-            stats["max_hold_us"] = hold
+        stats["total_hold_us"] += hold
+        if hold > stats["window_max_hold_us"]:
+            stats["window_max_hold_us"] = hold
         if hold_hist is not None:
             hold_hist.record(hold)
         glock.release()
@@ -501,6 +505,7 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
                 for slot in range(mem[qbase]):
                     touched += mem[fbase + mem[qbase + 1 + 2 * slot]
                                    * FRAME_WORDS + F_GEN]
+                stats["prefetches"] += 1
             try:
                 commit_locked()                          # lines 15-17
             finally:
@@ -509,9 +514,8 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
 
     barrier.wait(timeout=spec["barrier_timeout_s"])
     run_started = perf()
-    warmup_at = {"t": run_started}
     if warmup_quota <= 0:
-        snapshot = dict(stats)
+        snapshot = _begin_window(stats)
     while stats["accesses"] < quota:
         txn = next(stream)
         txn_started = perf()
@@ -526,8 +530,7 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
             else:
                 access(page_index[page])
             if (not snapshot and stats["accesses"] >= warmup_quota):
-                snapshot = dict(stats)
-                warmup_at["t"] = perf()
+                snapshot = _begin_window(stats)
         response = (perf() - txn_started) * 1e6
         stats["transactions"] += 1
         stats["response_us"] += response
@@ -544,11 +547,7 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
             lock_release(granted)
     finished = perf()
     if not snapshot:
-        snapshot = dict(stats)
-        warmup_at["t"] = finished
-    measured = {key: stats[key] - snapshot[key]
-                for key in stats if isinstance(stats[key], (int, float))}
-    measured["max_hold_us"] = stats["max_hold_us"]
+        snapshot = _begin_window(stats)
     if registry is not None:
         # Per-worker snapshot file: the parent folds these in
         # worker-index order via MetricsRegistry.merge_snapshot.
@@ -558,21 +557,47 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
         registry.counter("mp.lock.replacement.contentions").inc(
             stats["contentions"])
         registry.gauge("mp.lock.replacement.max_hold_us").set(
-            stats["max_hold_us"])
+            max(snapshot["window_max_hold_us"], stats["window_max_hold_us"]))
         path = os.path.join(metrics_dir,
                             f"worker-{worker_index:03d}.json")
         with open(path, "w") as handle:
             json.dump(registry.snapshot(), handle, sort_keys=True)
+    # The report speaks the in-process runtimes' vocabulary: windowed stats
+    # classes, and the queue's whole-run accounting as an AccessQueue.
+    access, lock = _window(stats, snapshot)
+    queue = AccessQueue(queue_size)
+    queue.commits = stats["commits"]
+    queue.total_stale = stats["stale"]
+    queue.total_drained = stats["committed_entries"] + stats["stale"]
     return {
-        "totals": stats,
-        "measured": measured,
-        "samples": samples,
-        "elapsed_us": (finished - run_started) * 1e6,
-        "measured_elapsed_us": max((finished - warmup_at["t"]) * 1e6, 0.0),
-        "warmup_offset_us": (warmup_at["t"] - run_started) * 1e6,
+        "access": access, "lock": lock, "queue": queue, "samples": samples,
+        "total_accesses": stats["accesses"],
+        "total_transactions": stats["transactions"],
+        "transactions": stats["transactions"] - snapshot["transactions"],
+        "response_us": stats["response_us"] - snapshot["response_us"],
+        "prefetches": stats["prefetches"],
+        "window_us": max((finished - snapshot["at"]) * 1e6, 0.0),
+        "warmup_offset_us": (snapshot["at"] - run_started) * 1e6,
         "cpu_s": time.process_time() - started_cpu,
-        "work_iters": work_iters,
     }
+
+
+def _begin_window(stats: Dict[str, Any]) -> Dict[str, Any]:
+    """Snapshot a worker's counters where (and ``at`` when) its warm-up
+    ends, restarting the hold maximum as ``LockStats.begin_window``."""
+    snapshot = dict(stats, at=time.perf_counter())
+    stats["window_max_hold_us"] = 0.0
+    return snapshot
+
+
+def _window(stats: Dict[str, Any], snapshot: Dict[str, Any]):
+    """The counters since ``snapshot`` as the (AccessStats, LockStats) pair
+    the in-process runtimes keep: the dict's keys are their field names."""
+    def counters(cls, source):
+        return cls(**{f.name: source[f.name] for f in fields(cls)
+                      if f.name in source})
+    return tuple(counters(cls, stats).delta_since(counters(cls, snapshot))
+                 for cls in (AccessStats, LockStats))
 
 
 # -- the parent-side runner -------------------------------------------------
@@ -609,13 +634,11 @@ def run_mp_experiment(config, workload=None, observer=None):
     ignored — a process *is* the unit of concurrency here), each
     performing ``target_accesses / n_workers`` page accesses against
     the shared frame table. Returns a
-    :class:`~repro.harness.experiment.RunResult` whose rates are
-    wall-clock: ``throughput_tps`` sums the workers' post-warm-up
-    transaction rates, ``elapsed_us`` is the parent-observed span from
-    the start barrier to the last join.
+    :class:`~repro.harness.experiment.RunResult` whose times are
+    wall-clock; where a field means something else here than on
+    sim/native, the field's comment says what.
     """
     from repro.harness.driver import access_ordered_prefix
-    from repro.harness.experiment import RunResult
     from repro.workloads.registry import make_workload
 
     if observer is not None:
@@ -733,13 +756,13 @@ def run_mp_experiment(config, workload=None, observer=None):
                     f"mp worker {index} failed:\n{payload}")
             results[index] = payload
         elapsed_us = (time.perf_counter() - run_started) * 1e6
-        metrics_snapshot = None
+        metrics = None
         if metrics_dir is not None:
             # Workers write their snapshot file before posting their
             # result, so all files exist once the loop above drained.
             _merge_worker_metrics(observer.metrics, metrics_dir,
                                   n_workers)
-            metrics_snapshot = observer.metrics.snapshot()
+            metrics = observer.metrics.snapshot()
         for process in processes:
             process.join(timeout=10.0)
     finally:
@@ -764,12 +787,7 @@ def run_mp_experiment(config, workload=None, observer=None):
             import shutil
             shutil.rmtree(metrics_dir, ignore_errors=True)
 
-    result = _assemble_result(RunResult, config, list(results.values()),
-                              elapsed_us, n_workers)
-    if metrics_snapshot is not None:
-        import dataclasses
-        result = dataclasses.replace(result, metrics=metrics_snapshot)
-    return result
+    return _fold(config, list(results.values()), elapsed_us, metrics)
 
 
 def _merge_worker_metrics(registry, metrics_dir: str,
@@ -795,8 +813,8 @@ def _merge_worker_metrics(registry, metrics_dir: str,
 
 def _prewarm(mem, lay, ordered, page_index, capacity) -> None:
     """Install the access-ordered resident prefix (no stats recorded)."""
-    resident = ordered[:capacity]
-    for frame, page in enumerate(resident):
+    pool = _Pool(mem, lay, capacity, len(ordered), None, (), 0, 0)
+    for frame, page in enumerate(ordered[:capacity]):
         off = lay["frames"] + frame * FRAME_WORDS
         tag = page_index[page]
         mem[off + F_TAG] = tag
@@ -804,90 +822,39 @@ def _prewarm(mem, lay, ordered, page_index, capacity) -> None:
         mem[lay["page_map"] + tag] = frame
         mem[H_RESIDENT] += 1
         # Push-front in order: the last-installed page ends up MRU.
-        head = mem[H_LRU_HEAD]
-        mem[off + F_PREV] = -1
-        mem[off + F_NEXT] = head
-        if head >= 0:
-            mem[lay["frames"] + head * FRAME_WORDS + F_PREV] = frame
-        else:
-            mem[H_LRU_TAIL] = frame
-        mem[H_LRU_HEAD] = frame
+        pool.lru_push_front(frame)
 
 
-def _assemble_result(RunResult, config, workers: List[Dict[str, Any]],
-                     elapsed_us: float, n_workers: int):
-    lock_stats = LockStats()
-    accesses = hits = misses = transactions = 0
-    commits = committed = stale = 0
-    response_sum = 0.0
-    response_n = 0
-    throughput = 0.0
-    cpu_s = 0.0
-    samples: List[float] = []
-    total_accesses = total_transactions = 0
-    warmup_end = 0.0
+def _fold(config, workers: List[Dict[str, Any]], elapsed_us: float,
+          metrics: Optional[dict]):
+    """The workers' reports as the run's RunResult, through the
+    ``assemble`` every runtime's record is built by; rates and
+    responses are the mp meanings written on the RunResult fields."""
+    from repro.harness.experiment import assemble
+
+    def summed(key: str):
+        return sum(worker[key] for worker in workers)
+
+    access, lock = AccessStats(), LockStats()
     for worker in workers:
-        measured = worker["measured"]
-        accesses += measured["accesses"]
-        hits += measured["hits"]
-        misses += measured["misses"]
-        transactions += measured["transactions"]
-        commits += measured["commits"]
-        committed += measured["committed_entries"]
-        stale += measured["stale"]
-        response_sum += measured["response_us"]
-        response_n += measured["response_n"]
-        lock_stats = lock_stats.merged_with(LockStats(
-            requests=measured["requests"],
-            contentions=measured["contentions"],
-            acquisitions=measured["acquisitions"],
-            try_attempts=measured["try_attempts"],
-            try_failures=measured["try_failures"],
-            total_wait_us=measured["wait_us"],
-            total_hold_us=measured["hold_us"],
-            max_hold_us=measured["max_hold_us"],
-            window_max_hold_us=measured["max_hold_us"]))
-        span_us = worker["measured_elapsed_us"]
-        if span_us > 0:
-            throughput += measured["transactions"] / (span_us / 1e6)
-        cpu_s += worker["cpu_s"]
-        samples.extend(worker["samples"])
-        total_accesses += worker["totals"]["accesses"]
-        total_transactions += worker["totals"]["transactions"]
-        warmup_end = max(warmup_end, worker["warmup_offset_us"])
-    samples.sort()
-    if samples:
-        rank = max(0, int(len(samples) * 0.95 + 0.5) - 1)
-        p95_us = samples[min(rank, len(samples) - 1)]
-    else:
-        p95_us = 0.0
-    mean_response_us = response_sum / response_n if response_n else 0.0
-    elapsed_s = elapsed_us / 1e6
-    return RunResult(
-        config=config,
-        throughput_tps=throughput,
-        mean_response_ms=mean_response_us / 1000.0,
-        p95_response_ms=p95_us / 1000.0,
-        contention_per_million=lock_stats.contentions_per_million(accesses),
-        lock_time_per_access_us=lock_stats.lock_time_per_access_us(accesses),
-        hit_ratio=hits / accesses if accesses else 0.0,
+        access = access.merged_with(worker["access"])
+        lock = lock.merged_with(worker["lock"])
+    transactions = summed("transactions")
+    samples = sorted(s for worker in workers for s in worker["samples"])
+    return assemble(
+        config, AccessStats(accesses=summed("total_accesses")), access, lock,
+        [worker["queue"] for worker in workers],
+        throughput_tps=sum(
+            worker["transactions"] / (worker["window_us"] / 1e6)
+            for worker in workers if worker["window_us"] > 0),
+        mean_response_ms=(summed("response_us") / transactions / 1000.0
+                          if transactions else 0.0),
+        p95_response_ms=nearest_rank(samples, 95.0) / 1000.0,
         transactions=transactions,
-        accesses=accesses,
-        hits=hits,
-        misses=misses,
         elapsed_us=elapsed_us,
-        lock_stats=lock_stats,
-        cpu_utilization=(cpu_s / (elapsed_s * n_workers)
-                         if elapsed_s > 0 else 0.0),
-        mean_batch_size=committed / commits if commits else 0.0,
-        stale_queue_entries=stale,
-        bgwriter_cleaned=0,
-        disk_reads=0,
-        disk_writes=0,
-        write_backs=0,
-        prefetches_issued=0,
-        prefetches_valid=0,
-        total_accesses=total_accesses,
-        total_transactions=total_transactions,
-        warmup_end_us=warmup_end,
-    )
+        cpu_utilization=(summed("cpu_s") / (elapsed_us / 1e6 * len(workers))
+                         if elapsed_us > 0 else 0.0),
+        prefetches_issued=summed("prefetches"),
+        total_transactions=summed("total_transactions"),
+        warmup_end_us=max(worker["warmup_offset_us"] for worker in workers),
+        metrics=metrics)

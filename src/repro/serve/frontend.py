@@ -39,11 +39,13 @@ from repro.control import bp_kwargs
 from repro.core.bpwrapper import ThreadSlot
 from repro.harness.driver import Run
 from repro.harness.driver import run as drive
+from repro.harness.report import ResultRecord, derived, reported
 from repro.obs.telemetry import TelemetrySampler, TraceContext, evaluate_slo
 from repro.serve.config import ServeConfig
 from repro.serve.shard import BufferShard, shard_of
 from repro.serve.tenants import HOT_SPACE, TenantSpec, TenantState
 from repro.simcore.rng import split_seed, stream_rng
+from repro.sync.stats import LockStats
 
 __all__ = ["ServeFrontend", "ServeResult", "run_serve", "serve_grid"]
 
@@ -56,60 +58,55 @@ _MAX_BACKOFF_ATTEMPTS = 1_000
 
 
 @dataclass(frozen=True)
-class ServeResult:
-    """Measurements of one serve run."""
+class ServeResult(ResultRecord):
+    """Measurements of one serve run; fields are declared once, in
+    record order."""
+
+    CONFIG_KEYS = ("n_shards", "n_tenants", "sessions_per_tenant", "system",
+                   ("policy", "policy_name"), "queue_size",
+                   "batch_threshold", "pages_per_tenant", "hot_pages",
+                   "hot_fraction", "skew", "hot_skew", "quota_per_sec",
+                   "quota_burst", "max_queue_depth", "pages_per_request",
+                   "target_requests", "n_processors", "machine", "seed")
+    DERIVED = dict(
+        ResultRecord.DERIVED,
+        # Pool-wide (all shards) contentions per million accesses.
+        contention_per_million=lambda r: LockStats(contentions=sum(
+            shard["lock_contentions"] for shard in r.shard_records)
+        ).contentions_per_million(r.accesses),
+        # Every tenant inside both its latency and throttle budgets.
+        slo_ok=lambda r: all(record["ok"] for record in r.slo_records))
 
     config: ServeConfig
     #: Completed client requests inside the measured run.
     requests: int
     accesses: int
     hits: int
-    elapsed_us: float
-    shard_records: List[dict]
-    tenant_records: List[dict]
+    hit_ratio: float = derived(digits=6)
+    elapsed_us: float = reported(digits=3)
+    requests_per_sec: float = derived(digits=3)
+    contention_per_million: float = derived(digits=3)
+    shard_records: List[dict] = reported("shards")
+    tenant_records: List[dict] = reported("tenants")
+    #: One :func:`~repro.obs.telemetry.evaluate_slo` record per tenant.
+    slo_records: List[dict] = reported("slo")
+    slo_ok: bool = derived()
     #: Snapshot of the obs registry when the run was observed.
     metrics: Optional[dict] = None
-    #: One :func:`~repro.obs.telemetry.evaluate_slo` record per tenant.
-    slo_records: List[dict] = None  # type: ignore[assignment]
     #: :meth:`~repro.obs.telemetry.TelemetrySampler.to_dict` document
     #: when the run sampled windowed telemetry (``timeseries.json``);
     #: kept out of :meth:`to_dict` so serve.json stays compact.
-    telemetry: Optional[dict] = None
-
-    @property
-    def requests_per_sec(self) -> float:
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.requests / (self.elapsed_us / 1_000_000.0)
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    @property
-    def slo_ok(self) -> bool:
-        """Every tenant inside both its latency and throttle budgets."""
-        return all(record["ok"] for record in self.slo_records or [])
+    telemetry: Optional[dict] = reported("", default=None)
 
     @property
     def worst_latency_burn(self) -> float:
-        if not self.slo_records:
-            return 0.0
-        return max(r["latency_burn_rate"] for r in self.slo_records)
+        return max((r["latency_burn_rate"] for r in self.slo_records),
+                   default=0.0)
 
     @property
     def worst_p99_ms(self) -> float:
-        if not self.slo_records:
-            return 0.0
-        return max(r["achieved_p99_ms"] for r in self.slo_records)
-
-    @property
-    def contention_per_million(self) -> float:
-        """Pool-wide contentions per million accesses (all shards)."""
-        contentions = sum(r["lock_contentions"] for r in self.shard_records)
-        if not self.accesses:
-            return 0.0
-        return contentions * 1_000_000.0 / self.accesses
+        return max((r["achieved_p99_ms"] for r in self.slo_records),
+                   default=0.0)
 
     def summary(self) -> str:
         config = self.config
@@ -122,49 +119,11 @@ class ServeResult:
 
     def to_dict(self) -> dict:
         """A JSON-able record; byte-stable for a given sim config."""
-        config = self.config
-        record = {
-            "n_shards": config.n_shards,
-            "n_tenants": config.n_tenants,
-            "sessions_per_tenant": config.sessions_per_tenant,
-            "system": config.system,
-            "policy": config.policy_name,
-            "queue_size": config.queue_size,
-            "batch_threshold": config.batch_threshold,
-            "pages_per_tenant": config.pages_per_tenant,
-            "hot_pages": config.hot_pages,
-            "hot_fraction": config.hot_fraction,
-            "skew": config.skew,
-            "hot_skew": config.hot_skew,
-            "quota_per_sec": config.quota_per_sec,
-            "quota_burst": config.quota_burst,
-            "max_queue_depth": config.max_queue_depth,
-            "pages_per_request": config.pages_per_request,
-            "target_requests": config.target_requests,
-            "n_processors": config.n_processors,
-            "machine": config.machine.name,
-            "seed": config.seed,
-            "requests": self.requests,
-            "accesses": self.accesses,
-            "hits": self.hits,
-            "hit_ratio": round(self.hit_ratio, 6),
-            "elapsed_us": round(self.elapsed_us, 3),
-            "requests_per_sec": round(self.requests_per_sec, 3),
-            "contention_per_million": round(
-                self.contention_per_million, 3),
-            "shards": self.shard_records,
-            "tenants": self.tenant_records,
-            "slo": self.slo_records or [],
-            "slo_ok": self.slo_ok,
-        }
-        if config.runtime != "sim":
-            record["runtime"] = config.runtime
-        if config.controller:
+        record = super().to_dict()
+        if self.config.controller:
             # Per-shard decision summaries live in "shards" (see
             # BufferShard.to_record); this is the run-level switch.
-            record["controller"] = config.controller
-        if self.metrics is not None:
-            record["metrics"] = self.metrics
+            record["controller"] = self.config.controller
         return record
 
 
@@ -428,14 +387,16 @@ class ServeFrontend:
                          tenant.admitted, tenant.throttled)
             for tenant in self.tenants
         ]
-        self._publish_metrics(slo_records)
+        shard_records = [shard.to_record() for shard in self.shards]
+        self._publish_metrics(shard_records, slo_records)
+        stats = run.access_stats()
         return ServeResult(
             config=self.config,
             requests=sum(t.completed for t in self.tenants),
-            accesses=sum(s.manager.stats.accesses for s in self.shards),
-            hits=sum(s.manager.stats.hits for s in self.shards),
+            accesses=stats.accesses,
+            hits=stats.hits,
             elapsed_us=run.elapsed_us,
-            shard_records=[shard.to_record() for shard in self.shards],
+            shard_records=shard_records,
             tenant_records=[t.to_record() for t in self.tenants],
             metrics=run.metrics(),
             slo_records=slo_records,
@@ -443,7 +404,8 @@ class ServeFrontend:
                        if self.sampler is not None else None),
         )
 
-    def _publish_metrics(self, slo_records: List[dict]) -> None:
+    def _publish_metrics(self, shard_records: List[dict],
+                         slo_records: List[dict]) -> None:
         """Fold serve counters into the obs registry (if observing).
 
         Lock wait/hold/contention metrics stream in live through the
@@ -456,9 +418,8 @@ class ServeFrontend:
             return
         registry = observer.metrics
         observer.publish_trace_drops()
-        for shard in self.shards:
-            prefix = f"serve.shard{shard.shard_id}"
-            record = shard.to_record()
+        for record in shard_records:
+            prefix = f"serve.shard{record['shard']}"
             registry.counter(f"{prefix}.accesses").inc(record["accesses"])
             registry.counter(f"{prefix}.hits").inc(record["hits"])
             registry.counter(f"{prefix}.lock_contentions").inc(

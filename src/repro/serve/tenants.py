@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.bufmgr.tags import PageId
+from repro.util import nearest_rank
 from repro.workloads.zipf import ZipfGenerator
 
 __all__ = ["TenantSpec", "TenantState", "TokenBucket", "tenant_space"]
@@ -148,11 +149,9 @@ class TenantState:
         if not self.latencies_us:
             return {"mean_ms": 0.0, "p95_ms": 0.0, "max_ms": 0.0}
         ordered = sorted(self.latencies_us)
-        count = len(ordered)
-        p95_rank = max(0, int(count * 0.95 + 0.5) - 1)
         return {
-            "mean_ms": sum(ordered) / count / 1000.0,
-            "p95_ms": ordered[min(p95_rank, count - 1)] / 1000.0,
+            "mean_ms": sum(ordered) / len(ordered) / 1000.0,
+            "p95_ms": nearest_rank(ordered, 95.0) / 1000.0,
             "max_ms": ordered[-1] / 1000.0,
         }
 

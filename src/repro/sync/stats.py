@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.util import CounterArithmetic
+
 __all__ = ["LockStats"]
 
 
 @dataclass
-class LockStats:
-    """Counters accumulated by a :class:`~repro.sync.locks.SimLock`."""
+class LockStats(CounterArithmetic):
+    """Counters accumulated by a :class:`~repro.sync.locks.SimLock`;
+    ``copy`` / ``delta_since`` / ``merged_with`` come from the field
+    list (:class:`~repro.util.CounterArithmetic`)."""
 
     #: Blocking acquire requests (``Lock()`` calls).
     requests: int = 0
@@ -93,13 +97,6 @@ class LockStats:
         """
         self.window_max_hold_us = 0.0
 
-    def copy(self) -> "LockStats":
-        """An independent snapshot of the current counters."""
-        return LockStats(**{f: getattr(self, f) for f in (
-            "requests", "contentions", "acquisitions", "try_attempts",
-            "try_failures", "total_wait_us", "total_hold_us",
-            "max_hold_us", "window_max_hold_us")})
-
     def delta_since(self, earlier: "LockStats") -> "LockStats":
         """Counters accumulated since the ``earlier`` snapshot.
 
@@ -110,30 +107,15 @@ class LockStats:
         time; otherwise it degrades to the lifetime max (the historical
         behaviour).
         """
-        window_max = self.window_max_hold_us
-        return LockStats(
-            requests=self.requests - earlier.requests,
-            contentions=self.contentions - earlier.contentions,
-            acquisitions=self.acquisitions - earlier.acquisitions,
-            try_attempts=self.try_attempts - earlier.try_attempts,
-            try_failures=self.try_failures - earlier.try_failures,
-            total_wait_us=self.total_wait_us - earlier.total_wait_us,
-            total_hold_us=self.total_hold_us - earlier.total_hold_us,
-            max_hold_us=window_max,
-            window_max_hold_us=window_max,
-        )
+        delta = super().delta_since(earlier)
+        delta.max_hold_us = delta.window_max_hold_us = self.window_max_hold_us
+        return delta
 
     def merged_with(self, other: "LockStats") -> "LockStats":
-        """A new :class:`LockStats` summing self and ``other``."""
-        return LockStats(
-            requests=self.requests + other.requests,
-            contentions=self.contentions + other.contentions,
-            acquisitions=self.acquisitions + other.acquisitions,
-            try_attempts=self.try_attempts + other.try_attempts,
-            try_failures=self.try_failures + other.try_failures,
-            total_wait_us=self.total_wait_us + other.total_wait_us,
-            total_hold_us=self.total_hold_us + other.total_hold_us,
-            max_hold_us=max(self.max_hold_us, other.max_hold_us),
-            window_max_hold_us=max(self.window_max_hold_us,
-                                   other.window_max_hold_us),
-        )
+        """A new :class:`LockStats` summing self and ``other`` (the two
+        hold maxima, which do not add, take the larger)."""
+        merged = super().merged_with(other)
+        merged.max_hold_us = max(self.max_hold_us, other.max_hold_us)
+        merged.window_max_hold_us = max(self.window_max_hold_us,
+                                        other.window_max_hold_us)
+        return merged

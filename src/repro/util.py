@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import functools
 import zlib
+from dataclasses import fields
+from typing import Sequence
 
-__all__ = ["stable_hash"]
+__all__ = ["CounterArithmetic", "nearest_rank", "stable_hash"]
 
 
 @functools.lru_cache(maxsize=65536)
@@ -35,3 +37,43 @@ def stable_hash(value: object, salt: int = 0) -> int:
     if salt:
         data += salt.to_bytes(8, "little", signed=False)
     return zlib.crc32(data)
+
+
+def nearest_rank(ordered: Sequence[float], percentile: float) -> float:
+    """The nearest-rank ``percentile`` (0-100] of an ascending sequence;
+    0.0 when it is empty. The one percentile rule transaction logs,
+    tenant latency summaries and the mp parent all report by."""
+    if not ordered:
+        return 0.0
+    rank = max(0, int(len(ordered) * percentile / 100.0 + 0.5) - 1)
+    return ordered[min(rank, len(ordered) - 1)]
+
+
+class CounterArithmetic:
+    """Snapshot, window and pool arithmetic for a dataclass of additive
+    counters, derived from its field list so a counter is named once,
+    where it is declared.
+
+    The harness excludes the warm-up by ``delta_since`` a snapshot and
+    sums pools (shards, worker processes) with ``merged_with``. The
+    operands are read with ``getattr``, never ``vars()``: touching a
+    live counter object's ``__dict__`` would un-specialize the
+    per-access ``stats.x += 1`` that runs on it for the rest of the run.
+    """
+
+    def copy(self):
+        """An independent snapshot of the current counters."""
+        return type(self)(**{f.name: getattr(self, f.name)
+                             for f in fields(self)})
+
+    def delta_since(self, earlier):
+        """Counters accumulated since the ``earlier`` snapshot."""
+        return type(self)(**{
+            f.name: getattr(self, f.name) - getattr(earlier, f.name)
+            for f in fields(self)})
+
+    def merged_with(self, other):
+        """A new instance summing self and ``other``."""
+        return type(self)(**{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)})

@@ -83,20 +83,58 @@ def test_response_samples_start_with_the_measurement_window(monkeypatch):
     from repro.runtime import mp
 
     seen = []
-    assemble = mp._assemble_result
+    fold = mp._fold
 
-    def spy(RunResult, config, workers, *rest):
+    def spy(config, workers, *rest):
         seen.extend(workers)
-        return assemble(RunResult, config, workers, *rest)
+        return fold(config, workers, *rest)
 
-    monkeypatch.setattr(mp, "_assemble_result", spy)
+    monkeypatch.setattr(mp, "_fold", spy)
     result = _run("pgBat", workers=1, warmup_fraction=0.9,
                   target_accesses=4_000,
                   workload_kwargs={"n_tables": 2, "pages_per_table": 20})
     worker, = seen
-    assert worker["totals"]["transactions"] >= 200
-    assert 0 < len(worker["samples"]) <= worker["measured"]["transactions"]
+    assert worker["total_transactions"] >= 200
+    assert 0 < len(worker["samples"]) <= worker["transactions"]
     assert result.p95_response_ms > 0
+
+
+def test_window_reports_its_own_longest_hold():
+    """The windowed record used to carry the *lifetime* max hold: a
+    warm-up transient leaked into a warm-up-excluded record."""
+    from repro.runtime import mp
+
+    stats = dict.fromkeys(
+        ("accesses", "hits", "misses", "transactions", "requests",
+         "contentions", "acquisitions", "try_attempts", "try_failures"), 0)
+    stats.update(total_wait_us=0.0, total_hold_us=0.0,
+                 window_max_hold_us=0.0)
+    # Warm-up: 10 accesses, one of them behind a 900 us hold.
+    stats.update(accesses=10, hits=10, requests=10, acquisitions=10,
+                 total_hold_us=950.0, window_max_hold_us=900.0)
+    snapshot = mp._begin_window(stats)
+    # Window: 5 more accesses, no hold longer than 40 us.
+    stats.update(accesses=15, hits=15, requests=15, acquisitions=15,
+                 total_hold_us=1_050.0,
+                 window_max_hold_us=max(stats["window_max_hold_us"], 40.0))
+    access, lock = mp._window(stats, snapshot)
+    assert (access.accesses, access.hits, access.misses) == (5, 5, 0)
+    assert lock.requests == 5
+    assert lock.total_hold_us == pytest.approx(100.0)
+    assert lock.max_hold_us == lock.window_max_hold_us == 40.0
+    # The lifetime maximum (the metrics gauge) survives in the snapshot.
+    assert snapshot["window_max_hold_us"] == 900.0
+
+
+def test_prefetching_system_reports_its_prefetch_passes():
+    """mp pgBatPre ran the pre-commit touch loop and reported 0."""
+    batched = _run("pgBat")
+    prefetching = _run("pgBatPre")
+    assert batched.prefetches_issued == 0
+    # One pass per threshold-triggered commit, none for the final flush.
+    assert 0 < prefetching.prefetches_issued <= (
+        prefetching.lock_stats.acquisitions)
+    assert prefetching.prefetches_valid == 0  # no mp analogue
 
 
 def test_single_worker_runs():
