@@ -19,7 +19,7 @@ Outputs:
 
 * ``BENCH_scaling.json`` — the raw record (cells, host facts);
 * ``scaling.html`` — a self-contained chart page
-  (:func:`repro.harness.dashboard.render_scaling_page`).
+  (:func:`repro.harness.dashboard.scaling_report`).
 
 Usage (the ``make bench-scaling`` target)::
 
@@ -47,7 +47,8 @@ if __name__ == "__main__":  # runnable without an installed package
     if str(_SRC) not in sys.path:
         sys.path.insert(0, str(_SRC))
 
-from repro.harness.dashboard import render_scaling_page  # noqa: E402
+from repro.harness.dashboard import (render_html,  # noqa: E402
+                                     scaling_report)
 from repro.harness.experiment import (ExperimentConfig,  # noqa: E402
                                       run_experiment)
 from repro.runtime.native import true_thread_parallelism  # noqa: E402
@@ -192,7 +193,7 @@ def main(argv=None) -> int:
     json_path = out_dir / "BENCH_scaling.json"
     json_path.write_text(json.dumps(record, indent=1) + "\n")
     html_path = out_dir / "scaling.html"
-    html_path.write_text(render_scaling_page(record))
+    html_path.write_text(render_html(scaling_report(record)))
     print(f"[wrote {json_path} and {html_path}]")
 
     ok, message = check_divergence(record)

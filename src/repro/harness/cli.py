@@ -5,39 +5,37 @@ Usage::
     python -m repro.harness.cli fig2
     python -m repro.harness.cli fig6 fig7 --csv out/
     python -m repro.harness.cli all
-    python -m repro.harness.cli run --runtime native --system pgBat
-                                                      # wall-clock run on
-                                                      # real OS threads
-    python -m repro.harness.cli trace                 # observed run
-    python -m repro.harness.cli trace --system pg2Q --out out/
-    python -m repro.harness.cli analyze               # 2x2 sweep ->
-                                                      # out/dashboard.html
-    python -m repro.harness.cli serve                 # sharded serving
-                                                      # sweep -> serve.json
-                                                      # + contention heatmap
-    python -m repro.harness.cli serve --shards 2 4 --tenants 4 8 \
-                                      --skews 0.2 0.8
-    python -m repro.harness.cli macro                 # query-execution
-                                                      # tier -> macro.json
-                                                      # + per-operator table
-    python -m repro.harness.cli tune                  # control-plane
-                                                      # sweep -> tune.json
-                                                      # + Fig. 8 heatmap
-    python -m repro.harness.cli tune --thresholds 1 8 32 --queues 64
-    python -m repro.harness.cli perf-diff             # gate vs baseline
-    python -m repro.harness.cli perf-diff --mode record
-    python -m repro.harness.cli check                 # correctness gate
-    python -m repro.harness.cli check --fuzz 25 --policies 2q lirs
+    python -m repro.harness.cli SUBCOMMAND [options]   # --help lists them
+
+Subcommands (each has its own ``--help``):
+
+========= ===========================================================
+run       one experiment on the sim, native (real OS threads) or mp
+          runtime
+trace     one observed run -> Chrome/Perfetto ``trace.json``, metrics
+          snapshot, flame summary of the top lock-holding spans
+analyze   observed systems x processors sweep -> ``analysis.json`` +
+          ``dashboard.html``
+serve     sharded multi-tenant serving sweep -> ``serve.json`` +
+          per-shard contention heatmap (``--telemetry``: OpenMetrics,
+          time series, SLO page)
+macro     query-execution macro tier -> ``macro.json`` + per-operator
+          page accesses
+tune      control-plane sweep -> ``tune.json`` + Fig. 8 heatmap,
+          adapter and adaptive-policy probes
+perf-diff sim-metric gate vs ``BENCH_baseline.json`` (exit 1 on
+          regression, 2 when the baseline is missing)
+check     correctness gate: invariants + differential oracle + fuzzer
+========= ===========================================================
 
 Each artifact prints as an aligned ASCII table; ``--csv DIR`` also
-writes one CSV per artifact into ``DIR``. The ``trace`` subcommand
-runs one experiment with the observability layer attached and writes
-a Chrome/Perfetto-loadable ``trace.json`` plus a flame summary of the
-top lock-holding span kinds. ``analyze`` runs an observed sweep grid
-through the contention analyzer and writes a self-contained HTML
-dashboard plus the derived tables; ``perf-diff`` measures the perf
-gate metrics and compares them against ``BENCH_baseline.json``,
-exiting non-zero on regression (see ``docs/observability.md``).
+writes one CSV per artifact into ``DIR``. The sweep subcommands
+(``analyze``, ``serve``, ``macro``, ``tune``) each build one
+:class:`~repro.harness.report.Report` from their record and emit it
+twice — the HTML page and the same tables in the terminal (see
+``docs/observability.md``). A rejected configuration
+(:class:`~repro.errors.ConfigError`) prints ``error: <message>`` and
+exits 2.
 """
 
 from __future__ import annotations
@@ -49,8 +47,9 @@ import sys
 import time
 from typing import Callable, Dict
 
+from repro.errors import ConfigError
 from repro.harness import figures, tables
-from repro.harness.report import render_table, rows_to_csv
+from repro.harness.report import render_table, render_text, rows_to_csv
 
 __all__ = ["analyze_main", "check_main", "macro_main", "main",
            "perf_diff_main", "run_main", "serve_main", "trace_main",
@@ -73,6 +72,34 @@ def _write_json(path, doc) -> pathlib.Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return path
+
+
+def _emit(out_dir: pathlib.Path, record_name: str, record,
+          page_name: str, report, started=None) -> None:
+    """What every sweep subcommand ends in: the record as JSON, its
+    report as the HTML page and as terminal text, and where they went."""
+    from repro.harness.dashboard import render_html
+    record_path = _write_json(out_dir / record_name, record)
+    page_path = out_dir / page_name
+    page_path.write_text(render_html(report))
+    print(render_text(report) + "\n")
+    if started is not None:
+        print(f"[sweep done in {time.time() - started:.1f}s wall]")
+    print(f"[wrote {record_path}]")
+    print(f"[wrote {page_path} — open in any browser]")
+
+
+def _cell_progress(results: list):
+    """A sweep's per-cell ``progress`` callback: keep the result and
+    print its summary with the wall time the cell took."""
+    mark = [time.time()]
+
+    def progress(result) -> None:
+        now = time.time()
+        results.append(result)
+        print(f"  {result.summary()}  [{now - mark[0]:.1f}s wall]")
+        mark[0] = now
+    return progress
 
 
 def trace_main(argv=None) -> int:
@@ -238,8 +265,7 @@ def run_main(argv=None) -> int:
 
 def serve_main(argv=None) -> int:
     """The ``serve`` subcommand: sharded multi-tenant serving sweep."""
-    from repro.harness.dashboard import (render_serve_page,
-                                         render_telemetry_page)
+    from repro.harness.dashboard import serve_report, telemetry_report
     from repro.obs import (MetricsRegistry, Observer, TraceRecorder,
                            merge_snapshots, write_openmetrics)
     from repro.serve import ServeConfig, serve_grid
@@ -379,60 +405,14 @@ def serve_main(argv=None) -> int:
         checker_factory = CorrectnessChecker
 
     results = []
-    clock = {"mark": time.time()}
-
-    def progress(result) -> None:
-        now = time.time()
-        cell_wall = now - clock["mark"]
-        clock["mark"] = now
-        results.append(result)
-        print(f"  {result.summary()}  [{cell_wall:.1f}s wall]")
-
     started = time.time()
     record = serve_grid(base, args.shards, args.tenants, args.skews,
                         observer_factory=observer_factory,
                         checker_factory=checker_factory,
-                        progress=progress)
-    elapsed = time.time() - started
-
+                        progress=_cell_progress(results))
     out_dir = pathlib.Path(args.out)
-    record_path = _write_json(out_dir / "serve.json", record)
-    dashboard_path = out_dir / "serve_dashboard.html"
-    dashboard_path.write_text(render_serve_page(record))
-
-    cells = record["cells"]
-    print(render_table(
-        ["cell", "requests", "req/s", "cont/M", "hit ratio",
-         "throttled", "backpressured"],
-        [[f'{c["n_shards"]}s×{c["n_tenants"]}t@θ{c["skew"]:g}',
-          c["requests"], f'{c["requests_per_sec"]:.1f}',
-          f'{c["contention_per_million"]:.1f}',
-          f'{c["hit_ratio"]:.4f}',
-          sum(t["throttled"] for t in c["tenants"]),
-          sum(s["backpressure_events"] for s in c["shards"])]
-         for c in cells],
-        title=f"Serve grid — {args.runtime} runtime"))
-
-    slo_rows = []
-    for result in results:
-        cell = (f"{result.config.n_shards}s×"
-                f"{result.config.n_tenants}t@θ{result.config.skew:g}")
-        for rec in result.slo_records:
-            slo_rows.append(
-                [cell, rec["tenant"], f'{rec["achieved_p99_ms"]:.3f}',
-                 f'{rec["latency_burn_rate"]:.2f}',
-                 f'{rec["throttle_burn_rate"]:.2f}',
-                 "ok" if rec["ok"] else "VIOLATED"])
-    if slo_rows:
-        print(render_table(
-            ["cell", "tenant", "p99 ms", "latency burn",
-             "throttle burn", "slo"],
-            slo_rows,
-            title=f"Per-tenant SLOs — p99 ≤ {args.slo_p99_ms:g} ms, "
-                  f"budget {args.slo_error_budget:g}"))
-    print(f"[{len(cells)} cells in {elapsed:.1f}s wall]")
-    print(f"[wrote {record_path}]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
+    _emit(out_dir, "serve.json", record, "serve_dashboard.html",
+          serve_report(record), started)
 
     if args.telemetry:
         snapshots = [r.metrics for r in results if r.metrics is not None]
@@ -449,12 +429,9 @@ def serve_main(argv=None) -> int:
                      f"{result.config.n_tenants}t-"
                      f"skew{result.config.skew:g}")
             timeseries[label] = result.telemetry
-        timeseries_path = _write_json(out_dir / "timeseries.json",
-                                      timeseries)
-        telemetry_dash = out_dir / "telemetry_dashboard.html"
-        telemetry_dash.write_text(render_telemetry_page(record, timeseries))
-        print(f"[wrote {timeseries_path}]")
-        print(f"[wrote {telemetry_dash} — open in any browser]")
+        _emit(out_dir, "timeseries.json", timeseries,
+              "telemetry_dashboard.html",
+              telemetry_report(record, timeseries))
     if recorders:
         trace_path = out_dir / "trace.json"
         recorders[0].write_json(trace_path)
@@ -465,9 +442,8 @@ def serve_main(argv=None) -> int:
 
 def macro_main(argv=None) -> int:
     """The ``macro`` subcommand: query-execution macro workload."""
-    from repro.harness.dashboard import render_macro_page
-    from repro.harness.macro import MacroConfig, run_macro
-    from repro.workloads.registry import make_workload
+    from repro.harness.dashboard import macro_report
+    from repro.harness.macro import MacroConfig, macro_grid
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli macro",
@@ -522,8 +498,6 @@ def macro_main(argv=None) -> int:
     workload_kwargs = {}
     if args.workload == "tpcc_lite":
         workload_kwargs["n_warehouses"] = args.warehouses
-    workload = make_workload(args.workload, seed=args.seed,
-                             **workload_kwargs)
     base = MacroConfig(
         workload=args.workload, workload_kwargs=workload_kwargs,
         runtime=args.runtime, n_processors=args.processors,
@@ -533,63 +507,19 @@ def macro_main(argv=None) -> int:
         batch_threshold=args.threshold, controller=args.controller,
         seed=args.seed)
 
-    cells = []
     started = time.time()
-    for system in args.systems:
-        for n_shards in args.shards:
-            config = base.with_params(system=system, n_shards=n_shards)
-            cell_started = time.time()
-            result = run_macro(config, workload=workload)
-            cell_wall = time.time() - cell_started
-            cells.append(result)
-            print(f"  {result.summary()}  [{cell_wall:.1f}s wall]")
-    elapsed = time.time() - started
-
-    record = {
-        "workload": args.workload,
-        "runtime": args.runtime,
-        "systems": list(args.systems),
-        "shards": list(args.shards),
-        "buffer_pages": args.buffer,
-        "target_queries": args.queries,
-        "seed": args.seed,
-        "cells": [cell.to_dict() for cell in cells],
-    }
-    out_dir = pathlib.Path(args.out)
-    record_path = _write_json(out_dir / "macro.json", record)
-    dashboard_path = out_dir / "macro_dashboard.html"
-    dashboard_path.write_text(render_macro_page(record))
-
-    print(render_table(
-        ["cell", "queries", "qps", "hit ratio", "write-backs",
-         "pin skips", "stale hits", "cont/M"],
-        [[f'{c.config.system}'
-          + (f'/{c.config.n_shards}sh' if c.config.n_shards else ''),
-          c.queries, f"{c.queries_per_sec:.1f}", f"{c.hit_ratio:.4f}",
-          c.write_backs, c.pinned_victim_skips, c.stale_hit_retries,
-          f"{c.lock_stats.contentions_per_million(c.accesses):.1f}"]
-         for c in cells],
-        title=f"Macro grid — {args.runtime} runtime"))
-    detail = max(cells, key=lambda c: c.accesses)
-    print(render_table(
-        ["operator", "accesses", "writes", "hits"],
-        [[name, entry["accesses"], entry["writes"], entry["hits"]]
-         for name, entry in sorted(detail.op_breakdown.items(),
-                                   key=lambda item: -item[1]["accesses"])],
-        title=f"Per-operator page accesses — {detail.config.system}"))
-    print(f"[{len(cells)} cells in {elapsed:.1f}s wall]")
-    print(f"[wrote {record_path}]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
+    record = macro_grid(base, args.systems, args.shards,
+                        progress=_cell_progress([]))
+    _emit(pathlib.Path(args.out), "macro.json", record,
+          "macro_dashboard.html", macro_report(record), started)
     return 0
 
 
 def analyze_main(argv=None) -> int:
     """The ``analyze`` subcommand: observed sweep -> dashboard + tables."""
-    from repro.harness.dashboard import render_dashboard
+    from repro.harness.dashboard import analysis_report
     from repro.harness.sweeps import observed_grid
-    from repro.obs.analyze import (analyze_grid, attribution_table,
-                                   breakdown_table, scaling_table,
-                                   warmup_table)
+    from repro.obs.analyze import analyze_grid
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli analyze",
@@ -618,41 +548,15 @@ def analyze_main(argv=None) -> int:
         args.systems, args.workload, args.processors,
         target_accesses=args.accesses, seed=args.seed)
     analysis = analyze_grid(results, recorders)
-    elapsed = time.time() - started
-
-    out_dir = pathlib.Path(args.out)
-    analysis_path = _write_json(out_dir / "analysis.json", analysis)
-    dashboard_path = out_dir / "dashboard.html"
-    dashboard_path.write_text(render_dashboard(analysis))
-
-    headers, rows = scaling_table(analysis["scaling"])
-    print(render_table(headers, rows, title="Sweep grid"))
-    for run in analysis["runs"]:
-        title = f'{run["system"]} @ {run["processors"]} cpus'
-        headers, rows = breakdown_table(run["locks"])
-        print()
-        print(render_table(headers, rows,
-                           title=f"Lock breakdown — {title}"))
-        if "warmup" in run:
-            headers, rows = warmup_table(run["warmup"])
-            print()
-            print(render_table(headers, rows,
-                               title=f"Lock warm-up cost — {title}"))
-        if "threads" in run:
-            headers, rows = attribution_table(run["threads"], top=4)
-            print()
-            print(render_table(headers, rows,
-                               title=f"Blocked time — {title}"))
-    print(f"\n[{len(results)} observed runs analyzed in {elapsed:.1f}s]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
-    print(f"[wrote {analysis_path}]")
+    _emit(pathlib.Path(args.out), "analysis.json", analysis,
+          "dashboard.html", analysis_report(analysis), started)
     return 0
 
 
 def tune_main(argv=None) -> int:
     """The ``tune`` subcommand: control-plane sweep + adapter probe."""
     from repro.control.tune import TuneConfig, run_tune
-    from repro.harness.dashboard import render_tune_page
+    from repro.harness.dashboard import tune_report
 
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli tune",
@@ -719,43 +623,8 @@ def tune_main(argv=None) -> int:
 
     started = time.time()
     record = run_tune(config)
-    elapsed = time.time() - started
-
-    out_dir = pathlib.Path(args.out)
-    record_path = _write_json(out_dir / "tune.json", record)
-    dashboard_path = out_dir / "tune_dashboard.html"
-    dashboard_path.write_text(render_tune_page(record))
-
-    best = record["static_best"]
-    adapter = record["adapter"]
-    print(render_table(
-        ["cell", "threshold", "tps", "cont/M", "cont/access",
-         "hit ratio", "mean batch"],
-        [[f'q{c["queue_size"]} {c["system"]}', c["batch_threshold"],
-          f'{c["throughput_tps"]:.1f}',
-          f'{c["contention_per_million"]:.1f}',
-          f'{c["contention_rate"]:.4f}', f'{c["hit_ratio"]:.4f}',
-          f'{c["mean_batch_size"]:.1f}']
-         for c in record["grid"]],
-        title=f'Tune grid — {record["workload"]}, '
-              f'{record["buffer_pages"]} buffer pages'))
-    print(f'\nstatic best: threshold {best["batch_threshold"]} on '
-          f'q{best["queue_size"]} {best["system"]} — '
-          f'{best["throughput_tps"]:.1f} tps')
-    controller = adapter["controller"] or {}
-    print(f'adapter:     threshold {adapter["start_threshold"]} -> '
-          f'{adapter["batch_threshold"]} in '
-          f'{controller.get("decisions", 0)} decisions — '
-          f'{adapter["throughput_tps"]:.1f} tps '
-          f'({100.0 * adapter["fraction_of_best"]:.1f}% of best)')
-    for entry in record["adaptive"]:
-        ratios = ", ".join(f"{name} {value:.4f}" for name, value in
-                           sorted(entry["hit_ratios"].items()))
-        verdict = "ok" if entry["ok"] else "BELOW FLOOR"
-        print(f'adaptive:    {entry["workload"]} ({ratios}) {verdict}')
-    print(f"[{len(record['grid'])} cells in {elapsed:.1f}s wall]")
-    print(f"[wrote {record_path}]")
-    print(f"[wrote {dashboard_path} — open in any browser]")
+    _emit(pathlib.Path(args.out), "tune.json", record,
+          "tune_dashboard.html", tune_report(record), started)
     return 0
 
 
@@ -958,21 +827,19 @@ _SUBCOMMANDS = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[argv[0]](argv[1:])
+        try:
+            return _SUBCOMMANDS[argv[0]](argv[1:])
+        except ConfigError as exc:
+            # The message is the whole explanation; a traceback adds
+            # nothing for a rejected configuration.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     parser = argparse.ArgumentParser(
         prog="repro.harness.cli",
         description="Regenerate the BP-Wrapper paper's tables/figures, "
-                    "or run a subcommand: 'run' (one experiment on the "
-                    "sim or native runtime), 'trace' (one observed run), "
-                    "'analyze' (observed sweep -> HTML dashboard), "
-                    "'serve' (sharded multi-tenant serving sweep -> "
-                    "per-shard contention heatmap), 'macro' (query-"
-                    "execution macro workload -> per-operator page "
-                    "accesses), 'tune' (control-plane sweep -> Fig. 8 "
-                    "heatmap + adapter/adaptive probes), "
-                    "'perf-diff' (perf gate vs baseline), "
-                    "'check' (correctness gate: invariants + oracle + "
-                    "fuzzer).")
+                    "or run a subcommand ("
+                    + ", ".join(_SUBCOMMANDS) + "); each subcommand "
+                    "has its own --help.")
     parser.add_argument("artifacts", nargs="+",
                         choices=sorted(_ARTIFACTS) + ["all"],
                         help="which artifacts to regenerate")
@@ -1001,10 +868,7 @@ def main(argv=None) -> int:
         else:
             result = driver(seed=args.seed, max_workers=args.workers)
         elapsed = time.time() - started
-        if isinstance(result, figures.FigureResult):
-            print(result.render(include_charts=args.charts))
-        else:  # table drivers have no charts
-            print(result.render())
+        print(result.render(include_charts=args.charts))
         print(f"[{name} regenerated in {elapsed:.1f}s]\n")
         if csv_dir is not None:
             path = csv_dir / f"{name}.csv"

@@ -1,11 +1,11 @@
 """Drivers regenerating every figure of the paper's evaluation.
 
-Each ``figN()`` function runs the experiments and returns a
-:class:`FigureResult` (headers + rows + notes); ``render()`` turns it
-into the ASCII table the benchmarks print. Shapes — who wins, by what
-factor, where curves saturate — are the reproduction target; absolute
-numbers live in a simulated machine and differ from the paper's
-hardware (see EXPERIMENTS.md).
+Each ``figN()`` function runs the experiments and returns an
+:class:`~repro.harness.report.ArtifactResult` (headers + rows + notes);
+``render()`` turns it into the ASCII table the benchmarks print.
+Shapes — who wins, by what factor, where curves saturate — are the
+reproduction target; absolute numbers live in a simulated machine and
+differ from the paper's hardware (see EXPERIMENTS.md).
 
 * :func:`fig2` — average lock acquisition + holding time per access
   vs. batch size (1..64), DBT-1, 16 processors, 2Q (Figure 2);
@@ -21,7 +21,6 @@ hardware (see EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.hitratio import replay, replay_through_wrapper
@@ -29,13 +28,13 @@ from repro.hardware.machines import ALTIX_350, POWEREDGE_2900, MachineSpec
 from repro.harness.experiment import ExperimentConfig, RunResult
 from repro.harness.parallel import Workers, cached_workload, run_many
 from repro.harness.plots import ascii_chart
-from repro.harness.report import render_table
+from repro.harness.report import ArtifactResult
 from repro.harness.sweeps import (PAPER_SYSTEMS, PAPER_WORKLOADS,
                                   default_target_accesses,
                                   default_workload_kwargs, run_matrix)
 from repro.workloads.base import merged_trace
 
-__all__ = ["FigureResult", "fig2", "fig6", "fig7", "fig8"]
+__all__ = ["fig2", "fig6", "fig7", "fig8"]
 
 #: Batch sizes swept in Figure 2.
 FIG2_BATCH_SIZES = (1, 2, 4, 8, 16, 32, 64)
@@ -49,30 +48,8 @@ FIG8_FRACTIONS = (0.05, 0.10, 0.20, 0.40, 1.05)
 FIG8_SYSTEMS = ("pgclock", "pg2Q", "pgBatPre")
 
 
-@dataclass
-class FigureResult:
-    """Structured output of one figure driver."""
-
-    figure: str
-    headers: Sequence[str]
-    rows: List[Sequence[object]]
-    notes: str = ""
-    raw: List[RunResult] = field(default_factory=list)
-    #: Pre-rendered ASCII charts (the paper's plot shapes).
-    charts: List[str] = field(default_factory=list)
-
-    def render(self, include_charts: bool = False) -> str:
-        table = render_table(self.headers, self.rows,
-                             title=f"{self.figure}")
-        if self.notes:
-            table += f"\n\n{self.notes}"
-        if include_charts and self.charts:
-            table += "\n\n" + "\n\n".join(self.charts)
-        return table
-
-
 def fig2(target_accesses: Optional[int] = None,
-         seed: int = 42, max_workers: Workers = None) -> FigureResult:
+         seed: int = 42, max_workers: Workers = None) -> ArtifactResult:
     """Figure 2: per-access lock time vs. batch size (16 CPUs, DBT-1)."""
     if target_accesses is None:
         target_accesses = default_target_accesses()
@@ -91,8 +68,8 @@ def fig2(target_accesses: Optional[int] = None,
          result.lock_stats.mean_wait_us(),
          result.contention_per_million)
         for batch, result in zip(FIG2_BATCH_SIZES, raw)]
-    return FigureResult(
-        figure="Figure 2: avg lock acquisition+holding time per access "
+    return ArtifactResult(
+        title="Figure 2: avg lock acquisition+holding time per access "
                "(DBT-1, 16 processors, 2Q)",
         headers=("batch size", "lock us/access", "mean hold us",
                  "mean wait us", "contentions/M"),
@@ -109,7 +86,7 @@ def fig2(target_accesses: Optional[int] = None,
 def _scalability_figure(figure_name: str, machine: MachineSpec,
                         target_accesses: Optional[int],
                         seed: int,
-                        max_workers: Workers = None) -> FigureResult:
+                        max_workers: Workers = None) -> ArtifactResult:
     results = run_matrix(PAPER_SYSTEMS, PAPER_WORKLOADS, machine=machine,
                          target_accesses=target_accesses, seed=seed,
                          max_workers=max_workers)
@@ -117,8 +94,8 @@ def _scalability_figure(figure_name: str, machine: MachineSpec,
              round(r.throughput_tps, 1), round(r.mean_response_ms, 3),
              round(r.contention_per_million, 1))
             for r in results]
-    return FigureResult(
-        figure=f"{figure_name}: throughput / response time / lock "
+    return ArtifactResult(
+        title=f"{figure_name}: throughput / response time / lock "
                f"contention on {machine.name}",
         headers=("workload", "system", "procs", "tps", "resp ms",
                  "contention/M"),
@@ -161,14 +138,14 @@ def _scalability_charts(results: List[RunResult]) -> List[str]:
 
 
 def fig6(target_accesses: Optional[int] = None,
-         seed: int = 42, max_workers: Workers = None) -> FigureResult:
+         seed: int = 42, max_workers: Workers = None) -> ArtifactResult:
     """Figure 6: five systems x three workloads on the Altix 350."""
     return _scalability_figure("Figure 6", ALTIX_350, target_accesses, seed,
                                max_workers=max_workers)
 
 
 def fig7(target_accesses: Optional[int] = None,
-         seed: int = 42, max_workers: Workers = None) -> FigureResult:
+         seed: int = 42, max_workers: Workers = None) -> ArtifactResult:
     """Figure 7: the same sweep on the PowerEdge 2900."""
     return _scalability_figure("Figure 7", POWEREDGE_2900,
                                target_accesses, seed,
@@ -196,7 +173,7 @@ def _fig8_charts(rows: List[Sequence[object]]) -> List[str]:
 
 def fig8(target_accesses: Optional[int] = None, seed: int = 42,
          trace_accesses: Optional[int] = None,
-         max_workers: Workers = None) -> FigureResult:
+         max_workers: Workers = None) -> ArtifactResult:
     """Figure 8: hit ratio + normalized throughput vs. buffer size.
 
     Hit-ratio curves come from fast trace replay (hit ratios are
@@ -252,8 +229,8 @@ def fig8(target_accesses: Optional[int] = None, seed: int = 42,
                      1.0,
                      round(tps["pg2Q"] / base, 3),
                      round(tps["pgBatPre"] / base, 3)))
-    return FigureResult(
-        figure="Figure 8: hit ratios and normalized throughput vs "
+    return ArtifactResult(
+        title="Figure 8: hit ratios and normalized throughput vs "
                "buffer size (PowerEdge, 8 processors)",
         headers=("workload", "buffer pages", "frac of data",
                  "hit clock", "hit 2Q", "hit 2Q+BP",

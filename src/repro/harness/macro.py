@@ -44,7 +44,7 @@ from repro.simcore.rng import stream_rng
 from repro.sync.stats import LockStats
 from repro.workloads.registry import make_workload
 
-__all__ = ["MacroConfig", "MacroResult", "run_macro"]
+__all__ = ["MacroConfig", "MacroResult", "macro_grid", "run_macro"]
 
 
 @dataclass(frozen=True)
@@ -286,3 +286,36 @@ def _finalize(config: MacroConfig, run: Run, log: TransactionLog,
         op_breakdown=_merge_breakdowns(contexts),
         controllers=run.controller_summaries(),
     )
+
+
+def macro_grid(base: MacroConfig, systems, shards_list,
+               progress=None) -> dict:
+    """Sweep systems × shard counts; return one JSON-able grid record.
+
+    The workload is built once and shared by every cell. ``progress``
+    (callable) receives each cell's :class:`MacroResult` as it
+    completes. The record's ``cells`` list is in sweep order
+    (system-major, then shard count); wall time is not stored, so a sim
+    record is byte-stable.
+    """
+    workload = make_workload(base.workload, seed=base.seed,
+                             **base.workload_kwargs)
+    cells = []
+    for system in systems:
+        for n_shards in shards_list:
+            result = run_macro(
+                base.with_params(system=system, n_shards=n_shards),
+                workload=workload)
+            if progress is not None:
+                progress(result)
+            cells.append(result.to_dict())
+    return {
+        "workload": base.workload,
+        "runtime": base.runtime,
+        "systems": list(systems),
+        "shards": list(shards_list),
+        "buffer_pages": base.buffer_pages,
+        "target_queries": base.target_queries,
+        "seed": base.seed,
+        "cells": cells,
+    }

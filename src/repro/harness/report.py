@@ -1,27 +1,40 @@
-"""Result records, plain-text table rendering and CSV emission.
+"""Result records, the report model, plain-text tables and CSV emission.
 
 :class:`ResultRecord` is the one way a tier's result dataclass becomes
 a flat record: each field is declared once and ``to_dict`` is read off
-the declaration. Every figure/table driver returns structured rows;
-the rest of this module turns them into the aligned ASCII tables
-printed by the benchmarks and the ``python -m repro.harness.cli`` entry
-point, and into CSV for anyone who wants to re-plot. It imports nothing
-from ``repro``, so every tier can use it.
+the declaration. What a sweep shows is declared once too, as a
+:class:`Report` built from that record, which :func:`render_text`
+prints in the terminal and :func:`repro.harness.dashboard.render_html`
+renders as the page. Every figure/table driver returns an
+:class:`ArtifactResult`; the rest of this module turns rows into
+aligned ASCII tables and CSV. It imports nothing from ``repro``, so
+every tier can use it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Tuple, Union)
 
-__all__ = ["ResultRecord", "derived", "reported", "render_table",
+__all__ = ["ArtifactResult", "Card", "Mark", "Report", "ResultRecord",
+           "Table", "derived", "reported", "render_table", "render_text",
            "rows_to_csv", "format_number", "save_results_json",
            "load_results_json"]
 
-Cell = Union[str, int, float, None]
+
+@dataclass(frozen=True)
+class Mark:
+    """A status cell (SLO ok / VIOLATED): its ``text`` in the terminal,
+    a ``css``-classed ``<span>`` on the page."""
+
+    text: str
+    css: str
+
+
+Cell = Union[str, int, float, None, Mark]
 
 
 # -- the result record --------------------------------------------------------
@@ -131,6 +144,8 @@ def format_number(value: Cell) -> str:
         return "-"
     if isinstance(value, str):
         return value
+    if isinstance(value, Mark):
+        return value.text
     if isinstance(value, int):
         return str(value)
     if value == 0:
@@ -205,3 +220,76 @@ def dicts_to_table(records: Sequence[Mapping[str, Cell]],
     rows = [[record.get(column) for column in columns]
             for record in records]
     return render_table(columns, rows, title=title)
+
+
+# -- the report: declared once, rendered as page and as terminal text ----------
+
+
+@dataclass
+class Table:
+    """Headers and rows under a title. Inside a :class:`Card` the title
+    is a sub-heading; leave it empty when the card's title names the
+    table."""
+
+    title: str
+    headers: Sequence[str]
+    rows: List[Sequence[Cell]]
+
+
+@dataclass
+class Card:
+    """One titled box of a report. A part is a :class:`Table` or a
+    pre-rendered page-only fragment (chart, legend, note) that the
+    terminal skips."""
+
+    title: str
+    parts: Sequence[Union[Table, str]]
+
+
+@dataclass
+class Report:
+    """Everything one sweep shows, selected from its record."""
+
+    title: str
+    #: What the numbers were measured on (workload, runtime, seed, ...).
+    facts: Sequence[str]
+    #: Headline numbers as ``(label, value, detail)``.
+    tiles: Sequence[Tuple[str, Cell, str]]
+    #: Cards top to bottom; a list of cards is one side-by-side row.
+    sections: Sequence[Union[Card, Sequence[Card]]]
+    #: Page-only provenance line (pre-rendered).
+    footer: str
+
+
+def render_text(report: Report) -> str:
+    """The report for a terminal: facts and tiles as lines, then every
+    table through :func:`render_table`."""
+    out = [report.title, " · ".join(report.facts), ""]
+    for label, value, detail in report.tiles:
+        out.append(f"{label}: {format_number(value)} ({detail})")
+    for section in report.sections:
+        for card in [section] if isinstance(section, Card) else section:
+            for part in card.parts:
+                if isinstance(part, Table):
+                    title = (f"{card.title} — {part.title}" if part.title
+                             else card.title)
+                    out += ["", render_table(part.headers, part.rows,
+                                             title=title)]
+    return "\n".join(out)
+
+
+@dataclass
+class ArtifactResult(Table):
+    """Structured output of one figure or table driver."""
+
+    notes: str = ""
+    #: The runs behind the rows (``RunResult`` objects).
+    raw: list = field(default_factory=list)
+    #: Pre-rendered ASCII charts (the paper's plot shapes).
+    charts: List[str] = field(default_factory=list)
+
+    def render(self, include_charts: bool = False) -> str:
+        parts = [render_table(self.headers, self.rows, title=self.title)]
+        if self.notes:
+            parts.append(self.notes)
+        return "\n\n".join(parts + (self.charts if include_charts else []))

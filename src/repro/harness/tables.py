@@ -9,18 +9,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.hardware.machines import ALTIX_350
-from repro.harness.experiment import ExperimentConfig, RunResult
+from repro.harness.experiment import ExperimentConfig
 from repro.harness.parallel import Workers, run_many
-from repro.harness.report import render_table
+from repro.harness.report import ArtifactResult
 from repro.harness.sweeps import (PAPER_WORKLOADS, default_target_accesses,
                                   default_threads, default_workload_kwargs)
 from repro.harness.systems import SYSTEM_NAMES, system_spec
 
-__all__ = ["TableResult", "table1", "table2", "table3"]
+__all__ = ["table1", "table2", "table3"]
 
 #: Queue sizes swept in Table II (threshold = size / 2).
 TABLE2_QUEUE_SIZES = (2, 4, 8, 16, 32, 64)
@@ -28,40 +27,27 @@ TABLE2_QUEUE_SIZES = (2, 4, 8, 16, 32, 64)
 TABLE3_THRESHOLDS = (2, 4, 8, 16, 32, 64)
 
 
-@dataclass
-class TableResult:
-    """Structured output of one table driver."""
-
-    table: str
-    headers: Sequence[str]
-    rows: List[Sequence[object]]
-    notes: str = ""
-    raw: List[RunResult] = field(default_factory=list)
-
-    def render(self) -> str:
-        rendered = render_table(self.headers, self.rows, title=self.table)
-        if self.notes:
-            rendered += f"\n\n{self.notes}"
-        return rendered
-
-
-def table1() -> TableResult:
+def table1() -> ArtifactResult:
     """Table I: names, algorithms and enhancements of the five systems."""
     rows = []
     for name in SYSTEM_NAMES:
         spec = system_spec(name)
         rows.append((spec.name, spec.policy_name, spec.enhancement))
-    return TableResult(
-        table="Table I: the five tested systems",
+    return ArtifactResult(
+        title="Table I: the five tested systems",
         headers=("Name", "Replacement", "Enhancement"),
         rows=rows)
 
 
-def _sensitivity_configs(queue_size: int, batch_threshold: int,
-                         target_accesses: int, seed: int
-                         ) -> List[ExperimentConfig]:
-    """One pgBat config per paper workload at the given queue settings."""
-    return [
+def _sensitivity_table(title: str, swept: str, notes: str,
+                       settings: Sequence[Tuple[int, int, int]],
+                       target_accesses: Optional[int], seed: int,
+                       max_workers: Workers) -> ArtifactResult:
+    """pgBat throughput & contention on every paper workload, one row
+    per ``(row label, queue size, batch threshold)`` setting."""
+    if target_accesses is None:
+        target_accesses = default_target_accesses()
+    configs = [
         ExperimentConfig(
             system="pgBat", workload=workload_name,
             workload_kwargs=default_workload_kwargs(workload_name),
@@ -69,76 +55,51 @@ def _sensitivity_configs(queue_size: int, batch_threshold: int,
             n_threads=default_threads(workload_name, 16),
             queue_size=queue_size, batch_threshold=batch_threshold,
             target_accesses=target_accesses, seed=seed)
+        for _, queue_size, batch_threshold in settings
         for workload_name in PAPER_WORKLOADS]
+    raw = run_many(configs, max_workers=max_workers)
+    rows: List[Sequence[object]] = []
+    per_setting = len(PAPER_WORKLOADS)
+    for i, (label, _, _) in enumerate(settings):
+        results = raw[i * per_setting:(i + 1) * per_setting]
+        by_name = {r.config.workload: r for r in results}
+        rows.append((
+            label,
+            round(by_name["dbt1"].throughput_tps, 1),
+            round(by_name["dbt2"].throughput_tps, 1),
+            round(by_name["tablescan"].throughput_tps, 2),
+            round(by_name["dbt1"].contention_per_million, 1),
+            round(by_name["dbt2"].contention_per_million, 1),
+            round(by_name["tablescan"].contention_per_million, 1),
+        ))
+    return ArtifactResult(
+        title=title,
+        headers=(swept, "tps DBT-1", "tps DBT-2", "tps TableScan",
+                 "cont/M DBT-1", "cont/M DBT-2", "cont/M TableScan"),
+        rows=rows, notes=notes, raw=raw)
 
 
 def table2(target_accesses: Optional[int] = None,
-           seed: int = 42, max_workers: Workers = None) -> TableResult:
+           seed: int = 42, max_workers: Workers = None) -> ArtifactResult:
     """Table II: throughput & contention vs. queue size (thr = size/2)."""
-    if target_accesses is None:
-        target_accesses = default_target_accesses()
-    configs: List[ExperimentConfig] = []
-    for queue_size in TABLE2_QUEUE_SIZES:
-        configs.extend(_sensitivity_configs(
-            queue_size, max(1, queue_size // 2), target_accesses, seed))
-    raw = run_many(configs, max_workers=max_workers)
-    rows: List[Sequence[object]] = []
-    per_size = len(PAPER_WORKLOADS)
-    for i, queue_size in enumerate(TABLE2_QUEUE_SIZES):
-        results = raw[i * per_size:(i + 1) * per_size]
-        by_name = {r.config.workload: r for r in results}
-        rows.append((
-            queue_size,
-            round(by_name["dbt1"].throughput_tps, 1),
-            round(by_name["dbt2"].throughput_tps, 1),
-            round(by_name["tablescan"].throughput_tps, 2),
-            round(by_name["dbt1"].contention_per_million, 1),
-            round(by_name["dbt2"].contention_per_million, 1),
-            round(by_name["tablescan"].contention_per_million, 1),
-        ))
-    return TableResult(
-        table="Table II: pgBat vs queue size "
-              "(threshold = size/2, 16 processors)",
-        headers=("queue", "tps DBT-1", "tps DBT-2", "tps TableScan",
-                 "cont/M DBT-1", "cont/M DBT-2", "cont/M TableScan"),
-        rows=rows,
-        notes="Paper shape: contention falls monotonically with queue "
-              "size; throughput saturates beyond size ~8; even size 2 "
-              "beats pg2Q.",
-        raw=raw)
+    return _sensitivity_table(
+        "Table II: pgBat vs queue size "
+        "(threshold = size/2, 16 processors)", "queue",
+        "Paper shape: contention falls monotonically with queue "
+        "size; throughput saturates beyond size ~8; even size 2 "
+        "beats pg2Q.",
+        [(size, size, max(1, size // 2)) for size in TABLE2_QUEUE_SIZES],
+        target_accesses, seed, max_workers)
 
 
 def table3(target_accesses: Optional[int] = None,
-           seed: int = 42, max_workers: Workers = None) -> TableResult:
+           seed: int = 42, max_workers: Workers = None) -> ArtifactResult:
     """Table III: throughput & contention vs. batch threshold (size 64)."""
-    if target_accesses is None:
-        target_accesses = default_target_accesses()
-    configs: List[ExperimentConfig] = []
-    for threshold in TABLE3_THRESHOLDS:
-        configs.extend(_sensitivity_configs(
-            64, threshold, target_accesses, seed))
-    raw = run_many(configs, max_workers=max_workers)
-    rows: List[Sequence[object]] = []
-    per_size = len(PAPER_WORKLOADS)
-    for i, threshold in enumerate(TABLE3_THRESHOLDS):
-        results = raw[i * per_size:(i + 1) * per_size]
-        by_name = {r.config.workload: r for r in results}
-        rows.append((
-            threshold,
-            round(by_name["dbt1"].throughput_tps, 1),
-            round(by_name["dbt2"].throughput_tps, 1),
-            round(by_name["tablescan"].throughput_tps, 2),
-            round(by_name["dbt1"].contention_per_million, 1),
-            round(by_name["dbt2"].contention_per_million, 1),
-            round(by_name["tablescan"].contention_per_million, 1),
-        ))
-    return TableResult(
-        table="Table III: pgBat vs batch threshold "
-              "(queue size 64, 16 processors)",
-        headers=("threshold", "tps DBT-1", "tps DBT-2", "tps TableScan",
-                 "cont/M DBT-1", "cont/M DBT-2", "cont/M TableScan"),
-        rows=rows,
-        notes="Paper shape: contention is U-shaped — premature commits "
-              "below ~32, and at threshold = queue size the TryLock "
-              "opportunity disappears and contention jumps.",
-        raw=raw)
+    return _sensitivity_table(
+        "Table III: pgBat vs batch threshold "
+        "(queue size 64, 16 processors)", "threshold",
+        "Paper shape: contention is U-shaped — premature commits "
+        "below ~32, and at threshold = queue size the TryLock "
+        "opportunity disappears and contention jumps.",
+        [(threshold, 64, threshold) for threshold in TABLE3_THRESHOLDS],
+        target_accesses, seed, max_workers)

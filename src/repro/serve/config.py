@@ -184,8 +184,3 @@ class ServeConfig:
             raise ConfigError(
                 "use_disk attaches the simulated disk array; use "
                 "runtime='sim' for disk-backed serve runs")
-
-    def describe(self) -> str:
-        """Cell label used in sweeps and the dashboard."""
-        return (f"{self.n_shards}s×{self.n_tenants}t"
-                f"@θ{self.skew:g}")

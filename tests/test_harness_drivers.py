@@ -48,6 +48,11 @@ class TestFig8Driver:
             assert t0 == 1.0  # normalized to pgclock
 
 
+#: The columns benchmarks/bench_tab2.py and bench_tab3.py index by position.
+SENSITIVITY_COLUMNS = ("tps DBT-1", "tps DBT-2", "tps TableScan",
+                       "cont/M DBT-1", "cont/M DBT-2", "cont/M TableScan")
+
+
 class TestTableDrivers:
     def test_table1_static(self):
         result = table1()
@@ -59,6 +64,13 @@ class TestTableDrivers:
         result = table2(target_accesses=5000, seed=3)
         assert [row[0] for row in result.rows] == [2, 4, 8, 16, 32, 64]
         assert len(result.raw) == 18  # 6 sizes x 3 workloads
+        # What benchmarks/bench_tab2.py indexes into.
+        assert tuple(result.headers) == ("queue",) + SENSITIVITY_COLUMNS
+        assert result.raw[0].config.target_accesses == 5000
+        assert [(r.config.queue_size, r.config.batch_threshold)
+                for r in result.raw[::3]] == [
+            (2, 1), (4, 2), (8, 4), (16, 8), (32, 16), (64, 32)]
+        assert "Table II" in result.render()
 
     def test_table3_layout(self):
         result = table3(target_accesses=5000, seed=3)
@@ -66,6 +78,12 @@ class TestTableDrivers:
         # Throughputs present for all three workloads.
         for row in result.rows:
             assert all(value >= 0 for value in row[1:4])
+        assert tuple(result.headers) == ("threshold",) + SENSITIVITY_COLUMNS
+        assert len(result.raw) == 18
+        assert [(r.config.queue_size, r.config.batch_threshold)
+                for r in result.raw[::3]] == [
+            (64, t) for t in (2, 4, 8, 16, 32, 64)]
+        assert "Table III" in result.render()
 
 
 class TestCli:
@@ -83,15 +101,36 @@ class TestCli:
         assert content.splitlines()[0] == "Name,Replacement,Enhancement"
         assert "pgclock" in content
 
+    def test_rejected_config_exits_2_without_traceback(self, capsys):
+        assert cli_main(["run", "--system", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown system" in err
+        assert "Traceback" not in err
+
+    def test_sweep_rejected_mid_grid_exits_2(self, tmp_path, capsys):
+        from repro.errors import ConfigError
+        from repro.harness.cli import macro_main
+        argv = ["--shards", "0", "2", "--runtime", "native", "--queries",
+                "12", "--threads", "2", "--no-disk", "--out", str(tmp_path)]
+        assert cli_main(["macro"] + argv) == 2
+        captured = capsys.readouterr()
+        assert "shards=0" in captured.out  # the first cell did run
+        assert captured.err.startswith("error: ")
+        assert "sim-only" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "macro.json").exists()
+        with pytest.raises(ConfigError):  # the subcommand itself raises
+            macro_main(argv)
+
     def test_unknown_artifact_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["figNope"])
 
     def test_type_error_inside_figure_render_propagates(self, monkeypatch):
         from repro.harness import cli
-        from repro.harness.figures import FigureResult
+        from repro.harness.report import ArtifactResult
 
-        class Broken(FigureResult):
+        class Broken(ArtifactResult):
             def render(self, include_charts=False):
                 if include_charts:
                     raise TypeError("boom")

@@ -18,7 +18,7 @@ import pytest
 from repro.db.exec import TraceExecContext, drain_plan
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350
-from repro.harness.macro import MacroConfig, run_macro
+from repro.harness.macro import MacroConfig, macro_grid, run_macro
 from repro.workloads.registry import make_workload
 
 #: Small but under real buffer pressure: the tpcc_lite working set at
@@ -109,6 +109,42 @@ class TestRuntimes:
         with pytest.raises(ConfigError, match="plan_stream"):
             run_macro(SMALL.with_params(workload="dbt2",
                                         workload_kwargs={"n_warehouses": 2}))
+
+
+class TestMacroGrid:
+    def test_grid_is_the_record_cli_macro_writes(self, tmp_path, capsys):
+        from repro.harness.cli import macro_main
+        assert macro_main(["--systems", "pg2Q", "pgBat", "--shards", "0",
+                           "2", "--queries", "30", "--threads", "4",
+                           "--buffer", "160", "--seed", "11",
+                           "--out", str(tmp_path)]) == 0
+        assert "Macro grid" in capsys.readouterr().out
+        written = json.loads((tmp_path / "macro.json").read_text())
+        base = MacroConfig(workload_kwargs={"n_warehouses": 4},
+                           target_queries=30, n_threads=4,
+                           buffer_pages=160, seed=11)
+        record = macro_grid(base, ["pg2Q", "pgBat"], [0, 2])
+        assert record == written
+        assert sorted(record) == ["buffer_pages", "cells", "runtime",
+                                  "seed", "shards", "systems",
+                                  "target_queries", "workload"]
+        assert [(cell["system"], cell["n_shards"])
+                for cell in record["cells"]] == [
+            ("pg2Q", 0), ("pg2Q", 2), ("pgBat", 0), ("pgBat", 2)]
+
+    def test_progress_per_cell_and_one_workload(self, monkeypatch):
+        from repro.harness import macro
+        built = []
+        real = macro.make_workload
+        monkeypatch.setattr(
+            macro, "make_workload",
+            lambda *args, **kwargs: built.append(args) or real(*args,
+                                                               **kwargs))
+        seen = []
+        record = macro_grid(SMALL.with_params(target_queries=20),
+                            ["pg2Q", "pgBat"], [0, 2], progress=seen.append)
+        assert len(built) == 1
+        assert [result.to_dict() for result in seen] == record["cells"]
 
 
 class TestTpccLiteStreams:

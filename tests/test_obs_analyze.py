@@ -4,7 +4,7 @@ Three layers, matching the pipeline:
 
 * synthetic-input unit tests for each analyzer function (known spans
   in, hand-computed diagnostics out);
-* an observed 2x2 sweep through ``analyze_grid`` + ``render_dashboard``
+* an observed 2x2 sweep through ``analyze_grid`` + ``analysis_report``
   with the determinism acceptance check (same seed -> byte-identical
   dashboard and analysis JSON);
 * the ``perf-diff`` gate end-to-end through the CLI: record, clean
@@ -19,7 +19,7 @@ import types
 import pytest
 
 from repro.harness.cli import main as cli_main
-from repro.harness.dashboard import render_dashboard
+from repro.harness.dashboard import analysis_report, render_html
 from repro.harness.sweeps import observed_grid
 from repro.obs.analyze import (analyze_grid, analyze_run,
                                batch_hold_correlation, breakdown_table,
@@ -211,7 +211,7 @@ def test_grid_json_clean_and_tables(grid_analysis):
 
 
 def test_dashboard_contents(grid_analysis):
-    html = render_dashboard(grid_analysis)
+    html = render_html(analysis_report(grid_analysis))
     assert html.startswith("<!DOCTYPE html>")
     assert "<svg" in html and "</html>" in html
     for system in GRID_SYSTEMS:
@@ -228,7 +228,7 @@ def test_dashboard_deterministic_across_fresh_sweeps(tmp_path):
         results, recorders = observed_grid(
             ["pgBatPre"], "tablescan", [2], target_accesses=600, seed=3)
         analysis = analyze_grid(results, recorders)
-        documents.append((render_dashboard(analysis),
+        documents.append((render_html(analysis_report(analysis)),
                           json.dumps(analysis, sort_keys=True)))
     assert documents[0] == documents[1]
 

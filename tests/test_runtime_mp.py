@@ -234,5 +234,6 @@ def test_scaling_record_and_page_shape(tmp_path):
     html = (out / "scaling.html").read_text()
     assert "Access rate scaling" in html and "<svg" in html
 
-    from repro.harness.dashboard import render_scaling_page
-    assert render_scaling_page(record) == render_scaling_page(record)
+    from repro.harness.dashboard import render_html, scaling_report
+    assert (render_html(scaling_report(record))
+            == render_html(scaling_report(record)))

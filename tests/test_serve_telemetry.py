@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.harness.dashboard import render_telemetry_page
+from repro.harness.dashboard import render_html, telemetry_report
 from repro.obs import MetricsRegistry, Observer, TraceRecorder
 from repro.serve import ServeConfig, run_serve
 
@@ -229,8 +229,8 @@ def test_render_telemetry_page_is_deterministic():
         observer_factory=lambda: Observer(metrics=MetricsRegistry()),
         progress=results.append)
     timeseries = {"2s-3t-skew0.8": results[0].telemetry}
-    page = render_telemetry_page(record, timeseries)
-    assert page == render_telemetry_page(record, timeseries)
+    page = render_html(telemetry_report(record, timeseries))
+    assert page == render_html(telemetry_report(record, timeseries))
     assert "sparkline" in page
     assert "SLO" in page
     assert "requests routed" in page  # the tenant x shard heatmap
