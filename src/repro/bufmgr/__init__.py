@@ -2,7 +2,8 @@
 
 A from-scratch model of the component Figure 1 of the paper draws: a
 pool of fixed-size buffer pages whose metadata (:class:`BufferDesc`) is
-found through a bucket-locked hash table, with a replacement policy
+found through a hash table (its bucket locks simulated on request),
+with a replacement policy
 deciding victims and a single exclusive lock serializing the policy's
 bookkeeping — the lock BP-Wrapper exists to decontend.
 

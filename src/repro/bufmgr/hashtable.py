@@ -1,12 +1,13 @@
-"""Bucket-locked buffer lookup table.
+"""Buffer lookup table.
 
 Models the structure §II describes: page metadata spread over many hash
 buckets, each under its own lock, so that "the possibility for multiple
 threads to compete for the same bucket is low" and lookups scale. The
 paper explicitly excludes bucket-lock contention from its analysis;
-accordingly the DES charges a flat lookup cost by default, but the
-bucket structure is real and per-bucket contention *can* be simulated
-(``simulate_locks=True``) for the ablation benchmarks.
+accordingly the table is one dict and the DES charges a flat lookup
+cost. The bucket stripe exists only for the ablation benchmarks
+(``simulate_locks=True``): then every tag maps to one of ``n_buckets``
+locks, which the manager takes around its probe.
 """
 
 from __future__ import annotations
@@ -23,16 +24,17 @@ __all__ = ["BufferHashTable"]
 
 
 class BufferHashTable:
-    """Tag -> descriptor map over ``n_buckets`` lockable buckets."""
+    """Tag -> descriptor map, striped over ``n_buckets`` bucket locks."""
 
     def __init__(self, sim: "Runtime", n_buckets: int = 1024,
                  simulate_locks: bool = False) -> None:
         if n_buckets < 1:
             raise BufferError_(f"need >= 1 bucket, got {n_buckets}")
         self.n_buckets = n_buckets
-        self._buckets: List[Dict[BufferTag, BufferDesc]] = [
-            {} for _ in range(n_buckets)
-        ]
+        self._map: Dict[BufferTag, BufferDesc] = {}
+        #: ``lookup(tag)`` -> the tag's descriptor or None: the dict's
+        #: own ``get``, so a probe is one C call.
+        self.lookup = self._map.get
         self.simulate_locks = simulate_locks
         self.bucket_locks: Optional[List[MutexLock]] = None
         if simulate_locks:
@@ -46,27 +48,22 @@ class BufferHashTable:
         # PYTHONHASHSEED or reproducibility across runs is lost.
         return stable_hash(tag) % self.n_buckets
 
-    def lookup(self, tag: BufferTag) -> Optional[BufferDesc]:
-        return self._buckets[self.bucket_index(tag)].get(tag)
-
     def insert(self, tag: BufferTag, desc: BufferDesc) -> None:
-        bucket = self._buckets[self.bucket_index(tag)]
-        if tag in bucket:
+        if tag in self._map:
             raise BufferError_(f"duplicate hash-table entry for {tag}")
-        bucket[tag] = desc
+        self._map[tag] = desc
 
     def remove(self, tag: BufferTag) -> BufferDesc:
-        bucket = self._buckets[self.bucket_index(tag)]
-        desc = bucket.pop(tag, None)
+        desc = self._map.pop(tag, None)
         if desc is None:
             raise BufferError_(f"no hash-table entry for {tag}")
         return desc
 
     def __contains__(self, tag: BufferTag) -> bool:
-        return tag in self._buckets[self.bucket_index(tag)]
+        return tag in self._map
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._buckets)
+        return len(self._map)
 
     def load_factor(self) -> float:
         """Mean entries per bucket (diagnostics)."""

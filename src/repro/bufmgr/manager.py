@@ -1,11 +1,12 @@
 """The buffer manager — Figure 1/3 of the paper, executable.
 
-:class:`BufferManager` owns the frame pool, the bucket-locked hash
-table, one replacement policy, and one replacement handler (direct,
-batched, or lock-free — see :mod:`repro.core.bpwrapper`). Its
+:class:`BufferManager` owns the frame pool, the hash table, one
+replacement policy, and one replacement handler (direct, batched, or
+lock-free — see :mod:`repro.core.bpwrapper`). Its
 :meth:`~BufferManager.access` generator is the page-request entry point
 driven by simulated threads; it charges the hash-lookup and pin costs,
-routes hits through the handler, and runs the full miss protocol:
+serves a hit in its own frame (the handler's bookkeeping included), and
+runs the full miss protocol:
 
 1. take the replacement lock (committing queued history first when
    batching — Fig. 4's ``replacement_for_page_miss``);
@@ -185,9 +186,7 @@ class BufferManager:
         be reused until its contents are written back to the disk
         model (as PostgreSQL's StrategyGetBuffer flushes victims).
         """
-        hit, desc = yield from self.access_pinned(slot, page, is_write)
-        desc.unpin()
-        return hit
+        return self._request(slot, page, is_write, False)
 
     def access_pinned(self, slot: "ThreadSlot", page: PageId,
                       is_write: bool = False
@@ -202,10 +201,28 @@ class BufferManager:
         keeps inner and outer pinned — which is what makes pin-aware
         victim selection load-bearing.
         """
+        return self._request(slot, page, is_write, True)
+
+    def release(self, desc: BufferDesc) -> None:
+        """Drop a pin taken by :meth:`access_pinned`."""
+        desc.unpin()
+
+    def _request(self, slot: "ThreadSlot", page: PageId, is_write: bool,
+                 keep_pin: bool) -> Waits:
+        """The one request generator behind :meth:`access` and
+        :meth:`access_pinned`: a hit is served inline, so it costs this
+        frame and whatever the handler returns (``()`` for a hit that
+        only records).
+
+        The hit's pinned section is exception- and close-safe: if the
+        generator is aborted mid-wait (native join-deadline abort,
+        failure injection), the pin is released before unwinding.
+        """
         thread = slot.thread
-        self.stats.accesses += 1
+        stats = self.stats
+        stats.accesses += 1
         if is_write:
-            self.stats.write_accesses += 1
+            stats.write_accesses += 1
         checker = self.sim.checker
         if checker is not None:
             # The checker sees the exact global arrival order — the
@@ -225,65 +242,53 @@ class BufferManager:
             thread.charge(self.costs.hash_lookup_us)
             desc = self.table.lookup(page)
         if desc is not None:
-            self.stats.hits += 1
-            served = yield from self._serve_hit(slot, desc, page, is_write)
-            if served is not None:
-                return True, served
+            stats.hits += 1
+            desc.pin()
+            thread.charge(self.costs.pin_unpin_us)
+            try:
+                if not desc.valid:
+                    # Another thread's read is in flight; wait for it
+                    # off-CPU. The pin taken above keeps the frame ours
+                    # while we sleep. Capture the event first: under
+                    # the native backend the reader may complete (and
+                    # clear ``io_done``) between the validity check and
+                    # the wait; in the simulator the two statements are
+                    # atomic and the capture changes nothing.
+                    io_done = desc.io_done
+                    if io_done is not None:
+                        yield from thread.wait(io_done)
+                served = desc.tag == page and desc.valid
+                if served:
+                    yield from self.handler.hit(slot, desc, page)
+            except BaseException:
+                desc.unpin()
+                self._reclaim_orphan(desc)
+                raise
+            if served:
+                if is_write:
+                    desc.dirty = True
+                if keep_pin:
+                    return True, desc
+                desc.unpin()
+                return True
             # The frame was retagged or invalidated while we slept on
-            # its io_done: the page was never actually served. Undo the
-            # hit accounting and retry the request as a miss (whose
-            # under-lock re-check handles every residual race).
-            self.stats.hits -= 1
-            self.stats.stale_hit_retries += 1
-        self.stats.misses += 1
+            # its io_done: the page was never actually served. Drop the
+            # pin, undo the hit accounting and retry the request as a
+            # miss (whose under-lock re-check handles every residual
+            # race).
+            desc.unpin()
+            self._reclaim_orphan(desc)
+            stats.hits -= 1
+            stats.stale_hit_retries += 1
+        stats.misses += 1
         observer = self.sim.observer
         if observer is not None:
             observer.on_page_miss(thread.name, self.sim.now)
         desc = yield from self._serve_miss(slot, page, is_write)
-        return False, desc
-
-    def release(self, desc: BufferDesc) -> None:
-        """Drop a pin taken by :meth:`access_pinned`."""
+        if keep_pin:
+            return False, desc
         desc.unpin()
-
-    def _serve_hit(self, slot: "ThreadSlot", desc: BufferDesc, page: PageId,
-                   is_write: bool = False) -> Waits:
-        """Serve a probe hit; returns the pinned desc, or None if stale.
-
-        The caller owns the returned pin. On the stale path (frame
-        retagged/invalidated during the io_done sleep) the pin is
-        dropped here and None returned so the caller can retry as a
-        miss. The pinned section is exception- and close-safe: if the
-        generator is aborted mid-wait (native join-deadline abort,
-        failure injection), the pin is released before unwinding.
-        """
-        thread = slot.thread
-        desc.pin()
-        thread.charge(self.costs.pin_unpin_us)
-        try:
-            if not desc.valid:
-                # Another thread's read is in flight; wait for it
-                # off-CPU. The pin taken above keeps the frame ours
-                # while we sleep. Capture the event first: under the
-                # native backend the reader may complete (and clear
-                # ``io_done``) between the validity check and the wait;
-                # in the simulator the two statements are atomic and
-                # the capture changes nothing.
-                io_done = desc.io_done
-                if io_done is not None:
-                    yield from thread.wait(io_done)
-            if desc.tag == page and desc.valid:
-                yield from self.handler.hit(slot, desc, page)
-                if is_write:
-                    desc.dirty = True
-                return desc
-        except BaseException:
-            desc.unpin()
-            self._reclaim_orphan(desc)
-            raise
-        desc.unpin()
-        self._reclaim_orphan(desc)
-        return None
+        return False
 
     def _serve_miss(self, slot: "ThreadSlot", page: PageId,
                     is_write: bool = False) -> Waits:
@@ -439,7 +444,7 @@ class BufferManager:
 
         With ``expect_no_pins=True`` additionally asserts that no frame
         holds a residual pin — the post-run sweep for aborted runs,
-        where every ``_serve_hit``/``_serve_miss`` pin (and every
+        where every hit-path/``_serve_miss`` pin (and every
         operator-held pin) must have been released on unwind. Off by
         default because callers may legitimately hold pins at the time
         of the check (e.g. a scan parked on its current page).

@@ -25,7 +25,7 @@ A handler also owns its insides, and callers ask instead of probing:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
@@ -36,7 +36,8 @@ from repro.errors import SimulationError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.policies.base import LockDiscipline, ReplacementPolicy
-from repro.runtime.base import MutexLock, Runtime, ThreadContext, Waits
+from repro.runtime.base import (MutexLock, Runtime, ThreadContext, Wait,
+                                Waits)
 from repro.sync.stats import LockStats
 
 __all__ = ["ThreadSlot", "ReplacementHandler", "DirectHandler",
@@ -143,8 +144,14 @@ class ReplacementHandler(ABC):
 
     @abstractmethod
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
-        """Handle replacement bookkeeping for a buffer hit."""
+            ) -> Iterable[Wait]:
+        """Handle replacement bookkeeping for a buffer hit.
+
+        Returns an iterable for ``yield from``: ``()`` (or
+        ``thread.spend()``) when the hit cannot block, a generator when
+        it may — so a hit that only records costs no generator frame.
+        Work before the first possible block runs at call time.
+        """
 
     # -- miss path ------------------------------------------------------------
 
@@ -296,19 +303,22 @@ class BatchedHandler(ReplacementHandler):
     blocks_when_full = True
 
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
-        queue = slot.queue
-        queue.record(desc, tag)                       # Fig. 4 lines 5-6
+            ) -> Iterable[Wait]:
+        batch = slot.queue.record(desc, tag)          # Fig. 4 lines 5-6
         slot.thread.charge(self.costs.queue_record_us)
-        batch = len(queue)
         if batch < self.control.batch_threshold:      # Fig. 4 line 7
-            return
+            return ()
+        return self._try_commit(slot, batch)
+
+    def _try_commit(self, slot: ThreadSlot, batch: int) -> Waits:
+        """Fig. 4 lines 8-18: the threshold is reached, so try to commit
+        the ``batch`` queued hits; block only on a full queue."""
         self._maybe_prefetch(slot, batch)
         # Realize accumulated work so TryLock sees true logical time.
         yield from slot.thread.spend()
         blocking = False
         if not self.lock.try_acquire(slot.thread):    # Fig. 4 line 8
-            if not queue.full or not self.blocks_when_full:
+            if not slot.queue.full or not self.blocks_when_full:
                 return                                # Fig. 4 lines 10-12
             blocking = True
             yield from self.lock.acquire(slot.thread)  # Fig. 4 line 13
@@ -351,9 +361,9 @@ class LockFreeHitHandler(DirectHandler):
         self._hit_op = getattr(policy, "on_hit_relaxed", policy.on_hit)
 
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
+            ) -> Iterable[Wait]:
         self._hit_op(tag)
         slot.thread.charge(self.costs.ref_bit_us)
         # Realize the (tiny) cost so simulated time stays faithful even
         # on long hit streaks; no lock, no blocking.
-        yield from slot.thread.spend()
+        return slot.thread.spend()

@@ -57,15 +57,18 @@ class AccessQueue:
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
 
-    def record(self, desc: BufferDesc, tag: BufferTag) -> None:
-        """Append one hit (Fig. 4 lines 5-6). The caller checks bounds
-        via :attr:`full` before any further recording."""
-        if self.full:
+    def record(self, desc: BufferDesc, tag: BufferTag) -> int:
+        """Append one hit (Fig. 4 lines 5-6) and return the queue's new
+        length. The caller checks bounds via :attr:`full` before any
+        further recording."""
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise ConfigError(
                 "access queue overflow: commit must run before recording "
                 "into a full queue")
-        self._entries.append(QueueEntry(desc, tag))
+        entries.append(QueueEntry(desc, tag))
         self.total_recorded += 1
+        return len(entries)
 
     def drain(self) -> List[QueueEntry]:
         """Remove and return all entries, oldest first (Fig. 4 line 15).

@@ -25,10 +25,12 @@ The ``dropped_accesses`` counter plus the hit-ratio deferral study in
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
 from repro.core.bpwrapper import BatchedHandler, ThreadSlot
-from repro.runtime.base import Waits
+from repro.runtime.base import Wait, Waits
 
 __all__ = ["LossyBatchedHandler"]
 
@@ -46,14 +48,19 @@ class LossyBatchedHandler(BatchedHandler):
         self.dropped_accesses = 0
 
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
-        queue = slot.queue
-        if queue.full:
-            # Try once to flush; if the lock is busy, lose this access.
-            yield from slot.thread.spend()
-            if not self.lock.try_acquire(slot.thread):
-                self.dropped_accesses += 1
-                slot.thread.charge(self.costs.queue_record_us)
-                return
-            yield from self._commit_held(slot, len(queue), False)
+            ) -> Iterable[Wait]:
+        if slot.queue.full:
+            return self._flush_or_drop(slot, desc, tag)
+        return super().hit(slot, desc, tag)
+
+    def _flush_or_drop(self, slot: ThreadSlot, desc: BufferDesc,
+                       tag: BufferTag) -> Waits:
+        """Try once to flush the full queue; if the lock is busy, lose
+        this access."""
+        yield from slot.thread.spend()
+        if not self.lock.try_acquire(slot.thread):
+            self.dropped_accesses += 1
+            slot.thread.charge(self.costs.queue_record_us)
+            return
+        yield from self._commit_held(slot, len(slot.queue), False)
         yield from super().hit(slot, desc, tag)

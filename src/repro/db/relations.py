@@ -27,18 +27,20 @@ class Relation:
                 f"relation {name!r} needs >= 1 page, got {n_pages}")
         self.name = name
         self.n_pages = n_pages
+        # Built once: workloads name a page per access, and every name
+        # of one page is then the same object.
+        self._pages = [PageId(name, block) for block in range(n_pages)]
 
     def page(self, block: int) -> PageId:
         if not 0 <= block < self.n_pages:
             raise WorkloadError(
                 f"block {block} out of range for {self.name!r} "
                 f"({self.n_pages} pages)")
-        return PageId(self.name, block)
+        return self._pages[block]
 
     def pages(self) -> Iterator[PageId]:
         """All pages in block order."""
-        for block in range(self.n_pages):
-            yield PageId(self.name, block)
+        return iter(self._pages)
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, {self.n_pages})"

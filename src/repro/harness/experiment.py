@@ -227,6 +227,11 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
                  stagger_us: float,
                  work_rng=None) -> Generator[Wait, None, None]:
     thread = slot.thread
+    # The per-access loop below runs once per page: its callees are
+    # looked up once per thread.
+    charge, maybe_yield = thread.charge, thread.maybe_yield
+    access = manager.access
+    jitter = work_rng.random if work_rng is not None else None
     if stagger_us > 0:
         yield from thread.sleep_blocked(stagger_us)
     for transaction in stream:
@@ -235,19 +240,20 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
         started = sim.now
         hits = 0
         work_us = user_work_us * transaction.work_factor
+        writes = transaction.write_indices
         for index, page in enumerate(transaction.pages):
             # Per-access work varies ±25% (predicate complexity, tuple
             # counts). Besides realism, the jitter prevents the
             # deterministic simulator from settling into phase-locked
-            # access patterns that no real system exhibits.
-            if work_rng is not None:
-                thread.charge(work_us * work_rng.uniform(0.75, 1.25))
+            # access patterns that no real system exhibits. The draw
+            # is ``random.uniform(0.75, 1.25)``'s own formula.
+            if jitter is not None:
+                charge(work_us * (0.75 + 0.5 * jitter()))
             else:
-                thread.charge(work_us)
-            hit = yield from manager.access(
-                slot, page, is_write=transaction.is_write(index))
-            hits += 1 if hit else 0
-            yield from thread.maybe_yield(quantum_us)
+                charge(work_us)
+            if (yield from access(slot, page, index in writes)):
+                hits += 1
+            yield from maybe_yield(quantum_us)
         log.record(TransactionOutcome(
             kind=transaction.kind, started_at_us=started,
             finished_at_us=sim.now, accesses=len(transaction.pages),

@@ -16,9 +16,7 @@ import hashlib
 import random
 from typing import Union
 
-from repro.util import stable_hash  # noqa: F401  (re-export; now lives in repro.util)
-
-__all__ = ["split_seed", "stream_rng", "stable_hash"]
+__all__ = ["split_seed", "stream_rng"]
 
 _Key = Union[str, int]
 

@@ -8,7 +8,6 @@ the buffer hash table to depend on the simulator package. Re-homing it
 here keeps ``repro.policies``, ``repro.core`` and ``repro.bufmgr``
 import-clean of ``repro.simcore`` (guarded by ``tests/test_layering.py``)
 so the same code can run under either runtime backend.
-:mod:`repro.simcore.rng` re-exports it for backward compatibility.
 """
 
 from __future__ import annotations

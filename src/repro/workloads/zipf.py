@@ -11,7 +11,8 @@ caller's ``random.Random`` stream.
 from __future__ import annotations
 
 import random
-from typing import Optional
+from bisect import bisect_right
+from typing import List, Optional
 
 import numpy as np
 
@@ -44,18 +45,22 @@ class ZipfGenerator:
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
         self._cdf = cdf
-        self._perm: Optional[np.ndarray] = None
+        # Draws search plain Python lists: ``bisect`` over the same
+        # float64 values returns exactly what ``np.searchsorted(...,
+        # side="right")`` would, without numpy's per-call dispatch.
+        self._cdf_list: List[float] = cdf.tolist()
+        self._perm: Optional[List[int]] = None
         if permute:
             perm_rng = np.random.default_rng(permute_seed)
-            self._perm = perm_rng.permutation(n)
+            self._perm = perm_rng.permutation(n).tolist()
 
     def sample(self, rng: random.Random) -> int:
         """One draw, consuming exactly one uniform from ``rng``."""
-        rank = int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        rank = bisect_right(self._cdf_list, rng.random())
         if rank >= self.n:  # guard the u == 1.0 edge
             rank = self.n - 1
         if self._perm is not None:
-            return int(self._perm[rank])
+            return self._perm[rank]
         return rank
 
     def probability_of_rank(self, rank: int) -> float:

@@ -278,6 +278,52 @@ class TestAbortedAccess:
         assert desc.pin_count == 0
         manager.check_invariants(expect_no_pins=True)
 
+    @pytest.mark.parametrize("system, before", [("pg2Q", []),
+                                                ("pgBat", [Q])],
+                             ids=["pg2Q", "pgBat"])
+    def test_aborted_hit_parked_in_handler_releases_pin(self, sim, system,
+                                                        before):
+        """Close a reader parked inside ``handler.hit`` on a replacement
+        lock another thread holds: pg2Q's per-hit ``Lock()``, and
+        pgBat's Fig. 4 line 13 (a full queue behind a failed TryLock).
+        The hit is served in the manager's own frame, so its pin must
+        unwind through the handler's suspension point too."""
+        build = build_system(system, sim, 8, ALTIX_350, queue_size=2,
+                             batch_threshold=2)
+        manager, lock = build.manager, build.lock
+        manager.warm_with([P, Q])
+        pool = ProcessorPool(sim, 2, context_switch_us=0.5)
+        holder_slot = build.handler.new_slot(
+            CpuBoundThread(pool, name="holder"), 0)
+        reader_slot = build.handler.new_slot(
+            CpuBoundThread(pool, name="reader"), 1)
+
+        def holder():
+            yield from lock.acquire(holder_slot.thread)
+            yield from holder_slot.thread.sleep_blocked(100.0)
+            lock.release(holder_slot.thread)
+
+        def reader():
+            yield from reader_slot.thread.sleep_blocked(5.0)
+            # pgBat: Q's hit only records; P's fills the queue.
+            for page in before + [P]:
+                yield from manager.access(reader_slot, page)
+            raise AssertionError("the aborted access must not complete")
+
+        body = reader()
+        holder_slot.thread.start(holder())
+        reader_slot.thread.start(body)
+        sim.run(until=50.0)
+        desc = manager.lookup(P)
+        assert desc.pin_count == 1
+        assert lock.queue_length == 1  # parked on the held lock
+        body.close()
+        assert desc.pin_count == 0
+        manager.check_invariants(expect_no_pins=True)
+        sim.run()
+        assert not lock.held
+        manager.check_invariants(expect_no_pins=True)
+
     def test_aborted_absorbed_miss_retries(self, sim):
         """The absorbed-miss wait also re-checks the tag after waking.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.bufmgr.descriptors import BufferDesc
@@ -11,6 +13,7 @@ from repro.core.bpwrapper import (BatchedHandler, DirectHandler,
                                   LockFreeHitHandler, ThreadSlot)
 from repro.core.config import BPConfig
 from repro.core.fifoqueue import AccessQueue
+from repro.core.lossy import LossyBatchedHandler
 from repro.errors import ConfigError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
@@ -68,6 +71,11 @@ class TestAccessQueue:
         drained = queue.drain()
         assert [entry.tag.block for entry in drained] == [0, 1, 2, 3, 4]
         assert len(queue) == 0
+
+    def test_record_returns_new_length(self):
+        queue = AccessQueue(4)
+        assert [queue.record(*self.make_entry(block))
+                for block in range(3)] == [1, 2, 3]
 
     def test_overflow_rejected(self):
         queue = AccessQueue(2)
@@ -127,7 +135,8 @@ class TestAccessQueue:
 
 
 def wrapper_rig(sim, capacity=16, queue_size=4, batch_threshold=2,
-                prefetching=False, policy_cls=LRUPolicy):
+                prefetching=False, policy_cls=LRUPolicy,
+                handler_cls=BatchedHandler):
     costs = CostModel(user_work_us=1.0, context_switch_us=0.5)
     policy = policy_cls(capacity)
     lock = SimLock(sim, grant_cost_us=costs.lock_grant_us,
@@ -136,7 +145,7 @@ def wrapper_rig(sim, capacity=16, queue_size=4, batch_threshold=2,
     config = BPConfig(batching=True, prefetching=prefetching,
                       queue_size=queue_size,
                       batch_threshold=batch_threshold)
-    handler = BatchedHandler(policy, lock, cache, costs, config)
+    handler = handler_cls(policy, lock, cache, costs, config)
     manager = BufferManager(sim, capacity, policy, handler, costs)
     return manager, policy, lock, handler
 
@@ -425,6 +434,64 @@ class TestDirectAndLockFree:
         thread.start(body())
         sim.run()
         assert lock.stats.acquisitions == 6
+
+
+class TestHitContract:
+    """``hit`` returns an iterable for ``yield from``; a hit that cannot
+    block is no generator at all (one frame per buffer hit)."""
+
+    def one_page(self, sim, manager, queue_size):
+        page = PageId("t", 0)
+        manager.warm_with([page])
+        pool = ProcessorPool(sim, 1, 0.0)
+        slot = ThreadSlot(CpuBoundThread(pool), 0, queue_size=queue_size)
+        return slot, manager.lookup(page), page
+
+    @pytest.mark.parametrize("handler_cls",
+                             [BatchedHandler, LossyBatchedHandler])
+    def test_batched_below_threshold_is_not_a_generator(self, sim,
+                                                        handler_cls):
+        manager, _, lock, handler = wrapper_rig(
+            sim, queue_size=4, batch_threshold=3, handler_cls=handler_cls)
+        slot, desc, page = self.one_page(sim, manager, 4)
+        for depth in (1, 2):
+            waits = handler.hit(slot, desc, page)
+            assert not inspect.isgenerator(waits)
+            assert list(waits) == []
+            assert len(slot.queue) == depth
+        assert lock.stats.requests == lock.stats.try_attempts == 0
+
+    def test_batched_at_threshold_still_commits(self, sim):
+        manager, policy, lock, handler = wrapper_rig(
+            sim, queue_size=4, batch_threshold=3)
+        slot, desc, page = self.one_page(sim, manager, 4)
+        kinds = []
+
+        def body():
+            for _ in range(3):
+                waits = handler.hit(slot, desc, page)
+                kinds.append(inspect.isgenerator(waits))
+                yield from waits
+
+        slot.thread.start(body())
+        sim.run()
+        assert kinds == [False, False, True]
+        assert lock.stats.acquisitions == 1
+        assert len(slot.queue) == 0
+        assert slot.queue.total_committed == 3
+
+    def test_lock_free_hit_is_not_a_generator(self, sim):
+        costs = CostModel(user_work_us=1.0)
+        policy = ClockPolicy(8)
+        lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
+        handler = LockFreeHitHandler(policy, lock, MetadataCacheModel(costs),
+                                     costs, BPConfig.baseline())
+        manager = BufferManager(sim, 8, policy, handler, costs)
+        slot, desc, page = self.one_page(sim, manager, 64)
+        waits = handler.hit(slot, desc, page)
+        assert not inspect.isgenerator(waits)
+        assert policy.reference_bit(page)
+        assert lock.stats.requests == 0
 
 
 class TestPrefetching:

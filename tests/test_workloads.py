@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.bufmgr.tags import PageId
@@ -66,6 +68,53 @@ class TestZipf:
         a = [zipf.sample(random.Random(1)) for _ in range(5)]
         b = [zipf.sample(random.Random(1)) for _ in range(5)]
         assert a == b
+
+    @staticmethod
+    def reference_cdf(n, theta):
+        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64),
+                                 theta)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        return cdf
+
+    def searchsorted_reference(self, n, theta, permute, uniforms):
+        """The draws as one vectorised ``np.searchsorted`` computes them:
+        the same uniform must give the same rank (run digests rely on
+        it)."""
+        ranks = np.minimum(np.searchsorted(self.reference_cdf(n, theta),
+                                           uniforms, side="right"), n - 1)
+        if permute:
+            ranks = np.random.default_rng(11).permutation(n)[ranks]
+        return ranks.tolist()
+
+    @pytest.mark.parametrize("permute", [False, True])
+    @pytest.mark.parametrize("theta", [0.0, 0.7, 0.9])
+    def test_draws_match_searchsorted_reference(self, theta, permute):
+        n = 500
+        zipf = ZipfGenerator(n, theta, permute=permute, permute_seed=11)
+        rng = random.Random(3)
+        uniforms = [rng.random() for _ in range(100_000)]
+        rng = random.Random(3)
+        assert [zipf.sample(rng) for _ in uniforms] == \
+            self.searchsorted_reference(n, theta, permute, uniforms)
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_unit_interval_edges_match_reference(self, permute):
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        n = 10
+        zipf = ZipfGenerator(n, 0.9, permute=permute, permute_seed=11)
+        # A u equal to a CDF entry belongs to the next rank (side
+        # "right"); u == 1.0 is the last entry: clamped to the last rank.
+        edges = [0.0, float(self.reference_cdf(n, 0.9)[3]),
+                 math.nextafter(1.0, 0.0), 1.0]
+        assert [zipf.sample(Fixed(u)) for u in edges] == \
+            self.searchsorted_reference(n, 0.9, permute, edges)
 
 
 class TestRegistry:
