@@ -3,7 +3,7 @@
 
 .PHONY: install test lint check oracle native-smoke bench-scaling \
 	trace analyze dashboard serve serve-smoke telemetry macro tune \
-	tune-smoke perf-diff ledger bench repro quick charts csv clean
+	tune-smoke ledger bench repro quick charts csv clean
 
 install:
 	pip install -e .
@@ -28,12 +28,14 @@ check:
 	PYTHONPATH=src python -m repro.harness.cli check \
 		--systems pgBatShared pgBat --fuzz 0
 
-# Byte-identical sim output, as a gate: runs the perf ledger's four
-# simulator workloads (fig6_hit, table3_miss, serve_sim, macro_sim) at
-# seed 42 and fails unless all 12 result digests equal those in
-# benchmarks/ledger/reference.json. A refactor of the harness, the
-# runtimes or anything below them must keep this green. ~30 s. The CI
-# smoke job runs exactly this.
+# Byte-identical sim output, as the one exact sim gate: runs the perf
+# ledger's four simulator workloads (fig6_hit, table3_miss, serve_sim,
+# macro_sim) at seed 42 plus two tablescan cells in-process, and fails
+# unless all 14 result digests equal those in benchmarks/oracle.json.
+# A refactor of the harness, the runtimes or anything below them must
+# keep this green; a deliberate model change re-records with
+# `python benchmarks/oracle.py --update` and pastes its old -> new
+# lines into CHANGES.md. ~20 s. The CI smoke job runs exactly this.
 oracle:
 	python benchmarks/oracle.py --out out/oracle
 
@@ -139,14 +141,6 @@ tune-smoke:
 		--accesses 1500 --processors 8 --out out/tune-b
 	cmp out/tune-a/tune.json out/tune-b/tune.json
 	cmp out/tune-a/tune_dashboard.html out/tune-b/tune_dashboard.html
-
-# Gate this checkout against BENCH_baseline.json (committed; exact,
-# host-independent sim metrics). Non-zero exit on a >5% regression.
-# Refresh with:
-#   PYTHONPATH=src python -m repro.harness.cli perf-diff \
-#       --mode update --note "why the numbers moved"
-perf-diff:
-	PYTHONPATH=src python -m repro.harness.cli perf-diff
 
 # "Did wall-clock perf regress?": run the perf ledger's six workloads
 # (benchmarks/ledger/, see its README) and compare the host-speed-

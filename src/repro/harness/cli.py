@@ -23,8 +23,8 @@ macro     query-execution macro tier -> ``macro.json`` + per-operator
           page accesses
 tune      control-plane sweep -> ``tune.json`` + Fig. 8 heatmap,
           adapter and adaptive-policy probes
-perf-diff sim-metric gate vs ``BENCH_baseline.json`` (exit 1 on
-          regression, 2 when the baseline is missing)
+hitratio  policy hit ratios over a workload or a trace file, without
+          the simulator
 check     correctness gate: invariants + differential oracle + fuzzer
 ========= ===========================================================
 
@@ -33,9 +33,9 @@ writes one CSV per artifact into ``DIR``. The sweep subcommands
 (``analyze``, ``serve``, ``macro``, ``tune``) each build one
 :class:`~repro.harness.report.Report` from their record and emit it
 twice — the HTML page and the same tables in the terminal (see
-``docs/observability.md``). A rejected configuration
-(:class:`~repro.errors.ConfigError`) prints ``error: <message>`` and
-exits 2.
+``docs/observability.md``). Rejected input — a
+:class:`~repro.errors.ConfigError`, or a trace file ``hitratio``
+cannot read — prints ``error: <message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ from repro.errors import ConfigError
 from repro.harness import figures, tables
 from repro.harness.report import render_table, render_text, rows_to_csv
 
-__all__ = ["analyze_main", "check_main", "macro_main", "main",
-           "perf_diff_main", "run_main", "serve_main", "trace_main",
-           "tune_main"]
+__all__ = ["analyze_main", "check_main", "hitratio_main", "macro_main",
+           "main", "run_main", "serve_main", "trace_main", "tune_main"]
 
 _ARTIFACTS: Dict[str, Callable[[], object]] = {
     "fig2": figures.fig2,
@@ -628,77 +627,79 @@ def tune_main(argv=None) -> int:
     return 0
 
 
-def perf_diff_main(argv=None) -> int:
-    """The ``perf-diff`` subcommand: measure, compare, gate."""
-    from repro.obs.baseline import (compare_baseline, load_baseline,
-                                    measure_current, record_baseline)
+def hitratio_main(argv=None) -> int:
+    """The ``hitratio`` subcommand: policy hit ratios, no simulator."""
+    from repro.analysis.hitratio import replay, replay_through_wrapper
+    from repro.errors import ReproError
+    from repro.policies.registry import available_policies
+    from repro.workloads.base import merged_trace
+    from repro.workloads.registry import available_workloads, make_workload
+    from repro.workloads.traces import load_trace
 
     parser = argparse.ArgumentParser(
-        prog="repro.harness.cli perf-diff",
-        description="Measure the perf gate metrics (deterministic "
-                    "fixed-seed sim throughput and lock time per "
-                    "access) and compare them against the baseline "
-                    "store; exits 1 on regression, 2 when the "
-                    "baseline is missing. Wall-clock speed is the "
-                    "perf ledger's job (benchmarks/ledger/).")
-    parser.add_argument("--baseline", default="BENCH_baseline.json",
-                        metavar="PATH",
-                        help="baseline store (default "
-                             "BENCH_baseline.json)")
-    parser.add_argument("--mode", choices=("compare", "record", "update"),
-                        default="compare",
-                        help="compare (gate, default), record (write a "
-                             "fresh baseline), or update (compare then "
-                             "re-record)")
-    parser.add_argument("--threshold", type=float, default=None,
-                        metavar="FRAC",
-                        help="override every metric's tolerance with "
-                             "this fraction (e.g. 0.15)")
-    parser.add_argument("--note", default="",
-                        help="annotation stored with a recorded "
-                             "baseline's trajectory entry")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="also write the comparison rows as JSON")
+        prog="repro.harness.cli hitratio",
+        description="Replay access traces through replacement policies "
+                    "and report hit ratios.")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--workload", choices=available_workloads(),
+                        default="dbt1",
+                        help="generate the trace from a built-in workload")
+    source.add_argument("--trace", metavar="FILE",
+                        help="replay an explicit trace file instead")
+    parser.add_argument("--policies", nargs="+", default=["2q", "clock"],
+                        choices=available_policies(), metavar="POLICY",
+                        help="policies to compare")
+    parser.add_argument("--accesses", type=int, default=60_000,
+                        help="trace length for generated workloads")
+    parser.add_argument("--seed", type=int, default=42)
+    sizes = parser.add_mutually_exclusive_group()
+    sizes.add_argument("--capacities", nargs="+", type=int,
+                       metavar="PAGES", help="absolute buffer sizes")
+    sizes.add_argument("--fractions", nargs="+", type=float,
+                       metavar="FRAC",
+                       help="buffer sizes as fractions of the page space")
+    parser.add_argument("--wrapped", action="store_true",
+                        help="also replay through BP-Wrapper's deferral "
+                             "schedule (queue 64 / threshold 32 / 8 "
+                             "threads)")
     args = parser.parse_args(argv)
 
-    current = measure_current(seed=args.seed)
-    if args.mode == "record":
-        path = record_baseline(args.baseline, current, note=args.note)
-        print(render_table(
-            ["metric", "value", "kind", "direction"],
-            [[name, entry["value"], entry["kind"], entry["direction"]]
-             for name, entry in sorted(current.items())],
-            title="Recorded baseline"))
-        print(f"[wrote {path}]")
-        return 0
-
-    baseline = load_baseline(args.baseline)
-    if baseline is None:
-        print(f"error: no baseline at {args.baseline} — run "
-              f"`perf-diff --mode record` first", file=sys.stderr)
+    try:
+        if args.trace:
+            trace = load_trace(args.trace)
+            total_pages = len(set(trace))
+            label = args.trace
+        else:
+            workload = make_workload(args.workload, seed=args.seed)
+            trace = merged_trace(workload, args.accesses)
+            total_pages = workload.total_pages
+            label = workload.describe()
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    diff = compare_baseline(baseline, current,
-                            tolerance_override=args.threshold)
+    capacities = args.capacities or sorted(
+        {max(16, int(total_pages * fraction))
+         for fraction in args.fractions or [0.05, 0.1, 0.2, 0.4]})
+
+    headers = ["capacity"]
+    for name in args.policies:
+        headers.append(name)
+        if args.wrapped:
+            headers.append(f"{name}+BP")
+    rows = []
+    for capacity in capacities:
+        row = [capacity]
+        for name in args.policies:
+            row.append(round(replay(name, trace,
+                                    capacity=capacity).hit_ratio, 4))
+            if args.wrapped:
+                row.append(round(replay_through_wrapper(
+                    name, trace, capacity=capacity, queue_size=64,
+                    batch_threshold=32, n_threads=8).hit_ratio, 4))
+        rows.append(row)
     print(render_table(
-        ["metric", "baseline", "current", "change", "tolerance",
-         "status"],
-        [[row["metric"], row["baseline"], row["current"],
-          "-" if row["change"] is None else f"{row['change']:+.1%}",
-          "-" if row["tolerance"] is None else f"{row['tolerance']:.0%}",
-          row["status"]] for row in diff.rows],
-        title=f"Perf diff vs {args.baseline}"))
-    if args.json:
-        _write_json(args.json, diff.rows)
-        print(f"[wrote {args.json}]")
-    if args.mode == "update":
-        record_baseline(args.baseline, current, note=args.note)
-        print(f"[baseline updated: {args.baseline}]")
-    if diff.regressions:
-        print(f"REGRESSION: {', '.join(diff.regressions)} beyond "
-              f"tolerance", file=sys.stderr)
-        return 1
-    print(f"[gate clean: {len(diff.rows)} metrics within tolerance]")
+        headers, rows,
+        title=f"Hit ratios — {label}, {len(trace):,} accesses"))
     return 0
 
 
@@ -819,7 +820,7 @@ _SUBCOMMANDS = {
     "serve": serve_main,
     "macro": macro_main,
     "tune": tune_main,
-    "perf-diff": perf_diff_main,
+    "hitratio": hitratio_main,
     "check": check_main,
 }
 

@@ -1,4 +1,4 @@
-"""Observability layer: tracing + metrics -> analysis -> perf gate.
+"""Observability layer: tracing + metrics -> analysis.
 
 See :mod:`repro.obs.observer` for the attachment protocol
 (``sim.observer``), :mod:`repro.obs.trace` for the Chrome trace-event
@@ -6,16 +6,14 @@ exporter, :mod:`repro.obs.metrics` for the histogram/counter registry
 snapshotted into run results, :mod:`repro.obs.telemetry` for
 request-scoped trace contexts, windowed time-series and SLO
 evaluation, :mod:`repro.obs.export` for the OpenMetrics text exporter
-and cross-process snapshot merging, :mod:`repro.obs.analyze` for the
-contention analyzer deriving the paper's diagnostics from those raw
-signals, and :mod:`repro.obs.baseline` for the perf-baseline store
-behind ``cli perf-diff``. ``docs/observability.md`` has the
-user-facing guide.
+and cross-process snapshot merging, and :mod:`repro.obs.analyze` for
+the contention analyzer deriving the paper's diagnostics from those
+raw signals. ``docs/observability.md`` has the user-facing guide.
+Regressions are gated elsewhere: ``benchmarks/oracle.py`` for
+simulated results, the perf ledger for wall clock.
 """
 
 from repro.obs.analyze import analyze_grid, analyze_run
-from repro.obs.baseline import (compare_baseline, load_baseline,
-                                measure_current, record_baseline)
 from repro.obs.export import (merge_snapshots, to_openmetrics,
                               write_openmetrics)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -39,12 +37,8 @@ __all__ = [
     "WindowedHistogram",
     "analyze_grid",
     "analyze_run",
-    "compare_baseline",
     "evaluate_slo",
-    "load_baseline",
-    "measure_current",
     "merge_snapshots",
-    "record_baseline",
     "to_openmetrics",
     "write_openmetrics",
 ]

@@ -45,26 +45,32 @@ def load_trace(path) -> List[PageId]:
     """Read a trace written by :func:`save_trace` (or hand-authored).
 
     Raises :class:`~repro.errors.WorkloadError` with the offending line
-    number on malformed input.
+    number on malformed input, and naming the file on bytes that are
+    not UTF-8 (a file cut mid-character, or not a trace at all).
     """
     accesses: List[PageId] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise WorkloadError(
-                    f"{path}:{line_number}: expected 'space block', "
-                    f"got {stripped!r}")
-            try:
-                block = int(parts[1])
-            except ValueError as exc:
-                raise WorkloadError(
-                    f"{path}:{line_number}: block must be an integer, "
-                    f"got {parts[1]!r}") from exc
-            accesses.append(PageId(parts[0], block))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                parts = stripped.split()
+                if len(parts) != 2:
+                    raise WorkloadError(
+                        f"{path}:{line_number}: expected 'space block', "
+                        f"got {stripped!r}")
+                try:
+                    block = int(parts[1])
+                except ValueError as exc:
+                    raise WorkloadError(
+                        f"{path}:{line_number}: block must be an "
+                        f"integer, got {parts[1]!r}") from exc
+                accesses.append(PageId(parts[0], block))
+    except UnicodeDecodeError as exc:
+        raise WorkloadError(
+            f"{path}: not UTF-8 text ({exc.reason}); truncated or not "
+            f"a trace file") from exc
     if not accesses:
         raise WorkloadError(f"{path}: trace contains no accesses")
     return accesses

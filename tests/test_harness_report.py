@@ -1,7 +1,7 @@
 """Tests for :mod:`repro.harness.report` — the table/CSV/JSON plumbing.
 
 Every derived artifact in the repo (paper tables, analyzer output,
-perf-diff reports) flows through these helpers, so their edge cases
+hit-ratio studies) flows through these helpers, so their edge cases
 (None cells, negative magnitudes, tiny floats, alignment) get a
 dedicated file.
 """

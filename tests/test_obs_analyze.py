@@ -1,19 +1,15 @@
-"""Tests for the contention analyzer, HTML dashboard, and perf gate.
+"""Tests for the contention analyzer and HTML dashboard.
 
-Three layers, matching the pipeline:
+Two layers, matching the pipeline:
 
 * synthetic-input unit tests for each analyzer function (known spans
   in, hand-computed diagnostics out);
 * an observed 2x2 sweep through ``analyze_grid`` + ``analysis_report``
   with the determinism acceptance check (same seed -> byte-identical
-  dashboard and analysis JSON);
-* the ``perf-diff`` gate end-to-end through the CLI: record, clean
-  compare (exit 0), injected 20% throughput regression (exit 1), and
-  missing baseline (exit 2).
+  dashboard and analysis JSON).
 """
 
 import json
-import pathlib
 import types
 
 import pytest
@@ -26,9 +22,6 @@ from repro.obs.analyze import (analyze_grid, analyze_run,
                                lock_breakdown, merge_snapshot_histograms,
                                scaling_table, thread_attribution,
                                warmup_cost, warmup_table)
-from repro.obs.baseline import (MAX_HISTORY, compare_baseline,
-                                load_baseline, measure_current,
-                                record_baseline)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder
 
@@ -245,147 +238,3 @@ def test_cli_analyze_writes_artifacts(tmp_path, capsys):
     assert analysis["systems"] == ["pgBatPre"]
     assert "Sweep grid" in capsys.readouterr().out
 
-
-# -- perf baseline store and gate -----------------------------------------
-
-
-def _metrics(tps=100.0, lock_us=2.0):
-    return {
-        "sim.sys.tps": {"value": tps, "kind": "sim",
-                        "direction": "higher", "unit": "tps"},
-        "sim.sys.lock_us": {"value": lock_us, "kind": "sim",
-                            "direction": "lower", "unit": "us"},
-    }
-
-
-def test_compare_baseline_directions():
-    baseline = {"metrics": _metrics()}
-    clean = compare_baseline(baseline, _metrics(tps=101.0, lock_us=1.98))
-    assert clean.ok and not clean.improvements
-    slower = compare_baseline(baseline, _metrics(tps=80.0))
-    assert slower.regressions == ["sim.sys.tps"]
-    # "lower is better" regresses upward.
-    lockier = compare_baseline(baseline, _metrics(lock_us=2.5))
-    assert lockier.regressions == ["sim.sys.lock_us"]
-    better = compare_baseline(baseline, _metrics(tps=120.0))
-    assert better.ok and better.improvements == ["sim.sys.tps"]
-
-
-def test_compare_baseline_new_metric_never_fails():
-    diff = compare_baseline({"metrics": {}}, _metrics())
-    assert diff.ok
-    assert {row["status"] for row in diff.rows} == {"new"}
-
-
-def test_compare_baseline_tolerance_override():
-    baseline = {"metrics": _metrics()}
-    diff = compare_baseline(baseline, _metrics(tps=96.0),
-                            tolerance_override=0.01)
-    assert diff.regressions == ["sim.sys.tps"]
-    assert compare_baseline(baseline, _metrics(tps=96.0)).ok
-
-
-def test_record_baseline_keeps_trajectory(tmp_path):
-    path = tmp_path / "base.json"
-    record_baseline(path, _metrics(), note="first")
-    record_baseline(path, _metrics(tps=110.0), note="second")
-    document = load_baseline(path)
-    assert document["metrics"]["sim.sys.tps"]["value"] == 110.0
-    assert [entry["note"] for entry in document["history"]] == \
-        ["first", "second"]
-
-
-def test_record_baseline_history_bounded(tmp_path):
-    path = tmp_path / "base.json"
-    for index in range(MAX_HISTORY + 1):
-        record_baseline(path, _metrics(), note=f"run-{index}")
-    history = load_baseline(path)["history"]
-    assert len(history) == MAX_HISTORY
-    assert history[0]["note"] == "run-1"
-    assert history[-1]["note"] == f"run-{MAX_HISTORY}"
-
-
-def test_load_baseline_version_mismatch(tmp_path):
-    path = tmp_path / "base.json"
-    path.write_text(json.dumps({"version": 99, "metrics": {}}))
-    with pytest.raises(ValueError, match="version"):
-        load_baseline(path)
-
-
-def test_measure_current_sim_metrics_deterministic():
-    first = measure_current(target_accesses=500)
-    second = measure_current(target_accesses=500)
-    assert first == second
-    assert all(entry["kind"] == "sim" for entry in first.values())
-    assert any(name.endswith(".tps") for name in first)
-
-
-# The committed store, gated in tier-1 exactly as CI's smoke job gates
-# it through ``cli perf-diff``.
-_COMMITTED = (pathlib.Path(__file__).resolve().parents[1]
-              / "BENCH_baseline.json")
-
-
-@pytest.fixture(scope="module")
-def gate_metrics():
-    return measure_current()
-
-
-def test_committed_baseline_gates_clean(gate_metrics):
-    diff = compare_baseline(load_baseline(_COMMITTED), gate_metrics)
-    assert diff.ok, diff.regressions
-    assert {row["status"] for row in diff.rows} == {"ok"}
-
-
-def test_committed_baseline_catches_inflated_tps(gate_metrics):
-    inflated = load_baseline(_COMMITTED)
-    for name, entry in inflated["metrics"].items():
-        if name.endswith(".tps"):
-            entry["value"] = round(entry["value"] * 1.25, 3)
-    diff = compare_baseline(inflated, gate_metrics)
-    assert diff.regressions == ["sim.pg2Q.tps", "sim.pgBatPre.tps"]
-
-
-def test_measurer_and_committed_store_share_keys(gate_metrics):
-    assert set(gate_metrics) == set(load_baseline(_COMMITTED)["metrics"])
-
-
-@pytest.fixture()
-def fake_measure(monkeypatch):
-    def _fake(seed=7, target_accesses=3_000):
-        return _metrics()
-    monkeypatch.setattr("repro.obs.baseline.measure_current", _fake)
-    return _fake
-
-
-def test_cli_perf_diff_gate(tmp_path, fake_measure, capsys):
-    baseline = tmp_path / "BENCH_baseline.json"
-    # Missing baseline: exit 2 with a pointer at --mode record.
-    assert cli_main(["perf-diff", "--baseline", str(baseline)]) == 2
-    assert cli_main(["perf-diff", "--baseline", str(baseline),
-                     "--mode", "record"]) == 0
-    # Clean compare: exit 0.
-    report = tmp_path / "diff.json"
-    assert cli_main(["perf-diff", "--baseline", str(baseline),
-                     "--json", str(report)]) == 0
-    rows = json.loads(report.read_text())
-    assert {row["status"] for row in rows} == {"ok"}
-    # Inject a 20% throughput regression (inflate the baseline).
-    document = json.loads(baseline.read_text())
-    document["metrics"]["sim.sys.tps"]["value"] *= 1.25
-    baseline.write_text(json.dumps(document))
-    assert cli_main(["perf-diff", "--baseline", str(baseline)]) == 1
-    assert "REGRESSION" in capsys.readouterr().err
-
-
-def test_cli_perf_diff_update_rerecords(tmp_path, fake_measure):
-    baseline = tmp_path / "BENCH_baseline.json"
-    cli_main(["perf-diff", "--baseline", str(baseline), "--mode", "record"])
-    document = json.loads(baseline.read_text())
-    document["metrics"]["sim.sys.tps"]["value"] = 96.0  # within 5%
-    baseline.write_text(json.dumps(document))
-    assert cli_main(["perf-diff", "--baseline", str(baseline),
-                     "--mode", "update"]) == 0
-    refreshed = load_baseline(baseline)
-    assert refreshed["metrics"]["sim.sys.tps"]["value"] == 100.0
-    assert len(refreshed["history"]) == 2

@@ -34,6 +34,19 @@ class TestTraceRoundTrip:
         with pytest.raises(WorkloadError, match="integer"):
             load_trace(path)
 
+    def test_file_cut_mid_character_rejected(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"t 1\nt 2\n\xe2\x82")
+        with pytest.raises(WorkloadError, match="not UTF-8") as info:
+            load_trace(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_file_cut_mid_line_rejected(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        path.write_bytes(b"t 1\nt 2\nt")
+        with pytest.raises(WorkloadError, match=":3: expected"):
+            load_trace(path)
+
     def test_empty_trace_rejected(self, tmp_path):
         path = tmp_path / "trace.txt"
         path.write_text("# nothing but comments\n")
