@@ -97,6 +97,11 @@ class CorrectnessChecker:
         if self.lock_monitor is not None:
             self.lock_monitor.on_released(lock_name, thread_name, woken)
 
+    def on_lock_abandoned(self, lock_name: str, thread_name: str,
+                          woken: Optional[str]) -> None:
+        if self.lock_monitor is not None:
+            self.lock_monitor.on_abandoned(lock_name, thread_name, woken)
+
     # -- commit hooks (called from ReplacementHandler) -----------------------
 
     def on_commit(self, lock_name: str, thread_name: str,

@@ -144,6 +144,29 @@ class LockMonitor:
                 f"lock {lock_name!r}: woke {woken!r} but the shadow "
                 f"queue is empty")
 
+    def on_abandoned(self, lock_name: str, thread_name: str,
+                     woken: Optional[str]) -> None:
+        """A waiter closed while parked left the queue (or the woken
+        set), handing any wakeup it held on to ``woken``."""
+        shadow = self.shadow(lock_name)
+        if thread_name in shadow.waiters:
+            shadow.waiters.remove(thread_name)
+        elif thread_name in shadow.woken:
+            shadow.woken.discard(thread_name)
+        else:
+            raise CheckError(
+                f"lock {lock_name!r}: {thread_name!r} abandoned a wait "
+                f"it was not in")
+        if woken is None:
+            return
+        if shadow.owner is not None or not shadow.waiters \
+                or shadow.waiters[0] != woken:
+            raise CheckError(
+                f"lock {lock_name!r}: abandoned wakeup handed to "
+                f"{woken!r}, not to the FIFO head of a free lock")
+        shadow.waiters.popleft()
+        shadow.woken.add(woken)
+
     def assert_held_by(self, lock_name: str, thread_name: str) -> None:
         """Commit-protocol check: the committer must hold the lock."""
         shadow = self.shadow(lock_name)

@@ -108,7 +108,7 @@ class MutexLock(Protocol):
 
     def try_acquire(self, thread: "ThreadContext") -> bool: ...
 
-    def acquire(self, thread: "ThreadContext") -> Waits: ...
+    def acquire(self, thread: "ThreadContext") -> Iterable[Wait]: ...
 
     def release(self, thread: "ThreadContext") -> None: ...
 

@@ -29,6 +29,26 @@ simulator's wall-clock cost) proportional to the number of *blocking
 points*, not the number of cost constants, without changing any
 simulated timestamp that matters: nothing can observe a thread midway
 through a straight-line compute sequence.
+
+A realised charge normally travels as a :class:`Sleep` up the thread's
+generator chain, through the event heap and back down. When its wake
+time ``now + cost`` is **strictly** earlier than the heap's first entry
+(or the heap is empty) and not past the run's horizon
+(``Simulator._horizon``: ``until``, or +inf), the heap would pop that
+very entry next, so :meth:`CpuBoundThread.spend` moves the clock itself
+and returns the empty tuple instead. The context-switch charge of a
+dispatch (``ProcessorPool._acquire``, ``CpuBoundThread._reschedule``)
+takes the same rule, inlined the same way. Four invariants make the two
+paths indistinguishable:
+
+* an equal timestamp still goes through the heap, so the ``(time,
+  seq)`` tie-break is untouched (skipping a ``seq`` number reorders
+  nothing);
+* an advance never passes ``until``: a later wake stays queued;
+* each advance counts as one ``events_processed``, and a ``max_events``
+  budget disables advancing so the budget stays exact;
+* nothing is due outside the heap: outside ``run`` and while sibling
+  callbacks of one event dispatch are pending the horizon is ``-inf``.
 """
 
 from __future__ import annotations
@@ -107,10 +127,19 @@ class ProcessorPool:
         observer = self.sim.observer
         if observer is not None:
             observer.on_dispatch(len(self._ready), self.sim.now)
-        if self.context_switch_us > 0:
-            self.context_switch_time += self.context_switch_us
-            self.busy_time += self.context_switch_us
-            yield Sleep(self.context_switch_us)
+        cost = self.context_switch_us
+        if cost > 0:
+            self.context_switch_time += cost
+            self.busy_time += cost
+            # The in-place advance of CpuBoundThread.spend, inlined.
+            sim = self.sim
+            when = sim._now + cost
+            heap = sim._heap
+            if when <= sim._horizon and (not heap or when < heap[0][0]):
+                sim._now = when
+                sim._events_processed += 1
+            else:
+                yield Sleep(cost)
 
     def _release(self) -> None:
         """Give up the calling thread's processor, dispatching a waiter."""
@@ -168,12 +197,12 @@ class CpuBoundThread:
         """Realize accumulated charges as time spent holding the CPU.
 
         Hot path: returns an iterable for ``yield from``. With no
-        pending charge the shared empty tuple comes back (no generator,
-        no event — the zero-charge early-out); otherwise a single
-        :class:`~repro.simcore.engine.Sleep` marker, which the driving
-        process turns into one heap entry without allocating a
-        ``Timeout``. Timestamps and tie-break order are identical to
-        the historical ``yield Timeout(...)`` implementation.
+        pending charge, or when the charge ends before any queued event
+        and the clock moved in place (module docstring), the shared
+        empty tuple comes back: no generator, no event. Otherwise a
+        single :class:`~repro.simcore.engine.Sleep` marker, which the
+        driving process turns into one heap entry. Timestamps and
+        tie-break order are identical either way.
         """
         cost = self._pending_charge
         if cost <= 0.0:
@@ -181,6 +210,15 @@ class CpuBoundThread:
         self._pending_charge = 0.0
         self.cpu_time += cost
         self.pool.busy_time += cost
+        # In-place advance (module docstring). Inline, not a helper: a
+        # failed test must cost attribute loads only.
+        sim = self.sim
+        when = sim._now + cost
+        heap = sim._heap
+        if when <= sim._horizon and (not heap or when < heap[0][0]):
+            sim._now = when
+            sim._events_processed += 1
+            return _NO_EVENTS
         return (Sleep(cost),)
 
     def run_for(self, cost_us: float):
@@ -255,10 +293,19 @@ class CpuBoundThread:
         observer = self.sim.observer
         if observer is not None:
             observer.on_dispatch(self.pool.ready_count, self.sim.now)
-        if self.pool.context_switch_us > 0:
-            self.pool.context_switch_time += self.pool.context_switch_us
-            self.pool.busy_time += self.pool.context_switch_us
-            yield Sleep(self.pool.context_switch_us)
+        cost = self.pool.context_switch_us
+        if cost > 0:
+            self.pool.context_switch_time += cost
+            self.pool.busy_time += cost
+            # The in-place advance of spend, inlined.
+            sim = self.sim
+            when = sim._now + cost
+            heap = sim._heap
+            if when <= sim._horizon and (not heap or when < heap[0][0]):
+                sim._now = when
+                sim._events_processed += 1
+            else:
+                yield Sleep(cost)
         self._running = True
 
     # -- lifecycle ----------------------------------------------------------
@@ -269,6 +316,20 @@ class CpuBoundThread:
             raise SimulationError(f"thread {self.name!r} already started")
         self.process = self.sim.spawn(self._main(body), name=self.name)
         return self.process
+
+    def abort(self) -> None:
+        """Close the body where it is parked, after a failed run.
+
+        ``GeneratorExit`` unwinds the body's close-safe sections (a
+        hit's pin, a lock-queue entry); the unrealised charge is
+        dropped so the exit path yields nothing.
+        """
+        process = self.process
+        if process is None or not process.alive:
+            return
+        process._alive = False
+        self._pending_charge = 0.0
+        process._body.close()
 
     def _main(self, body: Generator[Event, None, None]
               ) -> Generator[Event, None, None]:

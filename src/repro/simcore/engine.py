@@ -28,11 +28,21 @@ Design notes
 * **Processes are events.** A :class:`Process` is itself an
   :class:`Event` that triggers when its generator finishes, so processes
   can wait on each other (``yield child_process``).
+* **In-place advance.** A CPU charge whose wake time is strictly
+  earlier than every queued event, and not past the run's horizon
+  (``until``), may move ``_now`` itself instead of yielding a
+  :class:`Sleep` (see :meth:`repro.simcore.cpu.CpuBoundThread.spend`):
+  the heap round trip would have popped that very entry next, so the
+  order of everything else is untouched. ``run`` publishes the horizon
+  in ``_horizon`` (``-inf`` outside ``run``, under a ``max_events``
+  budget, and while sibling callbacks of one dispatch are still due),
+  and each advance counts as one processed event.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -96,9 +106,20 @@ class Event:
 
     def _dispatch(self) -> None:
         callbacks, self.callbacks = self.callbacks, []
-        if callbacks:
-            for callback in callbacks:
-                callback(self)
+        if len(callbacks) > 1:
+            # The later callbacks are due at `now` but sit outside the
+            # heap, so no process may advance the clock in place until
+            # the last one runs.
+            sim = self.sim
+            horizon, sim._horizon = sim._horizon, -inf
+            try:
+                for callback in callbacks[:-1]:
+                    callback(self)
+            finally:
+                sim._horizon = horizon
+            callbacks[-1](self)
+        elif callbacks:
+            callbacks[0](self)
         elif self._exception is not None and not self._defused:
             # Nobody waited on this failure and nobody ever consumed
             # it: surface it exactly once from Simulator.run instead of
@@ -289,6 +310,9 @@ class Simulator:
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
+        #: Latest wake time a charge may realise in place (see the
+        #: design notes); -inf disables in-place advance.
+        self._horizon = -inf
         #: Attached :class:`repro.obs.observer.Observer`, or None (off).
         self.observer = None
         #: Attached :class:`repro.check.CorrectnessChecker`, or None
@@ -306,7 +330,8 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of callbacks dispatched so far (diagnostics only)."""
+        """Number of callbacks dispatched plus in-place advances so far
+        (diagnostics only)."""
         return self._events_processed
 
     def _schedule(self, delay: float, callback: Callable, *args: Any) -> None:
@@ -314,21 +339,6 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
         heappush(self._heap, (self._now + delay, seq, callback, args))
-
-    def sleep(self, delay: float, callback: Optional[Callable] = None,
-              *args: Any):
-        """Fast-path timer that never allocates an :class:`Event`.
-
-        With ``callback``, schedules ``callback(*args)`` to run after
-        ``delay`` and returns ``None``. Without one, returns a
-        :class:`Sleep` marker for a process to yield — the dominant
-        charge/spend pattern uses this to skip the per-wait
-        ``Timeout`` allocation entirely.
-        """
-        if callback is None:
-            return Sleep(delay)
-        self._schedule(delay, callback, *args)
-        return None
 
     def timeout(self, delay: float) -> Timeout:
         """Convenience constructor for :class:`Timeout`."""
@@ -390,8 +400,18 @@ class Simulator:
         """Run the event loop until it drains or ``budget_us`` of
         simulated time has passed (the safety net for pathological
         configurations). Daemons need no stopping here: they poll the
-        run's stop flag in simulated time."""
-        self.run(until=budget_us)
+        run's stop flag in simulated time. If a body raises, every
+        thread is aborted (:meth:`CpuBoundThread.abort`) and the
+        exception propagates."""
+        try:
+            self.run(until=budget_us)
+        except BaseException:
+            # A body failed and the run stops here: close every other
+            # thread where it is parked, so its close-safe sections
+            # (pins, lock queues) unwind instead of staying held.
+            for thread in [*threads, *(daemon.thread for daemon in daemons)]:
+                thread.abort()
+            raise
         if self.checker is not None and self._now < budget_us:
             # The event queue drained: every thread reached quiescence,
             # so leftover lock waiters would mean a lost wakeup.
@@ -407,7 +427,9 @@ class Simulator:
         budget ``max_events`` is spent. Returns the final simulated time.
 
         When stopped by ``until``, the clock is advanced exactly to
-        ``until`` and any events at later timestamps stay queued.
+        ``until`` and any events at later timestamps stay queued. A
+        ``max_events`` budget disables in-place advance, so it counts
+        heap events exactly.
         """
         # Localized binds: the loop body runs once per simulated event
         # (hundreds of millions per grid), so every attribute lookup
@@ -416,6 +438,8 @@ class Simulator:
         heap = self._heap
         pop = heappop
         processed = 0
+        if max_events is None:
+            self._horizon = inf if until is None else until
         try:
             while heap:
                 when = heap[0][0]
@@ -430,6 +454,7 @@ class Simulator:
                 entry[2](*entry[3])
         finally:
             self._events_processed += processed
+            self._horizon = -inf
         # When the heap drains the clock stays at the last event: the
         # harness reads `now` as "when the work actually finished", and
         # `until` is only a cap.

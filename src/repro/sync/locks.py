@@ -24,22 +24,27 @@ would keep the lock "held" by descheduled threads and manufacture
 permanent convoys that real 2009-era DBMS locks do not exhibit at low
 contention.
 
+A waiter closed while parked (an aborted access) leaves the queue; if
+a release already woke it, it hands that wakeup on to the next waiter,
+so the threads behind it lose nothing.
+
 When a :class:`~repro.check.CorrectnessChecker` is attached to the
 simulator (``sim.checker``), every protocol transition — grant, block,
 tail re-queue after a lost barging race, release and the identity of
-the woken waiter — is reported to it, so the lock-protocol monitor can
-shadow-verify FIFO rotation, detect double releases and prove no
-wakeup was lost. With no checker attached the cost is one attribute
-load per transition, mirroring the ``sim.observer`` pattern.
+the woken waiter, abandoned wait — is reported to it, so the
+lock-protocol monitor can shadow-verify FIFO rotation, detect double
+releases and prove no wakeup was lost. With no checker attached the
+cost is one attribute load per transition, mirroring the
+``sim.observer`` pattern.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Iterable, Optional, Tuple
 
 from repro.errors import LockError
-from repro.runtime.base import ThreadContext, WaitEvent, Waits
+from repro.runtime.base import ThreadContext, Wait, WaitEvent, Waits
 from repro.sync.stats import LockStats
 
 if TYPE_CHECKING:  # the lock depends on the Runtime *protocol* only
@@ -107,8 +112,16 @@ class SimLock:
         self._grant(thread)
         return True
 
-    def acquire(self, thread: ThreadContext) -> Waits:
-        """Blocking acquire (``yield from lock.acquire(thread)``)."""
+    def acquire(self, thread: ThreadContext) -> Iterable[Wait]:
+        """Blocking acquire (``yield from lock.acquire(thread)``).
+
+        Returns the empty tuple when the caller's pending charge was
+        realised in place and the lock is free: the grant happens
+        before this returns, as with
+        :class:`~repro.runtime.native.NativeLock`. Otherwise returns a
+        generator that realises the charge through the engine and then
+        grants or blocks.
+        """
         if self._owner is thread:
             raise LockError(
                 f"thread {thread.name!r} re-acquired non-reentrant "
@@ -116,7 +129,18 @@ class SimLock:
         # Realize any accumulated CPU work first: the lock state must be
         # observed at the caller's true logical time, and pending charges
         # must not be billed inside the holding window.
-        yield from thread.spend()
+        spent = thread.spend()
+        if not spent and self._owner is None:
+            self.stats.requests += 1
+            thread.charge(self.grant_cost_us)
+            self._grant(thread)
+            return ()
+        return self._acquire_slow(thread, spent)
+
+    def _acquire_slow(self, thread: ThreadContext,
+                      spent: Iterable[Wait]) -> Waits:
+        """:meth:`acquire` after a yielding spend or on a held lock."""
+        yield from spent
         self.stats.requests += 1
         if self._owner is None:
             thread.charge(self.grant_cost_us)
@@ -149,7 +173,11 @@ class SimLock:
                                              position,
                                              len(self._waiters))
             first_block = False
-            yield from thread.wait(wakeup)
+            try:
+                yield from thread.wait(wakeup)
+            except GeneratorExit:
+                self._abandon(thread, wakeup)
+                raise
             if self._owner is None:
                 thread.charge(self.grant_cost_us)
                 self._grant(thread)
@@ -186,6 +214,24 @@ class SimLock:
         checker = self.sim.checker
         if checker is not None:
             checker.on_lock_released(self.name, thread.name, woken)
+
+    def _abandon(self, thread: ThreadContext, wakeup: WaitEvent) -> None:
+        """A waiter was closed while parked (an aborted access).
+
+        Still queued, it leaves the queue. Already woken by a release,
+        it hands that wakeup on to the next waiter if the lock is free,
+        so the live threads behind it lose no wakeup.
+        """
+        woken = None
+        if not wakeup.triggered:
+            self._waiters.remove((thread, wakeup))
+        elif self._owner is None and self._waiters:
+            next_thread, next_wakeup = self._waiters.popleft()
+            woken = next_thread.name
+            next_wakeup.succeed()
+        checker = self.sim.checker
+        if checker is not None:
+            checker.on_lock_abandoned(self.name, thread.name, woken)
 
     def _grant(self, thread: ThreadContext) -> None:
         self._owner = thread

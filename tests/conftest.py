@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
 from repro.hardware.costs import CostModel
@@ -13,6 +15,20 @@ from repro.simcore.engine import Simulator
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture
+def heap_only(monkeypatch):
+    """Call the returned function to switch the engine's in-place
+    advance off for the rest of the test: the horizon then reads -inf
+    whatever ``Simulator.run`` sets, so every charge goes through the
+    heap."""
+    def switch_off() -> None:
+        monkeypatch.setattr(Simulator, "_horizon",
+                            property(lambda self: -inf,
+                                     lambda self, value: None),
+                            raising=False)
+    return switch_off
 
 
 @pytest.fixture

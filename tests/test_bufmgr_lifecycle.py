@@ -27,6 +27,7 @@ import pytest
 
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.check.checker import CorrectnessChecker
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
 from repro.core.config import BPConfig
 from repro.db.storage import DiskArray
@@ -322,6 +323,46 @@ class TestAbortedAccess:
         manager.check_invariants(expect_no_pins=True)
         sim.run()
         assert not lock.held
+        manager.check_invariants(expect_no_pins=True)
+
+    def test_aborted_lock_waiter_leaves_queue_consistent(self, sim):
+        """Close a reader parked in ``SimLock``'s contended path with a
+        live reader queued behind it, under the lock monitor. The dead
+        waiter's queue entry goes with it, so the holder's release wakes
+        the live reader (no lost wakeup) and the end-of-run sweep is
+        clean."""
+        checker = CorrectnessChecker()
+        sim.checker = checker
+        build = build_system("pg2Q", sim, 8, ALTIX_350)
+        manager, lock = build.manager, build.lock
+        manager.warm_with([P])
+        pool = ProcessorPool(sim, 3, context_switch_us=0.5)
+        slots = [build.handler.new_slot(CpuBoundThread(pool, name=name),
+                                        index)
+                 for index, name in enumerate(("holder", "dead", "live"))]
+        outcomes = []
+
+        def holder():
+            yield from lock.acquire(slots[0].thread)
+            yield from slots[0].thread.sleep_blocked(100.0)
+            lock.release(slots[0].thread)
+
+        def reader(slot, delay):
+            yield from slot.thread.sleep_blocked(delay)
+            outcomes.append((yield from manager.access(slot, P)))
+
+        dead = reader(slots[1], 5.0)
+        slots[0].thread.start(holder())
+        slots[1].thread.start(dead)
+        slots[2].thread.start(reader(slots[2], 10.0))
+        sim.run(until=50.0)
+        assert lock.queue_length == 2
+        dead.close()
+        assert lock.queue_length == 1
+        sim.run()
+        assert outcomes == [True]
+        assert not lock.held and lock.queue_length == 0
+        checker.finalize()
         manager.check_invariants(expect_no_pins=True)
 
     def test_aborted_absorbed_miss_retries(self, sim):

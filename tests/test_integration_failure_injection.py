@@ -18,6 +18,8 @@ from repro.core.config import BPConfig
 from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
+from repro.harness import experiment
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.policies.lru import LRUPolicy
 from repro.policies.twoq import TwoQPolicy
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
@@ -209,3 +211,51 @@ class TestLongMixedRun:
         # Every queued access was eventually committed or dropped.
         for slot in slots:
             assert len(slot.queue) == 0 or not slot.queue.full
+
+
+class Crash(Exception):
+    """The injected body failure."""
+
+
+class TestRaisingBodyOnSim:
+    def test_raise_after_in_place_advance_surfaces_once(self, monkeypatch):
+        """A thread whose body raises right after its clock advanced in
+        place: ``run_experiment`` raises that exception, once; nothing
+        else runs after it (every queued event is later than the
+        advanced clock, and the failure is due now); and the other
+        threads, aborted where they were parked, unwound their pins."""
+        spend = CpuBoundThread.spend
+        advances = []
+        after_crash = []
+        builds = []
+
+        def crashing_spend(self):
+            if (len(advances) >= 40 and self.name != "backend-0"
+                    and self.process.alive):
+                after_crash.append(self.name)  # ran on, not unwound
+            charged = self._pending_charge > 0.0
+            waits = spend(self)
+            if charged and not waits and self.name == "backend-0":
+                advances.append(self.sim.now)
+                if len(advances) == 40:
+                    raise Crash("injected after an in-place advance")
+            return waits
+
+        build_system = experiment.build_system
+
+        def capture_build(*args, **kwargs):
+            builds.append(build_system(*args, **kwargs))
+            return builds[-1]
+
+        monkeypatch.setattr(CpuBoundThread, "spend", crashing_spend)
+        monkeypatch.setattr(experiment, "build_system", capture_build)
+        config = ExperimentConfig(
+            system="pg2Q", workload="tablescan",
+            workload_kwargs={"n_tables": 4, "pages_per_table": 40},
+            n_processors=4, n_threads=8, target_accesses=5000, seed=3)
+        with pytest.raises(Crash) as raised:
+            run_experiment(config)
+        assert str(raised.value) == "injected after an in-place advance"
+        assert len(advances) == 40
+        assert after_crash == []
+        builds[0].manager.check_invariants(expect_no_pins=True)

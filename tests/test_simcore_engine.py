@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
+from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore.engine import (AllOf, AnyOf, Process, Simulator,
                                   Sleep, Timeout)
 
@@ -280,17 +281,8 @@ class TestSleep:
         with_sleep = run_once(lambda sim, d: Sleep(d))
         assert with_sleep == with_timeout
 
-    def test_simulator_sleep_returns_marker(self, sim):
-        marker = sim.sleep(3.0)
-        assert isinstance(marker, Sleep)
-        assert marker.delay == 3.0
-
-    def test_simulator_sleep_schedules_callback(self, sim):
-        seen = []
-        assert sim.sleep(2.0, seen.append, "fired") is None
-        sim.run()
-        assert seen == ["fired"]
-        assert sim.now == 2.0
+    def test_sleep_marker_carries_delay(self):
+        assert Sleep(3.0).delay == 3.0
 
 
 class TestFailureSurfacing:
@@ -376,3 +368,69 @@ class TestEnginePeekAndBudget:
         sim.run(max_events=2)
         sim.run()
         assert sim.events_processed == 5
+
+
+def start_spender(sim, charges, log=None):
+    """One thread on one CPU realising ``charges`` back to back."""
+    thread = CpuBoundThread(ProcessorPool(sim, 1, 0.0), name="spender")
+
+    def body():
+        for cost in charges:
+            yield from thread.run_for(cost)
+            if log is not None:
+                log.append(sim.now)
+
+    thread.start(body())
+    return thread
+
+
+class TestInPlaceAdvance:
+    """A charge ending before every queued event moves the clock in
+    place; what ``run`` reports must not tell the difference."""
+
+    def test_advance_never_passes_until(self, sim):
+        log = []
+        start_spender(sim, [3.0, 10.0], log)
+        assert sim.run(until=8.0) == 8.0
+        assert log == [3.0]  # advanced in place to 3, not to 13
+        assert sim.peek() == 13.0  # the later wake stays queued
+        sim.run()
+        assert log == [3.0, 13.0]
+
+    def test_advance_up_to_until_inclusive(self, sim):
+        log = []
+        start_spender(sim, [4.0, 4.0], log)
+        sim.run(until=8.0)
+        assert log == [4.0, 8.0]  # a wake at `until` is still due
+        assert sim.now == 8.0
+
+    def test_advances_count_as_events(self, sim, heap_only):
+        def count_events():
+            engine = Simulator()
+            start_spender(engine, [1.0] * 5)
+            Timeout(engine, 100.0)
+            engine.run()
+            return engine.events_processed, engine.now, engine._seq
+
+        events_on, now_on, pushes_on = count_events()
+        heap_only()
+        events_off, now_off, pushes_off = count_events()
+        assert (events_on, now_on) == (events_off, now_off)
+        assert pushes_on < pushes_off  # the advances skipped the heap
+
+    def test_max_events_budget_makes_no_advance(self, sim):
+        log = []
+        start_spender(sim, [1.0] * 5, log)
+        sim.run(max_events=3)
+        assert sim.events_processed == 3
+        # Start + two heap wakes: exactly the heap path's position.
+        assert log == [1.0, 2.0]
+        assert sim.now == 2.0 and sim.peek() == 3.0
+        sim.run()
+        assert log == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_no_advance_outside_run(self, sim):
+        thread = CpuBoundThread(ProcessorPool(sim, 1, 0.0))
+        thread.charge(2.0)
+        assert [waits.delay for waits in thread.spend()] == [2.0]
+        assert sim.now == 0.0

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro.check.checker import CorrectnessChecker
 from repro.errors import LockError
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore.engine import Simulator
@@ -81,6 +84,80 @@ class TestUncontended:
         sim.run()
         assert lock.stats.total_hold_us == pytest.approx(0.0)
         assert sim.now == pytest.approx(50.0)
+
+
+class TestAcquireContract:
+    """``acquire`` returns ``()`` when it granted inline, else a
+    generator that realises the charge and then grants or blocks."""
+
+    def test_uncontended_acquire_grants_inline(self, sim):
+        pool, lock = setup(sim, grant=0.5)
+        thread = CpuBoundThread(pool)
+        returned = []
+
+        def body():
+            thread.charge(3.0)
+            waits = lock.acquire(thread)
+            returned.append((waits, lock.owner is thread, sim.now))
+            yield from waits
+            lock.release(thread)
+
+        thread.start(body())
+        sim.run()
+        # The 3us charge was realised in place: nothing else was due.
+        assert returned == [((), True, 3.0)]
+        assert lock.stats.requests == 1
+
+    def test_contended_acquire_returns_generator(self, sim):
+        pool, lock = setup(sim)
+        a, b = CpuBoundThread(pool, "a"), CpuBoundThread(pool, "b")
+        lock.try_acquire(a)
+        waits = lock.acquire(b)
+        assert inspect.isgenerator(waits)
+        assert lock.owner is a
+        waits.close()
+
+    def test_reentry_raises_at_call(self, sim):
+        pool, lock = setup(sim)
+        thread = CpuBoundThread(pool)
+        assert lock.acquire(thread) == ()
+        with pytest.raises(LockError):
+            lock.acquire(thread)
+
+    def test_woken_waiter_closed_hands_wakeup_on(self, sim):
+        """A waiter woken by a release but closed before it re-acquires
+        passes the wakeup to the next waiter (no lost wakeup), and the
+        lock monitor's shadow agrees."""
+        checker = CorrectnessChecker()
+        sim.checker = checker
+        pool, lock = setup(sim, n_cpus=1)
+        a, b, c = (CpuBoundThread(pool, name) for name in "abc")
+        granted = []
+
+        def holder():
+            yield from lock.acquire(a)
+            yield from a.sleep_blocked(100.0)
+            lock.release(a)
+            # Keep the only CPU: woken b parks on a processor slot.
+            yield from a.run_for(50.0)
+
+        def waiter(thread, delay):
+            yield from thread.sleep_blocked(delay)
+            yield from lock.acquire(thread)
+            granted.append((thread.name, sim.now))
+            lock.release(thread)
+
+        dead = waiter(b, 5.0)
+        a.start(holder())
+        b.start(dead)
+        c.start(waiter(c, 10.0))
+        sim.run(until=120.0)
+        assert lock.queue_length == 1 and not lock.held  # b woken
+        dead.close()
+        assert lock.queue_length == 0  # c took b's wakeup
+        sim.run()
+        assert granted == [("c", 150.0)]
+        checker.finalize()
 
 
 class TestTryLock:
