@@ -10,16 +10,22 @@ Only Figure 8 exercises this model hard — the scalability experiments
 pre-warm a buffer big enough to hold the working set, exactly as the
 paper does, so "there are no misses incurred no matter which
 replacement algorithm is used" (§IV).
+
+A request waiting for a slot parks
+(:meth:`~repro.simcore.cpu.CpuBoundThread.park`); a finishing request
+hands its slot straight to the head waiter and wakes it. A request
+closed while queued leaves the queue, and one closed after it got a
+slot — woken, or mid-service — hands the slot on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator
+from typing import Any, Deque, Generator
 
 from repro.errors import SimulationError
 from repro.simcore.cpu import CpuBoundThread
-from repro.simcore.engine import Event, Simulator
+from repro.simcore.engine import Simulator
 from repro.simcore.rng import stream_rng
 
 __all__ = ["DiskArray"]
@@ -46,7 +52,7 @@ class DiskArray:
         self.jitter_fraction = jitter_fraction
         self._rng = stream_rng(seed, "disk-array")
         self._busy = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[CpuBoundThread] = deque()
         # Accounting.
         self.reads = 0
         self.writes = 0
@@ -66,32 +72,44 @@ class DiskArray:
         return base + self._rng.uniform(-spread, spread)
 
     def write(self, thread: CpuBoundThread
-              ) -> Generator[Event, None, None]:
+              ) -> Generator[Any, None, None]:
         """Write one page back (same service model as a read)."""
         self.writes += 1
-        yield from self._transfer(thread)
+        return self._transfer(thread)
 
-    def read(self, thread: CpuBoundThread) -> Generator[Event, None, None]:
+    def read(self, thread: CpuBoundThread) -> Generator[Any, None, None]:
         """Perform one page read on behalf of ``thread`` (blocks off-CPU)."""
         self.reads += 1
-        yield from self._transfer(thread)
+        return self._transfer(thread)
 
     def _transfer(self, thread: CpuBoundThread
-                  ) -> Generator[Event, None, None]:
-        queued_at = self.sim.now
+                  ) -> Generator[Any, None, None]:
         if self._busy >= self.concurrency:
-            slot = Event(self.sim)
-            self._waiters.append(slot)
-            yield from thread.wait(slot)
-            self.total_queue_wait_us += self.sim.now - queued_at
+            queued_at = self.sim._now
+            self._waiters.append(thread)
+            try:
+                yield from thread.park()
+            except GeneratorExit:
+                if thread in self._waiters:
+                    self._waiters.remove(thread)
+                else:
+                    self._hand_on()  # woken: the slot was ours
+                raise
+            self.total_queue_wait_us += self.sim._now - queued_at
             # The releaser transferred its slot to us: _busy stays put.
         else:
             self._busy += 1
         service = self._service_time()
         self.total_service_us += service
-        yield from thread.sleep_blocked(service)
+        try:
+            yield from thread.sleep_blocked(service)
+        finally:
+            self._hand_on()
+
+    def _hand_on(self) -> None:
+        """Pass a finished request's slot to the head waiter, or free it."""
         if self._waiters:
-            self._waiters.popleft().succeed()
+            self._waiters.popleft().wake()
         else:
             self._busy -= 1
 

@@ -52,8 +52,10 @@ __all__ = [
     "Runtime",
 ]
 
-#: What a blocking generator yields: a simulator event (or ``Sleep``
-#: marker) under the sim backend, nothing at all under the native one.
+#: What a blocking generator yields: under the sim backend a simulator
+#: event, a bare float (a private delay) or the ``PARKED`` marker (a
+#: parked thread, resumed by a wake or its own timer); nothing at all
+#: under the native one.
 Wait = Any
 
 #: Return annotation for the core's blocking generator methods.

@@ -30,16 +30,15 @@ points*, not the number of cost constants, without changing any
 simulated timestamp that matters: nothing can observe a thread midway
 through a straight-line compute sequence.
 
-A realised charge normally travels as a :class:`Sleep` up the thread's
-generator chain, through the event heap and back down. When its wake
-time ``now + cost`` is **strictly** earlier than the heap's first entry
-(or the heap is empty) and not past the run's horizon
+A realised charge normally travels as a bare float delay up the
+thread's generator chain, through the event heap and back down. When
+its wake time ``now + cost`` is **strictly** earlier than the heap's
+first entry (or the heap is empty) and not past the run's horizon
 (``Simulator._horizon``: ``until``, or +inf), the heap would pop that
 very entry next, so :meth:`CpuBoundThread.spend` moves the clock itself
 and returns the empty tuple instead. The context-switch charge of a
-dispatch (``ProcessorPool._acquire``, ``CpuBoundThread._reschedule``)
-takes the same rule, inlined the same way. Four invariants make the two
-paths indistinguishable:
+dispatch (``ProcessorPool._dispatch``) takes the same rule, inlined the
+same way. Four invariants make the two paths indistinguishable:
 
 * an equal timestamp still goes through the heap, so the ``(time,
   seq)`` tie-break is untouched (skipping a ``seq`` number reorders
@@ -49,15 +48,33 @@ paths indistinguishable:
   budget disables advancing so the budget stays exact;
 * nothing is due outside the heap: outside ``run`` and while sibling
   callbacks of one event dispatch are pending the horizon is ``-inf``.
+
+Park and wake
+-------------
+A wait only one thread can be woken from — a processor slot, a lock
+wakeup, a disk slot — needs no :class:`~repro.simcore.engine.Event`.
+The thread queues *itself* and parks (:meth:`CpuBoundThread.park`: its
+process yields :data:`~repro.simcore.engine.PARKED`); the releaser
+calls :meth:`CpuBoundThread.wake`, which pushes the one heap entry that
+resumes the process, at the ``(now, seq)`` the event's dispatch would
+have taken. A wake that arrives before the thread parked makes the park
+a zero delay, as yielding an already-triggered event does. A
+:meth:`~CpuBoundThread.sleep_blocked` with no charge pending pushes its
+own timer entry the same way.
+
+A thread closed while parked (:meth:`CpuBoundThread.abort`) leaves the
+queue it sits in; if a release already handed it the processor, the
+lock wakeup or the disk slot, it hands that on, so the live threads
+behind it lose nothing.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional
+from typing import Any, Deque, Generator, Optional
 
 from repro.errors import SimulationError
-from repro.simcore.engine import Event, Process, Simulator, Sleep, Timeout
+from repro.simcore.engine import PARKED, Event, Process, Simulator, Timeout
 
 __all__ = ["ProcessorPool", "CpuBoundThread"]
 
@@ -78,9 +95,11 @@ class ProcessorPool:
             raise SimulationError("context switch cost must be >= 0")
         self.sim = sim
         self.n_processors = n_processors
-        self.context_switch_us = context_switch_us
+        # A float: a context switch realised through the heap is
+        # yielded as a bare float delay.
+        self.context_switch_us = float(context_switch_us)
         self._free = n_processors
-        self._ready: Deque[Event] = deque()
+        self._ready: Deque[CpuBoundThread] = deque()
         # Aggregate accounting (diagnostics / utilization reports).
         self.busy_time = 0.0
         self.dispatches = 0
@@ -103,9 +122,8 @@ class ProcessorPool:
 
     # -- internal protocol used by CpuBoundThread -------------------------
 
-    def _acquire(self, boost: bool = False
-                 ) -> Generator[Event, None, None]:
-        """Obtain a processor, queueing if none is free.
+    def _acquire(self, thread: "CpuBoundThread", boost: bool = False):
+        """Obtain a processor for ``thread``, queueing if none is free.
 
         ``boost=True`` queues at the *front*: threads waking from a
         blocking wait (lock grant, I/O completion) are dispatched ahead
@@ -113,38 +131,61 @@ class ProcessorPool:
         real scheduler applies. Without it, a lock handed to a
         descheduled thread sits behind a run-queue of CPU-hungry
         threads and the resulting convoy never dissolves.
+
+        Returns an iterable for ``yield from``: with a free processor
+        it is :meth:`_dispatch`'s, otherwise a generator that parks in
+        the ready queue first.
         """
         if self._free > 0:
             self._free -= 1
+            return self._dispatch(thread)
+        if boost:
+            self._ready.appendleft(thread)
         else:
-            slot = Event(self.sim)
-            if boost:
-                self._ready.appendleft(slot)
+            self._ready.append(thread)
+        return self._queued(thread)
+
+    def _queued(self, thread: "CpuBoundThread"):
+        """Park in the ready queue until :meth:`_release` hands
+        ``thread`` a processor, then dispatch it."""
+        try:
+            yield thread._park_mark()
+        except GeneratorExit:
+            if thread in self._ready:
+                self._ready.remove(thread)
             else:
-                self._ready.append(slot)
-            yield slot
+                self._release()  # hand the processor it was given on
+            raise
+        yield from self._dispatch(thread)
+
+    def _dispatch(self, thread: "CpuBoundThread"):
+        """``thread`` holds a processor: count the dispatch and charge
+        its context switch. Returns the empty tuple when that realised
+        in place (or costs nothing), else a one-float delay."""
+        thread._running = True
         self.dispatches += 1
-        observer = self.sim.observer
+        sim = self.sim
+        observer = sim.observer
         if observer is not None:
-            observer.on_dispatch(len(self._ready), self.sim.now)
+            observer.on_dispatch(len(self._ready), sim._now)
         cost = self.context_switch_us
         if cost > 0:
             self.context_switch_time += cost
             self.busy_time += cost
             # The in-place advance of CpuBoundThread.spend, inlined.
-            sim = self.sim
             when = sim._now + cost
             heap = sim._heap
             if when <= sim._horizon and (not heap or when < heap[0][0]):
                 sim._now = when
                 sim._events_processed += 1
             else:
-                yield Sleep(cost)
+                return (cost,)
+        return _NO_EVENTS
 
     def _release(self) -> None:
         """Give up the calling thread's processor, dispatching a waiter."""
         if self._ready:
-            self._ready.popleft().succeed()
+            self._ready.popleft().wake()
         else:
             self._free += 1
             if self._free > self.n_processors:
@@ -161,6 +202,8 @@ class CpuBoundThread:
     * ``yield from`` :meth:`spend` — realize accumulated cost as
       simulated time on the processor;
     * ``yield from`` :meth:`wait` — block on an event (releases the CPU);
+    * ``yield from`` :meth:`park` — block until :meth:`wake` (releases
+      the CPU; for waits only one thread is woken from);
     * ``yield from`` :meth:`yield_cpu` — voluntary reschedule point.
 
     The body *must not* yield raw engine events directly for blocking
@@ -176,7 +219,12 @@ class CpuBoundThread:
         self.runtime = pool.sim
         self.name = name
         self._pending_charge = 0.0
+        #: Holds a processor (set at dispatch, cleared on release).
         self._running = False
+        #: Parked with nothing queued to resume it: wake() pushes that.
+        self._parked = False
+        #: Woken before it parked: the next park is a zero delay.
+        self._woken = False
         self._last_yield_mark = 0.0
         self.process: Optional[Process] = None
         # Accounting.
@@ -200,9 +248,9 @@ class CpuBoundThread:
         pending charge, or when the charge ends before any queued event
         and the clock moved in place (module docstring), the shared
         empty tuple comes back: no generator, no event. Otherwise a
-        single :class:`~repro.simcore.engine.Sleep` marker, which the
-        driving process turns into one heap entry. Timestamps and
-        tie-break order are identical either way.
+        one-float tuple, a delay the driving process turns into one
+        heap entry. Timestamps and tie-break order are identical either
+        way.
         """
         cost = self._pending_charge
         if cost <= 0.0:
@@ -219,7 +267,7 @@ class CpuBoundThread:
             sim._now = when
             sim._events_processed += 1
             return _NO_EVENTS
-        return (Sleep(cost),)
+        return (cost,)
 
     def run_for(self, cost_us: float):
         """Charge and immediately spend ``cost_us`` of CPU time."""
@@ -228,29 +276,73 @@ class CpuBoundThread:
 
     # -- blocking ----------------------------------------------------------
 
-    def wait(self, event: Event) -> Generator[Event, None, None]:
+    def wait(self, event: Event) -> Generator[Any, None, None]:
         """Block on ``event``: release the CPU, wait, re-acquire the CPU.
 
         Any accumulated charge is spent *before* releasing the processor,
         so work done just before blocking lands at the right timestamps.
         """
+        return self.park(event)
+
+    def park(self, _until: Any = None) -> Generator[Any, None, None]:
+        """Block until :meth:`wake`: :meth:`wait` without an event.
+
+        For waits exactly one thread is woken from (a lock wakeup, a
+        disk slot): the caller queues this thread where the releaser
+        will find it, then ``yield from thread.park()``. (``_until``
+        serves :meth:`wait` and :meth:`sleep_blocked`: an event, or
+        :data:`PARKED` for a timer that is already set.)
+        """
         yield from self.spend()
         self.blocks += 1
-        blocked_at = self.sim.now
-        self.pool._release()
+        sim = self.sim
+        blocked_at = sim._now
+        pool = self.pool
+        pool._release()
         self._running = False
-        yield event
-        yield from self.pool._acquire(boost=True)
-        self._running = True
+        yield self._park_mark() if _until is None else _until
+        # pool._acquire(self, boost=True), its free path inlined.
+        if pool._free > 0:
+            pool._free -= 1
+            yield from pool._dispatch(self)
+        else:
+            yield from pool._acquire(self, boost=True)
         self._last_yield_mark = self.cpu_time
-        self.blocked_time += self.sim.now - blocked_at
-        observer = self.sim.observer
+        now = sim._now
+        self.blocked_time += now - blocked_at
+        observer = sim.observer
         if observer is not None:
-            observer.on_thread_block(self.name, blocked_at, self.sim.now)
+            observer.on_thread_block(self.name, blocked_at, now)
 
-    def sleep_blocked(self, duration_us: float) -> Generator[Event, None, None]:
+    def wake(self) -> None:
+        """Resume this parked thread at ``(now, next seq)``, as
+        succeeding the event it waited on would have; before it parked,
+        make its next park a zero delay instead."""
+        if self._parked:
+            self._parked = False
+            self.sim._schedule(0.0, self.process._resume, None)
+        else:
+            self._woken = True
+
+    def _park_mark(self) -> Any:
+        """What to yield to park: :data:`PARKED`, or a zero delay when
+        a wake already arrived."""
+        if self._woken:
+            self._woken = False
+            return 0.0
+        self._parked = True
+        return PARKED
+
+    def sleep_blocked(self, duration_us: float) -> Generator[Any, None, None]:
         """Block off-CPU for a fixed duration (e.g. a disk I/O wait)."""
-        yield from self.wait(Timeout(self.sim, duration_us))
+        if self._pending_charge > 0.0:
+            # The spend runs before the sleep: a timer could go off
+            # mid-spend, so it has to be an event.
+            return self.park(Timeout(self.sim, duration_us))
+        # The entry a Timeout would have pushed, at the same (time,
+        # seq), resuming the process itself.
+        self.sim._schedule(duration_us, self.process._resume, None)
+        return self.park(PARKED)
 
     def maybe_yield(self, quantum_us: float):
         """Yield the processor if this thread has run a full quantum.
@@ -279,38 +371,23 @@ class CpuBoundThread:
             return _NO_EVENTS
         return self._reschedule()
 
-    def _reschedule(self) -> Generator[Event, None, None]:
-        """The slow path of :meth:`yield_cpu`: queue, wait, re-dispatch."""
+    def _reschedule(self) -> Generator[Any, None, None]:
+        """The slow path of :meth:`yield_cpu`: queue, wait, re-dispatch.
+
+        The thread queues before it releases: if the queue emptied
+        meanwhile, the release hands the processor straight back (a
+        wake before the park)."""
         yield from self.spend()
         self.voluntary_yields += 1
-        slot = Event(self.sim)
-        self.pool._ready.append(slot)
-        self.pool._release()
+        pool = self.pool
+        pool._ready.append(self)
+        pool._release()
         self._running = False
-        yield slot
-        # Re-dispatch: pay the context-switch cost like any dispatch.
-        self.pool.dispatches += 1
-        observer = self.sim.observer
-        if observer is not None:
-            observer.on_dispatch(self.pool.ready_count, self.sim.now)
-        cost = self.pool.context_switch_us
-        if cost > 0:
-            self.pool.context_switch_time += cost
-            self.pool.busy_time += cost
-            # The in-place advance of spend, inlined.
-            sim = self.sim
-            when = sim._now + cost
-            heap = sim._heap
-            if when <= sim._horizon and (not heap or when < heap[0][0]):
-                sim._now = when
-                sim._events_processed += 1
-            else:
-                yield Sleep(cost)
-        self._running = True
+        yield from pool._queued(self)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self, body: Generator[Event, None, None]) -> Process:
+    def start(self, body: Generator[Any, None, None]) -> Process:
         """Begin executing ``body`` on this thread."""
         if self.process is not None:
             raise SimulationError(f"thread {self.name!r} already started")
@@ -321,8 +398,8 @@ class CpuBoundThread:
         """Close the body where it is parked, after a failed run.
 
         ``GeneratorExit`` unwinds the body's close-safe sections (a
-        hit's pin, a lock-queue entry); the unrealised charge is
-        dropped so the exit path yields nothing.
+        hit's pin, a lock-queue entry, a ready-queue or disk slot); the
+        unrealised charge is dropped so the exit path yields nothing.
         """
         process = self.process
         if process is None or not process.alive:
@@ -331,11 +408,10 @@ class CpuBoundThread:
         self._pending_charge = 0.0
         process._body.close()
 
-    def _main(self, body: Generator[Event, None, None]
-              ) -> Generator[Event, None, None]:
-        yield from self.pool._acquire()
-        self._running = True
+    def _main(self, body: Generator[Any, None, None]
+              ) -> Generator[Any, None, None]:
         try:
+            yield from self.pool._acquire(self)
             yield from body
         finally:
             yield from self.spend()

@@ -1,10 +1,10 @@
 """Core discrete-event simulation engine.
 
 The engine follows the classic event-list design: a priority queue of
-``(time, sequence, callback)`` entries, popped in order, with simulated
-time jumping from event to event. User code is written as Python
-generators ("processes") that ``yield`` :class:`Event` objects when they
-need to wait, in the style popularized by SimPy.
+``(time, sequence, callback, argument)`` entries, popped in order, with
+simulated time jumping from entry to entry. User code is written as
+Python generators ("processes") that ``yield`` :class:`Event` objects
+when they need to wait, in the style popularized by SimPy.
 
 Example::
 
@@ -19,22 +19,31 @@ Example::
 
 Design notes
 ------------
-* **Determinism.** Every scheduled callback carries a monotonically
-  increasing sequence number used to break timestamp ties, so the
-  execution order of simultaneous events is fully reproducible.
+* **Determinism.** Every heap entry carries a monotonically increasing
+  sequence number used to break timestamp ties, so the execution order
+  of simultaneous events is fully reproducible. Every push goes through
+  :meth:`Simulator._schedule`.
 * **No wall-clock anywhere.** The simulator never consults real time;
   the reproduction's entire point is that contention is measured in
   simulated microseconds, immune to the GIL.
 * **Processes are events.** A :class:`Process` is itself an
   :class:`Event` that triggers when its generator finishes, so processes
   can wait on each other (``yield child_process``).
+* **One heap entry per wake-up.** A heap entry calls its callback with
+  its one argument. An event with a single waiter resumes it from one
+  entry at the ``(time, seq)`` a dispatch would have taken, and an
+  event nobody waits on schedules nothing. Besides events, a process
+  may yield a bare float (a private delay: one entry that resumes it)
+  or :data:`PARKED` (it arranged its own resume: an entry that calls
+  ``Process._resume`` directly, pushed by a wake or a timer; see
+  :meth:`repro.simcore.cpu.CpuBoundThread.park`).
 * **In-place advance.** A CPU charge whose wake time is strictly
-  earlier than every queued event, and not past the run's horizon
-  (``until``), may move ``_now`` itself instead of yielding a
-  :class:`Sleep` (see :meth:`repro.simcore.cpu.CpuBoundThread.spend`):
-  the heap round trip would have popped that very entry next, so the
-  order of everything else is untouched. ``run`` publishes the horizon
-  in ``_horizon`` (``-inf`` outside ``run``, under a ``max_events``
+  earlier than every queued entry, and not past the run's horizon
+  (``until``), may move ``_now`` itself instead of yielding a float
+  delay (see :meth:`repro.simcore.cpu.CpuBoundThread.spend`): the heap
+  round trip would have popped that very entry next, so the order of
+  everything else is untouched. ``run`` publishes the horizon in
+  ``_horizon`` (``-inf`` outside ``run``, under a ``max_events``
   budget, and while sibling callbacks of one dispatch are still due),
   and each advance counts as one processed event.
 """
@@ -47,8 +56,12 @@ from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Sleep", "Timeout", "Process", "AnyOf", "AllOf",
-           "Simulator"]
+__all__ = ["Event", "Timeout", "Process", "AnyOf", "AllOf", "Simulator",
+           "PARKED"]
+
+#: What a process yields when something else will resume it: a heap
+#: entry targeting its ``Process._resume`` (a wake or a timer).
+PARKED = object()
 
 
 class Event:
@@ -85,12 +98,22 @@ class Event:
         return self._value
 
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully, waking waiters at ``sim.now``."""
+        """Trigger the event successfully, waking waiters at ``sim.now``.
+
+        Waiters must be registered before the event is triggered: a
+        lone waiter is resumed from one heap entry at the ``(time,
+        seq)`` the dispatch would have taken, and an event nobody waits
+        on schedules nothing.
+        """
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         self._triggered = True
         self._value = value
-        self.sim._schedule(0.0, self._dispatch)
+        callbacks = self.callbacks
+        if len(callbacks) == 1:
+            self.sim._schedule(0.0, callbacks.pop(), self)
+        elif callbacks:
+            self.sim._schedule(0.0, Event._dispatch, self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -101,7 +124,7 @@ class Event:
             raise SimulationError("fail() requires an exception instance")
         self._triggered = True
         self._exception = exception
-        self.sim._schedule(0.0, self._dispatch)
+        self.sim._schedule(0.0, Event._dispatch, self)
         return self
 
     def _dispatch(self) -> None:
@@ -128,24 +151,6 @@ class Event:
             raise self._exception
 
 
-class Sleep:
-    """Allocation-light private timer for the dominant spend pattern.
-
-    A process may ``yield Sleep(delay)`` to resume after ``delay``
-    without allocating an :class:`Event`: the driving :class:`Process`
-    schedules its own resume callback directly, skipping the
-    :class:`Timeout` object, its callbacks list, and the extra dispatch
-    indirection. Unlike a :class:`Timeout`, a ``Sleep`` cannot be
-    shared, waited on by other processes, or combined with
-    :class:`AnyOf`/:class:`AllOf` — it is strictly a private delay.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        self.delay = delay
-
-
 class Timeout(Event):
     """An event that fires automatically after ``delay`` time units."""
 
@@ -155,11 +160,15 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
-        sim._schedule(delay, self._fire)
+        sim._schedule(delay, Timeout._fire, self)
 
     def _fire(self) -> None:
         self._triggered = True
-        self._dispatch()
+        callbacks = self.callbacks
+        if len(callbacks) == 1:
+            callbacks.pop()(self)
+        elif callbacks:
+            self._dispatch()
 
 
 class AnyOf(Event):
@@ -217,15 +226,18 @@ class AllOf(Event):
             self.succeed()
 
 
-ProcessBody = Generator[Event, Any, Any]
+ProcessBody = Generator[Any, Any, Any]
 
 
 class Process(Event):
     """Drives a generator, suspending it on each yielded :class:`Event`.
 
-    The process itself is an event that triggers with the generator's
-    return value when it finishes, so ``yield some_process`` waits for
-    completion.
+    A body may also yield a bare float, a private delay resumed by one
+    heap entry (no :class:`Event`, no callbacks list), or
+    :data:`PARKED`, when it has itself arranged for a heap entry to
+    call :meth:`_resume`. The process itself is an event that triggers
+    with the generator's return value when it finishes, so ``yield
+    some_process`` waits for completion.
     """
 
     __slots__ = ("name", "_body", "_alive")
@@ -269,18 +281,20 @@ class Process(Event):
             self._alive = False
             self.fail(exc)
             return
-        if target.__class__ is Sleep:
+        if target.__class__ is float:
             # Hot path: a private delay (charge/spend) resumes this
             # process directly — no Event, no callbacks list, one heap
             # entry, same timestamps and tie-break order a Timeout
             # would have produced.
-            self.sim._schedule(target.delay, self._resume, None)
+            self.sim._schedule(target, self._resume, None)
+            return
+        if target is PARKED:
             return
         if not isinstance(target, Event):
             self._alive = False
             self.fail(SimulationError(
-                f"process {self.name!r} yielded {target!r}; "
-                "processes may only yield Event instances"
+                f"process {self.name!r} yielded {target!r}; processes "
+                "may only yield an Event, a float delay or PARKED"
             ))
             return
         if target._triggered:
@@ -306,7 +320,7 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callable, tuple]] = []
+        self._heap: List[Tuple[float, int, Callable[[Any], Any], Any]] = []
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
@@ -330,15 +344,18 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Number of callbacks dispatched plus in-place advances so far
+        """Number of heap entries popped plus in-place advances so far
         (diagnostics only)."""
         return self._events_processed
 
-    def _schedule(self, delay: float, callback: Callable, *args: Any) -> None:
+    def _schedule(self, delay: float, callback: Callable[[Any], Any],
+                  arg: Any) -> None:
+        """Push the one heap entry that calls ``callback(arg)`` after
+        ``delay``: every push goes through here."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, seq, callback, args))
+        heappush(self._heap, (self._now + delay, seq, callback, arg))
 
     def timeout(self, delay: float) -> Timeout:
         """Convenience constructor for :class:`Timeout`."""
@@ -408,7 +425,8 @@ class Simulator:
         except BaseException:
             # A body failed and the run stops here: close every other
             # thread where it is parked, so its close-safe sections
-            # (pins, lock queues) unwind instead of staying held.
+            # (pins; lock, ready and disk queues) unwind instead of
+            # staying held.
             for thread in [*threads, *(daemon.thread for daemon in daemons)]:
                 thread.abort()
             raise
@@ -451,7 +469,7 @@ class Simulator:
                 entry = pop(heap)
                 self._now = when
                 processed += 1
-                entry[2](*entry[3])
+                entry[2](entry[3])
         finally:
             self._events_processed += processed
             self._horizon = -inf

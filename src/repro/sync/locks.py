@@ -24,9 +24,12 @@ would keep the lock "held" by descheduled threads and manufacture
 permanent convoys that real 2009-era DBMS locks do not exhibit at low
 contention.
 
-A waiter closed while parked (an aborted access) leaves the queue; if
-a release already woke it, it hands that wakeup on to the next waiter,
-so the threads behind it lose nothing.
+Waiters park (:meth:`~repro.simcore.cpu.CpuBoundThread.park`): the
+queue holds the threads themselves and a release wakes the head one
+directly, with no event in between. A waiter closed while parked (an
+aborted access) leaves the queue; if a release already woke it, it
+hands that wakeup on to the next waiter, so the threads behind it lose
+nothing.
 
 When a :class:`~repro.check.CorrectnessChecker` is attached to the
 simulator (``sim.checker``), every protocol transition — grant, block,
@@ -41,13 +44,14 @@ cost is one attribute load per transition, mirroring the
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Iterable, Optional
 
 from repro.errors import LockError
-from repro.runtime.base import ThreadContext, Wait, WaitEvent, Waits
+from repro.runtime.base import Wait, Waits
 from repro.sync.stats import LockStats
 
-if TYPE_CHECKING:  # the lock depends on the Runtime *protocol* only
+if TYPE_CHECKING:
+    from repro.simcore.cpu import CpuBoundThread
     from repro.simcore.engine import Simulator
 
 __all__ = ["SimLock"]
@@ -56,10 +60,11 @@ __all__ = ["SimLock"]
 class SimLock:
     """An exclusive, non-reentrant, FIFO-fair simulated lock.
 
-    Satisfies :class:`repro.runtime.base.MutexLock`; the native
-    counterpart is :class:`repro.runtime.native.NativeLock`. ``sim``
-    may be any sim-backend :class:`~repro.runtime.base.Runtime` —
-    only ``now``, ``event()``, ``observer`` and ``checker`` are used.
+    Satisfies :class:`repro.runtime.base.MutexLock` for threads of
+    the simulator backend (:class:`~repro.simcore.cpu.CpuBoundThread`:
+    waiters park and are woken); the native counterpart is
+    :class:`repro.runtime.native.NativeLock`. Of ``sim`` only
+    ``_now``, ``observer`` and ``checker`` are used.
     """
 
     def __init__(self, sim: "Simulator", name: str = "lock",
@@ -72,8 +77,8 @@ class SimLock:
         #: CPU cost of one ``TryLock`` attempt.
         self.try_cost_us = try_cost_us
         self.stats = LockStats()
-        self._owner: Optional[ThreadContext] = None
-        self._waiters: Deque[Tuple[ThreadContext, WaitEvent]] = deque()
+        self._owner: Optional[CpuBoundThread] = None
+        self._waiters: Deque[CpuBoundThread] = deque()
         self._acquired_at = 0.0
 
     @property
@@ -81,7 +86,7 @@ class SimLock:
         return self._owner is not None
 
     @property
-    def owner(self) -> Optional[ThreadContext]:
+    def owner(self) -> Optional[CpuBoundThread]:
         return self._owner
 
     @property
@@ -89,7 +94,7 @@ class SimLock:
         """Number of threads currently blocked on the lock."""
         return len(self._waiters)
 
-    def try_acquire(self, thread: ThreadContext) -> bool:
+    def try_acquire(self, thread: CpuBoundThread) -> bool:
         """Non-blocking acquire attempt; charges :attr:`try_cost_us`.
 
         A successful ``TryLock`` is a satisfied lock request and counts
@@ -106,13 +111,13 @@ class SimLock:
             observer = self.sim.observer
             if observer is not None:
                 observer.on_try_lock_failure(self.name, thread.name,
-                                             self.sim.now)
+                                             self.sim._now)
             return False
         self.stats.requests += 1
         self._grant(thread)
         return True
 
-    def acquire(self, thread: ThreadContext) -> Iterable[Wait]:
+    def acquire(self, thread: CpuBoundThread) -> Iterable[Wait]:
         """Blocking acquire (``yield from lock.acquire(thread)``).
 
         Returns the empty tuple when the caller's pending charge was
@@ -137,7 +142,7 @@ class SimLock:
             return ()
         return self._acquire_slow(thread, spent)
 
-    def _acquire_slow(self, thread: ThreadContext,
+    def _acquire_slow(self, thread: CpuBoundThread,
                       spent: Iterable[Wait]) -> Waits:
         """:meth:`acquire` after a yielding spend or on a held lock."""
         yield from spent
@@ -149,22 +154,21 @@ class SimLock:
         # Contended path: block, counted once per request however many
         # retries the barging window forces.
         self.stats.contentions += 1
-        blocked_at = self.sim.now
-        observer = self.sim.observer
-        checker = self.sim.checker
+        sim = self.sim
+        blocked_at = sim._now
+        observer = sim.observer
+        checker = sim.checker
         if observer is not None:
             observer.on_lock_contention(self.name, thread.name, blocked_at,
                                         len(self._waiters) + 1)
         first_block = True
         while True:
-            wakeup = self.sim.event()
             # Queue at the tail — also after losing a barging race, as
             # PostgreSQL's LWLockAcquire re-queues at the tail, which
             # rotates wake-up attempts fairly across all waiters.
-            self._waiters.append((thread, wakeup))
+            self._waiters.append(thread)
             if checker is not None:
-                position = next(index for index, (t, _)
-                                in enumerate(self._waiters) if t is thread)
+                position = self._waiters.index(thread)
                 if first_block:
                     checker.on_lock_blocked(self.name, thread.name,
                                             position)
@@ -174,27 +178,28 @@ class SimLock:
                                              len(self._waiters))
             first_block = False
             try:
-                yield from thread.wait(wakeup)
+                yield from thread.park()
             except GeneratorExit:
-                self._abandon(thread, wakeup)
+                self._abandon(thread)
                 raise
             if self._owner is None:
                 thread.charge(self.grant_cost_us)
                 self._grant(thread)
                 break
-        self.stats.total_wait_us += self.sim.now - blocked_at
+        now = sim._now
+        self.stats.total_wait_us += now - blocked_at
         if observer is not None:
-            observer.on_lock_wait(self.name, thread.name, blocked_at,
-                                  self.sim.now)
+            observer.on_lock_wait(self.name, thread.name, blocked_at, now)
 
-    def release(self, thread: ThreadContext) -> None:
+    def release(self, thread: CpuBoundThread) -> None:
         """Release the lock to free state, waking the oldest waiter."""
         if self._owner is not thread:
             owner = self._owner.name if self._owner else None
             raise LockError(
                 f"thread {thread.name!r} released lock {self.name!r} "
                 f"owned by {owner!r}")
-        hold = self.sim.now - self._acquired_at
+        now = self.sim._now
+        hold = now - self._acquired_at
         stats = self.stats
         stats.total_hold_us += hold
         if hold > stats.max_hold_us:
@@ -205,17 +210,17 @@ class SimLock:
         observer = self.sim.observer
         if observer is not None:
             observer.on_lock_hold(self.name, thread.name, self._acquired_at,
-                                  self.sim.now, len(self._waiters))
+                                  now, len(self._waiters))
         woken = None
         if self._waiters:
-            next_thread, wakeup = self._waiters.popleft()
+            next_thread = self._waiters.popleft()
             woken = next_thread.name
-            wakeup.succeed()
+            next_thread.wake()
         checker = self.sim.checker
         if checker is not None:
             checker.on_lock_released(self.name, thread.name, woken)
 
-    def _abandon(self, thread: ThreadContext, wakeup: WaitEvent) -> None:
+    def _abandon(self, thread: CpuBoundThread) -> None:
         """A waiter was closed while parked (an aborted access).
 
         Still queued, it leaves the queue. Already woken by a release,
@@ -223,19 +228,19 @@ class SimLock:
         so the live threads behind it lose no wakeup.
         """
         woken = None
-        if not wakeup.triggered:
-            self._waiters.remove((thread, wakeup))
+        if thread in self._waiters:
+            self._waiters.remove(thread)
         elif self._owner is None and self._waiters:
-            next_thread, next_wakeup = self._waiters.popleft()
+            next_thread = self._waiters.popleft()
             woken = next_thread.name
-            next_wakeup.succeed()
+            next_thread.wake()
         checker = self.sim.checker
         if checker is not None:
             checker.on_lock_abandoned(self.name, thread.name, woken)
 
-    def _grant(self, thread: ThreadContext) -> None:
+    def _grant(self, thread: CpuBoundThread) -> None:
         self._owner = thread
-        self._acquired_at = self.sim.now
+        self._acquired_at = self.sim._now
         self.stats.acquisitions += 1
         checker = self.sim.checker
         if checker is not None:

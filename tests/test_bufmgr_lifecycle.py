@@ -362,6 +362,7 @@ class TestAbortedAccess:
         sim.run()
         assert outcomes == [True]
         assert not lock.held and lock.queue_length == 0
+        assert pool.free_processors == 3 and pool.ready_count == 0
         checker.finalize()
         manager.check_invariants(expect_no_pins=True)
 

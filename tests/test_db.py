@@ -93,6 +93,58 @@ class TestDiskArray:
         # Second read waits 50 then services 50 -> mean (50+100)/2.
         assert disk.mean_latency_us() == pytest.approx(75.0)
 
+    def start_readers(self, sim, disk, n_reads):
+        pool = ProcessorPool(sim, n_reads, 0.0)
+        done = []
+
+        def body(thread):
+            yield from disk.read(thread)
+            done.append((thread.name, sim.now))
+
+        threads = [CpuBoundThread(pool, f"r{index}")
+                   for index in range(n_reads)]
+        for thread in threads:
+            thread.start(body(thread))
+        return threads, done
+
+    def test_reader_closed_while_queued_leaves_queue(self, sim):
+        disk = DiskArray(sim, 100.0, concurrency=1)
+        threads, done = self.start_readers(sim, disk, 3)
+        sim.run(until=50.0)
+        assert disk.queue_depth == 2
+        threads[1].abort()
+        assert disk.queue_depth == 1
+        sim.run()
+        assert done == [("r0", 100.0), ("r2", 200.0)]
+        assert (disk._busy, disk.queue_depth) == (0, 0)
+
+    def test_reader_closed_mid_service_hands_slot_on(self, sim):
+        disk = DiskArray(sim, 100.0, concurrency=1)
+        threads, done = self.start_readers(sim, disk, 3)
+        sim.run(until=50.0)
+        threads[0].abort()
+        assert disk.queue_depth == 1  # r1 got the slot
+        sim.run()
+        # r0's service timer still pops at 100 and resumes nobody.
+        assert done == [("r1", 150.0), ("r2", 250.0)]
+        assert (disk._busy, disk.queue_depth) == (0, 0)
+
+    def test_woken_reader_closed_hands_slot_on(self, sim):
+        """Closed after the finishing read handed it the slot, but
+        before it resumed: the slot goes to the next waiter."""
+        disk = DiskArray(sim, 100.0, concurrency=1)
+        threads, done = self.start_readers(sim, disk, 3)
+        sim.run(until=50.0)
+        while disk.queue_depth == 2:
+            sim.run(max_events=1)
+        # r0 finished and woke r1, which has not resumed yet.
+        assert sim.now == 100.0 and done == [("r0", 100.0)]
+        threads[1].abort()
+        assert disk.queue_depth == 0
+        sim.run()
+        assert done == [("r0", 100.0), ("r2", 200.0)]
+        assert (disk._busy, disk.queue_depth) == (0, 0)
+
     def test_jitter_is_deterministic(self):
         def total_time(seed):
             sim = Simulator()

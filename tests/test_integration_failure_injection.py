@@ -15,14 +15,17 @@ from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
 from repro.core.bpwrapper import BatchedHandler, ThreadSlot
 from repro.core.config import BPConfig
+from repro.db.storage import DiskArray
 from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
+from repro.hardware.machines import ALTIX_350
 from repro.harness import experiment
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.policies.lru import LRUPolicy
 from repro.policies.twoq import TwoQPolicy
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
+from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
 
 
@@ -259,3 +262,50 @@ class TestRaisingBodyOnSim:
         assert len(advances) == 40
         assert after_crash == []
         builds[0].manager.check_invariants(expect_no_pins=True)
+
+    def test_raise_on_a_read_frees_processors_and_disk(self, monkeypatch):
+        """Six threads on two CPUs over a one-slot disk, one body
+        raising on its 5th read. The others are closed where they are
+        parked (ready queue, disk-slot queue, mid-service, lock queue)
+        and hand on whatever a release already gave them: afterwards
+        every processor is free, every disk idle with an empty queue,
+        and no page is pinned."""
+        read = DiskArray.read
+        reads = []
+        built = {"pool": [], "disk": [], "build": []}
+
+        def crashing_read(self, thread):
+            if thread.name == "backend-0":
+                reads.append(thread.sim.now)
+                if len(reads) == 5:
+                    raise Crash("injected on the 5th read")
+            return read(self, thread)
+
+        def capture(name, factory):
+            def create(*args, **kwargs):
+                built[name].append(factory(*args, **kwargs))
+                return built[name][-1]
+            return create
+
+        monkeypatch.setattr(DiskArray, "read", crashing_read)
+        monkeypatch.setattr(Simulator, "create_pool",
+                            capture("pool", Simulator.create_pool))
+        monkeypatch.setattr(Simulator, "create_disk",
+                            capture("disk", Simulator.create_disk))
+        monkeypatch.setattr(experiment, "build_system",
+                            capture("build", experiment.build_system))
+        config = ExperimentConfig(
+            system="pg2Q", workload="tablescan",
+            workload_kwargs={"n_tables": 4, "pages_per_table": 40},
+            machine=ALTIX_350.with_costs(disk_concurrency=1),
+            n_processors=2, n_threads=6, buffer_pages=32, use_disk=True,
+            background_writer=True, target_accesses=5000, seed=3)
+        with pytest.raises(Crash, match="5th read"):
+            run_experiment(config)
+        (pool,), (disk,), (build,) = (built["pool"], built["disk"],
+                                      built["build"])
+        assert disk.reads > 5  # the others were mid-read too
+        assert (pool.free_processors, pool.ready_count) == (2, 0)
+        assert (disk._busy, disk.queue_depth) == (0, 0)
+        assert not build.lock.held and build.lock.queue_length == 0
+        build.manager.check_invariants(expect_no_pins=True)

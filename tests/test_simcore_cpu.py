@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import heapq
 import json
 
 import pytest
@@ -9,12 +11,14 @@ import pytest
 from repro.check.checker import CorrectnessChecker
 from repro.check.fuzzer import generate_cases
 from repro.errors import SimulationError
+from repro.hardware.machines import ALTIX_350
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.macro import MacroConfig, run_macro
 from repro.obs import MetricsRegistry, Observer, TraceRecorder
 from repro.serve import ServeConfig, run_serve
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Event, Simulator, Sleep, Timeout
+from repro.simcore import engine
+from repro.simcore.engine import Event, Simulator, Timeout
 
 
 def run_threads(sim, pool, bodies):
@@ -203,6 +207,154 @@ class TestBlocking:
             thread.start(body())
 
 
+class TestParkAndWake:
+    def test_wake_resumes_at_next_seq(self, sim):
+        """A wake pushes one entry at ``(now, next seq)``: a timer due
+        at the same time but pushed earlier runs first."""
+        pool = ProcessorPool(sim, 2, 0.0)
+        sleeper, waker = (CpuBoundThread(pool, name)
+                          for name in ("sleeper", "waker"))
+        order = []
+
+        def sleeping():
+            yield from sleeper.park()
+            order.append(("sleeper", sim.now))
+
+        def waking():
+            yield from waker.run_for(5.0)
+            Timeout(sim, 0.0).callbacks.append(
+                lambda _e: order.append(("timer", sim.now)))
+            pushed = sim._seq
+            sleeper.wake()
+            assert sim._seq == pushed + 1 and len(sim._heap) == 2
+            yield from waker.run_for(1.0)
+
+        sleeper.start(sleeping())
+        waker.start(waking())
+        sim.run()
+        assert order == [("timer", 5.0), ("sleeper", 5.0)]
+        assert sleeper.blocks == 1 and sleeper.blocked_time == 5.0
+
+    def test_wake_before_park_is_a_zero_delay(self, sim):
+        """Woken before it parked, a thread resumes at delay 0 through
+        the heap, as yielding an already-triggered event does."""
+        pool = ProcessorPool(sim, 1, 0.0)
+        order = []
+
+        def body(thread):
+            thread.wake()
+            Timeout(sim, 0.0).callbacks.append(
+                lambda _e: order.append("timer"))
+            yield from thread.park()
+            order.append(("thread", sim.now))
+
+        run_threads(sim, pool, [body])
+        assert order == ["timer", ("thread", 0.0)]
+
+    def test_sleep_blocked_matches_timeout(self, sim):
+        """No charge pending: the sleep's own timer entry takes the
+        ``(time, seq)`` a Timeout would have; with a charge pending it
+        is a Timeout. The woken order is the same either way."""
+        def run_once(sleep):
+            engine = Simulator()
+            pool = ProcessorPool(engine, 2, 0.5)
+            order = []
+
+            def body(thread, delay, charge):
+                for _ in range(3):
+                    thread.charge(charge)
+                    yield from sleep(thread, delay)
+                    order.append((thread.name, engine.now))
+
+            for index in range(4):
+                thread = CpuBoundThread(pool, f"t{index}")
+                thread.start(body(thread, 2.0 + index % 2, index * 0.5))
+            engine.run()
+            return order
+
+        def via_timeout(thread, delay):
+            return thread.wait(Timeout(thread.sim, delay))
+
+        assert run_once(CpuBoundThread.sleep_blocked) == \
+            run_once(via_timeout)
+
+
+class TestAbort:
+    """A thread closed while parked leaves its queue, or hands on the
+    processor a release already gave it."""
+
+    def start(self, sim, pool, names, body):
+        threads = [CpuBoundThread(pool, name) for name in names]
+        for thread in threads:
+            thread.start(body(thread))
+        return threads
+
+    def test_closed_in_ready_queue_leaves_it(self, sim):
+        pool = ProcessorPool(sim, 1, 0.0)
+        done = []
+
+        def body(thread):
+            yield from thread.run_for(10.0)
+            done.append((thread.name, sim.now))
+
+        threads = self.start(sim, pool, ["hog", "t1", "t2"], body)
+        sim.run(until=5.0)
+        threads[1].abort()
+        assert pool.ready_count == 1
+        sim.run()
+        assert done == [("hog", 10.0), ("t2", 20.0)]
+        assert pool.free_processors == 1
+
+    def test_woken_then_closed_hands_processor_on(self, sim):
+        pool = ProcessorPool(sim, 1, 0.0)
+        done = []
+
+        def body(thread):
+            yield from thread.run_for(10.0)
+            done.append((thread.name, sim.now))
+
+        threads = self.start(sim, pool, ["hog", "t1", "t2"], body)
+        sim.run(until=5.0)
+        while pool.ready_count == 2:
+            sim.run(max_events=1)
+        assert done == [("hog", 10.0)]  # t1 woken, not yet resumed
+        threads[1].abort()
+        assert pool.ready_count == 0  # t2 got the processor
+        sim.run()
+        assert done == [("hog", 10.0), ("t2", 20.0)]
+        assert pool.free_processors == 1
+
+    def test_closed_mid_context_switch_releases(self, sim):
+        pool = ProcessorPool(sim, 1, 4.0)
+        done = []
+
+        def body(thread):
+            yield from thread.run_for(10.0)
+            done.append((thread.name, sim.now))
+
+        threads = self.start(sim, pool, ["hog", "t1"], body)
+        sim.run(until=16.0)  # t1 dispatched at 14, switching until 18
+        threads[1].abort()
+        assert pool.free_processors == 1
+        sim.run()
+        assert done == [("hog", 14.0)]
+
+    def test_closed_in_timed_sleep_is_not_resumed(self, sim):
+        pool = ProcessorPool(sim, 1, 0.0)
+        done = []
+
+        def body(thread):
+            yield from thread.sleep_blocked(10.0)
+            done.append(thread.name)
+
+        threads = self.start(sim, pool, ["sleeper"], body)
+        sim.run(until=5.0)
+        threads[0].abort()
+        sim.run()
+        assert done == [] and sim.now == 10.0  # the timer popped idle
+        assert pool.free_processors == 1
+
+
 class TestInPlaceAdvance:
     def test_spend_ending_at_queued_event_goes_through_heap(self, sim):
         """A wake time equal to ``heap[0]``'s is not advanced in place:
@@ -221,7 +373,7 @@ class TestInPlaceAdvance:
 
         run_threads(sim, pool, [body])
         assert order == ["timer", "thread"]
-        assert [waits.__class__ for waits in returned[0]] == [Sleep]
+        assert returned[0] == (5.0,)  # a float delay, through the heap
 
     def test_spend_ending_before_queued_event_advances(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)
@@ -296,35 +448,74 @@ def _serve_run():
     return run_serve(config, checker=checker).to_dict(), checker
 
 
+def _disk_queue_run():
+    """Disk-slot waiters, lock waiters and the bgwriter all park: a
+    one-slot disk under eight pg2Q threads."""
+    config = ExperimentConfig(
+        system="pg2Q", workload="dbt2", workload_kwargs={"n_warehouses": 2},
+        machine=ALTIX_350.with_costs(disk_concurrency=1), n_processors=4,
+        buffer_pages=120, target_accesses=2500, use_disk=True,
+        background_writer=True, seed=9)
+    checker = CorrectnessChecker()
+    record = run_experiment(config, checker=checker).to_dict()
+    assert record["contention_per_million"] > 0
+    assert record["bgwriter_cleaned"] > 0
+    return record, checker
+
+
 class TestInPlaceAdvanceDifferential:
     """Whole runs with in-place advance on (the default) and off (every
     charge through the heap) must be indistinguishable: byte-equal
     records and the same lock-monitor verdicts."""
 
     @pytest.mark.parametrize("run", [_fuzz_run, _trace_run, _macro_run,
-                                     _serve_run],
+                                     _serve_run, _disk_queue_run],
                              ids=["fuzz", "trace-disk-bgwriter", "macro",
-                                  "serve"])
+                                  "serve", "disk-queue-lock-bgwriter"])
     def test_on_equals_off(self, run, heap_only, monkeypatch):
-        pushes = []
+        # Every entry popped was pushed through Simulator._schedule: a
+        # push that bypassed it would break pops + queued == pushes.
+        # Only the run's own simulators count (a generator of an
+        # earlier test, closed by the garbage collector mid-run, may
+        # still hand a processor on in its own).
+        sims = {}
+        pushes = collections.Counter()
+        pops = collections.Counter()
+        init = Simulator.__init__
         schedule = Simulator._schedule
 
-        def counting_schedule(self, delay, callback, *args):
-            pushes.append(delay)
-            schedule(self, delay, callback, *args)
+        def tracking_init(self):
+            init(self)
+            sims[id(self)] = self
 
+        def counting_schedule(self, delay, callback, arg):
+            if sims.get(id(self)) is self:
+                pushes[id(self)] += 1
+            schedule(self, delay, callback, arg)
+
+        def counting_pop(heap):
+            pops[id(heap)] += 1
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(Simulator, "__init__", tracking_init)
         monkeypatch.setattr(Simulator, "_schedule", counting_schedule)
+        monkeypatch.setattr(engine, "heappop", counting_pop)
 
         def outcome():
+            sims.clear()
             pushes.clear()
+            pops.clear()
             record, checker = run()
+            for sim in sims.values():
+                assert (pops[id(sim._heap)] + len(sim._heap)
+                        == pushes[id(sim)])
             verdict = None
             if checker is not None:
                 checker.finalize()
                 verdict = (checker.lock_monitor.summary(),
                            checker.arrivals)
             return (json.dumps(record, sort_keys=True, default=repr),
-                    verdict, len(pushes))
+                    verdict, sum(pushes.values()))
 
         on, on_verdict, on_pushes = outcome()
         heap_only()

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from math import inf
+
 import pytest
 
 from repro.errors import SimulationError
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import (AllOf, AnyOf, Process, Simulator,
-                                  Sleep, Timeout)
+from repro.simcore.engine import (AllOf, AnyOf, Event, Process,
+                                  Simulator, Timeout)
 
 
 class TestClock:
@@ -248,13 +250,15 @@ class TestCombinators:
 
 
 class TestSleep:
+    """A bare float yielded by a process is a private delay."""
+
     def test_sleep_advances_clock(self, sim):
         log = []
 
         def body():
-            yield Sleep(2.5)
+            yield 2.5
             log.append(sim.now)
-            yield Sleep(1.5)
+            yield 1.5
             log.append(sim.now)
 
         sim.spawn(body())
@@ -262,7 +266,7 @@ class TestSleep:
         assert log == [2.5, 4.0]
 
     def test_sleep_matches_timeout_timestamps(self):
-        """Sleep is a drop-in for yielding a fresh Timeout."""
+        """A float delay is a drop-in for yielding a fresh Timeout."""
         def run_once(make_delay):
             sim = Simulator()
             trace = []
@@ -278,11 +282,127 @@ class TestSleep:
             return trace
 
         with_timeout = run_once(lambda sim, d: Timeout(sim, d))
-        with_sleep = run_once(lambda sim, d: Sleep(d))
+        with_sleep = run_once(lambda sim, d: d)
         assert with_sleep == with_timeout
 
-    def test_sleep_marker_carries_delay(self):
-        assert Sleep(3.0).delay == 3.0
+    def test_sleep_marker_carries_delay(self, sim):
+        """The marker is the delay itself: one heap entry that resumes
+        the body at ``now + delay``."""
+        def body():
+            yield 3.0
+
+        proc = sim.spawn(body())
+        sim.run(max_events=1)
+        assert sim._heap == [(3.0, 2, proc._resume, None)]
+        sim.run()
+        assert sim.events_processed == 2 and sim.now == 3.0
+
+    def test_int_is_not_a_delay(self, sim):
+        def body():
+            yield 3
+
+        sim.spawn(body())
+        with pytest.raises(SimulationError, match="float delay"):
+            sim.run()
+
+
+class TestHeapEntries:
+    """One heap entry per wake-up, carrying one argument."""
+
+    def test_succeed_without_waiter_pushes_nothing(self, sim):
+        event = sim.event()
+        event.succeed("unheard")
+        assert sim._seq == 0 and sim.peek() is None
+        assert event.triggered and event.value == "unheard"
+
+    def test_succeed_with_one_waiter_pushes_its_resume(self, sim):
+        event = sim.event()
+        got = []
+
+        def body():
+            got.append((yield event))
+
+        proc = sim.spawn(body())
+        sim.timeout(3.0)
+        sim.run()
+        seq = sim._seq
+        event.succeed(7)
+        # The entry the dispatch would have taken, resuming the waiter.
+        assert sim._heap == [(3.0, seq + 1, proc._resume, event)]
+        processed = sim.events_processed
+        sim.run()
+        assert got == [7] and sim.events_processed == processed + 1
+
+    def test_two_waiters_keep_the_dispatch(self, sim):
+        """Siblings of one dispatch: the first callback runs with the
+        in-place advance blocked, the last with the horizon back."""
+        event = sim.event()
+        horizons = []
+
+        def body():
+            yield event
+            horizons.append(sim._horizon)
+
+        sim.spawn(body())
+        sim.spawn(body())
+        sim.run()
+        event.succeed()
+        assert [entry[2:] for entry in sim._heap] == [(Event._dispatch,
+                                                       event)]
+        sim.run()
+        assert horizons == [-inf, inf]
+
+    def test_fail_without_waiter_raises_once(self, sim):
+        event = sim.event()
+        event.fail(ValueError("unheard"))
+        assert len(sim._heap) == 1
+        with pytest.raises(ValueError, match="unheard"):
+            sim.run()
+        sim.timeout(1.0)
+        assert sim.run() == 1.0
+
+    def test_timeout_calls_lone_callback_from_its_entry(self, sim):
+        fired = []
+        Timeout(sim, 2.0).callbacks.append(lambda e: fired.append(sim.now))
+        sim.run()
+        assert fired == [2.0]
+        assert sim.events_processed == 1 and sim._seq == 1
+
+    def test_negative_sleep_blocked_rejected(self, sim):
+        thread = CpuBoundThread(ProcessorPool(sim, 1, 0.0))
+
+        def body():
+            yield from thread.sleep_blocked(-1.0)
+
+        thread.start(body())
+        with pytest.raises(SimulationError):
+            sim.run()
+
+    def test_max_events_counts_heap_entries_exactly(self, sim):
+        """Under a budget nothing advances in place: through parks,
+        wakes, timers and delays, every processed event is one popped
+        entry, and every entry was pushed once."""
+        pool = ProcessorPool(sim, 2, 1.0)
+        lock = sim.create_lock()
+
+        def body(thread):
+            for _ in range(3):
+                yield from lock.acquire(thread)
+                yield from thread.run_for(2.0)
+                lock.release(thread)
+                yield from thread.sleep_blocked(1.0)
+                yield from thread.yield_cpu()
+
+        for index in range(4):
+            thread = CpuBoundThread(pool, f"t{index}")
+            thread.start(body(thread))
+        while sim.peek() is not None:
+            processed = sim.events_processed
+            sim.run(max_events=3)
+            assert sim.events_processed - processed == min(
+                3, sim.events_processed - processed + len(sim._heap))
+            assert sim.events_processed + len(sim._heap) == sim._seq
+        assert lock.stats.contentions > 0 and pool.free_processors == 2
 
 
 class TestFailureSurfacing:
@@ -432,5 +552,5 @@ class TestInPlaceAdvance:
     def test_no_advance_outside_run(self, sim):
         thread = CpuBoundThread(ProcessorPool(sim, 1, 0.0))
         thread.charge(2.0)
-        assert [waits.delay for waits in thread.spend()] == [2.0]
+        assert thread.spend() == (2.0,)
         assert sim.now == 0.0

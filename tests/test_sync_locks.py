@@ -153,10 +153,13 @@ class TestAcquireContract:
         c.start(waiter(c, 10.0))
         sim.run(until=120.0)
         assert lock.queue_length == 1 and not lock.held  # b woken
+        assert pool.ready_count == 1  # b, parked for the CPU
         dead.close()
         assert lock.queue_length == 0  # c took b's wakeup
+        assert pool.ready_count == 0  # b left the ready queue
         sim.run()
         assert granted == [("c", 150.0)]
+        assert pool.free_processors == 1 and pool.ready_count == 0
         checker.finalize()
 
 
