@@ -12,8 +12,8 @@ magnitude (Fig. 7).
 Backend selection (``--backend auto``, the default): free-threaded
 CPython runs OS threads in parallel, so ``runtime="native"`` is the
 real thing there; on GIL builds the sweep uses ``runtime="mp"`` —
-worker processes over ``multiprocessing.shared_memory`` frame tables
-with futex-backed locks (see :mod:`repro.runtime.mp`).
+forked worker processes over a shared-memory frame table with
+futex-backed locks (see :mod:`repro.runtime.mp`).
 
 Outputs:
 

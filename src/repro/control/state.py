@@ -132,21 +132,18 @@ class ControlState:
                 f"controller={self.controller!r}>")
 
 
-def bp_kwargs(config, include_policy: bool = True) -> dict:
+def bp_kwargs(config) -> dict:
     """The shared buffer-pool plumbing kwargs, built once.
 
-    Every runner (experiment, macro, serve front-end, mp backend, CLI)
+    Every runner (experiment, macro, serve front-end, CLI)
     used to copy the same ``policy_name=... queue_size=...
     batch_threshold=...`` triple by hand; this is the one construction
     path they now share. ``config`` is any config object exposing the
     three attributes (``ExperimentConfig``, ``MacroConfig``,
-    ``ServeConfig``). ``include_policy=False`` drops ``policy_name``
-    for builders that fix their own policy (the mp worker spec).
+    ``ServeConfig``).
     """
-    kwargs = {
+    return {
         "queue_size": config.queue_size,
         "batch_threshold": config.batch_threshold,
+        "policy_name": config.policy_name,
     }
-    if include_policy:
-        kwargs["policy_name"] = config.policy_name
-    return kwargs

@@ -210,7 +210,7 @@ def run_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # A metrics-only observer works on every backend — the mp runtime
-    # merges per-worker registry snapshot files into it after the join.
+    # merges the registry snapshots its workers report into it.
     observer = (None if args.no_metrics
                 else Observer(metrics=MetricsRegistry()))
     config = ExperimentConfig(

@@ -1,4 +1,4 @@
-"""The one run driver: every tier, both in-process runtimes.
+"""The one run driver: every tier, every runtime.
 
 BP-Wrapper does not care which replacement algorithm it wraps or where
 it runs; neither does this module. :func:`run` walks the lifecycle of
@@ -13,7 +13,7 @@ one run against the :class:`~repro.runtime.base.Runtime` protocol —
 5. **spawn** one thread per name, in index order, each running the
    generator the tier's *body factory* returns;
 6. **join** (``runtime.join``: the sim event loop, or the wall-clock
-   deadline join) —
+   deadline join of OS threads or mp worker processes) —
 
 and hands the finished :class:`Run` back for the tier's finalize, which
 reads the pool-side totals off it (:meth:`Run.access_stats`,
@@ -31,8 +31,9 @@ per name, after ``build`` and the daemons, and returns the generator
 :class:`~repro.core.bpwrapper.ThreadSlot`, exec context, …), polls
 ``run.shared["stop"]`` at its unit-of-work boundaries and sets it when
 the run's target is reached. Blocking is ``yield from`` on the thread
-or a lock, never a bare event, so the same generator runs under both
-runtimes (:mod:`repro.runtime.base`).
+or a lock, never a bare event, so the same generator runs under sim and
+native (:mod:`repro.runtime.base`); an mp thread is a worker process
+forked at ``join``, whose body returns its report to the finalize.
 """
 
 from __future__ import annotations
@@ -48,17 +49,13 @@ from repro.simcore.engine import Simulator
 from repro.simcore.rng import split_seed, stream_rng
 from repro.sync.stats import LockStats
 
-__all__ = ["IN_PROCESS", "Run", "access_ordered_prefix", "run", "validate"]
-
-#: The runtimes this driver opens (``mp`` is its own engine, see
-#: :func:`repro.runtime.mp.run_mp_experiment`).
-IN_PROCESS = ("sim", "native")
+__all__ = ["Run", "access_ordered_prefix", "run", "validate"]
 
 Body = Generator[Any, Any, Any]
 
 
-def validate(config, checker=None,
-             runtimes: Sequence[str] = IN_PROCESS) -> None:
+def validate(config, checker=None, observer=None,
+             runtimes: Sequence[str] = ("sim", "native")) -> None:
     """The rules every tier shares, each stated once.
 
     ``runtimes`` is what the tier's entry point accepts (the message
@@ -77,6 +74,48 @@ def validate(config, checker=None,
         raise ConfigError(
             f"{machine.name} has at most {machine.max_processors} "
             f"processors, asked for {config.n_processors}")
+    if config.runtime != "mp":
+        return
+    # Imported here: the other runtimes never load multiprocessing.
+    import multiprocessing
+
+    from repro.runtime.mp import MP_SYSTEMS
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(
+            "the mp backend forks its workers from the built pool; this "
+            "platform has no 'fork' start method")
+    if observer is not None and (
+            getattr(observer, "trace", None) is not None
+            or getattr(observer, "metrics", None) is None):
+        raise ConfigError(
+            "the observability layer's trace recorder records "
+            "in-process; mp workers cannot share it — attach a "
+            "metrics-only Observer (metrics=..., trace=None) to "
+            "collect merged per-worker registry snapshots, or use "
+            "runtime='sim' or 'native' for traces")
+    if config.system not in MP_SYSTEMS:
+        raise ConfigError(
+            f"system {config.system!r} has no mp hot path; available: "
+            f"{', '.join(MP_SYSTEMS)}")
+    if config.policy_name not in (None, "2q", "lru", "clock"):
+        raise ConfigError(
+            "the mp backend's shared policy core is a fixed LRU list "
+            "(clock for pgclock); policy_name cannot be swapped")
+    if config.controller:
+        raise ConfigError(
+            "controllers are not supported on the mp backend: "
+            "workers read the batching knobs from a shared-memory "
+            "spec fixed at fork time")
+    if config.use_disk or config.background_writer:
+        raise ConfigError(
+            "the mp backend is the in-memory scaling engine; disk and "
+            "bgwriter parity live in runtime='native'")
+    if config.simulate_bucket_locks:
+        raise ConfigError(
+            "bucket-lock simulation is a simulator ablation; the mp "
+            "page map is probed lock-free")
+    if config.n_processors < 1:
+        raise ConfigError(f"need >= 1 worker, got {config.n_processors}")
 
 
 class _Daemon:
@@ -116,7 +155,8 @@ class Run:
         self.bgwriter: Optional[BackgroundWriter] = None
         self.threads: List[Any] = []
         #: ``runtime.now`` when ``join`` returned (sim: simulated µs;
-        #: native: wall-clock µs since the runtime was opened).
+        #: native: wall-clock µs since the runtime was opened; mp:
+        #: wall-clock µs from the start barrier to the last report).
         self.elapsed_us = 0.0
 
     # -- for the tier's build ----------------------------------------------
@@ -224,19 +264,22 @@ class Run:
 
 def run(config, build: Callable[[Run], None], names: Sequence[str],
         body: Callable[[Run, Any, int], Body], observer=None,
-        checker=None) -> Run:
+        checker=None, runtimes: Sequence[str] = ("sim", "native")) -> Run:
     """Run ``len(names)`` bodies of one tier to completion.
 
     ``build(run)`` constructs and pre-warms the pool(s) and starts the
     daemons; ``body(run, thread, index)`` is the body factory (see the
     module docstring). Returns the finished :class:`Run`.
     """
-    validate(config, checker)
+    validate(config, checker, observer, runtimes)
     if config.runtime == "native":
         runtime = NativeRuntime(
             observer=(ThreadSafeObserver(observer)
                       if observer is not None else None),
             seed=config.seed)
+    elif config.runtime == "mp":
+        from repro.runtime.mp import MpRuntime
+        runtime = MpRuntime()
     else:
         runtime = Simulator()
         runtime.observer = observer

@@ -32,8 +32,7 @@ from repro.db.transactions import (Transaction, TransactionLog,
                                    TransactionOutcome)
 from repro.errors import ConfigError
 from repro.hardware.machines import ALTIX_350, MachineSpec, machine_by_name
-from repro.harness.driver import (IN_PROCESS, Run, access_ordered_prefix,
-                                  validate)
+from repro.harness.driver import Run, access_ordered_prefix
 from repro.harness.driver import run as drive
 from repro.harness.report import ResultRecord, derived, reported
 from repro.harness.systems import build_system
@@ -79,15 +78,15 @@ class ExperimentConfig:
     #: Attach a control-plane controller (e.g. "threshold") to the
     #: pool; None (the default) keeps every knob at its configured
     #: value. Unsupported on the mp backend, whose workers read the
-    #: knobs from a shared-memory spec fixed at fork time.
+    #: knobs from the config as it stood at fork time.
     controller: Optional[str] = None
     #: Simulate per-bucket hash-table locks (ablation; off by default
     #: as in the paper, whose SII argues they are not a bottleneck).
     simulate_bucket_locks: bool = False
     seed: int = 42
     #: Safety net for pathological configurations. Under the native
-    #: runtime the same number bounds *wall-clock* microseconds (join
-    #: timeout — the deadlock guard).
+    #: and mp runtimes the same number bounds *wall-clock* microseconds
+    #: (join timeout — the deadlock guard).
     max_sim_time_us: float = 600_000_000.0
     #: Execution backend: "sim" (deterministic discrete-event
     #: simulator, the default and the paper's instrument), "native"
@@ -308,15 +307,24 @@ def run_experiment(config: ExperimentConfig,
     but a single-threaded native run replays accesses in exactly the
     sim's per-thread order — the cross-runtime equivalence tests rely
     on that.
+
+    ``runtime="mp"`` runs worker processes over a shared frame table
+    (:func:`repro.runtime.mp.trace_tier`) through the same driver.
     """
-    validate(config, checker, runtimes=(*IN_PROCESS, "mp"))
     if not 0.0 <= config.warmup_fraction < 1.0:
         raise ConfigError(
             f"warmup_fraction must be in [0, 1), got "
             f"{config.warmup_fraction}")
+    tier = _trace_tier
     if config.runtime == "mp":
-        from repro.runtime.mp import run_mp_experiment
-        return run_mp_experiment(config, workload, observer=observer)
+        from repro.runtime.mp import trace_tier as tier
+    build, names, body, finalize = tier(config, workload)
+    return finalize(drive(config, build, names, body, observer=observer,
+                          checker=checker, runtimes=("sim", "native", "mp")))
+
+
+def _trace_tier(config: ExperimentConfig, workload: Optional[Workload]):
+    """The trace tier's build, names, body and finalize on sim/native."""
     costs = config.machine.costs
     log = TransactionLog()
     slots: List[ThreadSlot] = []
@@ -356,9 +364,8 @@ def run_experiment(config: ExperimentConfig,
 
     names = [f"backend-{index}"
              for index in range(config.resolved_threads())]
-    run = drive(config, build, names, body, observer=observer,
-                checker=checker)
-    return _finalize_result(run, log, slots, window)
+    return build, names, body, (
+        lambda run: _finalize_result(run, log, slots, window))
 
 
 class _Window:

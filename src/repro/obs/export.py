@@ -13,8 +13,8 @@ function of the snapshot (names sorted, floats formatted with
 :func:`merge_snapshots` is the cross-process aggregation primitive:
 counters sum, gauges widen (max value and max peak), histograms fold
 bucket-wise via :meth:`~repro.obs.metrics.Histogram.merge` — exactly
-the machinery the ``mp`` backend uses to combine per-worker snapshot
-files into one registry, and ``cli serve --telemetry`` uses to merge
+the machinery the ``mp`` backend uses to combine per-worker snapshots
+into one registry, and ``cli serve --telemetry`` uses to merge
 per-cell registries into one sweep-wide export.
 """
 

@@ -250,12 +250,12 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold one :meth:`snapshot` document into the live registry.
 
-        The cross-process aggregation primitive (mp workers write
-        snapshot files; the parent merges them): counters add, gauges
-        widen to the maximum value/peak seen across inputs, histograms
-        merge bucket-wise via :meth:`Histogram.merge`. Merging is
-        order-independent, so per-worker files can be folded in any
-        sequence and still produce identical output.
+        The cross-process aggregation primitive (mp workers return
+        snapshots in their reports; the finalize merges them): counters
+        add, gauges widen to the maximum value/peak seen across inputs,
+        histograms merge bucket-wise via :meth:`Histogram.merge`.
+        Merging is order-independent, so per-worker snapshots can be
+        folded in any sequence and still produce identical output.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(int(value))

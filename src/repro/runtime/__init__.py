@@ -1,4 +1,4 @@
-"""Runtime abstraction layer — one core, two execution backends.
+"""Runtime abstraction layer — one core, three execution backends.
 
 :mod:`repro.runtime.base` defines the narrow protocols the BP-Wrapper
 core is written against (``Clock``, ``MutexLock``, ``ThreadContext``,
@@ -6,6 +6,8 @@ core is written against (``Clock``, ``MutexLock``, ``ThreadContext``,
 :class:`~repro.simcore.engine.Simulator` implements them itself and
 :mod:`repro.runtime.native` runs the identical code on real OS threads
 for wall-clock contention measurements (``--runtime native``).
+:mod:`repro.runtime.mp` runs worker processes over a shared frame table
+(:mod:`repro.runtime.shm`) for multi-core scaling (``--runtime mp``).
 
 This package must not import :mod:`repro.simcore` — the dependency
 points the other way — so that ``repro.core``/``repro.policies``

@@ -14,6 +14,9 @@ implement them:
   call time and return an *empty* iterable, so the very same
   ``yield from`` core code runs inline to completion.
 
+(:mod:`repro.runtime.mp` implements just the lifecycle the harness
+driver calls; its threads are worker processes.)
+
 That empty-iterable convention is the bridge that lets one body of
 generator code drive both backends: ``yield from lock.acquire(thread)``
 suspends the simulated process in the sim backend, while in the native
@@ -35,7 +38,9 @@ attachment points, and the run lifecycle the harness driver
 from __future__ import annotations
 
 from typing import (TYPE_CHECKING, Any, Generator, Iterable, Optional,
-                    Protocol, runtime_checkable)
+                    Protocol, Sequence, runtime_checkable)
+
+from repro.errors import SimulationError
 
 if TYPE_CHECKING:
     from repro.sync.stats import LockStats
@@ -50,6 +55,7 @@ __all__ = [
     "Daemon",
     "RuntimeObserver",
     "Runtime",
+    "wall_budget_exceeded",
 ]
 
 #: What a blocking generator yields: under the sim backend a simulator
@@ -247,8 +253,9 @@ class Runtime(Protocol):
     def join(self, threads: Iterable[ThreadContext],
              daemons: Iterable[Daemon], budget_us: float) -> None:
         """Run ``threads`` to completion within ``budget_us`` (sim:
-        simulated; native: wall-clock, raising on stuck threads), then
-        stop ``daemons`` and surface the first thread error."""
+        simulated; native and mp: wall-clock, raising
+        :func:`wall_budget_exceeded` on stuck threads), then stop
+        ``daemons`` and surface the first thread error."""
 
 
 def drive(body: Generator[Wait, Any, Any]) -> Any:
@@ -257,9 +264,10 @@ def drive(body: Generator[Wait, Any, Any]) -> Any:
     Under the native backend no step ever actually yields (every
     delegated iterable is empty), so exhausting the generator executes
     it synchronously on the calling OS thread. Returns the generator's
-    return value. Used by the native experiment runner and the
-    cross-runtime replay driver; driving a *sim* body this way would
-    raise at the first real event, which is the desired loud failure.
+    return value. Used by the native experiment runner, the mp workers
+    and the cross-runtime replay driver; driving a *sim* body this way
+    would raise at the first real event, which is the desired loud
+    failure.
     """
     try:
         waited = next(body)
@@ -268,3 +276,12 @@ def drive(body: Generator[Wait, Any, Any]) -> Any:
     raise RuntimeError(
         f"native drive got a real wait {waited!r}; this body can only "
         "run under the simulator")
+
+
+def wall_budget_exceeded(runtime: str, budget_us: float,
+                         alive: Sequence[str]) -> SimulationError:
+    """What native's and mp's ``join`` raise when ``alive`` threads
+    outlast the run's wall-clock budget (the deadlock guard)."""
+    return SimulationError(
+        f"{runtime} run exceeded its {budget_us / 1e6:.0f}s wall budget; "
+        f"threads still alive: {', '.join(alive)} (possible deadlock)")

@@ -5,35 +5,16 @@ backend's wall-clock numbers measure lock *protocol* costs but not
 multi-core *scaling* — at most one thread executes Python at a time.
 This backend gets genuine parallelism the way PostgreSQL itself does:
 worker **processes** operating on a buffer-pool frame table that lives
-in :mod:`multiprocessing.shared_memory`, synchronized with real
-futex-backed OS locks (``multiprocessing.Lock`` — a POSIX semaphore on
-Linux). It exists to reproduce the paper's Fig. 6/7 in wall-clock
-time: pg2Q's throughput collapses as workers are added while pgBat /
-pgBatPre keep scaling (see ``benchmarks/bench_scaling.py``).
+in shared memory, synchronized with real futex-backed OS locks
+(``multiprocessing.Lock`` — a POSIX semaphore on Linux). It exists to
+reproduce the paper's Fig. 6/7 in wall-clock time: pg2Q's throughput
+collapses as workers are added while pgBat / pgBatPre keep scaling
+(see ``benchmarks/bench_scaling.py``).
 
-Shared-memory layout
---------------------
-One shm segment of little-endian int64 words (``memoryview.cast("q")``
-— every field is one aligned 8-byte word, so a store is a single
-indivisible write on the architectures we run on):
-
-=========  =============================================================
-region     contents
-=========  =============================================================
-header     ``HDR_WORDS`` words: LRU head/tail, resident count,
-           eviction counter, clock hand
-page map   one word per page: frame index holding it, or -1
-           (the dense-page-space stand-in for the buffer hash table;
-           probes are lock-free, every probe is revalidated against
-           the frame's tag afterwards)
-frames     ``FRAME_WORDS`` fixed-width words per frame: tag,
-           generation, pin count, reference bit, LRU prev/next links
-queues     per-worker BP-Wrapper FIFO queue: a count word plus
-           ``queue_size`` fixed-width (frame, generation) slot pairs —
-           private to the owning worker, exactly as the paper's
-           per-thread queues, but resident in shm as they would be in
-           PostgreSQL shared memory
-=========  =============================================================
+Runs go through the one run driver (:mod:`repro.harness.driver`):
+:class:`MpRuntime`'s threads are worker processes **forked** once the
+build has laid out the frame table (:mod:`repro.runtime.shm`), so they
+close over the parent's table, locks and workload.
 
 Synchronization protocol (the native backend's, across processes):
 
@@ -72,9 +53,10 @@ closed-loop and CPU-saturated, the regime Fig. 6/7 measures.
 **Metrics aggregation.** A *metrics-only* Observer (``trace=None``) IS
 supported: each worker keeps a process-local
 :class:`~repro.obs.metrics.MetricsRegistry` (``mp.access_us`` per-access
-latency, ``mp.lock.replacement.wait_us``/``hold_us``, worker counters),
-writes its snapshot to a per-worker JSON file at exit, and the parent
-folds the files in worker-index order into the caller's registry via
+latency, ``lock.replacement-<system>.wait_us``/``hold_us`` as the
+sim/native ``Observer`` names them, worker counters) and carries its
+snapshot in the report it sends over its pipe; the finalize folds the
+reports in worker-index order into the caller's registry via
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` — the merged
 ``mp.access_us`` count equals the run's total access count.
 """
@@ -82,43 +64,25 @@ folds the files in worker-index order into the caller's registry via
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import fields
-from multiprocessing import shared_memory
+from multiprocessing import connection
 from typing import Any, Dict, List, Optional
 
 from repro.bufmgr.manager import AccessStats
-from repro.control.state import bp_kwargs
 from repro.core.fifoqueue import AccessQueue
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
+from repro.runtime.base import drive, wall_budget_exceeded
+from repro.runtime.shm import (F_GEN, F_PIN, F_REF, F_TAG, FRAME_WORDS,
+                               FrameTable)
 from repro.sync.stats import LockStats
 from repro.util import nearest_rank
 
-__all__ = [
-    "FRAME_WORDS",
-    "HDR_WORDS",
-    "HEADER_LOCK_STRIPES",
-    "MP_SYSTEMS",
-    "run_mp_experiment",
-]
+__all__ = ["MP_SYSTEMS", "MpRuntime", "MpThread", "trace_tier"]
 
 #: Systems with an mp hot-path implementation (Table I's contenders).
 MP_SYSTEMS = ("pgclock", "pg2Q", "pgBat", "pgBatPre")
-
-#: Header words: LRU head, LRU tail, resident count, evictions, clock
-#: hand (+3 reserved).
-HDR_WORDS = 8
-H_LRU_HEAD, H_LRU_TAIL, H_RESIDENT, H_EVICTIONS, H_CLOCK_HAND = range(5)
-
-#: Fixed-width frame struct: tag (page index, -1 empty), generation
-#: (bumped on retag), pin count, reference bit, LRU prev, LRU next.
-FRAME_WORDS = 6
-F_TAG, F_GEN, F_PIN, F_REF, F_PREV, F_NEXT = range(FRAME_WORDS)
-
-#: Frame header locks are striped: ``frame % HEADER_LOCK_STRIPES``.
-HEADER_LOCK_STRIPES = 64
 
 #: Per-worker response-time reservoir size (p95 estimation).
 _SAMPLE_CAP = 2000
@@ -129,44 +93,6 @@ _SAMPLE_CAP = 2000
 #: CI-sized runs (the paper's 50 us user work would need millions of
 #: accesses per cell for the same resolution).
 _DEFAULT_WORK_US = 2.0
-
-
-# -- shared-memory geometry -------------------------------------------------
-
-
-def _layout(n_pages: int, capacity: int, n_workers: int,
-            queue_size: int) -> Dict[str, int]:
-    """Word offsets of every region in the shm segment."""
-    page_map = HDR_WORDS
-    frames = page_map + n_pages
-    queues = frames + capacity * FRAME_WORDS
-    queue_words = 1 + 2 * queue_size
-    total = queues + n_workers * queue_words
-    return {"page_map": page_map, "frames": frames, "queues": queues,
-            "queue_words": queue_words, "total": total}
-
-
-def _attach(shm_name: str, own_tracker: bool):
-    """Attach to the segment; return (shm, int64 memoryview).
-
-    ``own_tracker`` is True under the spawn start method, where the
-    child runs its *own* resource tracker: attaching registers the
-    segment there (bpo-39959) and it must be unregistered by hand or
-    the tracker "cleans up" a segment the parent still owns at child
-    exit. Under fork the tracker is shared with the parent — the
-    duplicate registration is idempotent and unregistering here would
-    steal the parent's, making its ``unlink()`` double-unregister.
-    """
-    shm = shared_memory.SharedMemory(name=shm_name)
-    if own_tracker:
-        try:
-            # Python < 3.13 has no track=False for attachments, so
-            # unregister by hand (private but stable API).
-            from multiprocessing import resource_tracker
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
-    return shm, shm.buf.cast("q")
 
 
 # -- the worker -------------------------------------------------------------
@@ -186,185 +112,213 @@ def _calibrate_spin(min_window_s: float = 0.01) -> float:
         n *= 4
 
 
-class _Pool:
-    """One worker's view of the shared frame table."""
+# -- the runtime: worker processes as the run's threads --------------------
 
-    __slots__ = ("mem", "lay", "capacity", "n_pages", "glock", "stripes",
-                 "qbase", "queue_size")
 
-    def __init__(self, mem, lay, capacity, n_pages, glock, stripes,
-                 worker_index, queue_size):
-        self.mem = mem
-        self.lay = lay
-        self.capacity = capacity
-        self.n_pages = n_pages
-        self.glock = glock
-        self.stripes = stripes
-        self.qbase = lay["queues"] + worker_index * lay["queue_words"]
-        self.queue_size = queue_size
+class MpThread:
+    """One worker process. :meth:`start` keeps the body and
+    :meth:`MpRuntime.join` forks the process that drives it; the body's
+    return value, the worker's report, comes back as :attr:`result`."""
 
-    # frame-word accessors (hot path: inlined offsets, no helpers)
+    def __init__(self, runtime: "MpRuntime", name: str) -> None:
+        self.runtime = runtime
+        self.name = name
+        self.body: Any = None
+        self.result: Any = None
+        self.process: Any = None
+        #: The write end of the worker's pipe to the parent.
+        self.pipe: Any = None
 
-    def stripe(self, frame: int):
-        return self.stripes[frame % len(self.stripes)]
+    def start(self, body) -> None:
+        self.body = body
 
-    # -- LRU list surgery (global lock must be held) --------------------
+    def barrier(self):
+        """(In the worker.) Report ready, then block until the parent
+        releases every worker at once; returns ``()``. Not released
+        within the run's budget, the parent is gone: give up."""
+        self.pipe.send(("ready", None))
+        if not self.runtime.released.wait(self.runtime.budget_s):
+            raise SimulationError(f"{self.name} was never released")
+        return ()
 
-    def lru_unlink(self, frame: int) -> None:
-        mem, base = self.mem, self.lay["frames"]
-        off = base + frame * FRAME_WORDS
-        prev, nxt = mem[off + F_PREV], mem[off + F_NEXT]
-        if prev >= 0:
-            mem[base + prev * FRAME_WORDS + F_NEXT] = nxt
-        else:
-            mem[H_LRU_HEAD] = nxt
-        if nxt >= 0:
-            mem[base + nxt * FRAME_WORDS + F_PREV] = prev
-        else:
-            mem[H_LRU_TAIL] = prev
-        mem[off + F_PREV] = -1
-        mem[off + F_NEXT] = -1
+    def main(self) -> None:
+        """(The worker process.) Drive the body, send what it returned."""
+        try:
+            message = ("ok", drive(self.body))
+        except Exception:
+            message = ("error", traceback.format_exc())
+        self.pipe.send(message)
 
-    def lru_push_front(self, frame: int) -> None:
-        mem, base = self.mem, self.lay["frames"]
-        off = base + frame * FRAME_WORDS
-        head = mem[H_LRU_HEAD]
-        mem[off + F_PREV] = -1
-        mem[off + F_NEXT] = head
-        if head >= 0:
-            mem[base + head * FRAME_WORDS + F_PREV] = frame
-        else:
-            mem[H_LRU_TAIL] = frame
-        mem[H_LRU_HEAD] = frame
+    def receive(self, reader) -> None:
+        """(The parent.) Take the worker's next message, or raise because
+        it failed or exited without sending one."""
+        try:
+            status, payload = reader.recv()
+        except EOFError:
+            self.process.join()
+            raise SimulationError(
+                f"mp worker {self.name} exited with code "
+                f"{self.process.exitcode} before reporting") from None
+        if status == "error":
+            raise SimulationError(f"mp worker {self.name} failed:\n{payload}")
+        self.result = payload
 
-    def lru_move_front(self, frame: int) -> None:
-        if self.mem[H_LRU_HEAD] == frame:
-            return
-        self.lru_unlink(frame)
-        self.lru_push_front(frame)
 
-    # -- eviction (global lock must be held) ----------------------------
+class MpRuntime:
+    """The run lifecycle the driver calls — ``now``, ``create_pool``,
+    ``create_thread`` and ``join`` — on forked worker processes. The
+    build makes the frame table and its locks itself
+    (:class:`~repro.runtime.shm.FrameTable`)."""
 
-    def evict_lru(self) -> int:
-        """Unlink and return the coldest unpinned frame (LRU tail)."""
-        mem, base = self.mem, self.lay["frames"]
-        frame = mem[H_LRU_TAIL]
-        while frame >= 0:
-            if mem[base + frame * FRAME_WORDS + F_PIN] == 0:
-                self.lru_unlink(frame)
-                return frame
-            frame = mem[base + frame * FRAME_WORDS + F_PREV]
-        raise SimulationError("mp pool: every frame is pinned")
+    def __init__(self) -> None:
+        self.context = multiprocessing.get_context("fork")
+        #: The start barrier: set once every worker has reported ready.
+        self.released = self.context.Event()
+        self._origin = time.perf_counter()
+        self._ended: Optional[float] = None
+        self.budget_s = 0.0
 
-    def evict_clock(self) -> int:
-        """CLOCK sweep: clear reference bits until a clear one is found."""
-        mem, base, cap = self.mem, self.lay["frames"], self.capacity
-        hand = mem[H_CLOCK_HAND]
-        for _step in range(2 * cap + 1):
-            off = base + hand * FRAME_WORDS
-            if mem[off + F_PIN] != 0:
-                hand = (hand + 1) % cap
-                continue
-            if mem[off + F_REF]:
-                mem[off + F_REF] = 0
-                hand = (hand + 1) % cap
-                continue
-            mem[H_CLOCK_HAND] = (hand + 1) % cap
-            return hand
-        raise SimulationError("mp pool: clock swept twice, all pinned")
+    @property
+    def now(self) -> float:
+        """Wall-clock µs since the start barrier released the workers;
+        it stops at the last worker's report."""
+        ended = time.perf_counter() if self._ended is None else self._ended
+        return (ended - self._origin) * 1_000_000.0
 
-    def retag(self, frame: int, tag: int) -> bool:
-        """Point ``frame`` at ``tag`` (global lock held; header-locked).
+    def create_pool(self, n_processors: int,
+                    context_switch_us: float = 0.0) -> int:
+        """The worker count: one process per processor."""
+        return n_processors
 
-        Returns ``False`` without touching the frame if a racing hit
-        pinned it between the eviction scan's unlocked pin probe and
-        this header-locked recheck — the caller must pick another
-        victim. This is the authoritative pin check; the scan's probe
-        is only a filter.
+    def create_thread(self, pool: int, name: str = "thread",
+                      seed: int = 0) -> MpThread:
+        return MpThread(self, name)
+
+    def join(self, threads, daemons, budget_us: float) -> None:
+        """Fork every worker, release them together once all are ready
+        and take each one's report, within ``budget_us`` of wall time.
+
+        A worker that fails or exits without reporting fails the run at
+        once, by name; past the budget the run fails naming every worker
+        still out. Either way every worker is reaped before this returns.
         """
-        mem = self.mem
-        off = self.lay["frames"] + frame * FRAME_WORDS
-        pmap = self.lay["page_map"]
-        with self.stripe(frame):
-            if mem[off + F_PIN] != 0:
-                return False
-            old = mem[off + F_TAG]
-            if old >= 0:
-                mem[pmap + old] = -1
-                mem[H_EVICTIONS] += 1
-            else:
-                mem[H_RESIDENT] += 1
-            mem[off + F_GEN] += 1
-            mem[off + F_TAG] = tag
-            mem[off + F_REF] = 1
-            mem[pmap + tag] = frame
-            return True
+        self.budget_s = budget_us / 1_000_000.0
+        deadline = time.monotonic() + self.budget_s
+        readers: Dict[Any, MpThread] = {}
+        try:
+            for thread in threads:
+                reader, thread.pipe = self.context.Pipe(duplex=False)
+                thread.process = self.context.Process(
+                    target=thread.main, name=thread.name, daemon=True)
+                thread.process.start()
+                readers[reader] = thread
+                # Only the worker holds the write end now: its exit,
+                # however it dies, is the pipe's end of file.
+                thread.pipe.close()
+            for phase in ("ready", "report"):
+                if phase == "report":
+                    self._origin = time.perf_counter()
+                    self.released.set()
+                waiting = dict(readers)
+                while waiting:
+                    ready = connection.wait(
+                        list(waiting), max(0.0, deadline - time.monotonic()))
+                    if not ready:
+                        raise wall_budget_exceeded("mp", budget_us, [
+                            thread.name for thread in waiting.values()])
+                    for reader in ready:
+                        waiting.pop(reader).receive(reader)
+            self._ended = time.perf_counter()
+        finally:
+            for reader, thread in readers.items():
+                if thread.result is None:
+                    thread.process.kill()
+                thread.process.join()
+                reader.close()
 
 
-def _worker_main(spec: Dict[str, Any], shm_name: str, glock, stripes,
-                 barrier, out_queue, worker_index: int) -> None:
-    """One worker process: closed transaction loop over the shared pool."""
-    shm = mem = None
-    try:
-        shm, mem = _attach(shm_name,
-                           own_tracker=spec["start_method"] != "fork")
-        result = _worker_body(spec, mem, glock, stripes, barrier,
-                              worker_index)
-        out_queue.put((worker_index, "ok", result))
-    except Exception:
-        out_queue.put((worker_index, "error", traceback.format_exc()))
-    finally:
-        # The cast view must go before close() or mmap raises
-        # BufferError; either way the OS reclaims at process exit.
-        if mem is not None:
-            try:
-                mem.release()
-            except Exception:
-                pass
-        if shm is not None:
-            try:
-                shm.close()
-            except Exception:
-                pass
+# -- the trace tier on mp: build, body, finalize ---------------------------
 
 
-def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
-                 worker_index: int) -> Dict[str, Any]:
-    from repro.workloads.registry import make_workload
+def trace_tier(config, workload=None):
+    """``run_experiment``'s build, thread names, body factory and
+    finalize for ``runtime="mp"``.
 
-    metrics_dir = spec.get("metrics_dir")
+    One worker process per ``config.n_processors`` (``n_threads`` is
+    ignored — a process *is* the unit of concurrency here), each
+    performing ``target_accesses / n_workers`` page accesses against
+    the shared frame table. The finalize returns a
+    :class:`~repro.harness.experiment.RunResult` whose times are
+    wall-clock; where a field means something else here than on
+    sim/native, the field's comment says what.
+    """
+    table: Optional[FrameTable] = None
+
+    def build(run) -> None:
+        """Lay out and pre-warm the frame table the workers will share."""
+        nonlocal workload, table
+        from repro.harness.driver import access_ordered_prefix
+        from repro.workloads.registry import make_workload
+
+        if workload is None:
+            workload = make_workload(config.workload, seed=config.seed,
+                                     **config.workload_kwargs)
+        working_set = workload.working_set_pages()
+        # Deterministic dense page ids: access order first (the resident
+        # prefix when the pool is smaller than the working set), then any
+        # remaining working-set pages in sorted-repr order.
+        ordered = list(access_ordered_prefix(workload, len(working_set)))
+        seen = set(ordered)
+        ordered.extend(sorted((p for p in working_set if p not in seen),
+                              key=repr))
+        table = FrameTable(ordered, config.resolved_buffer_pages(workload),
+                           config.n_processors, config.queue_size,
+                           config.prewarm)
+
+    def body(run, thread: MpThread, index: int):
+        return _worker_body(config, table, workload, thread, index,
+                            metrics=run.observer is not None)
+
+    names = [f"mp-worker-{index}" for index in range(config.n_processors)]
+    return build, names, body, lambda run: _fold(config, run)
+
+
+def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
+                 worker_index: int, metrics: bool):
+    """One worker process: closed transaction loop over the shared pool.
+
+    A generator for the driver's sake: its one blocking call, the start
+    barrier, returns ``()``. It returns the worker's report.
+    """
+    system = config.system
+    lock_metric = f"lock.replacement-{system}"
     registry = access_hist = wait_hist = hold_hist = None
-    if metrics_dir:
+    if metrics:
         from repro.obs.metrics import MetricsRegistry
         registry = MetricsRegistry()
         access_hist = registry.histogram("mp.access_us")
-        wait_hist = registry.histogram("mp.lock.replacement.wait_us")
-        hold_hist = registry.histogram("mp.lock.replacement.hold_us")
+        wait_hist = registry.histogram(f"{lock_metric}.wait_us")
+        hold_hist = registry.histogram(f"{lock_metric}.hold_us")
 
-    system = spec["system"]
-    capacity = spec["capacity"]
-    n_pages = spec["n_pages"]
-    queue_size = spec["queue_size"]
-    threshold = spec["batch_threshold"]
-    quota = spec["accesses_per_worker"]
-    warmup_quota = spec["warmup_per_worker"]
-    page_index: Dict[Any, int] = spec["page_index"]
-    lay = _layout(n_pages, capacity, spec["n_workers"], queue_size)
-    pool = _Pool(mem, lay, capacity, n_pages, glock, stripes,
-                 worker_index, queue_size)
+    capacity = pool.capacity
+    queue_size = config.queue_size
+    threshold = config.batch_threshold
+    quota = max(1, config.target_accesses // config.n_processors)
+    warmup_quota = int(quota * config.warmup_fraction)
+    page_index: Dict[Any, int] = pool.page_index
+    mem, glock = pool.mem, pool.glock
     batched = system in ("pgBat", "pgBatPre")
     prefetch = system == "pgBatPre"
     clock = system == "pgclock"
+    lay = pool.lay
     fbase = lay["frames"]
     pmap = lay["page_map"]
-    qbase = pool.qbase
+    qbase = lay["queues"] + worker_index * lay["queue_words"]
 
-    workload = make_workload(spec["workload"], seed=spec["seed"],
-                             **spec["workload_kwargs"])
     stream = workload.transaction_stream(worker_index)
 
     iters_per_us = _calibrate_spin()
-    work_iters = int(iters_per_us * spec["work_us"])
+    work_iters = int(iters_per_us * _DEFAULT_WORK_US)
 
     perf = time.perf_counter
     stats = {
@@ -512,7 +466,7 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
                 lock_release(granted)                    # line 18
         return True
 
-    barrier.wait(timeout=spec["barrier_timeout_s"])
+    yield from thread.barrier()
     run_started = perf()
     if warmup_quota <= 0:
         snapshot = _begin_window(stats)
@@ -549,19 +503,12 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
     if not snapshot:
         snapshot = _begin_window(stats)
     if registry is not None:
-        # Per-worker snapshot file: the parent folds these in
-        # worker-index order via MetricsRegistry.merge_snapshot.
-        import json
         registry.counter("mp.workers").inc()
         registry.counter("mp.transactions").inc(stats["transactions"])
-        registry.counter("mp.lock.replacement.contentions").inc(
+        registry.counter(f"{lock_metric}.contentions").inc(
             stats["contentions"])
-        registry.gauge("mp.lock.replacement.max_hold_us").set(
+        registry.gauge(f"{lock_metric}.max_hold_us").set(
             max(snapshot["window_max_hold_us"], stats["window_max_hold_us"]))
-        path = os.path.join(metrics_dir,
-                            f"worker-{worker_index:03d}.json")
-        with open(path, "w") as handle:
-            json.dump(registry.snapshot(), handle, sort_keys=True)
     # The report speaks the in-process runtimes' vocabulary: windowed stats
     # classes, and the queue's whole-run accounting as an AccessQueue.
     access, lock = _window(stats, snapshot)
@@ -579,6 +526,7 @@ def _worker_body(spec: Dict[str, Any], mem, glock, stripes, barrier,
         "window_us": max((finished - snapshot["at"]) * 1e6, 0.0),
         "warmup_offset_us": (snapshot["at"] - run_started) * 1e6,
         "cpu_s": time.process_time() - started_cpu,
+        "metrics": registry.snapshot() if registry is not None else None,
     }
 
 
@@ -600,237 +548,19 @@ def _window(stats: Dict[str, Any], snapshot: Dict[str, Any]):
                  for cls in (AccessStats, LockStats))
 
 
-# -- the parent-side runner -------------------------------------------------
-
-
-def _validate(config) -> None:
-    if config.system not in MP_SYSTEMS:
-        raise ConfigError(
-            f"system {config.system!r} has no mp hot path; available: "
-            f"{', '.join(MP_SYSTEMS)}")
-    if config.policy_name not in (None, "2q", "lru", "clock"):
-        raise ConfigError(
-            "the mp backend's shared policy core is a fixed LRU list "
-            "(clock for pgclock); policy_name cannot be swapped")
-    if config.controller:
-        raise ConfigError(
-            "controllers are not supported on the mp backend: "
-            "workers read the batching knobs from a shared-memory "
-            "spec fixed at fork time")
-    if config.use_disk or config.background_writer:
-        raise ConfigError(
-            "the mp backend is the in-memory scaling engine; disk and "
-            "bgwriter parity live in runtime='native'")
-    if config.simulate_bucket_locks:
-        raise ConfigError(
-            "bucket-lock simulation is a simulator ablation; the mp "
-            "page map is probed lock-free")
-
-
-def run_mp_experiment(config, workload=None, observer=None):
-    """Execute ``config`` on worker processes (``runtime="mp"``).
-
-    One worker process per ``config.n_processors`` (``n_threads`` is
-    ignored — a process *is* the unit of concurrency here), each
-    performing ``target_accesses / n_workers`` page accesses against
-    the shared frame table. Returns a
-    :class:`~repro.harness.experiment.RunResult` whose times are
-    wall-clock; where a field means something else here than on
-    sim/native, the field's comment says what.
-    """
-    from repro.harness.driver import access_ordered_prefix
-    from repro.workloads.registry import make_workload
-
-    if observer is not None:
-        if (getattr(observer, "trace", None) is not None
-                or getattr(observer, "metrics", None) is None):
-            raise ConfigError(
-                "the observability layer's trace recorder records "
-                "in-process; mp workers cannot share it — attach a "
-                "metrics-only Observer (metrics=..., trace=None) to "
-                "collect merged per-worker registry snapshots, or use "
-                "runtime='sim' or 'native' for traces")
-    _validate(config)
-    if workload is None:
-        workload = make_workload(config.workload, seed=config.seed,
-                                 **config.workload_kwargs)
-    n_workers = config.n_processors
-    if n_workers < 1:
-        raise ConfigError(f"need >= 1 worker, got {n_workers}")
-
-    working_set = workload.working_set_pages()
-    capacity = config.resolved_buffer_pages(workload)
-    # Deterministic dense page ids: access order first (the resident
-    # prefix when the pool is smaller than the working set), then any
-    # remaining working-set pages in sorted-repr order.
-    ordered = list(access_ordered_prefix(workload, len(working_set)))
-    seen = set(ordered)
-    ordered.extend(sorted((p for p in working_set if p not in seen),
-                          key=repr))
-    page_index = {page: i for i, page in enumerate(ordered)}
-    n_pages = len(ordered)
-
-    lay = _layout(n_pages, capacity, n_workers, config.queue_size)
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn")
-    shm = shared_memory.SharedMemory(create=True,
-                                     size=max(lay["total"], 1) * 8)
-    metrics_dir = None
-    if observer is not None:
-        import tempfile
-        metrics_dir = tempfile.mkdtemp(prefix="repro-mp-metrics-")
-    processes: List[Any] = []
-    mem = None
-    try:
-        mem = shm.buf.cast("q")
-        for word in range(lay["total"]):
-            mem[word] = 0
-        mem[H_LRU_HEAD] = -1
-        mem[H_LRU_TAIL] = -1
-        for word in range(n_pages):
-            mem[lay["page_map"] + word] = -1
-        for frame in range(capacity):
-            off = lay["frames"] + frame * FRAME_WORDS
-            mem[off + F_TAG] = -1
-            mem[off + F_PREV] = -1
-            mem[off + F_NEXT] = -1
-        if config.prewarm:
-            _prewarm(mem, lay, ordered, page_index, capacity)
-
-        glock = ctx.Lock()
-        stripes = [ctx.Lock()
-                   for _ in range(min(HEADER_LOCK_STRIPES, capacity))]
-        barrier = ctx.Barrier(n_workers + 1)
-        out_queue = ctx.Queue()
-        deadline_s = config.max_sim_time_us / 1_000_000.0
-        quota = max(1, config.target_accesses // n_workers)
-        spec = {
-            "system": config.system,
-            "workload": config.workload,
-            "workload_kwargs": dict(config.workload_kwargs),
-            "seed": config.seed,
-            "capacity": capacity,
-            "n_pages": n_pages,
-            "n_workers": n_workers,
-            # The shared bp_kwargs plumbing path; workers read these
-            # from the spec, fixed at fork time (no controllers here).
-            **bp_kwargs(config, include_policy=False),
-            "accesses_per_worker": quota,
-            "warmup_per_worker": int(quota * config.warmup_fraction),
-            "page_index": page_index,
-            "work_us": _DEFAULT_WORK_US,
-            "barrier_timeout_s": min(60.0, deadline_s),
-            "start_method": ctx.get_start_method(),
-            "metrics_dir": metrics_dir,
-        }
-        for index in range(n_workers):
-            process = ctx.Process(
-                target=_worker_main,
-                args=(spec, shm.name, glock, stripes, barrier, out_queue,
-                      index),
-                name=f"mp-worker-{index}", daemon=True)
-            process.start()
-            processes.append(process)
-        try:
-            barrier.wait(timeout=spec["barrier_timeout_s"])
-        except Exception:
-            raise SimulationError(
-                "mp workers failed to reach the start barrier "
-                f"(exit codes: {[p.exitcode for p in processes]})")
-        run_started = time.perf_counter()
-        results: Dict[int, Dict[str, Any]] = {}
-        deadline = run_started + deadline_s
-        for _ in range(n_workers):
-            remaining = deadline - time.perf_counter()
-            try:
-                index, status, payload = out_queue.get(
-                    timeout=max(0.1, remaining))
-            except Exception:
-                raise SimulationError(
-                    f"mp run exceeded its {deadline_s:.0f}s wall "
-                    f"budget with {n_workers - len(results)} worker(s) "
-                    "still running (possible deadlock)")
-            if status != "ok":
-                raise SimulationError(
-                    f"mp worker {index} failed:\n{payload}")
-            results[index] = payload
-        elapsed_us = (time.perf_counter() - run_started) * 1e6
-        metrics = None
-        if metrics_dir is not None:
-            # Workers write their snapshot file before posting their
-            # result, so all files exist once the loop above drained.
-            _merge_worker_metrics(observer.metrics, metrics_dir,
-                                  n_workers)
-            metrics = observer.metrics.snapshot()
-        for process in processes:
-            process.join(timeout=10.0)
-    finally:
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-        if mem is not None:
-            try:
-                mem.release()
-            except Exception:
-                pass
-        try:
-            shm.close()
-        except Exception:
-            pass
-        try:
-            shm.unlink()
-        except Exception:
-            pass
-        if metrics_dir is not None:
-            import shutil
-            shutil.rmtree(metrics_dir, ignore_errors=True)
-
-    return _fold(config, list(results.values()), elapsed_us, metrics)
-
-
-def _merge_worker_metrics(registry, metrics_dir: str,
-                          n_workers: int) -> None:
-    """Fold per-worker snapshot files into ``registry``, index order.
-
-    Counters add, histograms merge bucket-wise, gauges widen —
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot` is
-    order-independent, but reading in worker-index order keeps the
-    procedure (and any failure message) deterministic.
-    """
-    import json
-
-    for index in range(n_workers):
-        path = os.path.join(metrics_dir, f"worker-{index:03d}.json")
-        if not os.path.exists(path):
-            raise SimulationError(
-                f"mp worker {index} wrote no metrics snapshot "
-                f"({path} missing)")
-        with open(path) as handle:
-            registry.merge_snapshot(json.load(handle))
-
-
-def _prewarm(mem, lay, ordered, page_index, capacity) -> None:
-    """Install the access-ordered resident prefix (no stats recorded)."""
-    pool = _Pool(mem, lay, capacity, len(ordered), None, (), 0, 0)
-    for frame, page in enumerate(ordered[:capacity]):
-        off = lay["frames"] + frame * FRAME_WORDS
-        tag = page_index[page]
-        mem[off + F_TAG] = tag
-        mem[off + F_REF] = 1
-        mem[lay["page_map"] + tag] = frame
-        mem[H_RESIDENT] += 1
-        # Push-front in order: the last-installed page ends up MRU.
-        pool.lru_push_front(frame)
-
-
-def _fold(config, workers: List[Dict[str, Any]], elapsed_us: float,
-          metrics: Optional[dict]):
-    """The workers' reports as the run's RunResult, through the
-    ``assemble`` every runtime's record is built by; rates and
-    responses are the mp meanings written on the RunResult fields."""
+def _fold(config, run):
+    """The workers' reports, in worker-index order, as the run's
+    RunResult, through the ``assemble`` every runtime's record is built
+    by (their registry snapshots are merged into the observer's first);
+    rates and responses are the mp meanings written on the RunResult
+    fields."""
     from repro.harness.experiment import assemble
+
+    workers = [thread.result for thread in run.threads]
+    if run.observer is not None:
+        for worker in workers:
+            run.observer.metrics.merge_snapshot(worker["metrics"])
+    elapsed_us = run.elapsed_us
 
     def summed(key: str):
         return sum(worker[key] for worker in workers)
@@ -857,4 +587,4 @@ def _fold(config, workers: List[Dict[str, Any]], elapsed_us: float,
         prefetches_issued=summed("prefetches"),
         total_transactions=summed("total_transactions"),
         warmup_end_us=max(worker["warmup_offset_us"] for worker in workers),
-        metrics=metrics)
+        metrics=run.metrics())

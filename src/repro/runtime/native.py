@@ -60,6 +60,7 @@ from typing import Any, Generator, Optional
 
 from repro.errors import ConfigError, LockError, SimulationError
 from repro.policies.base import LockDiscipline
+from repro.runtime.base import wall_budget_exceeded
 from repro.sync.stats import LockStats
 
 __all__ = [
@@ -597,10 +598,7 @@ class NativeRuntime:
             if not daemon.thread.join(timeout=grace):
                 stuck.append(daemon.thread.name)
         if stuck:
-            raise SimulationError(
-                f"native run exceeded its {budget_us / 1e6:.0f}s wall "
-                f"budget; threads still alive: {', '.join(stuck)} "
-                "(possible deadlock)")
+            raise wall_budget_exceeded("native", budget_us, stuck)
         for thread in [*threads, *(daemon.thread for daemon in daemons)]:
             if thread.error is not None:
                 raise thread.error

@@ -99,14 +99,6 @@ class TestBpKwargs:
             "policy_name": "clock",
         }
 
-    def test_include_policy_false_for_fixed_policy_builders(self):
-        from repro.serve.config import ServeConfig
-        config = ServeConfig(queue_size=8, batch_threshold=2)
-        assert bp_kwargs(config, include_policy=False) == {
-            "queue_size": 8,
-            "batch_threshold": 2,
-        }
-
 
 # -- ThresholdAdapter unit tests against a fake pool ------------------------
 

@@ -2,12 +2,19 @@
 
 These exercise the ugly paths: pages invalidated between enqueue and
 commit, eviction racing queued hits, frame recycling (ABA), fully
-pinned pools inside the DES, and long mixed runs with invariant checks.
+pinned pools inside the DES, long mixed runs with invariant checks, and
+mp worker processes that die, raise or overrun their wall budget.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pathlib
 import random
+import signal
+import threading
+import time
 
 import pytest
 
@@ -16,7 +23,7 @@ from repro.bufmgr.tags import PageId
 from repro.core.bpwrapper import BatchedHandler, ThreadSlot
 from repro.core.config import BPConfig
 from repro.db.storage import DiskArray
-from repro.errors import BufferError_
+from repro.errors import BufferError_, SimulationError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350
@@ -24,9 +31,11 @@ from repro.harness import experiment
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.policies.lru import LRUPolicy
 from repro.policies.twoq import TwoQPolicy
+from repro.runtime import shm
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
+from repro.workloads.registry import make_workload
 
 
 def make_rig(sim, capacity=16, queue_size=8, batch_threshold=4,
@@ -309,3 +318,94 @@ class TestRaisingBodyOnSim:
         assert (disk._busy, disk.queue_depth) == (0, 0)
         assert not build.lock.held and build.lock.queue_length == 0
         build.manager.check_invariants(expect_no_pins=True)
+
+
+# -- mp: worker death, failure and deadline ---------------------------------
+
+DEV_SHM = pathlib.Path("/dev/shm")
+
+
+def _mp_config(**overrides) -> ExperimentConfig:
+    """Two pgBat workers with a quota that outlasts every drill."""
+    params = dict(system="pgBat", workload="tablescan", runtime="mp",
+                  n_processors=2, target_accesses=10**9,
+                  warmup_fraction=0.0, seed=23,
+                  max_sim_time_us=60_000_000.0)
+    params.update(overrides)
+    return ExperimentConfig(**params)
+
+
+@pytest.fixture
+def leaves_nothing_behind():
+    """The drill must end with no live child and no new /dev/shm entry."""
+    before = set(os.listdir(DEV_SHM))
+    yield
+    assert multiprocessing.active_children() == []
+    assert set(os.listdir(DEV_SHM)) - before == set()
+
+
+@pytest.mark.skipif(not DEV_SHM.is_dir(), reason="needs /dev/shm")
+@pytest.mark.usefixtures("leaves_nothing_behind")
+class TestMpWorkerFailures:
+    def test_killed_worker_fails_the_run_at_once(self):
+        """SIGKILL one of two workers 1 s into a 60 s budget: the run
+        raises within 10 s, naming the worker and its exit code."""
+        killed = []
+
+        def kill_worker_1():
+            for process in multiprocessing.active_children():
+                if process.name == "mp-worker-1":
+                    os.kill(process.pid, signal.SIGKILL)
+                    killed.append(process.pid)
+
+        timer = threading.Timer(1.0, kill_worker_1)
+        started = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(SimulationError) as raised:
+                run_experiment(_mp_config())
+        finally:
+            timer.cancel()
+        assert killed
+        assert time.monotonic() - started < 10.0
+        message = str(raised.value)
+        assert "mp-worker-1" in message
+        assert f"exited with code {-signal.SIGKILL}" in message
+
+    def test_raising_body_fails_the_run_with_its_traceback(self):
+        """Worker 1's stream raises mid-run (in the worker only — the
+        workers close over the parent's workload object)."""
+        workload = make_workload("tablescan", seed=23)
+        stream, parent = workload.transaction_stream, os.getpid()
+
+        def crashing_stream(index):
+            for count, transaction in enumerate(stream(index)):
+                if os.getpid() != parent and index == 1 and count == 50:
+                    raise Crash("injected in worker 1")
+                yield transaction
+
+        workload.transaction_stream = crashing_stream
+        started = time.monotonic()
+        with pytest.raises(SimulationError) as raised:
+            run_experiment(_mp_config(), workload)
+        assert time.monotonic() - started < 10.0
+        message = str(raised.value)
+        assert message.startswith("mp worker mp-worker-1 failed:")
+        assert "Crash: injected in worker 1" in message
+
+    def test_wall_budget_names_every_worker_still_running(self):
+        started = time.monotonic()
+        with pytest.raises(SimulationError) as raised:
+            run_experiment(_mp_config(max_sim_time_us=2_000_000.0))
+        assert time.monotonic() - started < 10.0
+        assert str(raised.value) == (
+            "mp run exceeded its 2s wall budget; threads still alive: "
+            "mp-worker-0, mp-worker-1 (possible deadlock)")
+
+    def test_build_failing_after_the_segment_exists(self, monkeypatch):
+        def crashing_prewarm(*args):
+            raise Crash("injected after the segment was mapped")
+
+        monkeypatch.setattr(shm, "_prewarm", crashing_prewarm)
+        with pytest.raises(Crash, match="after the segment was mapped"):
+            run_experiment(_mp_config())

@@ -85,9 +85,9 @@ def test_response_samples_start_with_the_measurement_window(monkeypatch):
     seen = []
     fold = mp._fold
 
-    def spy(config, workers, *rest):
-        seen.extend(workers)
-        return fold(config, workers, *rest)
+    def spy(config, run):
+        seen.extend(thread.result for thread in run.threads)
+        return fold(config, run)
 
     monkeypatch.setattr(mp, "_fold", spy)
     result = _run("pgBat", workers=1, warmup_fraction=0.9,
@@ -208,6 +208,18 @@ def test_metrics_only_observer_merges_worker_snapshots():
     access_hist = snapshot["histograms"]["mp.access_us"]
     assert access_hist["count"] == result.accesses
     assert sum(access_hist["buckets"].values()) == result.accesses
+    # The replacement lock under the sim/native Observer's names: one
+    # wait per contention, one hold per acquisition.
+    lock, stats = "lock.replacement-pgBat", result.lock_stats
+    assert snapshot["counters"][f"{lock}.contentions"] == stats.contentions
+    assert snapshot["histograms"][f"{lock}.wait_us"]["count"] == (
+        stats.contentions)
+    assert snapshot["histograms"][f"{lock}.hold_us"]["count"] == (
+        stats.acquisitions)
+    assert snapshot["gauges"][f"{lock}.max_hold_us"]["value"] == (
+        pytest.approx(stats.max_hold_us))
+    assert not [name for kind in snapshot.values() for name in kind
+                if name.startswith("mp.lock.")]
     # The live registry holds the same merged state as the record.
     assert observer.metrics.snapshot() == snapshot
 
