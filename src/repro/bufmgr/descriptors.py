@@ -80,7 +80,8 @@ class BufferDesc:
         self.generation += 1
 
     def matches(self, tag: BufferTag) -> bool:
-        """BP-Wrapper's commit-time validity check."""
+        """BP-Wrapper's commit-time validity check (the commit's one
+        pass over a batch inlines it)."""
         return self.valid and self.tag == tag
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -26,7 +26,7 @@ where it does in a real DBMS: across blocking points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.hashtable import BufferHashTable
@@ -179,44 +179,20 @@ class BufferManager:
     # -- the access path -----------------------------------------------------------
 
     def access(self, slot: "ThreadSlot", page: PageId,
-               is_write: bool = False) -> Generator[object, None, bool]:
-        """One page request by ``slot``'s thread. Returns True on a hit.
+               is_write: bool = False, keep_pin: bool = False) -> Waits:
+        """One page request by ``slot``'s thread. Returns True on a hit
+        (``(hit, desc)`` with ``keep_pin``: :meth:`access_pinned`).
 
         ``is_write`` marks the page dirty; a dirty page's frame cannot
         be reused until its contents are written back to the disk
         model (as PostgreSQL's StrategyGetBuffer flushes victims).
-        """
-        return self._request(slot, page, is_write, False)
 
-    def access_pinned(self, slot: "ThreadSlot", page: PageId,
-                      is_write: bool = False
-                      ) -> Generator[object, None, tuple]:
-        """Like :meth:`access`, but the frame stays pinned.
-
-        Returns ``(hit, desc)`` with ``desc.pin_count`` elevated by one;
-        the caller owns that pin and must :meth:`release` (or
-        ``desc.unpin()``) when done with the page. Query-execution
-        operators use this to hold their current page across their
-        lifetime — a scan keeps its page pinned between rows, a join
-        keeps inner and outer pinned — which is what makes pin-aware
-        victim selection load-bearing.
-        """
-        return self._request(slot, page, is_write, True)
-
-    def release(self, desc: BufferDesc) -> None:
-        """Drop a pin taken by :meth:`access_pinned`."""
-        desc.unpin()
-
-    def _request(self, slot: "ThreadSlot", page: PageId, is_write: bool,
-                 keep_pin: bool) -> Waits:
-        """The one request generator behind :meth:`access` and
-        :meth:`access_pinned`: a hit is served inline, so it costs this
-        frame and whatever the handler returns (``()`` for a hit that
-        only records).
-
-        The hit's pinned section is exception- and close-safe: if the
-        generator is aborted mid-wait (native join-deadline abort,
-        failure injection), the pin is released before unwinding.
+        The one request generator of every runtime and tier: a hit is
+        served inline, so it costs this frame and whatever the handler
+        returns (``()`` for a hit that only records). The hit's pinned
+        section is exception- and close-safe: if the generator is
+        aborted mid-wait (native join-deadline abort, failure
+        injection), the pin is released before unwinding.
         """
         thread = slot.thread
         stats = self.stats
@@ -289,6 +265,24 @@ class BufferManager:
             return False, desc
         desc.unpin()
         return False
+
+    def access_pinned(self, slot: "ThreadSlot", page: PageId,
+                      is_write: bool = False) -> Waits:
+        """Like :meth:`access`, but the frame stays pinned.
+
+        Returns ``(hit, desc)`` with ``desc.pin_count`` elevated by one;
+        the caller owns that pin and must :meth:`release` (or
+        ``desc.unpin()``) when done with the page. Query-execution
+        operators use this to hold their current page across their
+        lifetime — a scan keeps its page pinned between rows, a join
+        keeps inner and outer pinned — which is what makes pin-aware
+        victim selection load-bearing.
+        """
+        return self.access(slot, page, is_write, keep_pin=True)
+
+    def release(self, desc: BufferDesc) -> None:
+        """Drop a pin taken by :meth:`access_pinned`."""
+        desc.unpin()
 
     def _serve_miss(self, slot: "ThreadSlot", page: PageId,
                     is_write: bool = False) -> Waits:

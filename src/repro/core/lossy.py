@@ -62,5 +62,8 @@ class LossyBatchedHandler(BatchedHandler):
             self.dropped_accesses += 1
             slot.thread.charge(self.costs.queue_record_us)
             return
-        yield from self._commit_held(slot, len(slot.queue), False)
+        batch = len(slot.queue)
+        started = self._replay_held(slot, batch)
+        yield from slot.thread.spend()
+        self._end_commit(slot, started, batch, False)
         yield from super().hit(slot, desc, tag)

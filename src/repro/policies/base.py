@@ -4,7 +4,8 @@ A policy manages the *metadata* of a fixed-capacity page pool. The
 buffer manager (or the fast hit-ratio simulator) drives it through
 three notifications:
 
-* :meth:`~ReplacementPolicy.on_hit` — a resident page was accessed;
+* :meth:`~ReplacementPolicy.on_hit` — a resident page was accessed
+  (:meth:`~ReplacementPolicy.on_hits` replays a batch of them);
 * :meth:`~ReplacementPolicy.on_miss` — a non-resident page must be
   admitted; the policy returns the victim it chose to evict, or ``None``
   while the pool still has free frames;
@@ -115,6 +116,14 @@ class ReplacementPolicy(ABC):
 
         Raises :class:`PolicyError` if ``key`` is not resident.
         """
+
+    def on_hits(self, keys: Iterable[PageKey]) -> None:
+        """:meth:`on_hit` for each of ``keys`` in order: one committed
+        BP-Wrapper batch. Overrides must leave exactly the state (and
+        raise exactly the error) the loop does."""
+        on_hit = self.on_hit
+        for key in keys:
+            on_hit(key)
 
     @abstractmethod
     def on_miss(self, key: PageKey) -> Optional[PageKey]:

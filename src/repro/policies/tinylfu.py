@@ -16,10 +16,10 @@ lock on hits, and — like 2Q — BP-Wrapper wraps it unchanged
 (``pgBatPre`` + ``policy_name="tinylfu"`` just works).
 
 Implementation: 4-row count-min sketch with 4-bit-style saturating
-counters (numpy uint8 capped at 15), halved every ``sample_period``
-recorded accesses (the "reset" aging of the TinyLFU paper); window
-defaults to 1 % of capacity; main area is SLRU with an 80 % protected
-segment.
+counters (one ``bytearray`` per row, capped at 15), halved every
+``sample_period`` recorded accesses (the "reset" aging of the TinyLFU
+paper); window defaults to 1 % of capacity; main area is SLRU with an
+80 % protected segment.
 """
 
 from __future__ import annotations
@@ -27,13 +27,15 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.errors import PolicyError
 from repro.policies.base import (LockDiscipline, PageKey, ReplacementPolicy)
 from repro.util import stable_hash
 
 __all__ = ["TinyLFUPolicy", "CountMinSketch"]
+
+
+#: ``row.translate(HALVE)`` halves every counter of a row at once.
+HALVE = bytes(value >> 1 for value in range(256))
 
 
 class CountMinSketch:
@@ -50,29 +52,30 @@ class CountMinSketch:
         while width < capacity_hint * 8:
             width *= 2
         self.width = width
-        self._table = np.zeros((self.ROWS, width), dtype=np.uint8)
+        self._rows = [bytearray(width) for _ in range(self.ROWS)]
         self._mask = width - 1
         #: Halve all counters after this many increments (aging).
         self.sample_period = max(64, capacity_hint * 10)
         self._since_reset = 0
 
-    def _indices(self, key: PageKey):
-        for row in range(self.ROWS):
-            yield row, stable_hash(key, salt=row + 1) & self._mask
+    def _cells(self, key: PageKey):
+        """``(row, column)`` of ``key``'s counter in every row."""
+        mask = self._mask
+        return [(row, stable_hash(key, salt=salt) & mask)
+                for salt, row in enumerate(self._rows, start=1)]
 
     def increment(self, key: PageKey) -> None:
-        for row, column in self._indices(key):
-            if self._table[row, column] < self.MAX_COUNT:
-                self._table[row, column] += 1
+        for row, column in self._cells(key):
+            if row[column] < self.MAX_COUNT:
+                row[column] += 1
         self._since_reset += 1
         if self._since_reset >= self.sample_period:
             # Aging: halve everything so stale popularity decays.
-            self._table >>= 1
+            self._rows = [row.translate(HALVE) for row in self._rows]
             self._since_reset = 0
 
     def estimate(self, key: PageKey) -> int:
-        return int(min(self._table[row, column]
-                       for row, column in self._indices(key)))
+        return min(row[column] for row, column in self._cells(key))
 
 
 class TinyLFUPolicy(ReplacementPolicy):

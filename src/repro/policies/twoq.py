@@ -61,6 +61,20 @@ class TwoQPolicy(ReplacementPolicy):
         else:
             self._check_hit_key(key, False)
 
+    def on_hits(self, keys: Iterable[PageKey]) -> None:
+        # on_hit's branches, one lookup fewer: A1in and Am are disjoint,
+        # and move_to_end's KeyError is Am's membership test.
+        a1in, am = self._a1in, self._am
+        for key in keys:
+            if key not in a1in:
+                try:
+                    am.move_to_end(key)
+                except KeyError:
+                    break
+        else:
+            return
+        self._check_hit_key(key, False)
+
     def on_miss(self, key: PageKey) -> Optional[PageKey]:
         self._check_miss_key(key, key in self)
         # Pop the ghost entry first: reclaiming below may trim A1out.

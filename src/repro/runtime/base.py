@@ -125,9 +125,10 @@ class MutexLock(Protocol):
 class ThreadContext(Protocol):
     """One transaction-processing thread as the core sees it.
 
-    CPU costs are *accumulated* with :meth:`charge` and realized (as
-    simulated time, or dropped on the floor by the native backend,
-    where real instructions already took real time) by ``yield from
+    CPU costs are *accumulated* with :meth:`charge` (a sequence of
+    them with :meth:`charge_all`) and realized (as simulated time, or
+    dropped on the floor by the native backend, where real
+    instructions already took real time) by ``yield from
     thread.spend()``. Blocking operations — :meth:`wait`,
     :meth:`sleep_blocked`, the yield family — are blocking generators.
 
@@ -140,6 +141,10 @@ class ThreadContext(Protocol):
     runtime: "Runtime"
 
     def charge(self, cost_us: float) -> None: ...
+
+    def charge_all(self, costs: Sequence[float]) -> None:
+        """:meth:`charge` each of ``costs`` in order, folded into the
+        same accumulator so the sum equals the one-by-one sum exactly."""
 
     def spend(self) -> Iterable[Wait]: ...
 

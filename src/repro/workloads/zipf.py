@@ -14,8 +14,6 @@ import random
 from bisect import bisect_right
 from typing import List, Optional
 
-import numpy as np
-
 from repro.errors import WorkloadError
 
 __all__ = ["ZipfGenerator"]
@@ -40,6 +38,8 @@ class ZipfGenerator:
             raise WorkloadError(f"zipf needs theta >= 0, got {theta}")
         self.n = n
         self.theta = theta
+        # Imported here: runs that draw no Zipf ranks never load numpy.
+        import numpy as np
         weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64),
                                  theta)
         cdf = np.cumsum(weights)

@@ -8,6 +8,7 @@ mp worker processes that die, raise or overrun their wall budget.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import pathlib
@@ -29,6 +30,7 @@ from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350
 from repro.harness import experiment
 from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.obs import Observer, TraceRecorder
 from repro.policies.lru import LRUPolicy
 from repro.policies.twoq import TwoQPolicy
 from repro.runtime import shm
@@ -323,6 +325,30 @@ class TestRaisingBodyOnSim:
 # -- mp: worker death, failure and deadline ---------------------------------
 
 DEV_SHM = pathlib.Path("/dev/shm")
+
+
+class TestTraceRingOverflow:
+    def test_overflowing_ring_keeps_the_newest_and_says_so(self, tmp_path):
+        """A sim run whose trace overflows a 64-record ring: the run
+        completes with exactly the unobserved result, and the recorder
+        keeps the newest 64 records, counts the rest as dropped, and
+        says so in its text summary."""
+        config = ExperimentConfig(
+            system="pgBatPre", workload="tablescan",
+            workload_kwargs={"n_tables": 4, "pages_per_table": 40},
+            n_processors=4, n_threads=8, target_accesses=5000, seed=3)
+        recorder = TraceRecorder(ring_capacity=64)
+        observed = run_experiment(config, observer=Observer(trace=recorder))
+        assert observed.to_dict() == run_experiment(config).to_dict()
+        assert recorder.dropped > 0
+        document = json.loads(recorder.write_json(
+            tmp_path / "trace.json").read_text())
+        records = [event for event in document["traceEvents"]
+                   if event["ph"] != "M"]
+        assert len(records) == 64
+        assert document["otherData"]["dropped_records"] == recorder.dropped
+        assert (f"[ring buffer dropped {recorder.dropped} oldest records]"
+                in recorder.flame_summary())
 
 
 def _mp_config(**overrides) -> ExperimentConfig:

@@ -123,3 +123,24 @@ def test_handler_guard_has_teeth():
     poke = "self.handler." + "_hit_op = build.handler.lock"
     assert _handler_private_reads(ast.parse(poke)) == [
         "line 1: .handler." + "_hit_op"]
+
+
+# -- numpy only where a Zipf rank is drawn ----------------------------------
+
+def test_import_and_a_tablescan_run_leave_numpy_unloaded():
+    """``import repro`` and a tablescan run never load numpy: only the
+    Zipf sampler needs it, and it imports numpy when built."""
+    script = (
+        "import sys\n"
+        "import repro\n"
+        "from repro import ExperimentConfig, run_experiment\n"
+        "loaded = 'numpy' in sys.modules\n"
+        "run_experiment(ExperimentConfig(system='pgBatPre',"
+        " workload='tablescan', workload_kwargs={'n_tables': 2,"
+        " 'pages_per_table': 20}, n_processors=2, target_accesses=500))\n"
+        "print(loaded, 'numpy' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]

@@ -202,3 +202,46 @@ class TestPolicyHypothesis:
                 resident.add(key)
             assert policy.resident_count == len(resident)
             assert policy.resident_count <= capacity
+
+    @pytest.mark.parametrize("name", ALL_POLICIES)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=12),
+           st.lists(st.integers(min_value=0, max_value=40), max_size=200),
+           st.lists(st.integers(min_value=0, max_value=10 ** 6),
+                    max_size=64),
+           st.one_of(st.none(), st.integers(min_value=0, max_value=64)))
+    def test_on_hits_equals_on_hit_loop(self, name, capacity, warm, picks,
+                                        bad_at):
+        """``on_hits(keys)`` leaves exactly the state of ``for k in keys:
+        on_hit(k)`` — the same resident order and later victims — and
+        raises the same ``PolicyError`` at a non-resident key."""
+        batched, looped = (make_policy(name, capacity) for _ in range(2))
+        # Twice through: the second pass re-references evicted pages,
+        # which fills the ghost-promoted lists (2Q's Am, ARC's T2...).
+        for block in warm * 2:
+            batched.access(("s", block))
+            looped.access(("s", block))
+        resident = sorted(looped.resident_keys())
+        keys = [resident[pick % len(resident)] for pick in picks] \
+            if resident else []
+        if bad_at is not None:
+            keys.insert(min(bad_at, len(keys)), ("absent", bad_at))
+        errors = []
+        try:
+            batched.on_hits(keys)
+        except PolicyError as exc:
+            errors.append(str(exc))
+        try:
+            for key in keys:
+                looped.on_hit(key)
+        except PolicyError as exc:
+            errors.append(str(exc))
+        assert len(errors) == (0 if bad_at is None else 2)
+        assert len(set(errors)) <= 1
+        # Same order of resident keys (the lists' order, for list-based
+        # policies), and the same victims from here on.
+        assert list(batched.resident_keys()) == list(looped.resident_keys())
+        victims = [[policy.on_miss(("fresh", block))
+                    for block in range(2 * capacity + 2)]
+                   for policy in (batched, looped)]
+        assert victims[0] == victims[1]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.errors import PolicyError
-from repro.policies.tinylfu import CountMinSketch, TinyLFUPolicy
+from repro.policies.tinylfu import HALVE, CountMinSketch, TinyLFUPolicy
 
 
 def key(block: int) -> tuple:
@@ -39,6 +39,29 @@ class TestCountMinSketch:
         before = sketch.estimate("x")
         sketch.increment("x")  # triggers the reset
         assert sketch.estimate("x") <= (before + 1) // 2 + 1
+
+    def test_estimates_pinned_across_a_halving(self):
+        """Exact estimates before and after one aging step, as the
+        sketch gave them on a numpy table: 15 saturates, a halving
+        floors (15 -> 7, 5 -> 2), an unseen key stays 0."""
+        sketch = CountMinSketch(8)
+        assert (sketch.width, sketch.sample_period) == (64, 80)
+        keys = [("t", 1), ("t", 2), ("t", 3), ("u", 4)]
+        for _ in range(20):
+            sketch.increment(keys[0])
+        for _ in range(5):
+            sketch.increment(keys[1])
+        assert [sketch.estimate(k) for k in keys] == [15, 5, 0, 0]
+        for _ in range(54):
+            sketch.increment(keys[3])
+        assert [sketch.estimate(k) for k in keys] == [15, 5, 0, 15]
+        sketch.increment(keys[3])  # the 80th increment halves
+        assert [sketch.estimate(k) for k in keys] == [7, 2, 0, 7]
+        assert sketch._since_reset == 0
+
+    def test_halve_table_shifts_every_byte(self):
+        assert bytearray(range(256)).translate(HALVE) == bytearray(
+            value >> 1 for value in range(256))
 
     def test_estimate_never_negative_or_huge(self):
         sketch = CountMinSketch(32)
