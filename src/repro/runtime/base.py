@@ -58,10 +58,9 @@ __all__ = [
     "wall_budget_exceeded",
 ]
 
-#: What a blocking generator yields: under the sim backend a simulator
-#: event, a bare float (a private delay) or the ``PARKED`` marker (a
-#: parked thread, resumed by a wake or its own timer); nothing at all
-#: under the native one.
+#: What a blocking generator yields: under the sim backend a bare float
+#: (a private delay) or the ``PARKED`` marker (a parked thread, resumed
+#: by a wake or its own timer); nothing at all under the native one.
 Wait = Any
 
 #: Return annotation for the core's blocking generator methods.
@@ -88,7 +87,7 @@ class WaitEvent(Protocol):
     @property
     def triggered(self) -> bool: ...
 
-    def succeed(self, value: Any = None) -> "WaitEvent":
+    def succeed(self) -> "WaitEvent":
         """Fire the event, waking every thread blocked on it."""
 
 

@@ -104,22 +104,16 @@ _NO_EVENTS: tuple = ()
 class NativeEvent:
     """A one-shot occurrence over :class:`threading.Event`."""
 
-    __slots__ = ("_event", "_value")
+    __slots__ = ("_event",)
 
     def __init__(self) -> None:
         self._event = threading.Event()
-        self._value: Any = None
 
     @property
     def triggered(self) -> bool:
         return self._event.is_set()
 
-    @property
-    def value(self) -> Any:
-        return self._value
-
-    def succeed(self, value: Any = None) -> "NativeEvent":
-        self._value = value
+    def succeed(self) -> "NativeEvent":
         self._event.set()
         return self
 
@@ -419,8 +413,8 @@ class NativeDisk:
 class NativeThread:
     """One OS thread exposing the :class:`ThreadContext` surface.
 
-    Modeled CPU charges are *accumulated* (diagnostics) but never
-    slept: real instructions already took real time. ``rng`` is the
+    Modeled CPU charges are checked but neither kept nor slept: real
+    instructions already took real time. ``rng`` is the
     per-thread seeded stream used for lock-spin jitter, so backoff is
     reproducible per seed even though the schedule is not.
     """
@@ -431,7 +425,6 @@ class NativeThread:
         self.runtime = pool.runtime
         self.name = name
         self.rng = random.Random(seed)
-        self.cpu_time = 0.0
         self.blocked_time = 0.0
         self.blocks = 0
         self.voluntary_yields = 0
@@ -443,17 +436,12 @@ class NativeThread:
     def charge(self, cost_us: float) -> None:
         if cost_us < 0:
             raise SimulationError(f"negative charge: {cost_us}")
-        self.cpu_time += cost_us
 
     def charge_all(self, costs: Sequence[float]) -> None:
-        """:meth:`charge` each of ``costs`` in order (one left fold);
-        a negative cost raises and adds nothing."""
-        total = self.cpu_time
+        """:meth:`charge` each of ``costs``: a negative cost raises."""
         for cost_us in costs:
             if cost_us < 0:
                 raise SimulationError(f"negative charge: {cost_us}")
-            total += cost_us
-        self.cpu_time = total
 
     def spend(self) -> tuple:
         return _NO_EVENTS

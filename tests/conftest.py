@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from math import inf
 
 import pytest
@@ -29,6 +30,29 @@ def heap_only(monkeypatch):
                                      lambda self, value: None),
                             raising=False)
     return switch_off
+
+
+@pytest.fixture
+def at():
+    """``at(sim, delay, callback)`` pushes one bare heap entry that
+    calls ``callback()`` at ``sim.now + delay``: a timer with no
+    thread behind it."""
+    def push(sim: Simulator, delay: float, callback) -> None:
+        sim._schedule(delay, callback)
+    return push
+
+
+@pytest.fixture
+def step():
+    """``step(sim)`` pops and runs the single next heap entry, outside
+    ``Simulator.run``: the horizon stays -inf, so nothing advances in
+    place and one step is exactly one heap entry."""
+    def pop_one(sim: Simulator) -> None:
+        when, _seq, callback = heappop(sim._heap)
+        sim._now = when
+        sim._events_processed += 1
+        callback()
+    return pop_one
 
 
 @pytest.fixture

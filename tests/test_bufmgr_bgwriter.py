@@ -15,7 +15,7 @@ from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.policies.lru import LRUPolicy
 from repro.simcore.cpu import ProcessorPool
-from repro.simcore.engine import Simulator, Timeout
+from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
 
 
@@ -48,7 +48,7 @@ class TestBackgroundWriter:
         writer.start()
 
         def stopper():
-            yield Timeout(sim, 1000.0)
+            yield 1000.0
             shared["stop"] = True
 
         sim.spawn(stopper())
@@ -72,7 +72,7 @@ class TestBackgroundWriter:
         writer.start()
 
         def stopper():
-            yield Timeout(sim, 500.0)
+            yield 500.0
             shared["stop"] = True
 
         sim.spawn(stopper())

@@ -39,7 +39,6 @@ from repro.harness.systems import build_system
 from repro.policies.lru import LRUPolicy
 from repro.runtime.native import NativeRuntime
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Timeout
 from repro.sync.locks import SimLock
 
 P = PageId("t", 1)
@@ -100,7 +99,7 @@ class TestStaleHitRetry:
             # Let the reader pin the frame and park, then reuse the
             # frame for Q — eviction + reinstall compressed into one
             # atomic block.
-            yield Timeout(sim, 50.0)
+            yield 50.0
             assert desc.pin_count == 1  # the reader parked with its pin
             manager.table.remove(P)
             manager.policy.on_remove(P)
@@ -138,7 +137,7 @@ class TestStaleHitRetry:
             outcomes.append(hit)
 
         def interloper():
-            yield Timeout(sim, 50.0)
+            yield 50.0
             # Back the install out underneath the parked reader, as
             # _abort_install does when the installer dies.
             manager.table.remove(P)
@@ -395,7 +394,7 @@ class TestAbortedAccess:
         def interloper():
             # While B queues on the lock, install a placeholder for P
             # exactly as _serve_miss leaves one mid-read...
-            yield Timeout(sim, 50.0)
+            yield 50.0
             assert manager.policy.on_miss(P) is None
             desc = manager._take_frame(None)
             desc.retag(P)
@@ -405,7 +404,7 @@ class TestAbortedAccess:
             placeholder.append(desc)
             # ... then, once B has absorbed the miss and parked on the
             # io_done, abort the install.
-            yield Timeout(sim, 100.0)
+            yield 100.0
             assert desc.pin_count == 2  # installer + absorbed reader
             manager._abort_install(desc)
 
@@ -462,7 +461,7 @@ class TestInvalidate:
             outcomes.append(hit)
 
         def interloper():
-            yield Timeout(sim, 50.0)
+            yield 50.0
             assert manager.invalidate(P)
 
         slot.thread.start(reader())
@@ -500,3 +499,27 @@ class TestInvalidate:
         manager.lookup(P).pin_count = -1
         with pytest.raises(BufferError_, match="negative pin"):
             manager.check_invariants()
+
+
+class TestIoDoneWaiters:
+    def test_waiters_resume_in_park_order(self, sim, at):
+        """Threads parked on one ``io_done`` resume at the time it
+        fires, in the order they parked (not the order they started)."""
+        manager, _ = build_rig(sim)
+        manager.warm_with([P])
+        event = park_on_io(manager, P).io_done
+        pool = ProcessorPool(sim, 3, context_switch_us=0.0)
+        woke = []
+
+        def reader(thread, delay):
+            yield from thread.sleep_blocked(delay)
+            yield from thread.wait(event)
+            woke.append((thread.name, sim.now))
+
+        for name, delay in (("r0", 20.0), ("r1", 30.0), ("r2", 10.0)):
+            thread = CpuBoundThread(pool, name)
+            thread.start(reader(thread, delay))
+        at(sim, 50.0, lambda: manager.invalidate(P))
+        sim.run()
+        assert event.triggered
+        assert woke == [("r2", 50.0), ("r0", 50.0), ("r1", 50.0)]

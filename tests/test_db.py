@@ -129,14 +129,14 @@ class TestDiskArray:
         assert done == [("r1", 150.0), ("r2", 250.0)]
         assert (disk._busy, disk.queue_depth) == (0, 0)
 
-    def test_woken_reader_closed_hands_slot_on(self, sim):
+    def test_woken_reader_closed_hands_slot_on(self, sim, step):
         """Closed after the finishing read handed it the slot, but
         before it resumed: the slot goes to the next waiter."""
         disk = DiskArray(sim, 100.0, concurrency=1)
         threads, done = self.start_readers(sim, disk, 3)
         sim.run(until=50.0)
         while disk.queue_depth == 2:
-            sim.run(max_events=1)
+            step(sim)
         # r0 finished and woke r1, which has not resumed yet.
         assert sim.now == 100.0 and done == [("r0", 100.0)]
         threads[1].abort()

@@ -20,7 +20,7 @@ from repro.runtime.native import NativeRuntime
 from repro.serve import ServeConfig, run_serve
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore import engine
-from repro.simcore.engine import Event, Simulator, Timeout
+from repro.simcore.engine import Simulator
 
 
 def run_threads(sim, pool, bodies):
@@ -107,19 +107,16 @@ class TestCharges:
     @given(st.floats(min_value=0.0, max_value=1e6),
            st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=80))
     def test_charge_all_equals_charging_one_by_one(self, start, costs):
-        """Bit for bit, on both thread kinds: a batch commit charges
-        its whole cost sequence at once."""
-        for runtime in (Simulator(), NativeRuntime()):
-            batched, single = (runtime.create_thread(runtime.create_pool(1))
-                               for _ in range(2))
-            for thread in (batched, single):
-                thread.charge(start)
-            batched.charge_all(costs)
-            for cost in costs:
-                single.charge(cost)
-            field = ("_pending_charge" if isinstance(batched, CpuBoundThread)
-                     else "cpu_time")
-            assert getattr(batched, field) == getattr(single, field)
+        """Bit for bit: a batch commit charges its whole cost sequence
+        at once."""
+        pool = ProcessorPool(Simulator(), 1, 0.0)
+        batched, single = CpuBoundThread(pool), CpuBoundThread(pool)
+        for thread in (batched, single):
+            thread.charge(start)
+        batched.charge_all(costs)
+        for cost in costs:
+            single.charge(cost)
+        assert batched._pending_charge == single._pending_charge
 
     @pytest.mark.parametrize("runtime_cls", [Simulator, NativeRuntime])
     def test_charge_all_rejects_a_negative_cost(self, runtime_cls):
@@ -127,9 +124,8 @@ class TestCharges:
         thread = runtime.create_thread(runtime.create_pool(1))
         with pytest.raises(SimulationError, match="negative charge: -0.5"):
             thread.charge_all((0.25, -0.5, 1.0))
-        field = ("_pending_charge" if isinstance(thread, CpuBoundThread)
-                 else "cpu_time")
-        assert getattr(thread, field) == 0.0
+        if isinstance(thread, CpuBoundThread):
+            assert thread._pending_charge == 0.0
 
     def test_cpu_time_accounting(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)
@@ -145,7 +141,7 @@ class TestCharges:
 class TestBlocking:
     def test_wait_releases_cpu(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)
-        gate = Event(sim)
+        gate = sim.event()
         log = []
 
         def waiter(thread):
@@ -230,7 +226,7 @@ class TestBlocking:
         thread = CpuBoundThread(pool)
 
         def body():
-            yield Timeout(sim, 1.0)
+            yield 1.0
 
         thread.start(body())
         with pytest.raises(SimulationError):
@@ -238,7 +234,7 @@ class TestBlocking:
 
 
 class TestParkAndWake:
-    def test_wake_resumes_at_next_seq(self, sim):
+    def test_wake_resumes_at_next_seq(self, sim, at):
         """A wake pushes one entry at ``(now, next seq)``: a timer due
         at the same time but pushed earlier runs first."""
         pool = ProcessorPool(sim, 2, 0.0)
@@ -252,8 +248,7 @@ class TestParkAndWake:
 
         def waking():
             yield from waker.run_for(5.0)
-            Timeout(sim, 0.0).callbacks.append(
-                lambda _e: order.append(("timer", sim.now)))
+            at(sim, 0.0, lambda: order.append(("timer", sim.now)))
             pushed = sim._seq
             sleeper.wake()
             assert sim._seq == pushed + 1 and len(sim._heap) == 2
@@ -265,7 +260,7 @@ class TestParkAndWake:
         assert order == [("timer", 5.0), ("sleeper", 5.0)]
         assert sleeper.blocks == 1 and sleeper.blocked_time == 5.0
 
-    def test_wake_before_park_is_a_zero_delay(self, sim):
+    def test_wake_before_park_is_a_zero_delay(self, sim, at):
         """Woken before it parked, a thread resumes at delay 0 through
         the heap, as yielding an already-triggered event does."""
         pool = ProcessorPool(sim, 1, 0.0)
@@ -273,19 +268,19 @@ class TestParkAndWake:
 
         def body(thread):
             thread.wake()
-            Timeout(sim, 0.0).callbacks.append(
-                lambda _e: order.append("timer"))
+            at(sim, 0.0, lambda: order.append("timer"))
             yield from thread.park()
             order.append(("thread", sim.now))
 
         run_threads(sim, pool, [body])
         assert order == ["timer", ("thread", 0.0)]
 
-    def test_sleep_blocked_matches_timeout(self, sim):
-        """No charge pending: the sleep's own timer entry takes the
-        ``(time, seq)`` a Timeout would have; with a charge pending it
-        is a Timeout. The woken order is the same either way."""
-        def run_once(sleep):
+    def test_sleep_blocked_matches_timeout(self):
+        """Timed sleeps wake in the order recorded when a sleep with a
+        charge pending still waited on a timeout event (identical to
+        the sleeps' own timer entries then). With the larger charges
+        the timer goes off while the thread is still spending."""
+        def run_once(charge_step):
             engine = Simulator()
             pool = ProcessorPool(engine, 2, 0.5)
             order = []
@@ -293,20 +288,24 @@ class TestParkAndWake:
             def body(thread, delay, charge):
                 for _ in range(3):
                     thread.charge(charge)
-                    yield from sleep(thread, delay)
+                    yield from thread.sleep_blocked(delay)
                     order.append((thread.name, engine.now))
 
             for index in range(4):
                 thread = CpuBoundThread(pool, f"t{index}")
-                thread.start(body(thread, 2.0 + index % 2, index * 0.5))
+                thread.start(body(thread, 2.0 + index % 2,
+                                  index * charge_step))
             engine.run()
-            return order
+            return order, engine.events_processed
 
-        def via_timeout(thread, delay):
-            return thread.wait(Timeout(thread.sim, delay))
-
-        assert run_once(CpuBoundThread.sleep_blocked) == \
-            run_once(via_timeout)
+        assert run_once(0.5) == (
+            [("t0", 3.0), ("t2", 3.5), ("t1", 4.0), ("t3", 5.0),
+             ("t0", 5.5), ("t2", 6.0), ("t1", 7.5), ("t0", 8.0),
+             ("t2", 8.5), ("t3", 8.5), ("t1", 11.0), ("t3", 12.0)], 48)
+        assert run_once(1.5) == (
+            [("t1", 4.5), ("t2", 6.5), ("t0", 7.5), ("t1", 8.0),
+             ("t3", 10.0), ("t0", 10.0), ("t2", 10.5), ("t0", 14.0),
+             ("t2", 14.5), ("t1", 15.0), ("t3", 15.0), ("t3", 20.0)], 59)
 
 
 class TestAbort:
@@ -335,7 +334,7 @@ class TestAbort:
         assert done == [("hog", 10.0), ("t2", 20.0)]
         assert pool.free_processors == 1
 
-    def test_woken_then_closed_hands_processor_on(self, sim):
+    def test_woken_then_closed_hands_processor_on(self, sim, step):
         pool = ProcessorPool(sim, 1, 0.0)
         done = []
 
@@ -346,7 +345,7 @@ class TestAbort:
         threads = self.start(sim, pool, ["hog", "t1", "t2"], body)
         sim.run(until=5.0)
         while pool.ready_count == 2:
-            sim.run(max_events=1)
+            step(sim)
         assert done == [("hog", 10.0)]  # t1 woken, not yet resumed
         threads[1].abort()
         assert pool.ready_count == 0  # t2 got the processor
@@ -386,13 +385,13 @@ class TestAbort:
 
 
 class TestInPlaceAdvance:
-    def test_spend_ending_at_queued_event_goes_through_heap(self, sim):
+    def test_spend_ending_at_queued_event_goes_through_heap(self, sim, at):
         """A wake time equal to ``heap[0]``'s is not advanced in place:
         the earlier-scheduled event keeps its ``(time, seq)`` turn."""
         pool = ProcessorPool(sim, 1, 0.0)
         order = []
         returned = []
-        Timeout(sim, 5.0).callbacks.append(lambda _e: order.append("timer"))
+        at(sim, 5.0, lambda: order.append("timer"))
 
         def body(thread):
             thread.charge(5.0)
@@ -405,10 +404,10 @@ class TestInPlaceAdvance:
         assert order == ["timer", "thread"]
         assert returned[0] == (5.0,)  # a float delay, through the heap
 
-    def test_spend_ending_before_queued_event_advances(self, sim):
+    def test_spend_ending_before_queued_event_advances(self, sim, at):
         pool = ProcessorPool(sim, 1, 0.0)
         order = []
-        Timeout(sim, 5.0).callbacks.append(lambda _e: order.append("timer"))
+        at(sim, 5.0, lambda: order.append("timer"))
 
         def body(thread):
             thread.charge(4.0)
@@ -419,11 +418,11 @@ class TestInPlaceAdvance:
         run_threads(sim, pool, [body])
         assert order == [("thread", (), 4.0), "timer"]
 
-    def test_sibling_callbacks_block_advance(self, sim):
+    def test_sibling_callbacks_block_advance(self, sim, at):
         """Two processes woken by one event: the first may not advance
         the clock while the second is still due at the same time."""
         pool = ProcessorPool(sim, 2, 0.0)
-        gate = Event(sim)
+        gate = sim.event()
         woke = []
 
         def body(thread):
@@ -435,7 +434,7 @@ class TestInPlaceAdvance:
                    for index in range(2)]
         for thread in threads:
             thread.start(body(thread))
-        Timeout(sim, 1.0).callbacks.append(lambda _e: gate.succeed())
+        at(sim, 1.0, gate.succeed)
         sim.run()
         assert woke == [("t0", 1.0), ("t1", 1.0)]
         assert sim.now == 4.0
@@ -518,10 +517,10 @@ class TestInPlaceAdvanceDifferential:
             init(self)
             sims[id(self)] = self
 
-        def counting_schedule(self, delay, callback, arg):
+        def counting_schedule(self, delay, callback):
             if sims.get(id(self)) is self:
                 pushes[id(self)] += 1
-            schedule(self, delay, callback, arg)
+            schedule(self, delay, callback)
 
         def counting_pop(heap):
             pops[id(heap)] += 1
