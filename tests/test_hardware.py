@@ -9,6 +9,8 @@ import pytest
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350, POWEREDGE_2900, MachineSpec
+from repro.harness.experiment import ExperimentConfig, run_experiment
+from repro.harness.sweeps import PAPER_SYSTEMS, default_workload_kwargs
 
 
 class TestCostModel:
@@ -96,6 +98,20 @@ class TestMetadataCache:
         expected = warm + 0.25 * (cold - warm)
         assert cache.warmup_cost(1, 4) == pytest.approx(expected)
 
+    def test_own_commit_warmth_is_not_a_prefetch(self):
+        """A commit keeps the committer's lines warm, and the next
+        commit's warm-up is cheap, but no prefetch was issued: the
+        diagnostics count neither a valid nor an invalidated one."""
+        cache = self.make()
+        cache.note_commit(1)
+        assert cache.warmup_cost(1, 4) == pytest.approx(
+            4 * CostModel().warm_residual_us)
+        cache.prefetch(2, 4)
+        cache.note_commit(2)  # its own commit re-arms the prefetch
+        cache.warmup_cost(2, 4)
+        assert (cache.prefetches_issued, cache.prefetches_valid_at_use,
+                cache.prefetches_invalidated) == (1, 0, 0)
+
     def test_committers_own_lines_stay_warm(self):
         cache = self.make()
         cache.prefetch(1, 1)
@@ -124,3 +140,15 @@ class TestMetadataCache:
         costs = CostModel()
         assert cache.warmup_cost(1, 4) == pytest.approx(
             4 * costs.warm_residual_us)
+
+
+@pytest.mark.parametrize("runtime", ["sim", "native"])
+@pytest.mark.parametrize("system", PAPER_SYSTEMS)
+def test_valid_prefetches_never_exceed_issued(system, runtime):
+    """Every Table I system, on both thread runtimes: a valid prefetch
+    is one a thread issued, so there are never more of them."""
+    result = run_experiment(ExperimentConfig(
+        system=system, workload="tablescan",
+        workload_kwargs=default_workload_kwargs("tablescan"),
+        n_processors=2, target_accesses=4000, seed=42, runtime=runtime))
+    assert result.prefetches_valid <= result.prefetches_issued
