@@ -48,8 +48,12 @@ native-smoke:
 	timeout 120 env PYTHONPATH=src python -m repro.harness.cli run \
 		--runtime native --system pgBat --workload tablescan \
 		--processors 4 --accesses 20000
+	timeout 120 env PYTHONPATH=src python -m repro.harness.cli run \
+		--runtime native --system pgclock --workload tablescan \
+		--processors 4 --accesses 20000
 	PYTHONPATH=src python -m pytest -q \
-		tests/test_layering.py tests/test_runtime_equivalence.py
+		tests/test_layering.py tests/test_runtime_equivalence.py \
+		tests/test_pin_conservation.py
 
 # Wall-clock scaling sweep (Fig. 6/7 shapes) on the truly parallel
 # backend for this build: mp worker processes over shared memory, or

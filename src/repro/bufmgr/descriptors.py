@@ -3,7 +3,12 @@
 Mirrors PostgreSQL's ``BufferDesc``: each of the pool's frames has a
 descriptor carrying the tag of the page currently (or about to be)
 stored there, a validity flag (false while the read I/O is in flight),
-and a pin count protecting the frame from eviction while in use.
+and the pins protecting the frame from eviction while in use.
+
+Pins are entries of a list: pinning appends one, unpinning deletes one.
+``list.append`` and ``del list[i]`` are single C operations, atomic
+under the GIL and under a free-threaded build's per-list lock, so
+pin/unpin need no header lock on any runtime.
 
 BP-Wrapper's queue entries hold ``(descriptor, tag-at-enqueue-time)``
 pairs; because commits are deferred, the descriptor may have been
@@ -13,20 +18,31 @@ detects (§IV-B).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.bufmgr.tags import BufferTag
 from repro.errors import BufferError_
 from repro.runtime.base import WaitEvent
 
-__all__ = ["BufferDesc"]
+__all__ = ["BufferDesc", "FIRST_PIN"]
+
+#: Index of the first pin in a descriptor's pin list. Entry 0 is a
+#: placeholder (None) the list never loses: CPython frees a list's item
+#: array when the list empties, so without it every last unpin would
+#: free the array and the next pin allocate it again. With it the array
+#: keeps its 4 slots, and pins up to three deep allocate nothing.
+#: ``del pins[FIRST_PIN]`` drops one pin (True) and raises IndexError
+#: when there is none, so the count cannot go negative. ``pins[-1]`` is
+#: true exactly when the frame is pinned: the call-free test the hot
+#: paths use.
+FIRST_PIN = 1
 
 
 class BufferDesc:
     """Metadata for one buffer frame."""
 
-    __slots__ = ("frame_id", "tag", "valid", "dirty", "pin_count",
-                 "io_done", "generation", "hdr_lock")
+    __slots__ = ("frame_id", "tag", "valid", "dirty", "pins",
+                 "io_done", "generation")
 
     def __init__(self, frame_id: int) -> None:
         self.frame_id = frame_id
@@ -36,41 +52,35 @@ class BufferDesc:
         #: True when the page has uncommitted modifications: the frame
         #: cannot be reused until the contents are written back.
         self.dirty = False
-        self.pin_count = 0
+        #: The placeholder, then one True per pin (see
+        #: :data:`FIRST_PIN`). The manager's hit, miss and victim paths
+        #: operate on it directly; everything else uses pin/unpin.
+        self.pins: List[Optional[bool]] = [None]
         #: Event other threads wait on while the read I/O is in flight
         #: (a runtime-backend :class:`~repro.runtime.base.WaitEvent`).
         self.io_done: Optional[WaitEvent] = None
         #: Bumped every time the frame is re-tagged; lets tests detect
         #: ABA recycling that tag comparison alone could miss.
         self.generation = 0
-        #: PostgreSQL buffer-header-lock analogue. None under the
-        #: simulator (pin/unpin are already atomic between yields);
-        #: the native runner attaches a ``threading.Lock`` so the
-        #: pin-count read-modify-write is atomic across OS threads.
-        self.hdr_lock = None
+
+    @property
+    def pin_count(self) -> int:
+        return len(self.pins) - FIRST_PIN
 
     @property
     def pinned(self) -> bool:
-        return self.pin_count > 0
+        return self.pins[-1] is True
 
     def pin(self) -> None:
-        lock = self.hdr_lock
-        if lock is None:
-            self.pin_count += 1
-        else:
-            with lock:
-                self.pin_count += 1
+        self.pins.append(True)
 
     def unpin(self) -> None:
-        if self.pin_count <= 0:
+        try:
+            del self.pins[FIRST_PIN]
+        except IndexError:
             raise BufferError_(
-                f"frame {self.frame_id}: unpin without matching pin")
-        lock = self.hdr_lock
-        if lock is None:
-            self.pin_count -= 1
-        else:
-            with lock:
-                self.pin_count -= 1
+                f"frame {self.frame_id}: unpin without matching pin"
+            ) from None
 
     def retag(self, tag: BufferTag) -> None:
         """Point the frame at a new page (contents not yet valid)."""

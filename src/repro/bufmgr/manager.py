@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from repro.bufmgr.descriptors import BufferDesc
+from repro.bufmgr.descriptors import FIRST_PIN, BufferDesc
 from repro.bufmgr.hashtable import BufferHashTable
 from repro.bufmgr.tags import BufferTag, PageId
 
@@ -112,7 +112,7 @@ class BufferManager:
         desc = self.table.lookup(key)
         if desc is None:
             return False
-        if desc.pin_count > 0:
+        if desc.pins[-1]:  # pinned; see FIRST_PIN
             self.stats.pinned_victim_skips += 1
             return False
         return True
@@ -137,17 +137,6 @@ class BufferManager:
     @property
     def resident_count(self) -> int:
         return len(self.table)
-
-    def attach_header_locks(self, lock_factory) -> None:
-        """Give every descriptor a header lock (native backend only).
-
-        ``lock_factory`` is called once per frame (typically
-        ``threading.Lock``); the resulting lock makes pin/unpin atomic
-        across OS threads — PostgreSQL's buffer header lock. Under the
-        simulator descriptors keep ``hdr_lock = None`` and pay nothing.
-        """
-        for desc in self._frames:
-            desc.hdr_lock = lock_factory()
 
     def warm_with(self, pages: Iterable[PageId]) -> int:
         """Pre-load pages instantly (the paper pre-warms buffers, §IV).
@@ -219,7 +208,10 @@ class BufferManager:
             desc = self.table.lookup(page)
         if desc is not None:
             stats.hits += 1
-            desc.pin()
+            # desc.pin() and desc.unpin(), inlined: the hit path pays
+            # no Python frame for them (see FIRST_PIN).
+            pins = desc.pins
+            pins.append(True)
             thread.charge(self.costs.pin_unpin_us)
             try:
                 if not desc.valid:
@@ -245,7 +237,7 @@ class BufferManager:
                     desc.dirty = True
                 if keep_pin:
                     return True, desc
-                desc.unpin()
+                del pins[FIRST_PIN]
                 return True
             # The frame was retagged or invalidated while we slept on
             # its io_done: the page was never actually served. Drop the
@@ -263,7 +255,7 @@ class BufferManager:
         desc = yield from self._serve_miss(slot, page, is_write)
         if keep_pin:
             return False, desc
-        desc.unpin()
+        del desc.pins[FIRST_PIN]
         return False
 
     def access_pinned(self, slot: "ThreadSlot", page: PageId,
@@ -306,7 +298,7 @@ class BufferManager:
             self.stats.misses -= 1
             self.stats.hits += 1
             self.stats.absorbed_misses += 1
-            desc.pin()
+            desc.pins.append(True)
             thread.charge(self.costs.pin_unpin_us)
             try:
                 yield from self.handler.release_after_miss(slot, page)
@@ -335,7 +327,7 @@ class BufferManager:
         desc = self._take_frame(victim)
         victim_was_dirty = desc.dirty
         desc.retag(page)
-        desc.pin()
+        desc.pins.append(True)
         desc.io_done = self.sim.event()
         self.table.insert(page, desc)
         thread.charge(self.costs.pin_unpin_us)
@@ -376,7 +368,7 @@ class BufferManager:
         both the hash table and the free list — the aborting thread
         could not free it because our pin was still held then.
         """
-        if desc.tag is None and desc.pin_count == 0 \
+        if desc.tag is None and not desc.pins[-1] \
                 and desc not in self._free:
             self._free.append(desc)
 
@@ -399,7 +391,7 @@ class BufferManager:
         desc.valid = False
         desc.generation += 1
         desc.unpin()
-        if desc.pin_count == 0:
+        if not desc.pins[-1]:
             self._free.append(desc)
 
     def invalidate(self, page: PageId) -> bool:
@@ -462,10 +454,6 @@ class BufferManager:
             raise BufferError_(
                 f"{len(resident)} resident pages exceed capacity "
                 f"{self.capacity}")
-        negative = [(frame.frame_id, frame.tag, frame.pin_count)
-                    for frame in self._frames if frame.pin_count < 0]
-        if negative:
-            raise BufferError_(f"negative pin counts: {negative!r}")
         if expect_no_pins:
             leaked = [(frame.frame_id, frame.tag, frame.pin_count)
                       for frame in self._frames if frame.pin_count != 0]

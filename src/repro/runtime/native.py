@@ -23,12 +23,12 @@ Concurrency model
 The replacement lock serializes every structure mutation (policy
 state, hash-table insert/remove, frame pool) exactly as it does in
 PostgreSQL, so the only extra synchronization the native path needs
-is:
-
-* a per-descriptor header lock (``BufferDesc.hdr_lock``, the
-  PostgreSQL buffer-header-lock analogue) making pin/unpin atomic —
-  attached by :meth:`NativeRuntime.prepare`;
-* a small internal mutex per :class:`NativeLock` guarding its stats.
+is a small internal mutex per :class:`NativeLock` guarding its stats.
+Pin/unpin take no lock at all, where PostgreSQL takes the buffer
+header lock: a descriptor's pins are entries of a list, and
+``list.append`` / ``del pins[i]`` are single C operations, atomic under
+the GIL and under a free-threaded build's per-list lock (see
+:mod:`repro.bufmgr.descriptors`).
 
 Shared *counters* (``AccessStats``, per-thread accounting) are updated
 without locks: CPython's GIL makes the individual operations atomic
@@ -184,7 +184,7 @@ class NativeLock:
                     break
         stats = self.stats
         if got:
-            # _grant, inlined: one pass through the mutex, not two.
+            # As in acquire: one pass through the mutex.
             self._owner = thread
             self._acquired_at = self.runtime.now
             with self._meta:
@@ -209,15 +209,20 @@ class NativeLock:
                 f"thread {thread.name!r} re-acquired non-reentrant "
                 f"lock {self.name!r}")
         thread.charge(self.grant_cost_us)
+        stats = self.stats
         if self._lock.acquire(blocking=False):
+            # Only the holder writes _owner and _acquired_at, so they
+            # need no mutex; the counters take one pass through it.
+            self._owner = thread
+            self._acquired_at = self.runtime.now
             with self._meta:
-                self.stats.requests += 1
-            self._grant(thread)
+                stats.requests += 1
+                stats.acquisitions += 1
             return _NO_EVENTS
         blocked_at = self.runtime.now
         with self._meta:
-            self.stats.requests += 1
-            self.stats.contentions += 1
+            stats.requests += 1
+            stats.contentions += 1
             self._waiting += 1
         observer = self.runtime.observer
         if observer is not None:
@@ -225,15 +230,17 @@ class NativeLock:
                                         self._waiting)
         self._lock.acquire()
         granted_at = self.runtime.now
+        self._owner = thread
+        self._acquired_at = granted_at
         with self._meta:
             self._waiting -= 1
-            self.stats.total_wait_us += granted_at - blocked_at
+            stats.total_wait_us += granted_at - blocked_at
+            stats.acquisitions += 1
         thread.blocks += 1
         thread.blocked_time += granted_at - blocked_at
         if observer is not None:
             observer.on_lock_wait(self.name, thread.name, blocked_at,
                                   granted_at)
-        self._grant(thread)
         return _NO_EVENTS
 
     def release(self, thread: "NativeThread") -> None:
@@ -257,14 +264,6 @@ class NativeLock:
             observer.on_lock_hold(self.name, thread.name, self._acquired_at,
                                   released_at, self._waiting)
         self._lock.release()
-
-    def _grant(self, thread: "NativeThread") -> None:
-        # Only the holder writes these, so no mutex is needed; the
-        # stats counter still goes through it.
-        self._owner = thread
-        self._acquired_at = self.runtime.now
-        with self._meta:
-            self.stats.acquisitions += 1
 
 
 class NativePool:
@@ -557,11 +556,12 @@ class NativeRuntime:
         return NativeDisk(self, service_time_us, concurrency, seed=seed)
 
     def prepare(self, manager: Any) -> None:
-        """Make a freshly built pool safe for concurrent OS threads.
+        """Check that a freshly built pool is safe for OS threads.
 
-        Every descriptor gets a header lock so pin/unpin are atomic,
-        and a lock-free-hit policy must have a race-tolerant
+        A lock-free-hit policy must have a race-tolerant
         ``on_hit_relaxed`` path (``pgclock``'s hits run through it).
+        Pin/unpin need nothing here: they are atomic list operations
+        on every runtime (see :mod:`repro.bufmgr.descriptors`).
         """
         policy = manager.policy
         if (policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
@@ -570,7 +570,6 @@ class NativeRuntime:
                 f"policy {policy.name!r} mutates shared state without the "
                 "lock on hits and has no race-tolerant on_hit_relaxed path; "
                 "that combination is only safe under the simulator")
-        manager.attach_header_locks(threading.Lock)
 
     def mutex(self) -> Any:
         """A plain mutex for harness-level shared counters."""

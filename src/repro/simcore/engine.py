@@ -237,8 +237,8 @@ class Simulator:
         return DiskArray(self, service_time_us, concurrency, seed=seed)
 
     def prepare(self, manager) -> None:
-        """Nothing to do: events are atomic between yields, so a pool
-        needs no header locks and any lock discipline is safe."""
+        """Nothing to do: events are atomic between yields, so any
+        lock discipline is safe."""
 
     def mutex(self):
         """None — shared counters need no guard under the simulator."""

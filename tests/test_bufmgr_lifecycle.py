@@ -20,7 +20,6 @@ replays the same scenario on a real OS thread.
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
@@ -167,7 +166,6 @@ class TestStaleHitRetry:
         build = build_system("pg2Q", runtime, 8, ALTIX_350,
                              queue_size=8, batch_threshold=4)
         manager = build.manager
-        manager.attach_header_locks(threading.Lock)
         manager.warm_with([P])
         desc = manager.lookup(P)
         desc.valid = False
@@ -493,12 +491,23 @@ class TestInvalidate:
         desc.unpin()
         manager.check_invariants(expect_no_pins=True)
 
-    def test_negative_pin_count_always_caught(self, sim):
-        manager, _ = build_rig(sim)
+    @pytest.mark.parametrize("runtime", ["sim", "native"])
+    def test_unmatched_unpin_raises_and_leaves_pool_sound(self, sim,
+                                                         runtime):
+        """An unpin without a pin is refused, and refusing it leaves the
+        count at zero: the pin list cannot hold a negative count."""
+        runtime = sim if runtime == "sim" else NativeRuntime(seed=0)
+        manager = build_system("pg2Q", runtime, 8, ALTIX_350,
+                               queue_size=8, batch_threshold=4).manager
+        runtime.prepare(manager)
         manager.warm_with([P])
-        manager.lookup(P).pin_count = -1
-        with pytest.raises(BufferError_, match="negative pin"):
-            manager.check_invariants()
+        desc = manager.lookup(P)
+        desc.pin()
+        manager.release(desc)
+        with pytest.raises(BufferError_, match="without matching pin"):
+            manager.release(desc)
+        assert desc.pin_count == 0
+        manager.check_invariants(expect_no_pins=True)
 
 
 class TestIoDoneWaiters:
