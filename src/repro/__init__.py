@@ -34,7 +34,6 @@ See also ``examples/`` and ``python -m repro.harness.cli all``.
 
 from repro.analysis import replay, replay_through_wrapper, sweep_capacity
 from repro.bufmgr import BufferManager, PageId
-from repro.core import BPConfig
 from repro.errors import (BufferError_, ConfigError, LockError, PolicyError,
                           ReproError, SimulationError, WorkloadError)
 from repro.hardware import ALTIX_350, POWEREDGE_2900, CostModel, MachineSpec
@@ -55,7 +54,7 @@ __all__ = [
     # policies
     "ReplacementPolicy", "make_policy", "available_policies",
     # buffer manager & wrapper
-    "BufferManager", "PageId", "BPConfig",
+    "BufferManager", "PageId",
     # hardware & simulation
     "Simulator", "CostModel", "MachineSpec", "ALTIX_350", "POWEREDGE_2900",
     # workloads

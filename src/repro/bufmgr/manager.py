@@ -75,6 +75,22 @@ class AccessStats(CounterArithmetic):
         return self.hits / self.accesses
 
 
+def _evictable_predicate(lookup, stats: AccessStats):
+    """The policy's victim filter: a resident, unpinned page. A closure
+    over the pool's table probe and counters, not a bound method, so the
+    policy holds no reference back to the manager and a dropped pool is
+    freed by reference counting alone."""
+    def is_evictable(key: BufferTag) -> bool:
+        desc = lookup(key)
+        if desc is None:
+            return False
+        if desc.pins[-1]:  # pinned; see FIRST_PIN
+            stats.pinned_victim_skips += 1
+            return False
+        return True
+    return is_evictable
+
+
 class BufferManager:
     """A fixed-size buffer pool with pluggable replacement handling."""
 
@@ -104,18 +120,10 @@ class BufferManager:
         self._frames = [BufferDesc(i) for i in range(capacity)]
         self._free: List[BufferDesc] = list(reversed(self._frames))
         self.stats = AccessStats()
-        policy.set_evictable_predicate(self._is_evictable)
+        policy.set_evictable_predicate(
+            _evictable_predicate(self.table.lookup, self.stats))
 
     # -- plumbing ------------------------------------------------------------
-
-    def _is_evictable(self, key: BufferTag) -> bool:
-        desc = self.table.lookup(key)
-        if desc is None:
-            return False
-        if desc.pins[-1]:  # pinned; see FIRST_PIN
-            self.stats.pinned_victim_skips += 1
-            return False
-        return True
 
     def lookup(self, page: PageId) -> Optional[BufferDesc]:
         """Direct hash-table probe (tests / diagnostics)."""

@@ -22,9 +22,11 @@ Mutability boundaries, per knob:
                      here only as the clamp ceiling for the threshold.
 =================  =====================================================
 
-With no controller attached (the default) the state is initialized
-from the build's :class:`~repro.core.config.BPConfig` and never
-mutated, so every pre-refactor output is byte-identical.
+``build_system`` (:mod:`repro.harness.systems`) makes the one state
+of each pool from the system's Table I row (``prefetch``) and the run's
+S and T; it is the handler's only knob argument. With no controller
+attached (the default) it is never mutated, so every pre-refactor
+output is byte-identical.
 """
 
 from __future__ import annotations
@@ -74,8 +76,10 @@ class ControlState:
     """Mutable tuning knobs owned by one buffer pool.
 
     Handlers hold a reference and read the live values at decision
-    time; controllers mutate them through the ``set_*`` methods, which
-    enforce the same invariants :meth:`BPConfig.validate` does.
+    time; controllers mutate them through the ``set_*`` methods. The
+    constructor and the setter enforce the hard invariants
+    ``queue_size >= 1`` and ``1 <= batch_threshold <= queue_size`` (the
+    paper measures the degenerate equal case in Table III).
     """
 
     __slots__ = ("queue_size", "batch_threshold", "prefetch",
@@ -95,18 +99,6 @@ class ControlState:
         #: (the default) means every knob keeps its construction value.
         self.controller = controller
         self.set_batch_threshold(batch_threshold)
-
-    @classmethod
-    def from_config(cls, config,
-                    policy_name: str = "") -> "ControlState":
-        """The state a :class:`~repro.core.config.BPConfig` literal
-        would have pinned. (Duck-typed — importing the core layer here
-        would close an import cycle: ``core.bpwrapper`` reads this
-        module, and the layering tests import each side alone.)"""
-        return cls(queue_size=config.queue_size,
-                   batch_threshold=config.batch_threshold,
-                   prefetch=config.prefetching,
-                   policy_name=policy_name)
 
     def set_batch_threshold(self, value: int) -> None:
         """Set the threshold, clamping invariants to hard errors."""

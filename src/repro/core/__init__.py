@@ -6,15 +6,12 @@ replacement algorithm:
 
 * :mod:`repro.core.fifoqueue` — the small per-thread FIFO queue that
   records page hits;
-* :mod:`repro.core.config` — queue size / batch threshold / feature
-  flags (defaults are the paper's: size 64, threshold 32);
 * :mod:`repro.core.bpwrapper` — the hit- and miss-path handlers:
   ``DirectHandler`` (the contended baseline), ``BatchedHandler``
   (batching ± prefetching — BP-Wrapper proper) and
   ``LockFreeHitHandler`` (the clock family's native discipline).
 """
 
-from repro.core.config import BPConfig
 from repro.core.fifoqueue import AccessQueue, QueueEntry
 from repro.core.bpwrapper import (
     BatchedHandler,
@@ -25,7 +22,6 @@ from repro.core.bpwrapper import (
 )
 
 __all__ = [
-    "BPConfig",
     "AccessQueue",
     "QueueEntry",
     "ReplacementHandler",

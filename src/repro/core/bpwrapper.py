@@ -30,7 +30,6 @@ from typing import Callable, Iterable, List, Optional, Sequence
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
 from repro.control.state import ControlState
-from repro.core.config import BPConfig
 from repro.core.fifoqueue import OVERFLOW, AccessQueue, QueueEntry
 from repro.errors import ConfigError, SimulationError
 from repro.hardware.costs import CostModel
@@ -71,33 +70,27 @@ class ReplacementHandler(ABC):
     """Owns the replacement lock on behalf of one policy instance."""
 
     #: Names of the locks :meth:`build` creates beside the replacement
-    #: lock; the constructor takes them after ``config``.
+    #: lock; the constructor takes them after ``control``.
     extra_locks: Sequence[str] = ()
 
     def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
                  metadata_cache: MetadataCacheModel,
-                 costs: CostModel, config: BPConfig,
-                 control: "ControlState" = None) -> None:
+                 costs: CostModel, control: ControlState) -> None:
         self.policy = policy
         self.lock = lock
         #: Every live lock this handler takes, replacement lock first.
         self.locks: List[MutexLock] = [lock]
         self.cache = metadata_cache
         self.costs = costs
-        self.config = config
-        # The pool's mutable tuning knobs. ``config`` stays as the
-        # construction record; every runtime decision (threshold check,
-        # prefetch gate) reads ``control`` so an attached controller
-        # can retune a live pool. Without one, ``control`` mirrors
-        # ``config`` forever and behavior is unchanged.
-        self.control = (control if control is not None
-                        else ControlState.from_config(config))
+        # The pool's tuning knobs. Every runtime decision (threshold
+        # check, prefetch gate) reads them here, so an attached
+        # controller can retune a live pool.
+        self.control = control
 
     @classmethod
     def build(cls, runtime: Runtime, name: str,
               make_policy: Callable[[int], ReplacementPolicy],
-              capacity: int, costs: CostModel, config: BPConfig,
-              control: Optional[ControlState] = None
+              capacity: int, costs: CostModel, control: ControlState
               ) -> "ReplacementHandler":
         """System ``name``'s handler on ``runtime``, with the policy
         (``make_policy(capacity)``), locks and cache model it needs."""
@@ -105,8 +98,8 @@ class ReplacementHandler(ABC):
         locks = [cls.new_lock(runtime, lock_name, costs) for lock_name
                  in (f"replacement-{name}", *cls.extra_locks)]
         return cls.suited_to(policy)(
-            policy, locks[0], MetadataCacheModel(costs), costs, config,
-            *locks[1:], control=control)
+            policy, locks[0], MetadataCacheModel(costs), costs, control,
+            *locks[1:])
 
     @classmethod
     def suited_to(cls, policy: ReplacementPolicy) -> type:

@@ -22,8 +22,8 @@ from typing import List, Sequence
 
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
+from repro.control.state import ControlState
 from repro.core.bpwrapper import ReplacementHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.core.fifoqueue import AccessQueue, QueueEntry
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
@@ -45,17 +45,15 @@ class SharedQueueHandler(ReplacementHandler):
 
     def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
                  metadata_cache: MetadataCacheModel, costs: CostModel,
-                 config: BPConfig, record_lock: MutexLock,
-                 control=None) -> None:
-        super().__init__(policy, lock, metadata_cache, costs, config,
-                         control=control)
+                 control: ControlState, record_lock: MutexLock) -> None:
+        super().__init__(policy, lock, metadata_cache, costs, control)
         # The record lock's contention is the price of sharing the queue;
         # merging it into ``lock_stats`` is the honest comparison.
         self.record_lock = record_lock
         self.locks.append(record_lock)
         # One queue for everyone; sized for the whole thread population
         # (a real implementation would size it n_threads * per-thread).
-        self.shared_queue = AccessQueue(max(config.queue_size * 64, 64))
+        self.shared_queue = AccessQueue(max(control.queue_size * 64, 64))
         #: Recordings skipped because even the oversized common queue
         #: was full (all commit attempts losing the lock race).
         self.dropped_records = 0

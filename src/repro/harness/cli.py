@@ -230,11 +230,12 @@ def run_main(argv=None) -> int:
         # What ran, in runtime/mp.py's own words: its policy core is
         # fixed, whatever the system's Table-I row configures.
         from repro.harness.systems import system_spec
+        row = system_spec(args.system)
         print("[mp policy core: " + (
-            "reference-bit CLOCK sweep" if args.system == "pgclock" else
+            "reference-bit CLOCK sweep" if row.lock_free_hit else
             "intrusive doubly-linked LRU list (move-to-front on hit) under "
-            f"the {args.system} lock discipline, not the configured "
-            f"{system_spec(args.system).policy_name}") + "]")
+            f"the {row.name} lock discipline, not the configured "
+            f"{row.policy_name}") + "]")
     if result.controller is not None:
         print(render_table(
             ["stat", "value"],

@@ -21,8 +21,8 @@ from typing import List
 
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
+from repro.control.state import ControlState
 from repro.core.bpwrapper import ReplacementHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.policies.base import LockDiscipline
 from repro.policies.partitioned import PartitionedPolicy
@@ -38,17 +38,17 @@ class DistributedHandler(ReplacementHandler):
 
     def __init__(self, policy: PartitionedPolicy, locks: List[MutexLock],
                  metadata_caches: List[MetadataCacheModel], costs,
-                 config: BPConfig, control=None) -> None:
+                 control: ControlState) -> None:
         # The base-class ``lock``/``cache`` slots hold partition 0 purely
         # for interface compatibility; all real work routes by page.
         super().__init__(policy, locks[0], metadata_caches[0], costs,
-                         config, control=control)
+                         control)
         self.locks = locks
         self.caches = metadata_caches
 
     @classmethod
-    def build(cls, runtime, name, make_policy, capacity, costs, config,
-              control=None) -> "DistributedHandler":
+    def build(cls, runtime, name, make_policy, capacity, costs,
+              control) -> "DistributedHandler":
         # 16 partitions, but keep each at least 8 pages: degenerate
         # one-page partitions cannot honour pins (and no real system
         # configures them).
@@ -57,7 +57,7 @@ class DistributedHandler(ReplacementHandler):
         locks = [cls.new_lock(runtime, f"partition-{i}", costs)
                  for i in range(n_partitions)]
         caches = [MetadataCacheModel(costs) for _ in range(n_partitions)]
-        return cls(policy, locks, caches, costs, config, control=control)
+        return cls(policy, locks, caches, costs, control)
 
     def _route(self, page: BufferTag):
         index = self.policy.partition_of(page)

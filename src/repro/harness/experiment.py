@@ -59,7 +59,6 @@ class ExperimentConfig:
     #: Buffer pool size in pages; None = whole working set + slack so
     #: scalability runs are miss-free, as in the paper.
     buffer_pages: Optional[int] = None
-    prewarm: bool = True
     #: Stop once this many page accesses completed (checked at
     #: transaction boundaries).
     target_accesses: int = 60_000
@@ -343,10 +342,9 @@ def _trace_tier(config: ExperimentConfig, workload: Optional[Workload]):
             **bp_kwargs(config), disk=run.create_disk(config.seed),
             policy_kwargs=config.policy_kwargs,
             simulate_bucket_locks=config.simulate_bucket_locks))
-        if config.prewarm:
-            pool.manager.warm_with(
-                working_set if capacity >= len(working_set)
-                else access_ordered_prefix(workload, capacity))
+        pool.manager.warm_with(
+            working_set if capacity >= len(working_set)
+            else access_ordered_prefix(workload, capacity))
         run.shared["measuring"] = config.warmup_fraction == 0.0
         window = _Window(run, log)
         run.start_bgwriter(pool.manager)

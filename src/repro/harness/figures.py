@@ -29,9 +29,9 @@ from repro.harness.experiment import ExperimentConfig, RunResult
 from repro.harness.parallel import Workers, cached_workload, run_many
 from repro.harness.plots import ascii_chart
 from repro.harness.report import ArtifactResult
-from repro.harness.sweeps import (PAPER_SYSTEMS, PAPER_WORKLOADS,
-                                  default_target_accesses,
+from repro.harness.sweeps import (PAPER_WORKLOADS, default_target_accesses,
                                   default_workload_kwargs, run_matrix)
+from repro.harness.systems import SYSTEM_NAMES
 from repro.workloads.base import merged_trace
 
 __all__ = ["fig2", "fig6", "fig7", "fig8"]
@@ -87,7 +87,7 @@ def _scalability_figure(figure_name: str, machine: MachineSpec,
                         target_accesses: Optional[int],
                         seed: int,
                         max_workers: Workers = None) -> ArtifactResult:
-    results = run_matrix(PAPER_SYSTEMS, PAPER_WORKLOADS, machine=machine,
+    results = run_matrix(SYSTEM_NAMES, PAPER_WORKLOADS, machine=machine,
                          target_accesses=target_accesses, seed=seed,
                          max_workers=max_workers)
     rows = [(r.config.workload, r.config.system, r.config.n_processors,
@@ -211,7 +211,7 @@ def fig8(target_accesses: Optional[int] = None, seed: int = 42,
                     system=system, workload=workload_name,
                     workload_kwargs=kwargs, machine=POWEREDGE_2900,
                     n_processors=8, buffer_pages=capacity,
-                    use_disk=True, prewarm=True, warmup_fraction=0.3,
+                    use_disk=True, warmup_fraction=0.3,
                     target_accesses=target_accesses, seed=seed)
                 for system in FIG8_SYSTEMS)
     raw = run_many(configs, max_workers=max_workers)

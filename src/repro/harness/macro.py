@@ -62,7 +62,6 @@ class MacroConfig:
     #: tpcc_lite working set (~900 pages) so eviction, write-back and
     #: pinned-victim skipping actually happen.
     buffer_pages: int = 192
-    prewarm: bool = True
     #: Stop once this many queries completed (checked at query
     #: boundaries).
     target_queries: int = 240
@@ -221,8 +220,7 @@ def run_macro(config: MacroConfig, workload=None) -> MacroResult:
                 f"workload {config.workload!r} has no plan_stream(); the "
                 "macro tier needs a query-plan workload (e.g. tpcc_lite)")
         disk = run.create_disk(config.seed)
-        prefix = (access_ordered_prefix(workload, config.buffer_pages)
-                  if config.prewarm else [])
+        prefix = access_ordered_prefix(workload, config.buffer_pages)
         if config.n_shards:
             from repro.serve.shard import BufferShard, shard_of
             per_shard = max(16, config.buffer_pages // config.n_shards)

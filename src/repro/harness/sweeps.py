@@ -32,8 +32,6 @@ __all__ = [
 
 #: The three paper workloads, in the paper's order.
 PAPER_WORKLOADS = ("dbt1", "dbt2", "tablescan")
-#: The five paper systems, in Table I order.
-PAPER_SYSTEMS = ("pgclock", "pg2Q", "pgBat", "pgPre", "pgBatPre")
 
 
 def bench_scale() -> float:

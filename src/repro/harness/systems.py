@@ -10,6 +10,12 @@ queue) and ``pgBatLossy`` (the Caffeine-style descendant that drops
 recordings instead of blocking). What differs between rows is the
 handler class; each handler's ``build`` creates the locks, queues and
 caches it needs, so nothing here branches on a system's name.
+
+A row is the whole description of a system: its policy, handler and
+the two Table I columns (``batching``, ``prefetch``). The queue knobs
+S and T of Tables II–III join it at build time, in the pool's one
+:class:`~repro.control.state.ControlState`; the ``mp`` backend reads
+the same row (:mod:`repro.runtime.mp`).
 """
 
 from __future__ import annotations
@@ -18,10 +24,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Type
 
 from repro.bufmgr.manager import BufferManager
-from repro.control.state import ControlState
+from repro.control.state import TRACE_DEFAULTS, ControlState
 from repro.core.bpwrapper import (BatchedHandler, DirectHandler,
                                   LockFreeHitHandler, ReplacementHandler)
-from repro.core.config import BPConfig
 from repro.core.lossy import LossyBatchedHandler
 from repro.core.shared_queue import SharedQueueHandler
 from repro.db.storage import DiskArray
@@ -42,19 +47,24 @@ class SystemSpec:
 
     name: str
     policy_name: str
-    bp_config: BPConfig
-    #: Human-readable Table I row content.
-    enhancement: str
     #: For an unbatched row, the handler of its *default* policy: a swapped
     #: policy's own lock discipline decides (``DirectHandler.suited_to``).
     handler: Type[ReplacementHandler]
+    #: Record hits in per-thread FIFO queues and commit in batches.
+    batching: bool
+    #: Warm the processor cache just before requesting the lock.
+    prefetch: bool
+    #: Human-readable Table I row content.
+    enhancement: str
+
+    @property
+    def lock_free_hit(self) -> bool:
+        """A hit takes no lock: the clock family's own discipline."""
+        return issubclass(self.handler, LockFreeHitHandler)
 
 
 _TABLE = tuple(
-    SystemSpec(name, policy, BPConfig(batching=batching,
-                                      prefetching=prefetching),
-               enhancement, handler)
-    for name, policy, handler, batching, prefetching, enhancement in (
+    SystemSpec(*row) for row in (
         ("pgclock", "clock", LockFreeHitHandler, False, False, "None"),
         ("pg2Q", "2q", DirectHandler, False, False, "None"),
         ("pgBat", "2q", BatchedHandler, True, False, "Batching"),
@@ -74,21 +84,14 @@ _ROWS = {row.name.lower(): row for row in _TABLE}
 SYSTEM_NAMES = tuple(row.name for row in _TABLE[:5])
 
 
-def system_spec(name: str, policy_name: Optional[str] = None,
-                queue_size: int = 64,
-                batch_threshold: int = 32) -> SystemSpec:
-    """The Table I spec for ``name``, optionally swapping the policy."""
+def system_spec(name: str, policy_name: Optional[str] = None
+                ) -> SystemSpec:
+    """The Table I row for ``name``, optionally swapping the policy."""
     row = _ROWS.get(name.lower())
     if row is None:
         raise ConfigError(f"unknown system {name!r}; available: "
                           f"{', '.join(spec.name for spec in _TABLE)}")
-    config = row.bp_config
-    if config.batching:
-        # Queue geometry belongs to batching; unbatched rows ignore it.
-        config = config.with_params(queue_size=queue_size,
-                                    batch_threshold=batch_threshold)
-    return replace(row, policy_name=policy_name or row.policy_name,
-                   bp_config=config)
+    return replace(row, policy_name=policy_name or row.policy_name)
 
 
 @dataclass
@@ -130,23 +133,26 @@ class SystemBuild:
 def build_system(name: str, sim: "Runtime", capacity: int,
                  machine: MachineSpec,
                  policy_name: Optional[str] = None,
-                 queue_size: int = 64, batch_threshold: int = 32,
+                 queue_size: int = TRACE_DEFAULTS.queue_size,
+                 batch_threshold: int = TRACE_DEFAULTS.batch_threshold,
                  disk: Optional[DiskArray] = None,
                  policy_kwargs: Optional[dict] = None,
                  simulate_bucket_locks: bool = False) -> SystemBuild:
     """Construct a ready-to-run buffer manager for system ``name``."""
-    spec = system_spec(name, policy_name=policy_name,
-                       queue_size=queue_size,
-                       batch_threshold=batch_threshold)
+    spec = system_spec(name, policy_name=policy_name)
+    if not spec.batching:
+        # Queue geometry belongs to batching; unbatched rows ignore it.
+        queue_size = TRACE_DEFAULTS.queue_size
+        batch_threshold = TRACE_DEFAULTS.batch_threshold
     kwargs = policy_kwargs or {}
     # One ControlState per pool, shared by its handler: the build's
     # single mutation point for every runtime-tunable knob.
     handler = spec.handler.build(
         sim, spec.name,
         lambda pages: make_policy(spec.policy_name, pages, **kwargs),
-        capacity, machine.costs, spec.bp_config,
-        control=ControlState.from_config(spec.bp_config,
-                                         policy_name=spec.policy_name))
+        capacity, machine.costs,
+        ControlState(queue_size, batch_threshold, spec.prefetch,
+                     policy_name=spec.policy_name))
     manager = BufferManager(sim, capacity, handler.policy, handler,
                             machine.costs, disk=disk,
                             simulate_bucket_locks=simulate_bucket_locks)

@@ -29,20 +29,28 @@ Synchronization protocol (the native backend's, across processes):
   header lock (a stale probe simply falls through to the locked miss
   path, which re-probes authoritatively).
 
+A worker takes its discipline from the system's Table I row
+(:mod:`repro.harness.systems`): whether it batches, whether it
+prefetches, and whether its handler takes no lock on a hit. Batched
+workers record hits into a private
+:class:`~repro.core.fifoqueue.AccessQueue`, as a thread does.
+
 The shared "advanced policy" core is an intrusive doubly-linked LRU
 list (move-to-front on hit under the lock) — the hot-path shape of the
-2Q/LRU family whose lock section the paper batches. pgclock uses the
-reference-bit CLOCK sweep instead. Replacement decisions therefore
-*approximate* the sim's policies (this backend measures wall-clock
-scaling, not hit ratios; the sim remains the hit-ratio instrument),
-which is why scaling runs pre-warm a pool that holds the whole working
-set, as the paper does (§IV: "there are no misses incurred").
+2Q/LRU family whose lock section the paper batches. The lock-free-hit
+row (pgclock) uses the reference-bit CLOCK sweep instead. Replacement
+decisions therefore *approximate* the sim's policies (this backend
+measures wall-clock scaling, not hit ratios; the sim remains the
+hit-ratio instrument), which is why scaling runs pre-warm a pool that
+holds the whole working set, as the paper does (§IV: "there are no
+misses incurred").
 
 Measured quantities follow the sim/native conventions: a lock
 *request* is a blocking acquire or a successful try, a *contention* is
 a request that found the lock busy, wait/hold times are wall-clock
-microseconds. Per-worker counters are kept process-locally (zero
-sharing on the hot path) and aggregated by the parent after join.
+microseconds. Per-worker counters are the in-process runtimes'
+``AccessStats`` and ``LockStats``, kept process-locally (zero sharing
+on the hot path) and aggregated by the parent after join.
 
 Not supported here (``ConfigError``): the correctness checker, the
 trace recorder, the disk model and bgwriter — the ``mp`` backend is
@@ -66,7 +74,6 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from dataclasses import fields
 from multiprocessing import connection
 from typing import Any, Dict, List, Optional
 
@@ -247,19 +254,23 @@ def trace_tier(config, workload=None):
     One worker process per ``config.n_processors`` (``n_threads`` is
     ignored — a process *is* the unit of concurrency here), each
     performing ``target_accesses / n_workers`` page accesses against
-    the shared frame table. The finalize returns a
+    the shared frame table, under the lock discipline of the system's
+    Table I row. The finalize returns a
     :class:`~repro.harness.experiment.RunResult` whose times are
     wall-clock; where a field means something else here than on
     sim/native, the field's comment says what.
     """
+    # Imported here: the harness pulls in the simulator, which this
+    # module must not load (the layering guard imports it alone).
+    from repro.harness.driver import access_ordered_prefix
+    from repro.harness.systems import system_spec
+    from repro.workloads.registry import make_workload
+
     table: Optional[FrameTable] = None
 
     def build(run) -> None:
         """Lay out and pre-warm the frame table the workers will share."""
         nonlocal workload, table
-        from repro.harness.driver import access_ordered_prefix
-        from repro.workloads.registry import make_workload
-
         if workload is None:
             workload = make_workload(config.workload, seed=config.seed,
                                      **config.workload_kwargs)
@@ -271,27 +282,31 @@ def trace_tier(config, workload=None):
         seen = set(ordered)
         ordered.extend(sorted((p for p in working_set if p not in seen),
                               key=repr))
-        table = FrameTable(ordered, config.resolved_buffer_pages(workload),
-                           config.n_processors, config.queue_size,
-                           config.prewarm)
+        table = FrameTable(ordered, config.resolved_buffer_pages(workload))
 
     def body(run, thread: MpThread, index: int):
-        return _worker_body(config, table, workload, thread, index,
+        return _worker_body(config, system_spec(config.system), table,
+                            workload, thread, index,
                             metrics=run.observer is not None)
 
     names = [f"mp-worker-{index}" for index in range(config.n_processors)]
     return build, names, body, lambda run: _fold(config, run)
 
 
-def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
-                 worker_index: int, metrics: bool):
-    """One worker process: closed transaction loop over the shared pool.
+def _worker_body(config, row, pool: FrameTable, workload,
+                 thread: MpThread, worker_index: int, metrics: bool):
+    """One worker process: closed transaction loop over the shared pool,
+    under the lock discipline of ``row``, the system's Table I row.
 
     A generator for the driver's sake: its one blocking call, the start
-    barrier, returns ``()``. It returns the worker's report.
+    barrier, returns ``()``. It returns the worker's report. It counts
+    into the in-process runtimes' classes (``AccessStats``,
+    ``LockStats``) and records hits into a private ``AccessQueue`` of
+    (frame, generation) pairs, as a thread does.
     """
-    system = config.system
-    lock_metric = f"lock.replacement-{system}"
+    batched, prefetch, lock_free = (row.batching, row.prefetch,
+                                    row.lock_free_hit)
+    lock_metric = f"lock.replacement-{config.system}"
     registry = access_hist = wait_hist = hold_hist = None
     if metrics:
         from repro.obs.metrics import MetricsRegistry
@@ -307,13 +322,8 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
     warmup_quota = int(quota * config.warmup_fraction)
     page_index: Dict[Any, int] = pool.page_index
     mem, glock = pool.mem, pool.glock
-    batched = system in ("pgBat", "pgBatPre")
-    prefetch = system == "pgBatPre"
-    clock = system == "pgclock"
-    lay = pool.lay
-    fbase = lay["frames"]
-    pmap = lay["page_map"]
-    qbase = lay["queues"] + worker_index * lay["queue_words"]
+    fbase = pool.lay["frames"]
+    pmap = pool.lay["page_map"]
 
     stream = workload.transaction_stream(worker_index)
 
@@ -321,83 +331,82 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
     work_iters = int(iters_per_us * _DEFAULT_WORK_US)
 
     perf = time.perf_counter
-    stats = {
-        "accesses": 0, "hits": 0, "misses": 0, "transactions": 0,
-        "requests": 0, "contentions": 0, "acquisitions": 0,
-        "try_attempts": 0, "try_failures": 0,
-        "total_wait_us": 0.0, "total_hold_us": 0.0, "window_max_hold_us": 0.0,
-        "commits": 0, "committed_entries": 0, "stale": 0, "prefetches": 0,
-        "response_us": 0.0, "response_n": 0,
-    }
+    stats, lock = AccessStats(), LockStats()
+    queue = AccessQueue(queue_size)
+    prefetches = transactions = 0
+    response_us = 0.0
     samples: List[float] = []
-    snapshot: Dict[str, Any] = {}
+    #: (when, stats, lock, transactions, response_us) as the warm-up ended.
+    window = None
     started_cpu = time.process_time()
+
+    def begin_window(transactions: int, response_us: float):
+        """Snapshot every counter where (and when) the warm-up ends,
+        then restart the hold maximum, as the in-process window does."""
+        snapshot = (perf(), stats.copy(), lock.copy(), transactions,
+                    response_us)
+        lock.begin_window()
+        return snapshot
 
     def lock_blocking() -> float:
         """Blocking replacement-lock acquire; returns the grant time."""
-        stats["requests"] += 1
+        lock.requests += 1
         if glock.acquire(block=False):
-            stats["acquisitions"] += 1
+            lock.acquisitions += 1
             return perf()
-        stats["contentions"] += 1
+        lock.contentions += 1
         blocked = perf()
         glock.acquire()
         granted = perf()
         wait = (granted - blocked) * 1e6
-        stats["total_wait_us"] += wait
+        lock.total_wait_us += wait
         if wait_hist is not None:
             wait_hist.record(wait)
-        stats["acquisitions"] += 1
+        lock.acquisitions += 1
         return granted
 
     def lock_release(granted: float) -> None:
         hold = (perf() - granted) * 1e6
-        stats["total_hold_us"] += hold
-        if hold > stats["window_max_hold_us"]:
-            stats["window_max_hold_us"] = hold
+        lock.total_hold_us += hold
+        if hold > lock.window_max_hold_us:
+            lock.window_max_hold_us = hold
         if hold_hist is not None:
             hold_hist.record(hold)
         glock.release()
 
     def commit_locked() -> None:
-        """Drain this worker's shm queue into the LRU list (lock held)."""
-        count = mem[qbase]
-        committed = stale = 0
-        for slot in range(count):
-            frame = mem[qbase + 1 + 2 * slot]
-            gen = mem[qbase + 2 + 2 * slot]
+        """Drain this worker's queue into the LRU list (lock held)."""
+        stale = 0
+        for frame, gen in queue.drain():
             if mem[fbase + frame * FRAME_WORDS + F_GEN] == gen:
                 pool.lru_move_front(frame)
-                committed += 1
             else:
                 stale += 1
-        mem[qbase] = 0
-        stats["commits"] += 1
-        stats["committed_entries"] += committed
-        stats["stale"] += stale
+        if stale:
+            queue.note_stale(stale)
 
     def miss(tag: int) -> None:
-        stats["misses"] += 1
+        stats.misses += 1
         granted = lock_blocking()
         try:
-            if batched and mem[qbase]:
+            if batched and len(queue):
                 commit_locked()   # Fig. 4: history ahead of the miss
             frame = mem[pmap + tag]
             if (0 <= frame < capacity
                     and mem[fbase + frame * FRAME_WORDS + F_TAG] == tag):
                 # Absorbed: another worker installed it while we waited.
-                stats["misses"] -= 1
-                stats["hits"] += 1
-                if not clock:
+                stats.misses -= 1
+                stats.hits += 1
+                if not lock_free:
                     pool.lru_move_front(frame)
                 return
             for _attempt in range(2 * capacity + 1):
-                victim = pool.evict_clock() if clock else pool.evict_lru()
+                victim = pool.evict_clock() if lock_free else pool.evict_lru()
                 if pool.retag(victim, tag):
-                    if not clock:
+                    if not lock_free:
                         pool.lru_push_front(victim)
                     break
-                if not clock:
+                if not lock_free:
                     # A racing hit pinned the victim after the scan's
                     # probe: it is demonstrably hot — relink at MRU.
                     pool.lru_push_front(victim)
@@ -408,7 +417,8 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
             lock_release(granted)
 
     def access(tag: int) -> bool:
-        stats["accesses"] += 1
+        nonlocal prefetches
+        stats.accesses += 1
         frame = mem[pmap + tag]
         pinned = False
         if 0 <= frame < capacity:
@@ -420,16 +430,15 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
         if not pinned:
             miss(tag)
             return False
-        stats["hits"] += 1
+        stats.hits += 1
         off = fbase + frame * FRAME_WORDS
         try:
-            if clock:
+            if lock_free:
                 mem[off + F_REF] = 1      # lock-free single-word store
             elif batched:
-                count = mem[qbase]
-                mem[qbase + 1 + 2 * count] = frame
-                mem[qbase + 2 + 2 * count] = mem[off + F_GEN]
-                mem[qbase] = count + 1
+                # Fig. 4 lines 5-6: AccessQueue.record, inlined as in
+                # BatchedHandler.hit.
+                queue._entries.append((frame, mem[off + F_GEN]))
             else:
                 granted = lock_blocking()
                 try:
@@ -440,26 +449,25 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
         finally:
             with pool.stripe(frame):
                 mem[off + F_PIN] -= 1
-        if batched and mem[qbase] >= threshold:
-            stats["try_attempts"] += 1
+        if batched and len(queue._entries) >= threshold:
+            lock.try_attempts += 1
             if glock.acquire(block=False):              # Fig. 4 line 8
-                stats["requests"] += 1
-                stats["acquisitions"] += 1
+                lock.requests += 1
+                lock.acquisitions += 1
                 granted = perf()
-            elif mem[qbase] < queue_size:               # lines 10-12
-                stats["try_failures"] += 1
+            elif len(queue._entries) < queue_size:      # lines 10-12
+                lock.try_failures += 1
                 return True
             else:
-                stats["try_failures"] += 1
+                lock.try_failures += 1
                 granted = lock_blocking()               # line 13
             if prefetch:
                 # Pull the queued frames' words toward this core
                 # before the serialized section mutates them.
                 touched = 0
-                for slot in range(mem[qbase]):
-                    touched += mem[fbase + mem[qbase + 1 + 2 * slot]
-                                   * FRAME_WORDS + F_GEN]
-                stats["prefetches"] += 1
+                for queued, _gen in queue._entries:
+                    touched += mem[fbase + queued * FRAME_WORDS + F_GEN]
+                prefetches += 1
             try:
                 commit_locked()                          # lines 15-17
             finally:
@@ -469,8 +477,8 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
     yield from thread.barrier()
     run_started = perf()
     if warmup_quota <= 0:
-        snapshot = _begin_window(stats)
-    while stats["accesses"] < quota:
+        window = begin_window(transactions, response_us)
+    while stats.accesses < quota:
         txn = next(stream)
         txn_started = perf()
         for page in txn.pages:
@@ -483,69 +491,45 @@ def _worker_body(config, pool: FrameTable, workload, thread: MpThread,
                 access_hist.record((perf() - access_started) * 1e6)
             else:
                 access(page_index[page])
-            if (not snapshot and stats["accesses"] >= warmup_quota):
-                snapshot = _begin_window(stats)
+            if window is None and stats.accesses >= warmup_quota:
+                window = begin_window(transactions, response_us)
         response = (perf() - txn_started) * 1e6
-        stats["transactions"] += 1
-        stats["response_us"] += response
-        stats["response_n"] += 1
+        transactions += 1
+        response_us += response
         # Sampled from the warm-up snapshot on, like the windowed
         # ``response_us``/``transactions`` the p95 is reported beside.
-        if snapshot and len(samples) < _SAMPLE_CAP:
+        if window is not None and len(samples) < _SAMPLE_CAP:
             samples.append(response)
-    if batched and mem[qbase]:
+    if batched and len(queue):
         granted = lock_blocking()
         try:
             commit_locked()
         finally:
             lock_release(granted)
     finished = perf()
-    if not snapshot:
-        snapshot = _begin_window(stats)
+    if window is None:
+        window = begin_window(transactions, response_us)
+    at, stats_base, lock_base, transactions_base, response_base = window
     if registry is not None:
         registry.counter("mp.workers").inc()
-        registry.counter("mp.transactions").inc(stats["transactions"])
-        registry.counter(f"{lock_metric}.contentions").inc(
-            stats["contentions"])
+        registry.counter("mp.transactions").inc(transactions)
+        registry.counter(f"{lock_metric}.contentions").inc(lock.contentions)
         registry.gauge(f"{lock_metric}.max_hold_us").set(
-            max(snapshot["window_max_hold_us"], stats["window_max_hold_us"]))
-    # The report speaks the in-process runtimes' vocabulary: windowed stats
-    # classes, and the queue's whole-run accounting as an AccessQueue.
-    access, lock = _window(stats, snapshot)
-    queue = AccessQueue(queue_size)
-    queue.commits = stats["commits"]
-    queue.total_stale = stats["stale"]
-    queue.total_drained = stats["committed_entries"] + stats["stale"]
+            max(lock_base.window_max_hold_us, lock.window_max_hold_us))
     return {
-        "access": access, "lock": lock, "queue": queue, "samples": samples,
-        "total_accesses": stats["accesses"],
-        "total_transactions": stats["transactions"],
-        "transactions": stats["transactions"] - snapshot["transactions"],
-        "response_us": stats["response_us"] - snapshot["response_us"],
-        "prefetches": stats["prefetches"],
-        "window_us": max((finished - snapshot["at"]) * 1e6, 0.0),
-        "warmup_offset_us": (snapshot["at"] - run_started) * 1e6,
+        "access": stats.delta_since(stats_base),
+        "lock": lock.delta_since(lock_base), "queue": queue,
+        "samples": samples,
+        "total_accesses": stats.accesses,
+        "total_transactions": transactions,
+        "transactions": transactions - transactions_base,
+        "response_us": response_us - response_base,
+        "prefetches": prefetches,
+        "window_us": max((finished - at) * 1e6, 0.0),
+        "warmup_offset_us": (at - run_started) * 1e6,
         "cpu_s": time.process_time() - started_cpu,
         "metrics": registry.snapshot() if registry is not None else None,
     }
-
-
-def _begin_window(stats: Dict[str, Any]) -> Dict[str, Any]:
-    """Snapshot a worker's counters where (and ``at`` when) its warm-up
-    ends, restarting the hold maximum as ``LockStats.begin_window``."""
-    snapshot = dict(stats, at=time.perf_counter())
-    stats["window_max_hold_us"] = 0.0
-    return snapshot
-
-
-def _window(stats: Dict[str, Any], snapshot: Dict[str, Any]):
-    """The counters since ``snapshot`` as the (AccessStats, LockStats) pair
-    the in-process runtimes keep: the dict's keys are their field names."""
-    def counters(cls, source):
-        return cls(**{f.name: source[f.name] for f in fields(cls)
-                      if f.name in source})
-    return tuple(counters(cls, stats).delta_since(counters(cls, snapshot))
-                 for cls in (AccessStats, LockStats))
 
 
 def _fold(config, run):

@@ -17,12 +17,12 @@ page map   one word per page: frame index holding it, or -1
            the frame's tag afterwards)
 frames     ``FRAME_WORDS`` fixed-width words per frame: tag,
            generation, pin count, reference bit, LRU prev/next links
-queues     per-worker BP-Wrapper FIFO queue: a count word plus
-           ``queue_size`` fixed-width (frame, generation) slot pairs —
-           private to the owning worker, exactly as the paper's
-           per-thread queues, but resident in shm as they would be in
-           PostgreSQL shared memory
 =========  =============================================================
+
+The BP-Wrapper FIFO queues are not here: no other process reads a
+worker's queue, so each worker keeps a private in-process
+:class:`~repro.core.fifoqueue.AccessQueue` of (frame, generation)
+pairs, exactly as the paper's per-thread queues.
 """
 
 from __future__ import annotations
@@ -59,19 +59,15 @@ class FrameTable:
 
     __slots__ = ("mem", "lay", "capacity", "page_index", "glock", "stripes")
 
-    def __init__(self, ordered: List[Any], capacity: int, n_workers: int,
-                 queue_size: int, prewarm: bool) -> None:
+    def __init__(self, ordered: List[Any], capacity: int) -> None:
         self.page_index = {page: i for i, page in enumerate(ordered)}
         self.capacity = capacity
         n_pages = len(ordered)
         # Word offsets of every region.
         page_map = HDR_WORDS
         frames = page_map + n_pages
-        queues = frames + capacity * FRAME_WORDS
-        queue_words = 1 + 2 * queue_size
-        total = queues + n_workers * queue_words
+        total = frames + capacity * FRAME_WORDS
         lay = self.lay = {"page_map": page_map, "frames": frames,
-                          "queues": queues, "queue_words": queue_words,
                           "total": total}
         # A fresh mapping is all zeros: only the -1 sentinels are written.
         mem = self.mem = memoryview(
@@ -90,8 +86,7 @@ class FrameTable:
         self.glock = context.Lock()
         self.stripes = [context.Lock()
                         for _ in range(min(HEADER_LOCK_STRIPES, capacity))]
-        if prewarm:
-            _prewarm(self, ordered)
+        _prewarm(self, ordered)
 
     # frame-word accessors (hot path: inlined offsets, no helpers)
 

@@ -8,14 +8,13 @@ from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.hashtable import BufferHashTable
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import BufferTag, PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.policies.lru import LRUPolicy
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
 
 
@@ -112,7 +111,7 @@ def build_manager(sim, capacity=8, costs=None):
                    try_cost_us=costs.try_lock_us)
     cache = MetadataCacheModel(costs)
     handler = DirectHandler(policy, lock, cache, costs,
-                            BPConfig.baseline())
+                            ControlState(64, 32, prefetch=False))
     manager = BufferManager(sim, capacity, policy, handler, costs)
     return manager, policy, lock
 
@@ -204,7 +203,7 @@ class TestBufferManager:
         lock = SimLock(sim)
         cache = MetadataCacheModel(costs)
         handler = DirectHandler(policy, lock, cache, costs,
-                                BPConfig.baseline())
+                                ControlState(64, 32, prefetch=False))
         with pytest.raises(BufferError_):
             BufferManager(sim, 8, policy, handler, costs)
 
@@ -217,7 +216,7 @@ class TestBufferManager:
         lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
         cache = MetadataCacheModel(costs)
         handler = DirectHandler(policy, lock, cache, costs,
-                                BPConfig.baseline())
+                                ControlState(64, 32, prefetch=False))
         disk = DiskArray(sim, costs.disk_read_us, costs.disk_concurrency)
         manager = BufferManager(sim, 4, policy, handler, costs, disk=disk)
         page = PageId("t", 0)

@@ -7,8 +7,8 @@ import pytest
 from repro.bufmgr.bgwriter import BackgroundWriter
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
-from repro.core.bpwrapper import DirectHandler, ThreadSlot
-from repro.core.config import BPConfig
+from repro.control.state import ControlState
+from repro.core.bpwrapper import DirectHandler
 from repro.db.storage import DiskArray
 from repro.errors import ConfigError
 from repro.hardware.costs import CostModel
@@ -26,7 +26,7 @@ def build(sim, capacity=8):
     lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
     cache = MetadataCacheModel(costs)
     handler = DirectHandler(policy, lock, cache, costs,
-                            BPConfig.baseline())
+                            ControlState(64, 32, prefetch=False))
     disk = DiskArray(sim, costs.disk_read_us, costs.disk_concurrency)
     manager = BufferManager(sim, capacity, policy, handler, costs,
                             disk=disk)
@@ -110,7 +110,7 @@ class TestBackgroundWriter:
         lock = SimLock(sim)
         cache = MetadataCacheModel(costs)
         handler = DirectHandler(policy, lock, cache, costs,
-                                BPConfig.baseline())
+                                ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 4, policy, handler, costs)  # no disk
         thread = sim.create_thread(ProcessorPool(sim, 1, 0.0), "bgwriter")
         with pytest.raises(ConfigError):

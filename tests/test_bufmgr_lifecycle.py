@@ -20,15 +20,17 @@ replays the same scenario on a real OS thread.
 
 from __future__ import annotations
 
+import gc
 import time
+import weakref
 
 import pytest
 
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
 from repro.check.checker import CorrectnessChecker
+from repro.control.state import ControlState
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.db.storage import DiskArray
 from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
@@ -38,6 +40,7 @@ from repro.harness.systems import build_system
 from repro.policies.lru import LRUPolicy
 from repro.runtime.native import NativeRuntime
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
+from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
 
 P = PageId("t", 1)
@@ -50,7 +53,7 @@ def build_rig(sim, capacity=8, disk=None):
     lock = SimLock(sim, grant_cost_us=costs.lock_grant_us,
                    try_cost_us=costs.try_lock_us)
     handler = DirectHandler(policy, lock, MetadataCacheModel(costs), costs,
-                            BPConfig.baseline())
+                            ControlState(64, 32, prefetch=False))
     manager = BufferManager(sim, capacity, policy, handler, costs, disk=disk)
     return manager, lock
 
@@ -532,3 +535,22 @@ class TestIoDoneWaiters:
         sim.run()
         assert event.triggered
         assert woke == [("r2", 50.0), ("r0", 50.0), ("r1", 50.0)]
+
+
+@pytest.mark.parametrize("runtime", [Simulator, NativeRuntime],
+                         ids=["sim", "native"])
+def test_dropped_pool_is_freed_without_the_collector(runtime):
+    """The policy's victim filter used to be the manager's bound method,
+    so every pool was a reference cycle that only a full garbage
+    collection freed."""
+    build = build_system("pgBatPre", runtime(), 1000, ALTIX_350)
+    build.manager.warm_with([PageId("t", block) for block in range(1000)])
+    manager = weakref.ref(build.manager)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del build
+        assert manager() is None
+    finally:
+        if enabled:
+            gc.enable()

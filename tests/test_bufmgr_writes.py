@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.db.storage import DiskArray
-from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.policies.lru import LRUPolicy
@@ -25,7 +22,7 @@ def build(sim, capacity=4, with_disk=True):
     lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
     cache = MetadataCacheModel(costs)
     handler = DirectHandler(policy, lock, cache, costs,
-                            BPConfig.baseline())
+                            ControlState(64, 32, prefetch=False))
     disk = (DiskArray(sim, costs.disk_read_us, costs.disk_concurrency)
             if with_disk else None)
     manager = BufferManager(sim, capacity, policy, handler, costs,

@@ -7,8 +7,10 @@ import pytest
 from repro.control import (SERVE_DEFAULTS, TRACE_DEFAULTS, ControlState,
                            ThresholdAdapter, available_controllers,
                            bp_kwargs, make_controller)
-from repro.core.config import BPConfig
 from repro.errors import ConfigError
+from repro.hardware.machines import ALTIX_350
+from repro.harness.systems import build_system
+from repro.simcore.engine import Simulator
 
 
 class TestControlState:
@@ -36,16 +38,6 @@ class TestControlState:
         # A rejected write leaves the last good value in place.
         assert control.batch_threshold == 1
 
-    def test_from_config_mirrors_bpconfig(self):
-        config = BPConfig.full().with_params(queue_size=32,
-                                             batch_threshold=4)
-        control = ControlState.from_config(config, policy_name="2q")
-        assert control.queue_size == 32
-        assert control.batch_threshold == 4
-        assert control.prefetch is True
-        assert control.policy_name == "2q"
-        assert control.controller is None
-
     def test_to_dict_is_json_shape(self):
         control = ControlState(queue_size=16, batch_threshold=8,
                                prefetch=True, policy_name="lru")
@@ -61,9 +53,11 @@ class TestNamedDefaults:
     def test_trace_defaults_are_paper_defaults(self):
         assert TRACE_DEFAULTS.queue_size == 64
         assert TRACE_DEFAULTS.batch_threshold == 32
-        config = BPConfig()
-        assert config.queue_size == TRACE_DEFAULTS.queue_size
-        assert config.batch_threshold == TRACE_DEFAULTS.batch_threshold
+        # An unbatched row's pool keeps them whatever S and T say.
+        control = build_system("pg2Q", Simulator(), 16, ALTIX_350,
+                               queue_size=16, batch_threshold=8).control
+        assert control.queue_size == TRACE_DEFAULTS.queue_size
+        assert control.batch_threshold == TRACE_DEFAULTS.batch_threshold
 
     def test_serve_defaults_quarter_scale_same_ratio(self):
         assert SERVE_DEFAULTS.queue_size == 16

@@ -9,14 +9,16 @@ import pytest
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import (BatchedHandler, DirectHandler,
                                   LockFreeHitHandler, ThreadSlot)
-from repro.core.config import BPConfig
 from repro.core.fifoqueue import AccessQueue
 from repro.core.lossy import LossyBatchedHandler
 from repro.errors import ConfigError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
+from repro.hardware.machines import ALTIX_350
+from repro.harness.systems import build_system, system_spec
 from repro.policies.clock import ClockPolicy
 from repro.policies.lru import LRUPolicy
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
@@ -24,36 +26,44 @@ from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
 
 
-class TestBPConfig:
+class TestSystemKnobs:
+    """A system is its Table I row plus the pool's ControlState."""
+
+    def build(self, name, **knobs):
+        return build_system(name, Simulator(), 16, ALTIX_350, **knobs)
+
     def test_paper_defaults(self):
-        config = BPConfig()
-        assert config.queue_size == 64
-        assert config.batch_threshold == 32
+        control = self.build("pgBatPre").control
+        assert control.queue_size == 64
+        assert control.batch_threshold == 32
 
     def test_threshold_cannot_exceed_queue(self):
         with pytest.raises(ConfigError):
-            BPConfig(queue_size=8, batch_threshold=9)
+            ControlState(queue_size=8, batch_threshold=9, prefetch=False)
+        with pytest.raises(ConfigError):
+            self.build("pgBat", queue_size=8, batch_threshold=9)
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigError):
-            BPConfig(queue_size=0)
+            ControlState(queue_size=0, batch_threshold=1, prefetch=False)
         with pytest.raises(ConfigError):
-            BPConfig(batch_threshold=0)
+            ControlState(queue_size=64, batch_threshold=0, prefetch=False)
 
-    def test_named_constructors(self):
-        assert not BPConfig.baseline().batching
-        assert not BPConfig.baseline().prefetching
-        assert BPConfig.batching_only().batching
-        assert not BPConfig.batching_only().prefetching
-        assert not BPConfig.prefetching_only().batching
-        assert BPConfig.prefetching_only().prefetching
-        assert BPConfig.full().batching and BPConfig.full().prefetching
+    def test_table_rows_name_the_flags(self):
+        flags = {name: (system_spec(name).batching, system_spec(name).prefetch)
+                 for name in ("pg2Q", "pgBat", "pgPre", "pgBatPre")}
+        assert flags == {"pg2Q": (False, False), "pgBat": (True, False),
+                         "pgPre": (False, True), "pgBatPre": (True, True)}
+        assert self.build("pgPre").control.prefetch
+        assert not self.build("pgBat").control.prefetch
 
-    def test_with_params(self):
-        config = BPConfig.full().with_params(queue_size=16,
-                                             batch_threshold=8)
-        assert config.queue_size == 16
-        assert config.batching
+    def test_only_batched_rows_take_queue_geometry(self):
+        control = self.build("pgBatPre", queue_size=16,
+                             batch_threshold=8).control
+        assert (control.queue_size, control.batch_threshold) == (16, 8)
+        # Unbatched rows keep the trace defaults whatever S and T say.
+        control = self.build("pg2Q", queue_size=16, batch_threshold=8).control
+        assert (control.queue_size, control.batch_threshold) == (64, 32)
 
 
 class TestAccessQueue:
@@ -142,10 +152,8 @@ def wrapper_rig(sim, capacity=16, queue_size=4, batch_threshold=2,
     lock = SimLock(sim, grant_cost_us=costs.lock_grant_us,
                    try_cost_us=costs.try_lock_us)
     cache = MetadataCacheModel(costs)
-    config = BPConfig(batching=True, prefetching=prefetching,
-                      queue_size=queue_size,
-                      batch_threshold=batch_threshold)
-    handler = handler_cls(policy, lock, cache, costs, config)
+    control = ControlState(queue_size, batch_threshold, prefetch=prefetching)
+    handler = handler_cls(policy, lock, cache, costs, control)
     manager = BufferManager(sim, capacity, policy, handler, costs)
     return manager, policy, lock, handler
 
@@ -373,7 +381,7 @@ class TestDirectAndLockFree:
         lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
         cache = MetadataCacheModel(costs)
         handler = DirectHandler(policy, lock, cache, costs,
-                                BPConfig.baseline())
+                                ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 8, policy, handler, costs)
         pages = [PageId("t", block) for block in range(5)]
         manager.warm_with(pages)
@@ -395,7 +403,7 @@ class TestDirectAndLockFree:
         lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
         cache = MetadataCacheModel(costs)
         handler = LockFreeHitHandler(policy, lock, cache, costs,
-                                     BPConfig.baseline())
+                                     ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 8, policy, handler, costs)
         pages = [PageId("t", block) for block in range(8)]
         manager.warm_with(pages)
@@ -421,7 +429,7 @@ class TestDirectAndLockFree:
         lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
         cache = MetadataCacheModel(costs)
         handler = LockFreeHitHandler(policy, lock, cache, costs,
-                                     BPConfig.baseline())
+                                     ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 4, policy, handler, costs)
         pool = ProcessorPool(sim, 1, 0.0)
         thread = CpuBoundThread(pool)
@@ -497,7 +505,8 @@ class TestHitContract:
         policy = ClockPolicy(8)
         lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
         handler = LockFreeHitHandler(policy, lock, MetadataCacheModel(costs),
-                                     costs, BPConfig.baseline())
+                                     costs,
+                                     ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 8, policy, handler, costs)
         slot, desc, page = self.one_page(sim, manager, 64)
         waits = handler.hit(slot, desc, page)

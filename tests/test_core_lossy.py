@@ -7,8 +7,8 @@ import pytest
 from repro.analysis.hitratio import replay, replay_lossy
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import ThreadSlot
-from repro.core.config import BPConfig
 from repro.core.lossy import LossyBatchedHandler
 from repro.errors import ConfigError
 from repro.harness.experiment import ExperimentConfig, run_experiment
@@ -28,10 +28,8 @@ def lossy_rig(sim, capacity=8, queue_size=4, batch_threshold=2):
     policy = LRUPolicy(capacity)
     lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
     cache = MetadataCacheModel(costs)
-    config = BPConfig(batching=True, prefetching=False,
-                      queue_size=queue_size,
-                      batch_threshold=batch_threshold)
-    handler = LossyBatchedHandler(policy, lock, cache, costs, config)
+    control = ControlState(queue_size, batch_threshold, prefetch=False)
+    handler = LossyBatchedHandler(policy, lock, cache, costs, control)
     manager = BufferManager(sim, capacity, policy, handler, costs)
     return manager, policy, lock, handler
 

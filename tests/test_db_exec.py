@@ -12,8 +12,8 @@ import pytest
 
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.db.exec import (BTreeIndex, HashJoin, HeapScan, IndexLookup,
                            Insert, LiveExecContext, NestedLoopJoin,
                            TraceExecContext, Update, drain_plan, run_plan,
@@ -34,7 +34,7 @@ def make_manager(sim, capacity=16):
     lock = SimLock(sim, grant_cost_us=costs.lock_grant_us,
                    try_cost_us=costs.try_lock_us)
     handler = DirectHandler(policy, lock, MetadataCacheModel(costs), costs,
-                            BPConfig.baseline())
+                            ControlState(64, 32, prefetch=False))
     return BufferManager(sim, capacity, policy, handler, costs)
 
 

@@ -7,13 +7,11 @@ over hypothesis-generated traces catches bugs in either.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bufmgr.manager import BufferManager
-from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import (BatchedHandler, DirectHandler, ThreadSlot)
-from repro.core.config import BPConfig
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.policies.clock import ClockPolicy
@@ -46,18 +44,18 @@ class TestGClockReducesToClock:
                 == set(gclock.resident_keys()))
 
 
-def _run_system(handler_cls, config, trace, capacity):
+def _run_system(handler_cls, control, trace, capacity):
     """Drive one single-threaded DES run; return the final LRU order."""
     sim = Simulator()
     costs = CostModel(user_work_us=1.0)
     policy = LRUPolicy(capacity)
     lock = SimLock(sim, grant_cost_us=0.1, try_cost_us=0.1)
     cache = MetadataCacheModel(costs)
-    handler = handler_cls(policy, lock, cache, costs, config)
+    handler = handler_cls(policy, lock, cache, costs, control)
     manager = BufferManager(sim, capacity, policy, handler, costs)
     pool = ProcessorPool(sim, 1, 0.0)
     thread = CpuBoundThread(pool)
-    slot = ThreadSlot(thread, 0, queue_size=config.queue_size)
+    slot = ThreadSlot(thread, 0, queue_size=control.queue_size)
     hits = []
 
     def body():
@@ -93,11 +91,11 @@ class TestBatchingPreservesAlgorithmState:
         key_space = 26
         capacity = key_space + 2  # no evictions possible
         direct_order, direct_hits = _run_system(
-            DirectHandler, BPConfig.baseline(), trace, capacity)
+            DirectHandler, ControlState(64, 32, prefetch=False), trace,
+            capacity)
         batched_order, batched_hits = _run_system(
             BatchedHandler,
-            BPConfig.batching_only(queue_size=batch,
-                                   batch_threshold=max(1, batch // 2)),
+            ControlState(batch, max(1, batch // 2), prefetch=False),
             trace, capacity)
         assert direct_hits == batched_hits
         assert direct_order == batched_order
@@ -111,11 +109,12 @@ class TestBatchingPreservesAlgorithmState:
         lookup), not at commit time, so deferring bookkeeping cannot
         change what was a hit."""
         capacity = 8
-        _, direct_hits = _run_system(DirectHandler, BPConfig.baseline(),
-                                     trace, capacity)
+        _, direct_hits = _run_system(
+            DirectHandler, ControlState(64, 32, prefetch=False), trace,
+            capacity)
         _, batched_hits = _run_system(
             BatchedHandler,
-            BPConfig.batching_only(queue_size=4, batch_threshold=2),
+            ControlState(4, 2, prefetch=False),
             trace, capacity)
         # Deferral may change *which* page an eviction picks (the
         # paper's accepted, negligible effect), which can flip later

@@ -13,8 +13,8 @@ import pytest
 
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.core.shared_queue import SharedQueueHandler
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
@@ -70,7 +70,7 @@ class TestSharedQueueSystem:
         cache = MetadataCacheModel(costs)
         handler = SharedQueueHandler(
             policy, lock, cache, costs,
-            BPConfig.batching_only(queue_size=4, batch_threshold=4),
+            ControlState(4, 4, prefetch=False),
             record_lock)
         manager = BufferManager(sim, 8, policy, handler, costs)
         pages = [PageId("t", block) for block in range(8)]
@@ -155,7 +155,7 @@ class TestBucketLocks:
         lock = SimLock(sim, grant_cost_us=0.15, try_cost_us=0.1)
         cache = MetadataCacheModel(costs)
         handler = DirectHandler(policy, lock, cache, costs,
-                                BPConfig.baseline())
+                                ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 32, policy, handler, costs,
                                 n_hash_buckets=1,
                                 simulate_bucket_locks=True)

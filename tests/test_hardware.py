@@ -8,9 +8,10 @@ import pytest
 
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
-from repro.hardware.machines import ALTIX_350, POWEREDGE_2900, MachineSpec
+from repro.hardware.machines import ALTIX_350, POWEREDGE_2900
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.sweeps import PAPER_SYSTEMS, default_workload_kwargs
+from repro.harness.sweeps import default_workload_kwargs
+from repro.harness.systems import SYSTEM_NAMES
 
 
 class TestCostModel:
@@ -143,7 +144,7 @@ class TestMetadataCache:
 
 
 @pytest.mark.parametrize("runtime", ["sim", "native"])
-@pytest.mark.parametrize("system", PAPER_SYSTEMS)
+@pytest.mark.parametrize("system", SYSTEM_NAMES)
 def test_valid_prefetches_never_exceed_issued(system, runtime):
     """Every Table I system, on both thread runtimes: a valid prefetch
     is one a thread issued, so there are never more of them."""

@@ -68,9 +68,9 @@ class TestBuildSystem:
     def test_prefetch_flags(self, tiny_machine):
         sim = Simulator()
         assert not build_system("pgBat", sim, 64,
-                                tiny_machine).spec.bp_config.prefetching
+                                tiny_machine).spec.prefetch
         assert build_system("pgBatPre", sim, 64,
-                            tiny_machine).spec.bp_config.prefetching
+                            tiny_machine).spec.prefetch
 
     def test_distributed_system(self, tiny_machine):
         sim = Simulator()

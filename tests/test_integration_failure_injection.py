@@ -21,10 +21,10 @@ import pytest
 
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.control.state import ControlState
 from repro.core.bpwrapper import BatchedHandler, ThreadSlot
-from repro.core.config import BPConfig
 from repro.db.storage import DiskArray
-from repro.errors import BufferError_, SimulationError
+from repro.errors import SimulationError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350
@@ -47,10 +47,8 @@ def make_rig(sim, capacity=16, queue_size=8, batch_threshold=4,
     lock = SimLock(sim, grant_cost_us=costs.lock_grant_us,
                    try_cost_us=costs.try_lock_us)
     cache = MetadataCacheModel(costs)
-    config = BPConfig(batching=True, prefetching=True,
-                      queue_size=queue_size,
-                      batch_threshold=batch_threshold)
-    handler = BatchedHandler(policy, lock, cache, costs, config)
+    control = ControlState(queue_size, batch_threshold, prefetch=True)
+    handler = BatchedHandler(policy, lock, cache, costs, control)
     manager = BufferManager(sim, capacity, policy, handler, costs)
     return manager, policy, lock
 

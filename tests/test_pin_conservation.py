@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import pytest
 
@@ -20,6 +21,17 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.runtime.native import NativeRuntime
 
 PAIRS = 50_000
+#: Pairs between explicit yields (``time.sleep(0)``). Without them two
+#: threads on two CPUs traded places only a handful of times per run.
+#: A yield hands the interpreter to the other thread, and the yielding
+#: thread's wait to get it back forces a switch at an arbitrary point
+#: of the other thread, often inside a pin or an unpin. Yields alternate
+#: between holding a pin and holding none, so a copy the interrupted
+#: thread took of the pin list is out of date when it resumes.
+YIELD_EVERY = 256
+#: Independent races per test run: a lost update one round misses, the
+#: next one catches.
+ROUNDS = 3
 
 
 @pytest.fixture
@@ -33,6 +45,11 @@ def fast_switching():
 
 
 def test_racing_pin_unpin_pairs_conserve_the_count(fast_switching):
+    for _ in range(ROUNDS):
+        _race_pin_unpin_pairs()
+
+
+def _race_pin_unpin_pairs() -> None:
     desc = BufferDesc(0)
     errors = []
     start = threading.Barrier(2)
@@ -40,9 +57,13 @@ def test_racing_pin_unpin_pairs_conserve_the_count(fast_switching):
     def worker():
         try:
             start.wait()
-            for _ in range(PAIRS):
+            for index in range(PAIRS):
                 desc.pin()
+                if index % (2 * YIELD_EVERY) == YIELD_EVERY:
+                    time.sleep(0)     # holding a pin
                 desc.unpin()
+                if index % (2 * YIELD_EVERY) == 0:
+                    time.sleep(0)     # holding none
         except BaseException as error:  # pragma: no cover - the failure
             errors.append(error)
 

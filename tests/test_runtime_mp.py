@@ -99,31 +99,37 @@ def test_response_samples_start_with_the_measurement_window(monkeypatch):
     assert result.p95_response_ms > 0
 
 
-def test_window_reports_its_own_longest_hold():
+def test_window_reports_its_own_longest_hold(monkeypatch):
     """The windowed record used to carry the *lifetime* max hold: a
     warm-up transient leaked into a warm-up-excluded record."""
-    from repro.runtime import mp
+    import time
 
-    stats = dict.fromkeys(
-        ("accesses", "hits", "misses", "transactions", "requests",
-         "contentions", "acquisitions", "try_attempts", "try_failures"), 0)
-    stats.update(total_wait_us=0.0, total_hold_us=0.0,
-                 window_max_hold_us=0.0)
-    # Warm-up: 10 accesses, one of them behind a 900 us hold.
-    stats.update(accesses=10, hits=10, requests=10, acquisitions=10,
-                 total_hold_us=950.0, window_max_hold_us=900.0)
-    snapshot = mp._begin_window(stats)
-    # Window: 5 more accesses, no hold longer than 40 us.
-    stats.update(accesses=15, hits=15, requests=15, acquisitions=15,
-                 total_hold_us=1_050.0,
-                 window_max_hold_us=max(stats["window_max_hold_us"], 40.0))
-    access, lock = mp._window(stats, snapshot)
-    assert (access.accesses, access.hits, access.misses) == (5, 5, 0)
-    assert lock.requests == 5
-    assert lock.total_hold_us == pytest.approx(100.0)
-    assert lock.max_hold_us == lock.window_max_hold_us == 40.0
-    # The lifetime maximum (the metrics gauge) survives in the snapshot.
-    assert snapshot["window_max_hold_us"] == 900.0
+    from repro.obs import MetricsRegistry, Observer
+    from repro.runtime import shm
+
+    move_front = shm.FrameTable.lru_move_front
+    stalled = []
+
+    def stall_first(table, frame):
+        # The first hit, deep in the warm-up, holds the lock for 0.3 s.
+        if not stalled:
+            stalled.append(frame)
+            time.sleep(0.3)
+        move_front(table, frame)
+
+    # The worker is forked from this process, so it runs the patch.
+    monkeypatch.setattr(shm.FrameTable, "lru_move_front", stall_first)
+    config = ExperimentConfig(
+        system="pg2Q", workload="tablescan", runtime="mp", n_processors=1,
+        target_accesses=2_000, warmup_fraction=0.5, seed=23,
+        max_sim_time_us=120_000_000.0)
+    result = run_experiment(config, observer=Observer(metrics=MetricsRegistry()))
+    gauge = result.metrics["gauges"]["lock.replacement-pg2Q.max_hold_us"]
+    # The lifetime maximum (the metrics gauge) still sees the stall ...
+    assert gauge["value"] >= 300_000
+    # ... and the warm-up-excluded record does not.
+    assert result.lock_stats.max_hold_us < 300_000
+    assert result.lock_stats.max_hold_us == result.lock_stats.window_max_hold_us
 
 
 def test_prefetching_system_reports_its_prefetch_passes():
