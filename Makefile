@@ -41,9 +41,10 @@ oracle:
 
 # Native-runtime smoke: a multi-threaded wall-clock run on real OS
 # threads under a hard timeout (deadlock guard), plus the layering
-# guard (algorithm layers must import with the simulator blocked) and
-# the sim-vs-native single-thread equivalence tests. CI runs exactly
-# this as the native-smoke job.
+# guard (algorithm layers must import with the simulator blocked), the
+# sim-vs-native single-thread equivalence tests and the hit-cost guard
+# (Python calls per native hit). CI runs exactly this as the
+# native-smoke job.
 native-smoke:
 	timeout 120 env PYTHONPATH=src python -m repro.harness.cli run \
 		--runtime native --system pgBat --workload tablescan \
@@ -53,7 +54,7 @@ native-smoke:
 		--processors 4 --accesses 20000
 	PYTHONPATH=src python -m pytest -q \
 		tests/test_layering.py tests/test_runtime_equivalence.py \
-		tests/test_pin_conservation.py
+		tests/test_pin_conservation.py tests/test_hit_cost.py
 
 # Wall-clock scaling sweep (Fig. 6/7 shapes) on the truly parallel
 # backend for this build: mp worker processes over shared memory, or

@@ -207,12 +207,12 @@ class BufferManager:
             bucket_lock = self.table.bucket_locks[
                 self.table.bucket_index(page)]
             yield from bucket_lock.acquire(thread)
-            thread.charge(self.costs.hash_lookup_us)
+            thread.pending_us += self.costs.hash_lookup_us
             desc = self.table.lookup(page)
             yield from thread.spend()
             bucket_lock.release(thread)
         else:
-            thread.charge(self.costs.hash_lookup_us)
+            thread.pending_us += self.costs.hash_lookup_us
             desc = self.table.lookup(page)
         if desc is not None:
             stats.hits += 1
@@ -220,7 +220,7 @@ class BufferManager:
             # no Python frame for them (see FIRST_PIN).
             pins = desc.pins
             pins.append(True)
-            thread.charge(self.costs.pin_unpin_us)
+            thread.pending_us += self.costs.pin_unpin_us
             try:
                 if not desc.valid:
                     # Another thread's read is in flight; wait for it
@@ -307,7 +307,7 @@ class BufferManager:
             self.stats.hits += 1
             self.stats.absorbed_misses += 1
             desc.pins.append(True)
-            thread.charge(self.costs.pin_unpin_us)
+            thread.pending_us += self.costs.pin_unpin_us
             try:
                 yield from self.handler.release_after_miss(slot, page)
                 if not desc.valid:
@@ -338,7 +338,7 @@ class BufferManager:
         desc.pins.append(True)
         desc.io_done = self.sim.event()
         self.table.insert(page, desc)
-        thread.charge(self.costs.pin_unpin_us)
+        thread.pending_us += self.costs.pin_unpin_us
         completed = False
         try:
             yield from self.handler.release_after_miss(slot, page)

@@ -175,7 +175,7 @@ class ReplacementHandler(ABC):
         """Finish the miss's critical section and release the lock."""
         # The miss mutated the policy structures: account the write and
         # invalidate other threads' prefetches.
-        slot.thread.charge(2 * self.costs.replacement_op_us)
+        slot.thread.pending_us += 2 * self.costs.replacement_op_us
         self.cache.note_commit(slot.thread_id)
         yield from slot.thread.spend()
         self.lock.release(slot.thread)
@@ -196,12 +196,13 @@ class ReplacementHandler(ABC):
                              self.costs.coherence_waiter_cap)
         degradation = (1.0 + self.costs.coherence_per_waiter
                        * active_waiters)
-        slot.thread.charge(base * degradation)
+        slot.thread.pending_us += base * degradation
 
     def _maybe_prefetch(self, slot: ThreadSlot, n_pages: int) -> None:
         """Issue software prefetches if configured and not already warm."""
         if self.control.prefetch and not self.cache.is_warm(slot.thread_id):
-            slot.thread.charge(self.cache.prefetch(slot.thread_id, n_pages))
+            slot.thread.pending_us += self.cache.prefetch(
+                slot.thread_id, n_pages)
 
     def flush(self, slot: ThreadSlot) -> Waits:
         """Commit any queued history under the lock (drain-to-empty).
@@ -295,7 +296,7 @@ class DirectHandler(ReplacementHandler):
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Waits:
         slot.queue.record(desc, tag)
-        slot.thread.charge(self.costs.queue_record_us)
+        slot.thread.pending_us += self.costs.queue_record_us
         self._maybe_prefetch(slot, 1)
         # The lock itself charges its grant cost (SimLock.grant_cost_us).
         yield from self.lock.acquire(slot.thread)
@@ -327,7 +328,7 @@ class BatchedHandler(ReplacementHandler):
         if batch > queue.capacity:
             raise ConfigError(OVERFLOW)
         entries.append((desc, tag))
-        slot.thread.charge(self.costs.queue_record_us)
+        slot.thread.pending_us += self.costs.queue_record_us
         if batch < self.control.batch_threshold:      # Fig. 4 line 7
             return ()
         return self._commit(slot, batch)
@@ -394,7 +395,7 @@ class LockFreeHitHandler(DirectHandler):
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Iterable[Wait]:
         self._hit_op(tag)
-        slot.thread.charge(self.costs.ref_bit_us)
+        slot.thread.pending_us += self.costs.ref_bit_us
         # Realize the (tiny) cost so simulated time stays faithful even
         # on long hit streaks; no lock, no blocking.
         return slot.thread.spend()

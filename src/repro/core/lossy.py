@@ -60,7 +60,7 @@ class LossyBatchedHandler(BatchedHandler):
         yield from slot.thread.spend()
         if not self.lock.try_acquire(slot.thread):
             self.dropped_accesses += 1
-            slot.thread.charge(self.costs.queue_record_us)
+            slot.thread.pending_us += self.costs.queue_record_us
             return
         batch = len(slot.queue)
         started = self._replay_held(slot, batch)

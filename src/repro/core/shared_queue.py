@@ -69,8 +69,8 @@ class SharedQueueHandler(ReplacementHandler):
         # Appending requires synchronization — the cost the paper's
         # private queues avoid.
         yield from self.record_lock.acquire(slot.thread)
-        slot.thread.charge(self.costs.queue_record_us
-                           + self.RECORD_COHERENCE_US)
+        slot.thread.pending_us += (self.costs.queue_record_us
+                                   + self.RECORD_COHERENCE_US)
         if not self.shared_queue.full:
             self.shared_queue.record(desc, tag)
         else:
@@ -106,7 +106,7 @@ class SharedQueueHandler(ReplacementHandler):
         """Drain the common queue (under the record lock) and replay."""
         yield from self.record_lock.acquire(slot.thread)
         entries: List[QueueEntry] = self.shared_queue.drain()
-        slot.thread.charge(self.costs.queue_record_us)
+        slot.thread.pending_us += self.costs.queue_record_us
         yield from slot.thread.spend()
         self.record_lock.release(slot.thread)
         self._warmup_charge(slot, max(1, len(entries)))

@@ -8,11 +8,17 @@ per context switch, milliseconds per disk read). The reproduction's
 claims are about *shapes* — who wins, where curves saturate — which are
 robust to moderate changes in these constants; ``benchmarks/
 bench_ablation.py`` sweeps the sensitive ones to demonstrate that.
+
+Every constant is checked once, when the model is built (directly or
+through :meth:`CostModel.scaled`): the hot paths add them to a thread's
+``pending_us`` with no check of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from repro.errors import ConfigError
 
 __all__ = ["CostModel"]
 
@@ -84,6 +90,17 @@ class CostModel:
     disk_read_us: float = 5500.0
     #: Number of requests the array can service concurrently.
     disk_concurrency: int = 9
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ConfigError(
+                    f"CostModel.{field.name} must be >= 0, got {value}")
+        if self.disk_concurrency < 1:
+            raise ConfigError(
+                f"CostModel.disk_concurrency must be >= 1, "
+                f"got {self.disk_concurrency}")
 
     def scaled(self, **overrides: float) -> "CostModel":
         """A copy with selected constants replaced (for ablations)."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.errors import ConfigError
 from repro.hardware.costs import CostModel
 
 __all__ = ["MetadataCacheModel"]
@@ -37,6 +38,12 @@ class MetadataCacheModel:
     def __init__(self, costs: CostModel,
                  hardware_prefetcher_helps_critical_section: bool = False,
                  invalidation_per_commit: float = 0.25) -> None:
+        # warmup_cost() is added to pending_us unchecked: with costs
+        # and this fraction non-negative, it cannot go negative.
+        if invalidation_per_commit < 0:
+            raise ConfigError(
+                f"invalidation_per_commit must be >= 0, "
+                f"got {invalidation_per_commit}")
         self.costs = costs
         #: The paper notes the Xeon's hardware prefetchers cannot help the
         #: critical section (random pointer chasing); we keep the flag so a

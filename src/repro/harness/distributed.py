@@ -80,13 +80,13 @@ class DistributedHandler(ReplacementHandler):
         index, lock, cache = self._route(tag)
         if self.policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT:
             self.policy.on_hit(tag)
-            slot.thread.charge(self.costs.ref_bit_us)
+            slot.thread.pending_us += self.costs.ref_bit_us
             yield from slot.thread.spend()
             return
         yield from lock.acquire(slot.thread)
-        slot.thread.charge(cache.warmup_cost(slot.thread_id, 1))
+        slot.thread.pending_us += cache.warmup_cost(slot.thread_id, 1)
         self.policy.on_hit(tag)
-        slot.thread.charge(self.costs.replacement_op_us)
+        slot.thread.pending_us += self.costs.replacement_op_us
         cache.note_commit(slot.thread_id)
         self._report(slot, index)
         yield from slot.thread.spend()
@@ -96,13 +96,13 @@ class DistributedHandler(ReplacementHandler):
                          ) -> Waits:
         _, lock, cache = self._route(page)
         yield from lock.acquire(slot.thread)
-        slot.thread.charge(cache.warmup_cost(slot.thread_id, 1))
+        slot.thread.pending_us += cache.warmup_cost(slot.thread_id, 1)
 
     def release_after_miss(self, slot: ThreadSlot, page: BufferTag
                            ) -> Waits:
         index, lock, cache = self._route(page)
         self._report(slot, index)
-        slot.thread.charge(2 * self.costs.replacement_op_us)
+        slot.thread.pending_us += 2 * self.costs.replacement_op_us
         cache.note_commit(slot.thread_id)
         yield from slot.thread.spend()
         lock.release(slot.thread)

@@ -30,7 +30,7 @@ from repro.control import TRACE_DEFAULTS, bp_kwargs
 from repro.core.bpwrapper import ThreadSlot
 from repro.db.transactions import (Transaction, TransactionLog,
                                    TransactionOutcome)
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.hardware.machines import ALTIX_350, MachineSpec, machine_by_name
 from repro.harness.driver import Run, access_ordered_prefix
 from repro.harness.driver import run as drive
@@ -227,7 +227,7 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
     thread = slot.thread
     # The per-access loop below runs once per page: its callees are
     # looked up once per thread.
-    charge, maybe_yield = thread.charge, thread.maybe_yield
+    maybe_yield = thread.maybe_yield
     access = manager.access
     jitter = work_rng.random if work_rng is not None else None
     if stagger_us > 0:
@@ -238,6 +238,9 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
         started = sim.now
         hits = 0
         work_us = user_work_us * transaction.work_factor
+        if work_us < 0:
+            # Checked here once, so each access below adds it unchecked.
+            raise SimulationError(f"negative charge: {work_us}")
         writes = transaction.write_indices
         for index, page in enumerate(transaction.pages):
             # Per-access work varies ±25% (predicate complexity, tuple
@@ -246,9 +249,9 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
             # access patterns that no real system exhibits. The draw
             # is ``random.uniform(0.75, 1.25)``'s own formula.
             if jitter is not None:
-                charge(work_us * (0.75 + 0.5 * jitter()))
+                thread.pending_us += work_us * (0.75 + 0.5 * jitter())
             else:
-                charge(work_us)
+                thread.pending_us += work_us
             if (yield from access(slot, page, index in writes)):
                 hits += 1
             yield from maybe_yield(quantum_us)

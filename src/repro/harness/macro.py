@@ -161,9 +161,10 @@ def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
             rows = yield from run_plan(root, ctx)
             rows_box[0] += rows
             # Tuple-processing CPU work, jittered ±25% like the trace
-            # harness so the sim does not phase-lock.
-            thread.charge(user_work_us * (1 + rows)
-                          * work_rng.uniform(0.75, 1.25))
+            # harness so the sim does not phase-lock (the draw is
+            # ``random.uniform(0.75, 1.25)``'s own formula).
+            thread.pending_us += (user_work_us * (1 + rows)
+                                  * (0.75 + 0.5 * work_rng.random()))
             yield from thread.maybe_yield(quantum_us)
         log.record(TransactionOutcome(
             kind=query.kind, started_at_us=started,

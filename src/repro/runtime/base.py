@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import (TYPE_CHECKING, Any, Generator, Iterable, Optional,
                     Protocol, Sequence, runtime_checkable)
 
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 if TYPE_CHECKING:
     from repro.sync.stats import LockStats
@@ -55,6 +55,7 @@ __all__ = [
     "Daemon",
     "RuntimeObserver",
     "Runtime",
+    "check_lock_costs",
     "wall_budget_exceeded",
 ]
 
@@ -124,12 +125,16 @@ class MutexLock(Protocol):
 class ThreadContext(Protocol):
     """One transaction-processing thread as the core sees it.
 
-    CPU costs are *accumulated* with :meth:`charge` (a sequence of
-    them with :meth:`charge_all`) and realized (as simulated time, or
-    dropped on the floor by the native backend, where real
-    instructions already took real time) by ``yield from
-    thread.spend()``. Blocking operations — :meth:`wait`,
-    :meth:`sleep_blocked`, the yield family — are blocking generators.
+    CPU costs are *accumulated* in :attr:`pending_us` and realized (as
+    simulated time, or dropped on the floor by the native backend,
+    where real instructions already took real time) by ``yield from
+    thread.spend()``. A cost validated non-negative when its owner was
+    built (every :class:`~repro.hardware.costs.CostModel` constant, a
+    lock's grant and try costs) is a plain ``thread.pending_us +=
+    cost``; any other value goes through :meth:`charge` (a sequence of
+    them through :meth:`charge_all`), which rejects a negative cost
+    first. Blocking operations — :meth:`wait`, :meth:`sleep_blocked`,
+    the yield family — are blocking generators.
 
     ``runtime`` points back at the owning :class:`Runtime`, which is
     how instrumented code reaches the clock and the observer/checker
@@ -138,6 +143,8 @@ class ThreadContext(Protocol):
 
     name: str
     runtime: "Runtime"
+    #: Accumulated CPU work in µs (write-only on the native backend).
+    pending_us: float
 
     def charge(self, cost_us: float) -> None: ...
 
@@ -289,3 +296,14 @@ def wall_budget_exceeded(runtime: str, budget_us: float,
     return SimulationError(
         f"{runtime} run exceeded its {budget_us / 1e6:.0f}s wall budget; "
         f"threads still alive: {', '.join(alive)} (possible deadlock)")
+
+
+def check_lock_costs(name: str, grant_cost_us: float,
+                     try_cost_us: float) -> None:
+    """Reject a negative grant or try cost when a lock is built: both
+    lock kinds add them to ``thread.pending_us`` unchecked."""
+    for field, value in (("grant_cost_us", grant_cost_us),
+                         ("try_cost_us", try_cost_us)):
+        if value < 0:
+            raise ConfigError(
+                f"lock {name!r}: {field} must be >= 0, got {value}")

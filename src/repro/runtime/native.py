@@ -60,7 +60,7 @@ from typing import Any, Generator, Optional, Sequence
 
 from repro.errors import ConfigError, LockError, SimulationError
 from repro.policies.base import LockDiscipline
-from repro.runtime.base import wall_budget_exceeded
+from repro.runtime.base import check_lock_costs, wall_budget_exceeded
 from repro.sync.stats import LockStats
 
 __all__ = [
@@ -138,6 +138,7 @@ class NativeLock:
     def __init__(self, runtime: "NativeRuntime", name: str = "lock",
                  grant_cost_us: float = 0.0,
                  try_cost_us: float = 0.0) -> None:
+        check_lock_costs(name, grant_cost_us, try_cost_us)
         self.runtime = runtime
         self.name = name
         self.grant_cost_us = grant_cost_us
@@ -169,7 +170,7 @@ class NativeLock:
         short jittered busy-wait between them, then failure. Never
         deschedules — the property Fig. 4's batch-threshold path
         relies on."""
-        thread.charge(self.try_cost_us)
+        thread.pending_us += self.try_cost_us
         acquire = self._lock.acquire
         got = acquire(blocking=False)
         if not got:
@@ -208,7 +209,7 @@ class NativeLock:
             raise LockError(
                 f"thread {thread.name!r} re-acquired non-reentrant "
                 f"lock {self.name!r}")
-        thread.charge(self.grant_cost_us)
+        thread.pending_us += self.grant_cost_us
         stats = self.stats
         if self._lock.acquire(blocking=False):
             # Only the holder writes _owner and _acquired_at, so they
@@ -412,8 +413,10 @@ class NativeDisk:
 class NativeThread:
     """One OS thread exposing the :class:`ThreadContext` surface.
 
-    Modeled CPU charges are checked but neither kept nor slept: real
-    instructions already took real time. ``rng`` is the
+    Modeled CPU costs are neither kept nor slept: real instructions
+    already took real time. The fixed ones land in :attr:`pending_us`,
+    validated at construction, never read; :meth:`charge` and
+    :meth:`charge_all` only reject a negative cost. ``rng`` is the
     per-thread seeded stream used for lock-spin jitter, so backoff is
     reproducible per seed even though the schedule is not.
     """
@@ -424,6 +427,8 @@ class NativeThread:
         self.runtime = pool.runtime
         self.name = name
         self.rng = random.Random(seed)
+        #: The sink of the fixed-cost adds (``pending_us += cost``).
+        self.pending_us = 0.0
         self.blocked_time = 0.0
         self.blocks = 0
         self.voluntary_yields = 0

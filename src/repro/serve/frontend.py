@@ -287,8 +287,9 @@ class ServeFrontend:
             hits = 0
             try:
                 for page in pages:
-                    thread.charge(user_work_us
-                                  * work_rng.uniform(0.75, 1.25))
+                    # random.uniform(0.75, 1.25)'s own formula.
+                    thread.pending_us += (
+                        user_work_us * (0.75 + 0.5 * work_rng.random()))
                     shard = self.shards[self.shard_for(page)]
                     hit = yield from shard.manager.access(
                         slots[shard.shard_id], page)

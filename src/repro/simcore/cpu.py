@@ -22,13 +22,20 @@ the paper measures:
 
 Charges vs. time
 ----------------
-CPU costs are *accumulated* with :meth:`CpuBoundThread.charge` and
+CPU costs are *accumulated* in :attr:`CpuBoundThread.pending_us` and
 realized as a single simulated-time advance at the next yield point.
 This batching of micro-costs keeps the event count (and therefore the
 simulator's wall-clock cost) proportional to the number of *blocking
 points*, not the number of cost constants, without changing any
 simulated timestamp that matters: nothing can observe a thread midway
 through a straight-line compute sequence.
+
+A cost taken from the :class:`~repro.hardware.costs.CostModel` (or a
+lock's grant and try costs) was checked non-negative when that object
+was built, so the hot paths add it directly: ``thread.pending_us +=
+cost``, no call. :meth:`~CpuBoundThread.charge` keeps the check for
+values from anywhere else (``run_for``, tests); both fold into the same
+accumulator in the same order, so the sum is the same float either way.
 
 A realised charge normally travels as a bare float delay up the
 thread's generator chain, through the event heap and back down. When
@@ -197,7 +204,8 @@ class CpuBoundThread:
     The thread drives a user-supplied generator (the "body"). Inside the
     body, code interacts with the thread through:
 
-    * :meth:`charge` — accumulate CPU cost without yielding;
+    * :meth:`charge` (or ``pending_us += cost`` for a cost validated at
+      construction) — accumulate CPU cost without yielding;
     * ``yield from`` :meth:`spend` — realize accumulated cost as
       simulated time on the processor;
     * ``yield from`` :meth:`wait` — block on an event (releases the CPU);
@@ -218,7 +226,8 @@ class CpuBoundThread:
         #: through ``thread.runtime`` on either backend. Same object.
         self.runtime = pool.sim
         self.name = name
-        self._pending_charge = 0.0
+        #: CPU work accumulated since the last :meth:`spend` (µs).
+        self.pending_us = 0.0
         #: Holds a processor (set at dispatch, cleared on release).
         self._running = False
         #: Parked with nothing queued to resume it: wake() pushes that.
@@ -239,18 +248,18 @@ class CpuBoundThread:
         """Accumulate ``cost_us`` of CPU work, realized at the next yield."""
         if cost_us < 0:
             raise SimulationError(f"negative charge: {cost_us}")
-        self._pending_charge += cost_us
+        self.pending_us += cost_us
 
     def charge_all(self, costs: Sequence[float]) -> None:
         """:meth:`charge` each of ``costs`` in order: the same left
         fold into the same accumulator, so the sum is bit-identical.
         A negative cost raises and adds nothing."""
-        total = self._pending_charge
+        total = self.pending_us
         for cost_us in costs:
             if cost_us < 0:
                 raise SimulationError(f"negative charge: {cost_us}")
             total += cost_us
-        self._pending_charge = total
+        self.pending_us = total
 
     def spend(self):
         """Realize accumulated charges as time spent holding the CPU.
@@ -263,10 +272,10 @@ class CpuBoundThread:
         heap entry. Timestamps and tie-break order are identical either
         way.
         """
-        cost = self._pending_charge
+        cost = self.pending_us
         if cost <= 0.0:
             return _NO_EVENTS
-        self._pending_charge = 0.0
+        self.pending_us = 0.0
         self.cpu_time += cost
         self.pool.busy_time += cost
         # In-place advance (module docstring). Inline, not a helper: a
@@ -381,7 +390,7 @@ class CpuBoundThread:
         Returns an iterable for ``yield from``; below the quantum it is
         the shared empty tuple (allocation-free early-out).
         """
-        if self.cpu_time + self._pending_charge - self._last_yield_mark \
+        if self.cpu_time + self.pending_us - self._last_yield_mark \
                 >= quantum_us:
             return self.yield_cpu()
         return _NO_EVENTS
@@ -392,7 +401,7 @@ class CpuBoundThread:
         Returns an iterable for ``yield from``; with no ready peers the
         shared empty tuple comes back and no generator is created.
         """
-        self._last_yield_mark = self.cpu_time + self._pending_charge
+        self._last_yield_mark = self.cpu_time + self.pending_us
         if self.pool.ready_count == 0:
             return _NO_EVENTS
         return self._reschedule()
@@ -431,7 +440,7 @@ class CpuBoundThread:
         if process is None or not process.alive:
             return
         process._alive = False
-        self._pending_charge = 0.0
+        self.pending_us = 0.0
         process._body.close()
 
     def _main(self, body: Generator[Any, None, None]

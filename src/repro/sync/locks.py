@@ -47,7 +47,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Deque, Iterable, Optional
 
 from repro.errors import LockError
-from repro.runtime.base import Wait, Waits
+from repro.runtime.base import Wait, Waits, check_lock_costs
 from repro.sync.stats import LockStats
 
 if TYPE_CHECKING:
@@ -70,6 +70,7 @@ class SimLock:
     def __init__(self, sim: "Simulator", name: str = "lock",
                  grant_cost_us: float = 0.0,
                  try_cost_us: float = 0.0) -> None:
+        check_lock_costs(name, grant_cost_us, try_cost_us)
         self.sim = sim
         self.name = name
         #: CPU cost of changing lock state when granted uncontended.
@@ -95,7 +96,7 @@ class SimLock:
         return len(self._waiters)
 
     def try_acquire(self, thread: CpuBoundThread) -> bool:
-        """Non-blocking acquire attempt; charges :attr:`try_cost_us`.
+        """Non-blocking acquire attempt; adds :attr:`try_cost_us`.
 
         A successful ``TryLock`` is a satisfied lock request and counts
         toward :attr:`LockStats.requests`, exactly as a blocking
@@ -105,7 +106,7 @@ class SimLock:
         request: nothing blocked, no context switch occurred.
         """
         self.stats.try_attempts += 1
-        thread.charge(self.try_cost_us)
+        thread.pending_us += self.try_cost_us
         if self._owner is not None:
             self.stats.try_failures += 1
             observer = self.sim.observer
@@ -137,7 +138,7 @@ class SimLock:
         spent = thread.spend()
         if not spent and self._owner is None:
             self.stats.requests += 1
-            thread.charge(self.grant_cost_us)
+            thread.pending_us += self.grant_cost_us
             self._grant(thread)
             return ()
         return self._acquire_slow(thread, spent)
@@ -148,7 +149,7 @@ class SimLock:
         yield from spent
         self.stats.requests += 1
         if self._owner is None:
-            thread.charge(self.grant_cost_us)
+            thread.pending_us += self.grant_cost_us
             self._grant(thread)
             return
         # Contended path: block, counted once per request however many
@@ -183,7 +184,7 @@ class SimLock:
                 self._abandon(thread)
                 raise
             if self._owner is None:
-                thread.charge(self.grant_cost_us)
+                thread.pending_us += self.grant_cost_us
                 self._grant(thread)
                 break
         now = sim._now

@@ -494,11 +494,11 @@ class TestHitContract:
         slot, desc, page = self.one_page(sim, manager, 2)
         slot.queue.record(desc, page)
         slot.queue.record(desc, page)
-        pending = slot.thread._pending_charge
+        pending = slot.thread.pending_us
         with pytest.raises(ConfigError, match="overflow"):
             handler.hit(slot, desc, page)
         assert len(slot.queue) == 2
-        assert slot.thread._pending_charge == pending
+        assert slot.thread.pending_us == pending
 
     def test_lock_free_hit_is_not_a_generator(self, sim):
         costs = CostModel(user_work_us=1.0)
@@ -635,7 +635,7 @@ class TestBatchCommitExactness:
         handler.policy.on_hits = spy
         thread.charge(0.1)
         assert handler.lock.try_acquire(thread)
-        expected = thread._pending_charge
+        expected = thread.pending_us
         for page in recorded:
             expected += handler.costs.tag_check_us
             if page in live:
@@ -644,7 +644,7 @@ class TestBatchCommitExactness:
             handler._commit_locked(slot)
         else:
             handler._commit_locked(slot, queue, queue.drain())
-        assert thread._pending_charge == expected
+        assert thread.pending_us == expected
         assert seen == live
         assert queue.total_stale == 3
         assert queue.total_committed == len(live)

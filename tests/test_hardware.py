@@ -6,12 +6,14 @@ import dataclasses
 
 import pytest
 
+from repro.errors import ConfigError, SimulationError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350, POWEREDGE_2900
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweeps import default_workload_kwargs
 from repro.harness.systems import SYSTEM_NAMES
+from repro.workloads.tablescan import TableScanWorkload
 
 
 class TestCostModel:
@@ -31,6 +33,37 @@ class TestCostModel:
             value = getattr(costs, field.name)
             if isinstance(value, (int, float)):
                 assert value >= 0, field.name
+
+    @pytest.mark.parametrize("field", [
+        field.name for field in dataclasses.fields(CostModel)])
+    def test_a_negative_constant_is_rejected_by_name(self, field):
+        with pytest.raises(ConfigError, match=f"CostModel.{field} "):
+            CostModel(**{field: -0.1})
+
+    def test_scaled_is_checked_too(self):
+        with pytest.raises(ConfigError, match="queue_record_us"):
+            CostModel().scaled(queue_record_us=-1)
+
+    def test_a_machine_with_a_negative_cost_is_rejected(self):
+        with pytest.raises(ConfigError, match="hash_lookup_us"):
+            ALTIX_350.with_costs(hash_lookup_us=-0.1)
+
+    @pytest.mark.parametrize("runtime", ["sim", "native"])
+    def test_negative_transaction_work_is_rejected(self, monkeypatch,
+                                                   runtime):
+        """Per-access work is added unchecked; its transaction checks it."""
+        monkeypatch.setattr(TableScanWorkload, "SCAN_WORK_FACTOR", -1.0)
+        with pytest.raises(SimulationError, match="negative charge"):
+            run_experiment(ExperimentConfig(
+                system="pgBatPre", workload="tablescan",
+                workload_kwargs={"n_tables": 2, "pages_per_table": 20},
+                n_processors=1, n_threads=1, target_accesses=100,
+                seed=1, runtime=runtime))
+
+    @pytest.mark.parametrize("concurrency", [0, -1])
+    def test_disk_needs_a_server(self, concurrency):
+        with pytest.raises(ConfigError, match="disk_concurrency"):
+            CostModel(disk_concurrency=concurrency)
 
 
 class TestMachines:
@@ -141,6 +174,11 @@ class TestMetadataCache:
         costs = CostModel()
         assert cache.warmup_cost(1, 4) == pytest.approx(
             4 * costs.warm_residual_us)
+
+    def test_negative_invalidation_fraction_rejected(self):
+        # It could make a stale prefetch's warm-up cost negative.
+        with pytest.raises(ConfigError, match="invalidation_per_commit"):
+            self.make(invalidation_per_commit=-0.1)
 
 
 @pytest.mark.parametrize("runtime", ["sim", "native"])

@@ -245,7 +245,7 @@ class TestRaisingBodyOnSim:
             if (len(advances) >= 40 and self.name != "backend-0"
                     and self.process.alive):
                 after_crash.append(self.name)  # ran on, not unwound
-            charged = self._pending_charge > 0.0
+            charged = self.pending_us > 0.0
             waits = spend(self)
             if charged and not waits and self.name == "backend-0":
                 advances.append(self.sim.now)

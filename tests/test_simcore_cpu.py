@@ -116,7 +116,7 @@ class TestCharges:
         batched.charge_all(costs)
         for cost in costs:
             single.charge(cost)
-        assert batched._pending_charge == single._pending_charge
+        assert batched.pending_us == single.pending_us
 
     @pytest.mark.parametrize("runtime_cls", [Simulator, NativeRuntime])
     def test_charge_all_rejects_a_negative_cost(self, runtime_cls):
@@ -125,7 +125,7 @@ class TestCharges:
         with pytest.raises(SimulationError, match="negative charge: -0.5"):
             thread.charge_all((0.25, -0.5, 1.0))
         if isinstance(thread, CpuBoundThread):
-            assert thread._pending_charge == 0.0
+            assert thread.pending_us == 0.0
 
     def test_cpu_time_accounting(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)

@@ -7,7 +7,8 @@ import inspect
 import pytest
 
 from repro.check.checker import CorrectnessChecker
-from repro.errors import LockError
+from repro.errors import ConfigError, LockError
+from repro.runtime.native import NativeRuntime
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
@@ -486,3 +487,12 @@ class TestRequestAccounting:
             assert stats.contention_rate == pytest.approx(
                 stats.contentions / stats.requests)
             assert 0.0 <= stats.contention_rate <= 1.0
+
+
+@pytest.mark.parametrize("runtime_cls", [Simulator, NativeRuntime])
+@pytest.mark.parametrize("field", ["grant_cost_us", "try_cost_us"])
+def test_negative_lock_cost_rejected_at_construction(runtime_cls, field):
+    """Locks add their costs to ``pending_us`` unchecked, so a
+    negative one must fail when the lock is built, on either runtime."""
+    with pytest.raises(ConfigError, match=f"lock 'L': {field}"):
+        runtime_cls().create_lock("L", **{field: -0.1})
