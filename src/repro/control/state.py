@@ -16,10 +16,10 @@ Mutability boundaries, per knob:
 ``batch_threshold``  Mutable at any commit boundary (handlers re-read
                      it on every Fig. 4 line-7 check).
 ``prefetch``         Mutable at any time (re-read per lock approach).
-``queue_size``       Frozen geometry: the per-thread FIFO rings are
-                     allocated at construction (and live in shared
-                     memory under the mp backend), so it is recorded
-                     here only as the clamp ceiling for the threshold.
+``queue_size``       Frozen geometry: the per-thread FIFO queues are
+                     sized at construction (an mp worker's at fork),
+                     so it is recorded here only as the clamp ceiling
+                     for the threshold.
 =================  =====================================================
 
 ``build_system`` (:mod:`repro.harness.systems`) makes the one state

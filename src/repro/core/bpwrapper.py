@@ -233,11 +233,12 @@ class ReplacementHandler(ABC):
         — and reported to the queue so committed-batch accounting
         excludes them.
 
-        The batch is handled whole: one pass finds the live tags, one
-        :meth:`~repro.runtime.base.ThreadContext.charge_all` adds the
-        per-entry costs in entry order (``tag_check_us``, then
-        ``replacement_op_us`` if the entry is live — the float sum of
-        charging them one by one, bit for bit), and one
+        The batch is handled whole: one pass finds the live tags and
+        folds the per-entry costs into ``thread.pending_us`` in entry
+        order (``tag_check_us``, then ``replacement_op_us`` if the entry
+        is live — the float sum of charging them one by one, bit for
+        bit; both are :class:`~repro.hardware.costs.CostModel`
+        constants, validated at construction), and one
         :meth:`~repro.policies.base.ReplacementPolicy.on_hits` replays
         the live tags in FIFO order.
         """
@@ -256,23 +257,16 @@ class ReplacementHandler(ABC):
             costs = self.costs
             tag_check = costs.tag_check_us
             replacement_op = costs.replacement_op_us
+            total = thread.pending_us
             live = []
             for desc, tag in entries:
+                total += tag_check
                 if desc.valid and desc.tag == tag:
                     live.append(tag)
+                    total += replacement_op
+            thread.pending_us = total
             if len(live) < len(entries):
-                # Rare: rebuild both sequences entry by entry, so the
-                # charges interleave exactly as the entries do.
-                live, charges = [], []
-                for desc, tag in entries:
-                    charges.append(tag_check)
-                    if desc.valid and desc.tag == tag:
-                        live.append(tag)
-                        charges.append(replacement_op)
                 queue.note_stale(len(entries) - len(live))
-            else:
-                charges = (tag_check, replacement_op) * len(live)
-            thread.charge_all(charges)
             self.policy.on_hits(live)
         if checker is not None:
             checker.on_policy_commit(self.policy)

@@ -104,10 +104,6 @@ class AccessQueue:
         """
         return self.total_drained - self.total_stale
 
-    def peek(self) -> List[QueueEntry]:
-        """Entries oldest-first without draining (prefetch pass)."""
-        return list(self._entries)
-
     def mean_batch_size(self) -> float:
         """Average number of accesses committed per lock acquisition
         (stale drops excluded)."""

@@ -79,6 +79,8 @@ def validate(config, checker=None, observer=None,
     # Imported here: the other runtimes never load multiprocessing.
     import multiprocessing
 
+    from repro.control.state import ControlState
+    from repro.harness.systems import system_spec
     from repro.runtime.mp import MP_SYSTEMS
     if "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(
@@ -104,8 +106,8 @@ def validate(config, checker=None, observer=None,
     if config.controller:
         raise ConfigError(
             "controllers are not supported on the mp backend: "
-            "workers read the batching knobs from a shared-memory "
-            "spec fixed at fork time")
+            "each worker reads the batching knobs from the config "
+            "once, when it is forked")
     if config.use_disk or config.background_writer:
         raise ConfigError(
             "the mp backend is the in-memory scaling engine; disk and "
@@ -116,6 +118,11 @@ def validate(config, checker=None, observer=None,
             "page map is probed lock-free")
     if config.n_processors < 1:
         raise ConfigError(f"need >= 1 worker, got {config.n_processors}")
+    if system_spec(config.system).batching:
+        # The S/T check a sim or native build makes: mp's workers size
+        # and drain their queues by the same two knobs.
+        ControlState(config.queue_size, config.batch_threshold,
+                     prefetch=False)
 
 
 class _Daemon:
@@ -275,8 +282,7 @@ def run(config, build: Callable[[Run], None], names: Sequence[str],
     if config.runtime == "native":
         runtime = NativeRuntime(
             observer=(ThreadSafeObserver(observer)
-                      if observer is not None else None),
-            seed=config.seed)
+                      if observer is not None else None))
     elif config.runtime == "mp":
         from repro.runtime.mp import MpRuntime
         runtime = MpRuntime()

@@ -223,13 +223,13 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
                  begin_measurement: Callable[[], None],
                  user_work_us: float, quantum_us: float,
                  stagger_us: float,
-                 work_rng=None) -> Generator[Wait, None, None]:
+                 work_rng) -> Generator[Wait, None, None]:
     thread = slot.thread
     # The per-access loop below runs once per page: its callees are
     # looked up once per thread.
     maybe_yield = thread.maybe_yield
     access = manager.access
-    jitter = work_rng.random if work_rng is not None else None
+    jitter = work_rng.random
     if stagger_us > 0:
         yield from thread.sleep_blocked(stagger_us)
     for transaction in stream:
@@ -248,10 +248,7 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
             # deterministic simulator from settling into phase-locked
             # access patterns that no real system exhibits. The draw
             # is ``random.uniform(0.75, 1.25)``'s own formula.
-            if jitter is not None:
-                thread.pending_us += work_us * (0.75 + 0.5 * jitter())
-            else:
-                thread.pending_us += work_us
+            thread.pending_us += work_us * (0.75 + 0.5 * jitter())
             if (yield from access(slot, page, index in writes)):
                 hits += 1
             yield from maybe_yield(quantum_us)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 __all__ = ["ArtifactResult", "Card", "Mark", "Report", "ResultRecord",
            "Table", "derived", "reported", "render_table", "render_text",
@@ -212,14 +212,6 @@ def load_results_json(path):
     import json
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def dicts_to_table(records: Sequence[Mapping[str, Cell]],
-                   columns: Sequence[str], title: str = "") -> str:
-    """Render a list of dict records selecting ``columns``."""
-    rows = [[record.get(column) for column in columns]
-            for record in records]
-    return render_table(columns, rows, title=title)
 
 
 # -- the report: declared once, rendered as page and as terminal text ----------

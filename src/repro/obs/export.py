@@ -27,7 +27,6 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "merge_snapshots",
-    "registry_from_snapshot",
     "sanitize_metric_name",
     "to_openmetrics",
     "write_openmetrics",
@@ -111,13 +110,6 @@ def write_openmetrics(path, snapshot: dict,
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(to_openmetrics(snapshot, prefix=prefix))
     return path
-
-
-def registry_from_snapshot(snapshot: dict) -> MetricsRegistry:
-    """Rebuild a live registry from one snapshot document."""
-    registry = MetricsRegistry()
-    registry.merge_snapshot(snapshot)
-    return registry
 
 
 def merge_snapshots(snapshots: Iterable[Dict]) -> dict:

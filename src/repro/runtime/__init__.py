@@ -1,8 +1,8 @@
 """Runtime abstraction layer — one core, three execution backends.
 
 :mod:`repro.runtime.base` defines the narrow protocols the BP-Wrapper
-core is written against (``Clock``, ``MutexLock``, ``ThreadContext``,
-``RuntimeObserver``, ``Runtime``); the deterministic discrete-event
+core is written against (``MutexLock``, ``ThreadContext``,
+``Runtime``); the deterministic discrete-event
 :class:`~repro.simcore.engine.Simulator` implements them itself and
 :mod:`repro.runtime.native` runs the identical code on real OS threads
 for wall-clock contention measurements (``--runtime native``).
@@ -15,14 +15,12 @@ points the other way — so that ``repro.core``/``repro.policies``
 ``tests/test_layering.py``).
 """
 
-from repro.runtime.base import (Clock, MutexLock, Runtime, RuntimeObserver,
-                                ThreadContext, Wait, WaitEvent, Waits, drive)
+from repro.runtime.base import (MutexLock, Runtime, ThreadContext, Wait,
+                                WaitEvent, Waits, drive)
 
 __all__ = [
-    "Clock",
     "MutexLock",
     "Runtime",
-    "RuntimeObserver",
     "ThreadContext",
     "Wait",
     "WaitEvent",

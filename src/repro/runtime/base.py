@@ -23,16 +23,16 @@ suspends the simulated process in the sim backend, while in the native
 backend ``acquire`` has already blocked-and-returned by the time the
 (empty) delegation happens.
 
-The protocols are deliberately minimal — ``Clock`` is "what time is
-it", ``MutexLock`` is the paper's ``Lock()``/``TryLock()`` pair with
+The protocols are deliberately minimal — ``MutexLock`` is the
+paper's ``Lock()``/``TryLock()`` pair with
 :class:`~repro.sync.stats.LockStats`, ``ThreadContext`` is the charge/
-spend/wait/yield surface of a transaction-processing thread, and
-``RuntimeObserver`` is the existing :mod:`repro.obs` hook surface. A
-:class:`Runtime` ties them together with the two factories lower
+spend/wait/yield surface of a transaction-processing thread, and a
+:class:`Runtime` is the clock (``now``) plus the two factories lower
 layers need (bare events and locks), the ``observer``/``checker``
 attachment points, and the run lifecycle the harness driver
 (:mod:`repro.harness.driver`) walks: pool, thread and disk factories,
-``prepare``, ``mutex`` and ``join``.
+``prepare``, ``mutex`` and ``join``. The observer's hooks are those of
+:class:`repro.obs.observer.Observer`.
 """
 
 from __future__ import annotations
@@ -48,12 +48,10 @@ if TYPE_CHECKING:
 __all__ = [
     "Wait",
     "Waits",
-    "Clock",
     "WaitEvent",
     "MutexLock",
     "ThreadContext",
     "Daemon",
-    "RuntimeObserver",
     "Runtime",
     "check_lock_costs",
     "wall_budget_exceeded",
@@ -66,19 +64,6 @@ Wait = Any
 
 #: Return annotation for the core's blocking generator methods.
 Waits = Generator[Wait, Any, Any]
-
-
-@runtime_checkable
-class Clock(Protocol):
-    """A source of monotonically non-decreasing microsecond time."""
-
-    @property
-    def now(self) -> float:
-        """Current time in microseconds (sim: simulated; native: wall)."""
-
-    def advance(self, delta_us: float) -> None:
-        """Move the clock forward (sim only; native clocks advance
-        themselves and raise on an attempt to steer them)."""
 
 
 @runtime_checkable
@@ -131,10 +116,9 @@ class ThreadContext(Protocol):
     thread.spend()``. A cost validated non-negative when its owner was
     built (every :class:`~repro.hardware.costs.CostModel` constant, a
     lock's grant and try costs) is a plain ``thread.pending_us +=
-    cost``; any other value goes through :meth:`charge` (a sequence of
-    them through :meth:`charge_all`), which rejects a negative cost
-    first. Blocking operations — :meth:`wait`, :meth:`sleep_blocked`,
-    the yield family — are blocking generators.
+    cost``; any other value goes through :meth:`charge`, which rejects
+    a negative cost first. Blocking operations — :meth:`wait`,
+    :meth:`sleep_blocked`, the yield family — are blocking generators.
 
     ``runtime`` points back at the owning :class:`Runtime`, which is
     how instrumented code reaches the clock and the observer/checker
@@ -147,10 +131,6 @@ class ThreadContext(Protocol):
     pending_us: float
 
     def charge(self, cost_us: float) -> None: ...
-
-    def charge_all(self, costs: Sequence[float]) -> None:
-        """:meth:`charge` each of ``costs`` in order, folded into the
-        same accumulator so the sum equals the one-by-one sum exactly."""
 
     def spend(self) -> Iterable[Wait]: ...
 
@@ -179,46 +159,6 @@ class Daemon(Protocol):
     def stop(self) -> None: ...
 
 
-class RuntimeObserver(Protocol):
-    """The :mod:`repro.obs` hook surface instrumented code may call.
-
-    Attached as ``runtime.observer`` (None = observability off; the
-    instrumented sites guard every call with one attribute load). The
-    concrete implementation is :class:`repro.obs.observer.Observer`;
-    this protocol just pins down the names/arities the core relies on
-    so an alternative backend knows what it must accept.
-    """
-
-    def on_lock_contention(self, lock: str, thread: str, at_us: float,
-                           queue_length: int) -> None: ...
-
-    def on_lock_wait(self, lock: str, thread: str, start_us: float,
-                     end_us: float) -> None: ...
-
-    def on_lock_hold(self, lock: str, thread: str, start_us: float,
-                     end_us: float, waiters: int) -> None: ...
-
-    def on_try_lock_failure(self, lock: str, thread: str,
-                            at_us: float) -> None: ...
-
-    def on_batch_commit(self, thread: str, lock: str, start_us: float,
-                        end_us: float, batch: int,
-                        blocking: bool) -> None: ...
-
-    def on_miss_commit(self, thread: str, lock: str, at_us: float,
-                       batch: int) -> None: ...
-
-    def on_page_miss(self, thread: str, at_us: float) -> None: ...
-
-    def on_disk_io(self, thread: str, kind: str, start_us: float,
-                   end_us: float) -> None: ...
-
-    def on_dispatch(self, ready: int, at_us: float) -> None: ...
-
-    def on_thread_block(self, thread: str, start_us: float,
-                        end_us: float) -> None: ...
-
-
 @runtime_checkable
 class Runtime(Protocol):
     """The full backend surface: a clock, the factories, the lifecycle.
@@ -235,7 +175,8 @@ class Runtime(Protocol):
     checker: Optional[Any]
 
     @property
-    def now(self) -> float: ...
+    def now(self) -> float:
+        """Current time in µs (sim: simulated; native and mp: wall)."""
 
     def event(self) -> WaitEvent: ...
 

@@ -56,7 +56,7 @@ import random
 import sys
 import threading
 import time
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Optional
 
 from repro.errors import ConfigError, LockError, SimulationError
 from repro.policies.base import LockDiscipline
@@ -237,8 +237,6 @@ class NativeLock:
             self._waiting -= 1
             stats.total_wait_us += granted_at - blocked_at
             stats.acquisitions += 1
-        thread.blocks += 1
-        thread.blocked_time += granted_at - blocked_at
         if observer is not None:
             observer.on_lock_wait(self.name, thread.name, blocked_at,
                                   granted_at)
@@ -275,28 +273,19 @@ class NativePool:
     (``time.thread_time``) for the utilization report.
     """
 
-    def __init__(self, runtime: "NativeRuntime", n_processors: int,
-                 context_switch_us: float = 0.0) -> None:
+    def __init__(self, runtime: "NativeRuntime", n_processors: int) -> None:
         if n_processors < 1:
             raise SimulationError(
                 f"need at least one processor, got {n_processors}")
         self.runtime = runtime
         self.n_processors = n_processors
-        self.context_switch_us = context_switch_us
         self.busy_time = 0.0
-        self.dispatches = 0
-        self.context_switch_time = 0.0
         self._meta = threading.Lock()
-
-    @property
-    def ready_count(self) -> int:
-        return 0
 
     def note_cpu_seconds(self, seconds: float) -> None:
         """Fold one finished thread's CPU seconds into ``busy_time``."""
         with self._meta:
             self.busy_time += seconds * 1_000_000.0
-            self.dispatches += 1
 
     def utilization(self, elapsed: float) -> float:
         if elapsed <= 0:
@@ -305,27 +294,26 @@ class NativePool:
 
 
 class NativeDisk:
-    """Wall-clock disk array: the :class:`~repro.db.storage.DiskArray`
-    cost model on real threads.
+    """Wall-clock disk array: the k-server model of
+    :class:`~repro.db.storage.DiskArray` on real threads.
 
-    Same parameters and accounting as the simulator's k-server model —
-    up to ``concurrency`` transfers in flight, each taking
-    ``service_time_us`` (optionally jittered deterministically per
-    request) — but admission is a :class:`threading.Semaphore` and the
-    service time is a real ``time.sleep``, so a native run's misses
-    stall OS threads for genuine wall-clock I/O latency.
+    Up to ``concurrency`` transfers are in flight, each taking
+    ``service_time_us``, but admission is a
+    :class:`threading.Semaphore` and the service time is a real
+    ``time.sleep``, so a native run's misses stall OS threads for
+    genuine wall-clock I/O latency. It counts ``reads`` and ``writes``
+    only; the simulator's disk also keeps service and queueing totals
+    and can jitter the service time.
 
-    ``time_scale`` shrinks the *slept* time without changing the
-    accounted model costs — tests replay thousands of misses without
-    waiting out thousands of real milliseconds. FIFO admission order is
-    only as fair as the semaphore's wakeup order (CPython's is FIFO in
-    practice); the accounting mutex makes the counters exact either
-    way.
+    ``time_scale`` shrinks the *slept* time — tests replay thousands of
+    misses without waiting out thousands of real milliseconds. FIFO
+    admission order is only as fair as the semaphore's wakeup order
+    (CPython's is FIFO in practice); the accounting mutex makes the
+    counters exact either way.
     """
 
     def __init__(self, runtime: "NativeRuntime", service_time_us: float,
-                 concurrency: int, jitter_fraction: float = 0.0,
-                 seed: int = 0, time_scale: float = 1.0) -> None:
+                 concurrency: int, time_scale: float = 1.0) -> None:
         if concurrency < 1:
             raise SimulationError(
                 f"disk array needs concurrency >= 1, got {concurrency}")
@@ -333,81 +321,34 @@ class NativeDisk:
             raise SimulationError(
                 f"disk service time must be positive, got "
                 f"{service_time_us}")
-        if not 0.0 <= jitter_fraction < 1.0:
-            raise SimulationError(
-                f"jitter fraction must be in [0, 1), got "
-                f"{jitter_fraction}")
         if time_scale < 0:
             raise SimulationError(
                 f"time scale must be >= 0, got {time_scale}")
         self.runtime = runtime
         self.service_time_us = service_time_us
         self.concurrency = concurrency
-        self.jitter_fraction = jitter_fraction
         self.time_scale = time_scale
-        # String-seeded so the stream is reproducible without pulling
-        # the simulator's rng helpers into this (simulator-free) layer.
-        self._rng = random.Random(f"native-disk:{seed}")
         self._slots = threading.Semaphore(concurrency)
         self._meta = threading.Lock()
-        self._waiting = 0
-        # Accounting (model microseconds, as the sim disk's).
         self.reads = 0
         self.writes = 0
-        self.total_service_us = 0.0
-        self.total_queue_wait_us = 0.0
-
-    @property
-    def queue_depth(self) -> int:
-        """Threads currently blocked waiting for a disk slot."""
-        return self._waiting
-
-    def _service_time(self) -> float:
-        if self.jitter_fraction == 0.0:
-            return self.service_time_us
-        spread = self.service_time_us * self.jitter_fraction
-        with self._meta:
-            jitter = self._rng.uniform(-spread, spread)
-        return self.service_time_us + jitter
 
     def read(self, thread: "NativeThread") -> tuple:
         with self._meta:
             self.reads += 1
-        return self._transfer(thread)
+        return self._transfer()
 
     def write(self, thread: "NativeThread") -> tuple:
         with self._meta:
             self.writes += 1
-        return self._transfer(thread)
+        return self._transfer()
 
-    def _transfer(self, thread: "NativeThread") -> tuple:
-        queued_at = self.runtime.now
-        if not self._slots.acquire(blocking=False):
-            with self._meta:
-                self._waiting += 1
-            self._slots.acquire()
-            waited = self.runtime.now - queued_at
-            with self._meta:
-                self._waiting -= 1
-                self.total_queue_wait_us += waited
-            thread.blocks += 1
-            thread.blocked_time += waited
-        service = self._service_time()
-        with self._meta:
-            self.total_service_us += service
-        try:
-            if service > 0 and self.time_scale > 0:
-                time.sleep(service * self.time_scale / 1_000_000.0)
-        finally:
-            self._slots.release()
+    def _transfer(self) -> tuple:
+        with self._slots:
+            if self.time_scale > 0:
+                time.sleep(self.service_time_us * self.time_scale
+                           / 1_000_000.0)
         return _NO_EVENTS
-
-    def mean_latency_us(self) -> float:
-        """Average modeled end-to-end latency so far (queueing + service)."""
-        if self.reads == 0:
-            return 0.0
-        return ((self.total_service_us + self.total_queue_wait_us)
-                / self.reads)
 
 
 class NativeThread:
@@ -415,10 +356,10 @@ class NativeThread:
 
     Modeled CPU costs are neither kept nor slept: real instructions
     already took real time. The fixed ones land in :attr:`pending_us`,
-    validated at construction, never read; :meth:`charge` and
-    :meth:`charge_all` only reject a negative cost. ``rng`` is the
-    per-thread seeded stream used for lock-spin jitter, so backoff is
-    reproducible per seed even though the schedule is not.
+    validated at construction, never read; :meth:`charge` only rejects
+    a negative cost. ``rng`` is the per-thread seeded stream used for
+    lock-spin jitter, so backoff is reproducible per seed even though
+    the schedule is not.
     """
 
     def __init__(self, pool: NativePool, name: str = "thread",
@@ -429,9 +370,6 @@ class NativeThread:
         self.rng = random.Random(seed)
         #: The sink of the fixed-cost adds (``pending_us += cost``).
         self.pending_us = 0.0
-        self.blocked_time = 0.0
-        self.blocks = 0
-        self.voluntary_yields = 0
         self.error: Optional[BaseException] = None
         self._os_thread: Optional[threading.Thread] = None
 
@@ -440,12 +378,6 @@ class NativeThread:
     def charge(self, cost_us: float) -> None:
         if cost_us < 0:
             raise SimulationError(f"negative charge: {cost_us}")
-
-    def charge_all(self, costs: Sequence[float]) -> None:
-        """:meth:`charge` each of ``costs``: a negative cost raises."""
-        for cost_us in costs:
-            if cost_us < 0:
-                raise SimulationError(f"negative charge: {cost_us}")
 
     def spend(self) -> tuple:
         return _NO_EVENTS
@@ -460,19 +392,14 @@ class NativeThread:
         """Block on ``event`` (at call time); empty-iterable return."""
         if event.triggered:
             return _NO_EVENTS
-        self.blocks += 1
         blocked_at = self.runtime.now
         event.wait()
-        ended_at = self.runtime.now
-        self.blocked_time += ended_at - blocked_at
         observer = self.runtime.observer
         if observer is not None:
-            observer.on_thread_block(self.name, blocked_at, ended_at)
+            observer.on_thread_block(self.name, blocked_at, self.runtime.now)
         return _NO_EVENTS
 
     def sleep_blocked(self, duration_us: float) -> tuple:
-        self.blocks += 1
-        self.blocked_time += duration_us
         time.sleep(duration_us / 1_000_000.0)
         return _NO_EVENTS
 
@@ -482,7 +409,6 @@ class NativeThread:
     def yield_cpu(self) -> tuple:
         # sched_yield analogue: gives the GIL (and the core) away so
         # peers make progress at transaction boundaries.
-        self.voluntary_yields += 1
         time.sleep(0)
         return _NO_EVENTS
 
@@ -521,8 +447,7 @@ class NativeRuntime:
 
     name = "native"
 
-    def __init__(self, observer: Optional[Any] = None,
-                 seed: int = 0) -> None:
+    def __init__(self, observer: Optional[Any] = None) -> None:
         self._origin = time.monotonic()
         #: Obs attachment point; wrap with :class:`ThreadSafeObserver`
         #: before handing it to concurrent threads.
@@ -530,15 +455,11 @@ class NativeRuntime:
         #: Always None: the correctness checker shadows the sim lock
         #: protocol (the run driver rejects the combination).
         self.checker = None
-        self.seed = seed
 
     @property
     def now(self) -> float:
         """Microseconds since runtime construction (monotonic)."""
         return (time.monotonic() - self._origin) * 1_000_000.0
-
-    def advance(self, delta_us: float) -> None:
-        raise SimulationError("the native clock advances itself")
 
     def event(self) -> NativeEvent:
         return NativeEvent()
@@ -550,7 +471,8 @@ class NativeRuntime:
 
     def create_pool(self, n_processors: int,
                     context_switch_us: float = 0.0) -> NativePool:
-        return NativePool(self, n_processors, context_switch_us)
+        """``context_switch_us`` is ignored: the kernel switches."""
+        return NativePool(self, n_processors)
 
     def create_thread(self, pool: NativePool, name: str = "thread",
                       seed: int = 0) -> NativeThread:
@@ -558,7 +480,8 @@ class NativeRuntime:
 
     def create_disk(self, service_time_us: float, concurrency: int,
                     seed: int = 0) -> NativeDisk:
-        return NativeDisk(self, service_time_us, concurrency, seed=seed)
+        """``seed`` is ignored: the native disk does not jitter."""
+        return NativeDisk(self, service_time_us, concurrency)
 
     def prepare(self, manager: Any) -> None:
         """Check that a freshly built pool is safe for OS threads.

@@ -9,8 +9,7 @@ under ``/dev/shm``.
 =========  =============================================================
 region     contents
 =========  =============================================================
-header     ``HDR_WORDS`` words: LRU head/tail, resident count,
-           eviction counter, clock hand
+header     ``HDR_WORDS`` words: LRU head/tail, clock hand
 page map   one word per page: frame index holding it, or -1
            (the dense-page-space stand-in for the buffer hash table;
            probes are lock-free, every probe is revalidated against
@@ -35,10 +34,10 @@ from repro.errors import SimulationError
 
 __all__ = ["FRAME_WORDS", "HDR_WORDS", "HEADER_LOCK_STRIPES", "FrameTable"]
 
-#: Header words: LRU head, LRU tail, resident count, evictions, clock
-#: hand (+3 reserved).
+#: Header words: LRU head, LRU tail, clock hand, padded to one 64-byte
+#: cache line so the lock-free page-map probes never share it.
 HDR_WORDS = 8
-H_LRU_HEAD, H_LRU_TAIL, H_RESIDENT, H_EVICTIONS, H_CLOCK_HAND = range(5)
+H_LRU_HEAD, H_LRU_TAIL, H_CLOCK_HAND = range(3)
 
 #: Fixed-width frame struct: tag (page index, -1 empty), generation
 #: (bumped on retag), pin count, reference bit, LRU prev, LRU next.
@@ -176,9 +175,6 @@ class FrameTable:
             old = mem[off + F_TAG]
             if old >= 0:
                 mem[pmap + old] = -1
-                mem[H_EVICTIONS] += 1
-            else:
-                mem[H_RESIDENT] += 1
             mem[off + F_GEN] += 1
             mem[off + F_TAG] = tag
             mem[off + F_REF] = 1
@@ -195,6 +191,5 @@ def _prewarm(table: FrameTable, ordered: List[Any]) -> None:
         mem[off + F_TAG] = tag
         mem[off + F_REF] = 1
         mem[lay["page_map"] + tag] = frame
-        mem[H_RESIDENT] += 1
         # Push-front in order: the last-installed page ends up MRU.
         table.lru_push_front(frame)

@@ -8,7 +8,7 @@ reproduce the run bit-for-bit on the sim runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.control import SERVE_DEFAULTS, available_controllers
@@ -68,8 +68,6 @@ class ServeConfig:
     #: Per-shard in-flight request ceiling; sessions back off while a
     #: shard is at its depth limit. 0 = unlimited.
     max_queue_depth: int = 32
-    #: Backpressure retry sleep (off-CPU, grows with attempts).
-    backoff_us: float = 200.0
 
     # -- load --------------------------------------------------------------
     #: Pages touched by one client request (a small query).
@@ -106,8 +104,6 @@ class ServeConfig:
     #: Sim-time safety net; under the native runtime the same number
     #: bounds wall-clock microseconds (the join-deadline deadlock guard).
     max_sim_time_us: float = 600_000_000.0
-    #: Stamp extra descriptive fields into records (sweep labels).
-    label: str = field(default="", compare=False)
 
     def with_params(self, **overrides) -> "ServeConfig":
         return replace(self, **overrides)

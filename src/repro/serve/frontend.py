@@ -56,6 +56,10 @@ __all__ = ["ServeFrontend", "ServeResult", "run_serve", "serve_grid"]
 #: session is parked on the same shard.
 _MAX_BACKOFF_ATTEMPTS = 1_000
 
+#: Backpressure retry sleep (off-CPU); attempt ``n`` sleeps
+#: ``min(n, 12)`` times this.
+_BACKOFF_US = 200.0
+
 
 @dataclass(frozen=True)
 class ServeResult(ResultRecord):
@@ -273,7 +277,7 @@ class ServeFrontend:
                     if attempts > _MAX_BACKOFF_ATTEMPTS:
                         break
                     yield from thread.sleep_blocked(
-                        config.backoff_us * min(attempts, 12))
+                        _BACKOFF_US * min(attempts, 12))
                 if attempts > 0 and trace is not None:
                     trace.span("shard-queue", "serve", thread.name,
                                queue_start, runtime.now,

@@ -77,7 +77,7 @@ behind it lose nothing.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional, Sequence
+from typing import Any, Deque, Generator, Optional
 
 from repro.errors import SimulationError
 from repro.simcore.engine import PARKED, Event, Process, Simulator
@@ -108,8 +108,6 @@ class ProcessorPool:
         self._ready: Deque[CpuBoundThread] = deque()
         # Aggregate accounting (diagnostics / utilization reports).
         self.busy_time = 0.0
-        self.dispatches = 0
-        self.context_switch_time = 0.0
 
     @property
     def ready_count(self) -> int:
@@ -165,18 +163,16 @@ class ProcessorPool:
         yield from self._dispatch(thread)
 
     def _dispatch(self, thread: "CpuBoundThread"):
-        """``thread`` holds a processor: count the dispatch and charge
+        """``thread`` holds a processor: report the dispatch and charge
         its context switch. Returns the empty tuple when that realised
         in place (or costs nothing), else a one-float delay."""
         thread._running = True
-        self.dispatches += 1
         sim = self.sim
         observer = sim.observer
         if observer is not None:
             observer.on_dispatch(len(self._ready), sim._now)
         cost = self.context_switch_us
         if cost > 0:
-            self.context_switch_time += cost
             self.busy_time += cost
             # The in-place advance of CpuBoundThread.spend, inlined.
             when = sim._now + cost
@@ -249,17 +245,6 @@ class CpuBoundThread:
         if cost_us < 0:
             raise SimulationError(f"negative charge: {cost_us}")
         self.pending_us += cost_us
-
-    def charge_all(self, costs: Sequence[float]) -> None:
-        """:meth:`charge` each of ``costs`` in order: the same left
-        fold into the same accumulator, so the sum is bit-identical.
-        A negative cost raises and adds nothing."""
-        total = self.pending_us
-        for cost_us in costs:
-            if cost_us < 0:
-                raise SimulationError(f"negative charge: {cost_us}")
-            total += cost_us
-        self.pending_us = total
 
     def spend(self):
         """Realize accumulated charges as time spent holding the CPU.

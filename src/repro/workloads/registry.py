@@ -11,7 +11,7 @@ from repro.workloads.dbt2 import DBT2Workload
 from repro.workloads.tablescan import TableScanWorkload
 from repro.workloads.tpcc_lite import TpccLiteWorkload
 
-__all__ = ["available_workloads", "make_workload", "register_workload"]
+__all__ = ["available_workloads", "make_workload"]
 
 _REGISTRY: Dict[str, Callable[..., Workload]] = {
     DBT1Workload.name: DBT1Workload,
@@ -34,8 +34,3 @@ def make_workload(name: str, **kwargs) -> Workload:
             f"unknown workload {name!r}; available: "
             f"{', '.join(available_workloads())}")
     return factory(**kwargs)
-
-
-def register_workload(name: str, factory: Callable[..., Workload]) -> None:
-    """Register a custom workload under ``name`` (overwrites existing)."""
-    _REGISTRY[name.lower()] = factory

@@ -165,7 +165,7 @@ class TestStaleHitRetry:
 
     def test_native_stale_hit_retried_as_miss(self):
         """Same race on a real OS thread: retag during the event wait."""
-        runtime = NativeRuntime(seed=0)
+        runtime = NativeRuntime()
         build = build_system("pg2Q", runtime, 8, ALTIX_350,
                              queue_size=8, batch_threshold=4)
         manager = build.manager
@@ -499,7 +499,7 @@ class TestInvalidate:
                                                          runtime):
         """An unpin without a pin is refused, and refusing it leaves the
         count at zero: the pin list cannot hold a negative count."""
-        runtime = sim if runtime == "sim" else NativeRuntime(seed=0)
+        runtime = sim if runtime == "sim" else NativeRuntime()
         manager = build_system("pg2Q", runtime, 8, ALTIX_350,
                                queue_size=8, batch_threshold=4).manager
         runtime.prepare(manager)

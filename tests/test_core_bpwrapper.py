@@ -107,12 +107,6 @@ class TestAccessQueue:
         assert queue.total_committed == 8
         assert queue.mean_batch_size() == pytest.approx(4.0)
 
-    def test_peek_does_not_drain(self):
-        queue = AccessQueue(4)
-        queue.record(*self.make_entry(0))
-        assert len(queue.peek()) == 1
-        assert len(queue) == 1
-
     def test_stale_drops_excluded_from_committed(self):
         # Regression: drain() counts what *left* the queue, but entries
         # the committer drops as stale never reach the algorithm and
@@ -595,9 +589,10 @@ class TestSharedQueueDrops:
 
 
 class TestBatchCommitExactness:
-    """``_commit_locked`` handles a batch whole — one liveness pass, one
-    ``charge_all``, one ``on_hits`` — and must charge, replay and count
-    exactly what committing entry by entry did."""
+    """``_commit_locked`` handles a batch whole — one pass that finds
+    the live entries and folds their costs, one ``on_hits`` — and must
+    charge, replay and count exactly what committing entry by entry
+    did."""
 
     @pytest.fixture(params=["pg2Q", "pgBat", "pgBatShared"])
     def build(self, request, sim, tiny_machine):

@@ -10,9 +10,9 @@ import csv
 import io
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
-from repro.harness.report import (dicts_to_table, format_number,
-                                  load_results_json, render_table,
-                                  rows_to_csv, save_results_json)
+from repro.harness.report import (format_number, load_results_json,
+                                  render_table, rows_to_csv,
+                                  save_results_json)
 
 # -- format_number --------------------------------------------------------
 
@@ -99,15 +99,3 @@ def test_save_load_results_json_round_trip(tmp_path):
     assert records == [result.to_dict()]
     assert records[0]["system"] == "pgBatPre"
     assert "warmup_end_us" in records[0]
-
-
-# -- dicts_to_table -------------------------------------------------------
-
-
-def test_dicts_to_table_selects_columns():
-    records = [{"a": 1, "b": 2.5, "c": "skip"}, {"a": 3}]
-    text = dicts_to_table(records, ["a", "b"])
-    lines = text.splitlines()
-    assert lines[0].split() == ["a", "b"]
-    assert lines[2].split() == ["1", "2.500"]
-    assert lines[3].split() == ["3", "-"]  # missing key -> None -> dash

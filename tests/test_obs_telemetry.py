@@ -17,9 +17,8 @@ import json
 import pytest
 
 from repro.obs import Histogram, MetricsRegistry
-from repro.obs.export import (merge_snapshots, registry_from_snapshot,
-                              sanitize_metric_name, to_openmetrics,
-                              write_openmetrics)
+from repro.obs.export import (merge_snapshots, sanitize_metric_name,
+                              to_openmetrics, write_openmetrics)
 from repro.obs.telemetry import (SLOSpec, TelemetrySampler, TimeSeries,
                                  TraceContext, WindowedHistogram,
                                  evaluate_slo)
@@ -227,8 +226,9 @@ class TestMergeSnapshots:
 
     def test_registry_round_trip(self):
         snapshot = self._worker_snapshot(5, [4.0, 8.0], 3.0)
-        rebuilt = registry_from_snapshot(snapshot).snapshot()
-        assert rebuilt == snapshot
+        registry = MetricsRegistry()
+        registry.merge_snapshot(snapshot)
+        assert registry.snapshot() == snapshot
 
     def test_histogram_merge_preserves_total_count(self):
         parts = [Histogram() for _ in range(3)]

@@ -18,7 +18,8 @@ from repro.errors import ConfigError, SimulationError
 from repro.harness import driver
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.macro import MacroConfig, run_macro
-from repro.runtime.base import Runtime
+from repro.runtime.base import MutexLock, Runtime, ThreadContext
+from repro.runtime.mp import MpRuntime
 from repro.runtime.native import NativeRuntime
 from repro.serve import ServeConfig, run_serve
 from repro.simcore.engine import Simulator
@@ -37,6 +38,9 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("runtime", [Simulator(), NativeRuntime()])
 def test_both_backends_implement_the_whole_lifecycle(runtime):
     assert isinstance(runtime, Runtime)
+    assert isinstance(runtime.create_thread(runtime.create_pool(1)),
+                      ThreadContext)
+    assert isinstance(runtime.create_lock(), MutexLock)
 
 
 class TestAccessOrderedPrewarm:
@@ -59,9 +63,17 @@ class TestAccessOrderedPrewarm:
     (dict(system="pgclock", policy_name="fifo", runtime="native"), False,
      "no race-tolerant on_hit_relaxed path"),
     (dict(runtime="native"), True, "shadows the sim lock protocol"),
+    # mp used to accept T > S, and its workers' queues outgrew S.
+    (dict(system="pgBat", queue_size=8, batch_threshold=32), False,
+     "batch_threshold must be in [1, queue_size=8], got 32"),
 ])
 def test_same_bad_config_same_message_from_every_tier(bad, with_checker,
-                                                      needle):
+                                                      needle, monkeypatch):
+    def fork(*args):
+        raise AssertionError("mp forked its workers")
+
+    # mp must reject the config before it forks a worker.
+    monkeypatch.setattr(MpRuntime, "join", fork)
     messages = set()
     entry_points = dict(ENTRY_POINTS)
     if "policy_name" not in bad:  # mp has its own fixed policy core

@@ -95,7 +95,7 @@ def _replay_sim(system: str, policy_name: str, sequence):
 
 
 def _replay_native(system: str, policy_name: str, sequence):
-    runtime = NativeRuntime(seed=0)
+    runtime = NativeRuntime()
     build = build_system(system, runtime, CAPACITY, ALTIX_350,
                          policy_name=policy_name, queue_size=QUEUE_SIZE,
                          batch_threshold=BATCH_THRESHOLD)
@@ -163,11 +163,11 @@ def _replay_sim_with_disk(system: str, sequence):
 
 
 def _replay_native_with_disk(system: str, sequence):
-    runtime = NativeRuntime(seed=0)
-    # time_scale shrinks the *real* sleep without touching the
-    # accounted service model, so thousands of misses stay fast.
+    runtime = NativeRuntime()
+    # time_scale shrinks the *real* sleep, so thousands of misses stay
+    # fast.
     disk = NativeDisk(runtime, FAST_DISK_MACHINE.costs.disk_read_us,
-                      FAST_DISK_MACHINE.costs.disk_concurrency, seed=3,
+                      FAST_DISK_MACHINE.costs.disk_concurrency,
                       time_scale=0.01)
     build = build_system(system, runtime, CAPACITY, FAST_DISK_MACHINE,
                          queue_size=QUEUE_SIZE,
@@ -243,7 +243,7 @@ def test_native_matches_sim_manager_stats():
     thread.start(_body(sim_build, slot, sequence, []))
     sim.run()
 
-    runtime = NativeRuntime(seed=0)
+    runtime = NativeRuntime()
     nat_build = build_system("pgBat", runtime, CAPACITY, ALTIX_350,
                              queue_size=QUEUE_SIZE,
                              batch_threshold=BATCH_THRESHOLD)

@@ -7,7 +7,6 @@ import heapq
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.check.checker import CorrectnessChecker
 from repro.check.fuzzer import generate_cases
@@ -16,7 +15,6 @@ from repro.hardware.machines import ALTIX_350
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.macro import MacroConfig, run_macro
 from repro.obs import MetricsRegistry, Observer, TraceRecorder
-from repro.runtime.native import NativeRuntime
 from repro.serve import ServeConfig, run_serve
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore import engine
@@ -64,7 +62,6 @@ class TestProcessorPool:
 
         run_threads(sim, pool, [body])
         assert sim.now == 12.0  # dispatch ctx + work
-        assert pool.context_switch_time == 2.0
 
     def test_utilization(self, sim):
         pool = ProcessorPool(sim, 2, context_switch_us=0.0)
@@ -102,30 +99,6 @@ class TestCharges:
         thread = CpuBoundThread(pool)
         with pytest.raises(SimulationError):
             thread.charge(-1.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(min_value=0.0, max_value=1e6),
-           st.lists(st.floats(min_value=0.0, max_value=1e3), max_size=80))
-    def test_charge_all_equals_charging_one_by_one(self, start, costs):
-        """Bit for bit: a batch commit charges its whole cost sequence
-        at once."""
-        pool = ProcessorPool(Simulator(), 1, 0.0)
-        batched, single = CpuBoundThread(pool), CpuBoundThread(pool)
-        for thread in (batched, single):
-            thread.charge(start)
-        batched.charge_all(costs)
-        for cost in costs:
-            single.charge(cost)
-        assert batched.pending_us == single.pending_us
-
-    @pytest.mark.parametrize("runtime_cls", [Simulator, NativeRuntime])
-    def test_charge_all_rejects_a_negative_cost(self, runtime_cls):
-        runtime = runtime_cls()
-        thread = runtime.create_thread(runtime.create_pool(1))
-        with pytest.raises(SimulationError, match="negative charge: -0.5"):
-            thread.charge_all((0.25, -0.5, 1.0))
-        if isinstance(thread, CpuBoundThread):
-            assert thread.pending_us == 0.0
 
     def test_cpu_time_accounting(self, sim):
         pool = ProcessorPool(sim, 1, 0.0)
