@@ -9,11 +9,13 @@ bookkeeping — the lock BP-Wrapper exists to decontend.
 
 The manager is written against the :mod:`repro.runtime.base`
 protocols, so it runs under either backend: its entry point
-:meth:`~repro.bufmgr.manager.BufferManager.access` is a generator
-driven by a simulated thread — charging CPU costs and blocking on the
-replacement lock and the disk model at exactly the points a real DBMS
-backend would — or driven inline on a real OS thread by the native
-runtime, whose primitives block at call time and yield nothing.
+:meth:`~repro.bufmgr.manager.BufferManager.request` serves a hit that
+cannot wait as a plain call and hands back a generator continuation
+for anything else, driven by a simulated thread — charging CPU costs
+and blocking on the replacement lock and the disk model at exactly
+the points a real DBMS backend would — or driven inline on a real OS
+thread by the native runtime, whose primitives block at call time and
+yield nothing.
 """
 
 from repro.bufmgr.tags import PageId, BufferTag

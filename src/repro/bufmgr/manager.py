@@ -3,10 +3,11 @@
 :class:`BufferManager` owns the frame pool, the hash table, one
 replacement policy, and one replacement handler (direct, batched, or
 lock-free — see :mod:`repro.core.bpwrapper`). Its
-:meth:`~BufferManager.access` generator is the page-request entry point
-driven by simulated threads; it charges the hash-lookup and pin costs,
-serves a hit in its own frame (the handler's bookkeeping included), and
-runs the full miss protocol:
+:meth:`~BufferManager.request` is the page-request entry point of every
+runtime and tier. It is a plain call: it charges the hash-lookup and
+pin costs and serves a hit that cannot wait inline (the handler's
+bookkeeping included). A request that may wait comes back as a
+generator continuation, which a miss spends in the full miss protocol:
 
 1. take the replacement lock (committing queued history first when
    batching — Fig. 4's ``replacement_for_page_miss``);
@@ -26,7 +27,8 @@ where it does in a real DBMS: across blocking points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from types import GeneratorType
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple, Union
 
 from repro.bufmgr.descriptors import FIRST_PIN, BufferDesc
 from repro.bufmgr.hashtable import BufferHashTable
@@ -40,7 +42,7 @@ if TYPE_CHECKING:  # avoid circular imports (bpwrapper) and keep the
 from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.policies.base import ReplacementPolicy
-from repro.runtime.base import Runtime, Waits
+from repro.runtime.base import Runtime, Wait, Waits
 from repro.util import CounterArithmetic
 
 __all__ = ["AccessStats", "BufferManager"]
@@ -175,23 +177,33 @@ class BufferManager:
 
     # -- the access path -----------------------------------------------------------
 
-    def access(self, slot: "ThreadSlot", page: PageId,
-               is_write: bool = False, keep_pin: bool = False) -> Waits:
-        """One page request by ``slot``'s thread. Returns True on a hit
-        (``(hit, desc)`` with ``keep_pin``: :meth:`access_pinned`).
+    def request(self, slot: "ThreadSlot", page: PageId,
+                is_write: bool = False, keep_pin: bool = False
+                ) -> Union[bool, Tuple[bool, BufferDesc], Waits]:
+        """One page request by ``slot``'s thread, as a plain call.
+
+        A hit that cannot wait is served here and the result comes
+        back: ``True`` (``(True, desc)`` with ``keep_pin``, see
+        :meth:`access_pinned`). Any other request returns its
+        *continuation*, a generator to drive with ``yield from`` whose
+        value is the result (``False`` or ``(False, desc)`` on a miss).
+        A continuation comes back when the request may wait: the
+        frame's read is still in flight (``io_done``), the handler's
+        hit returned a non-empty iterable (a lock to take, time to
+        realize), the frame went stale and the page is retried as a
+        miss, or the page missed. The caller must drive a continuation
+        it is given: it owns the request's pin.
 
         ``is_write`` marks the page dirty; a dirty page's frame cannot
         be reused until its contents are written back to the disk
         model (as PostgreSQL's StrategyGetBuffer flushes victims).
 
-        The one request generator of every runtime and tier: a hit is
-        served inline, so it costs this frame and whatever the handler
-        returns (``()`` for a hit that only records). The hit's pinned
-        section is exception- and close-safe: if the generator is
+        An inline hit costs this call and the handler's. Its pinned
+        section is exception-safe (a raise from the handler drops the
+        pin), and a continuation's is also close-safe: if it is
         aborted mid-wait (native join-deadline abort, failure
         injection), the pin is released before unwinding.
         """
-        thread = slot.thread
         stats = self.stats
         stats.accesses += 1
         if is_write:
@@ -202,69 +214,115 @@ class BufferManager:
             # sequence the differential oracle later replays.
             checker.on_access(slot.thread_id, page, is_write)
         if self.simulate_bucket_locks:
-            # The probe happens while holding the bucket's lock, as in
-            # a real chained hash table.
-            bucket_lock = self.table.bucket_locks[
-                self.table.bucket_index(page)]
-            yield from bucket_lock.acquire(thread)
-            thread.pending_us += self.costs.hash_lookup_us
-            desc = self.table.lookup(page)
-            yield from thread.spend()
-            bucket_lock.release(thread)
-        else:
-            thread.pending_us += self.costs.hash_lookup_us
-            desc = self.table.lookup(page)
-        if desc is not None:
-            stats.hits += 1
-            # desc.pin() and desc.unpin(), inlined: the hit path pays
-            # no Python frame for them (see FIRST_PIN).
-            pins = desc.pins
-            pins.append(True)
-            thread.pending_us += self.costs.pin_unpin_us
-            try:
+            return self._bucket_locked(slot, page, is_write, keep_pin)
+        thread = slot.thread
+        thread.pending_us += self.costs.hash_lookup_us
+        desc = self.table.lookup(page)
+        if desc is None:
+            return self._serve_miss(slot, page, is_write, keep_pin)
+        stats.hits += 1
+        # desc.pin() and desc.unpin(), inlined: the hit path pays
+        # no Python frame for them (see FIRST_PIN).
+        pins = desc.pins
+        pins.append(True)
+        thread.pending_us += self.costs.pin_unpin_us
+        if not desc.valid or desc.tag != page:
+            return self._continue_hit(slot, desc, page, is_write,
+                                      keep_pin, None)
+        try:
+            waits = self.handler.hit(slot, desc, page)
+        except BaseException:
+            desc.unpin()
+            self._reclaim_orphan(desc)
+            raise
+        if waits:
+            return self._continue_hit(slot, desc, page, is_write,
+                                      keep_pin, waits)
+        if is_write:
+            desc.dirty = True
+        if keep_pin:
+            return True, desc
+        del pins[FIRST_PIN]
+        return True
+
+    def _continue_hit(self, slot: "ThreadSlot", desc: BufferDesc,
+                      page: PageId, is_write: bool, keep_pin: bool,
+                      waits: Optional[Iterable[Wait]]) -> Waits:
+        """The rest of a pinned hit that may wait: ``waits`` is the
+        handler's non-empty iterable, or None when the frame was not
+        servable at the probe (its read in flight, or stale), so the
+        hit is checked here and the handler called only if it is."""
+        try:
+            if waits is None:
                 if not desc.valid:
                     # Another thread's read is in flight; wait for it
-                    # off-CPU. The pin taken above keeps the frame ours
-                    # while we sleep. Capture the event first: under
-                    # the native backend the reader may complete (and
-                    # clear ``io_done``) between the validity check and
-                    # the wait; in the simulator the two statements are
+                    # off-CPU. The pin keeps the frame ours while we
+                    # sleep. Capture the event first: under the native
+                    # backend the reader may complete (and clear
+                    # ``io_done``) between the validity check and the
+                    # wait; in the simulator the two statements are
                     # atomic and the capture changes nothing.
                     io_done = desc.io_done
                     if io_done is not None:
-                        yield from thread.wait(io_done)
-                served = desc.tag == page and desc.valid
-                if served:
-                    yield from self.handler.hit(slot, desc, page)
-            except BaseException:
-                desc.unpin()
-                self._reclaim_orphan(desc)
-                raise
-            if served:
-                if is_write:
-                    desc.dirty = True
-                if keep_pin:
-                    return True, desc
-                del pins[FIRST_PIN]
-                return True
-            # The frame was retagged or invalidated while we slept on
-            # its io_done: the page was never actually served. Drop the
-            # pin, undo the hit accounting and retry the request as a
-            # miss (whose under-lock re-check handles every residual
-            # race).
+                        yield from slot.thread.wait(io_done)
+                if desc.tag == page and desc.valid:
+                    waits = self.handler.hit(slot, desc, page)
+            if waits:
+                yield from waits
+        except BaseException:
             desc.unpin()
             self._reclaim_orphan(desc)
-            stats.hits -= 1
-            stats.stale_hit_retries += 1
-        stats.misses += 1
-        observer = self.sim.observer
-        if observer is not None:
-            observer.on_page_miss(thread.name, self.sim.now)
-        desc = yield from self._serve_miss(slot, page, is_write)
+            raise
+        if waits is None:
+            # The frame was retagged or invalidated (before the probe
+            # or while we slept on its io_done): the page was never
+            # actually served. Drop the pin, undo the hit accounting
+            # and retry the request as a miss (whose under-lock
+            # re-check handles every residual race).
+            desc.unpin()
+            self._reclaim_orphan(desc)
+            self.stats.hits -= 1
+            self.stats.stale_hit_retries += 1
+            return (yield from self._serve_miss(slot, page, is_write,
+                                                keep_pin))
+        if is_write:
+            desc.dirty = True
         if keep_pin:
-            return False, desc
+            return True, desc
         del desc.pins[FIRST_PIN]
-        return False
+        return True
+
+    def _bucket_locked(self, slot: "ThreadSlot", page: PageId,
+                       is_write: bool, keep_pin: bool) -> Waits:
+        """The request's probe under its bucket's simulated lock (the
+        ablation of ``simulate_bucket_locks``), then the request: the
+        probe happens while holding the lock, as in a real chained
+        hash table."""
+        thread = slot.thread
+        bucket_lock = self.table.bucket_locks[self.table.bucket_index(page)]
+        yield from bucket_lock.acquire(thread)
+        thread.pending_us += self.costs.hash_lookup_us
+        desc = self.table.lookup(page)
+        yield from thread.spend()
+        bucket_lock.release(thread)
+        if desc is None:
+            return (yield from self._serve_miss(slot, page, is_write,
+                                                keep_pin))
+        self.stats.hits += 1
+        desc.pins.append(True)
+        thread.pending_us += self.costs.pin_unpin_us
+        return (yield from self._continue_hit(slot, desc, page, is_write,
+                                              keep_pin, None))
+
+    def access(self, slot: "ThreadSlot", page: PageId,
+               is_write: bool = False, keep_pin: bool = False) -> Waits:
+        """:meth:`request` as one generator, for callers that ``yield
+        from`` each request whole (the oracle's replay, tests). Returns
+        True on a hit (``(hit, desc)`` with ``keep_pin``)."""
+        served = self.request(slot, page, is_write, keep_pin)
+        if isinstance(served, GeneratorType):
+            served = yield from served
+        return served
 
     def access_pinned(self, slot: "ThreadSlot", page: PageId,
                       is_write: bool = False) -> Waits:
@@ -273,10 +331,11 @@ class BufferManager:
         Returns ``(hit, desc)`` with ``desc.pin_count`` elevated by one;
         the caller owns that pin and must :meth:`release` (or
         ``desc.unpin()``) when done with the page. Query-execution
-        operators use this to hold their current page across their
-        lifetime — a scan keeps its page pinned between rows, a join
-        keeps inner and outer pinned — which is what makes pin-aware
-        victim selection load-bearing.
+        operators hold their current page this way (through
+        :meth:`request` with ``keep_pin``) across their lifetime — a
+        scan keeps its page pinned between rows, a join keeps inner
+        and outer pinned — which is what makes pin-aware victim
+        selection load-bearing.
         """
         return self.access(slot, page, is_write, keep_pin=True)
 
@@ -285,17 +344,23 @@ class BufferManager:
         desc.unpin()
 
     def _serve_miss(self, slot: "ThreadSlot", page: PageId,
-                    is_write: bool = False) -> Waits:
-        """Run the miss protocol; returns the installed, pinned desc.
+                    is_write: bool, keep_pin: bool) -> Waits:
+        """A miss's continuation: count it, run the miss protocol and
+        return :meth:`request`'s result for the installed frame.
 
-        The caller owns the returned pin. Both pinned sections release
-        their pin if the generator is aborted mid-wait; an abort after
-        the placeholder frame was installed but before its read
-        completed additionally backs the install out (see
-        :meth:`_abort_install`) so no waiter is left hanging on a dead
-        ``io_done`` and no frame leaks a pin.
+        The pin on the installed frame is dropped at the end unless
+        ``keep_pin``. Both pinned sections release their pin if the
+        generator is aborted mid-wait; an abort after the placeholder
+        frame was installed but before its read completed additionally
+        backs the install out (see :meth:`_abort_install`) so no waiter
+        is left hanging on a dead ``io_done`` and no frame leaks a pin.
         """
         thread = slot.thread
+        stats = self.stats
+        stats.misses += 1
+        observer = self.sim.observer
+        if observer is not None:
+            observer.on_page_miss(thread.name, self.sim.now)
         while True:
             yield from self.handler.acquire_for_miss(slot, page)
             # Re-check: the lock wait may have overlapped another thread
@@ -303,9 +368,9 @@ class BufferManager:
             desc = self.table.lookup(page)
             if desc is None:
                 break
-            self.stats.misses -= 1
-            self.stats.hits += 1
-            self.stats.absorbed_misses += 1
+            stats.misses -= 1
+            stats.hits += 1
+            stats.absorbed_misses += 1
             desc.pins.append(True)
             thread.pending_us += self.costs.pin_unpin_us
             try:
@@ -317,7 +382,7 @@ class BufferManager:
                 if desc.tag == page and desc.valid:
                     if is_write:
                         desc.dirty = True
-                    return desc
+                    break
             except BaseException:
                 desc.unpin()
                 self._reclaim_orphan(desc)
@@ -327,45 +392,48 @@ class BufferManager:
             # accounting and retry the miss protocol from the top.
             desc.unpin()
             self._reclaim_orphan(desc)
-            self.stats.hits -= 1
-            self.stats.misses += 1
-            self.stats.absorbed_misses -= 1
-            self.stats.stale_hit_retries += 1
-        victim = self.policy.on_miss(page)
-        desc = self._take_frame(victim)
-        victim_was_dirty = desc.dirty
-        desc.retag(page)
-        desc.pins.append(True)
-        desc.io_done = self.sim.event()
-        self.table.insert(page, desc)
-        thread.pending_us += self.costs.pin_unpin_us
-        completed = False
-        try:
-            yield from self.handler.release_after_miss(slot, page)
-            if self.disk is not None:
-                observer = self.sim.observer
-                if victim_was_dirty:
-                    # Flush the evicted page before reusing its frame.
-                    self.stats.write_backs += 1
-                    write_started = self.sim.now
-                    yield from self.disk.write(thread)
+            stats.hits -= 1
+            stats.misses += 1
+            stats.absorbed_misses -= 1
+            stats.stale_hit_retries += 1
+        if desc is None:
+            victim = self.policy.on_miss(page)
+            desc = self._take_frame(victim)
+            victim_was_dirty = desc.dirty
+            desc.retag(page)
+            desc.pins.append(True)
+            desc.io_done = self.sim.event()
+            self.table.insert(page, desc)
+            thread.pending_us += self.costs.pin_unpin_us
+            completed = False
+            try:
+                yield from self.handler.release_after_miss(slot, page)
+                if self.disk is not None:
+                    if victim_was_dirty:
+                        # Flush the evicted page before reusing its frame.
+                        stats.write_backs += 1
+                        write_started = self.sim.now
+                        yield from self.disk.write(thread)
+                        if observer is not None:
+                            observer.on_disk_io(thread.name, "write-back",
+                                                write_started, self.sim.now)
+                    read_started = self.sim.now
+                    yield from self.disk.read(thread)
                     if observer is not None:
-                        observer.on_disk_io(thread.name, "write-back",
-                                            write_started, self.sim.now)
-                read_started = self.sim.now
-                yield from self.disk.read(thread)
-                if observer is not None:
-                    observer.on_disk_io(thread.name, "read", read_started,
-                                        self.sim.now)
-            desc.valid = True
-            desc.dirty = is_write
-            io_done, desc.io_done = desc.io_done, None
-            io_done.succeed()
-            completed = True
-        finally:
-            if not completed:
-                self._abort_install(desc)
-        return desc
+                        observer.on_disk_io(thread.name, "read",
+                                            read_started, self.sim.now)
+                desc.valid = True
+                desc.dirty = is_write
+                io_done, desc.io_done = desc.io_done, None
+                io_done.succeed()
+                completed = True
+            finally:
+                if not completed:
+                    self._abort_install(desc)
+        if keep_pin:
+            return False, desc
+        del desc.pins[FIRST_PIN]
+        return False
 
     def _reclaim_orphan(self, desc: BufferDesc) -> None:
         """Return an aborted install's frame to the free list.

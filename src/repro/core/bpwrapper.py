@@ -73,6 +73,12 @@ class ReplacementHandler(ABC):
     #: lock; the constructor takes them after ``control``.
     extra_locks: Sequence[str] = ()
 
+    #: Whether the pool's runtime turns ``thread.pending_us`` into time
+    #: (:attr:`~repro.runtime.base.Runtime.realizes_costs`); :meth:`build`
+    #: copies it from the runtime. A hit that takes no lock reads it to
+    #: skip a ``spend`` that nothing would see.
+    realizes_costs = True
+
     def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
                  metadata_cache: MetadataCacheModel,
                  costs: CostModel, control: ControlState) -> None:
@@ -97,9 +103,11 @@ class ReplacementHandler(ABC):
         policy = make_policy(capacity)
         locks = [cls.new_lock(runtime, lock_name, costs) for lock_name
                  in (f"replacement-{name}", *cls.extra_locks)]
-        return cls.suited_to(policy)(
+        handler = cls.suited_to(policy)(
             policy, locks[0], MetadataCacheModel(costs), costs, control,
             *locks[1:])
+        handler.realizes_costs = runtime.realizes_costs
+        return handler
 
     @classmethod
     def suited_to(cls, policy: ReplacementPolicy) -> type:
@@ -140,10 +148,12 @@ class ReplacementHandler(ABC):
             ) -> Iterable[Wait]:
         """Handle replacement bookkeeping for a buffer hit.
 
-        Returns an iterable for ``yield from``: ``()`` (or
-        ``thread.spend()``) when the hit cannot block, a generator when
-        it may — so a hit that only records costs no generator frame.
-        Work before the first possible block runs at call time.
+        Returns an iterable for the manager to ``yield from`` unless it
+        is empty: ``()`` (or ``thread.spend()``) when the hit cannot
+        block, a generator when it may — so a hit that only records
+        costs no generator frame, and the manager serves it inline
+        (:meth:`~repro.bufmgr.manager.BufferManager.request`). Work
+        before the first possible block runs at call time.
         """
 
     # -- miss path ------------------------------------------------------------
@@ -389,7 +399,11 @@ class LockFreeHitHandler(DirectHandler):
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Iterable[Wait]:
         self._hit_op(tag)
-        slot.thread.pending_us += self.costs.ref_bit_us
-        # Realize the (tiny) cost so simulated time stays faithful even
-        # on long hit streaks; no lock, no blocking.
-        return slot.thread.spend()
+        thread = slot.thread
+        thread.pending_us += self.costs.ref_bit_us
+        if self.realizes_costs:
+            # Realize the (tiny) cost inside the pinned section so
+            # simulated time stays faithful even on long hit streaks;
+            # no lock, no blocking.
+            return thread.spend()
+        return ()

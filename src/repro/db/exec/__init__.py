@@ -4,9 +4,9 @@ The macro tier the paper evaluates against (TPC-W/TPC-C on PostgreSQL)
 drives its buffer pool through scans, index walks and joins — not
 synthetic page traces. This package supplies that layer for the
 reproduction: Volcano-style operators (:mod:`~repro.db.exec.operators`)
-whose page fetches go through :meth:`BufferManager.access_pinned
-<repro.bufmgr.manager.BufferManager.access_pinned>` and hold pins
-across operator lifetimes, a B-tree-shaped index layout
+whose page fetches go through :meth:`BufferManager.request
+<repro.bufmgr.manager.BufferManager.request>` with ``keep_pin`` and
+hold pins across operator lifetimes, a B-tree-shaped index layout
 (:mod:`~repro.db.exec.btree`), execution contexts for the sim/native
 runtimes, the sharded serving layer and trace recording
 (:mod:`~repro.db.exec.context`), and an abort-safe plan driver

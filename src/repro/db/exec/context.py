@@ -5,12 +5,14 @@ against two very different substrates through the same ``yield from
 ctx.fetch(...)`` call:
 
 * :class:`LiveExecContext` drives a real
-  :class:`~repro.bufmgr.manager.BufferManager` through
-  ``access_pinned`` — the fetch suspends on simulator (or native
-  runtime) events and returns a :class:`PinnedPage` whose pin the
-  operator owns until it releases the handle. This is what makes
-  pin-aware victim selection load-bearing: a scan's current page and a
-  join's outer page stay pinned while other threads hunt for victims.
+  :class:`~repro.bufmgr.manager.BufferManager` through ``request``
+  with ``keep_pin`` — a hit that cannot wait is served by that call,
+  anything else suspends on simulator (or native runtime) events in
+  the request's continuation — and returns a :class:`PinnedPage`
+  whose pin the operator owns until it releases the handle. This is
+  what makes pin-aware victim selection load-bearing: a scan's current
+  page and a join's outer page stay pinned while other threads hunt
+  for victims.
 
 * :class:`TraceExecContext` touches no buffer manager at all: it
   records the page/write sequence the plan *would* produce. Its
@@ -116,8 +118,10 @@ class LiveExecContext(ExecContext):
 
     def fetch(self, op_name: str, page: PageId, is_write: bool = False
               ) -> Generator[object, None, PinnedPage]:
-        hit, desc = yield from self.manager.access_pinned(
-            self.slot, page, is_write)
+        served = self.manager.request(self.slot, page, is_write, True)
+        if served.__class__ is not tuple:  # a continuation: it may wait
+            served = yield from served
+        hit, desc = served
         self._tally(op_name, is_write, hit)
         handle = PinnedPage(page, desc, hit)
         self._live.append(handle)
@@ -146,8 +150,11 @@ class ShardedExecContext(ExecContext):
               ) -> Generator[object, None, PinnedPage]:
         index = self._shard_of(page, len(self.shards))
         shard = self.shards[index]
-        hit, desc = yield from shard.manager.access_pinned(
-            self.slots[index], page, is_write)
+        served = shard.manager.request(self.slots[index], page, is_write,
+                                       True)
+        if served.__class__ is not tuple:  # a continuation: it may wait
+            served = yield from served
+        hit, desc = served
         self._tally(op_name, is_write, hit)
         handle = PinnedPage(page, desc, hit, shard=index)
         self._live.append(handle)

@@ -176,9 +176,11 @@ def run_main(argv=None) -> int:
                     "measurements. --runtime sim (default) uses the "
                     "deterministic discrete-event simulator; --runtime "
                     "native runs the identical BP-Wrapper core on real "
-                    "OS threads and reports wall-clock lock contention "
+                    "OS threads and reports wall-clock lock statistics "
                     "(a micro-benchmark of this host, not a "
-                    "reproduction of the paper's machine); --runtime "
+                    "reproduction of the paper's machine; with the GIL "
+                    "on, its threads take turns and rarely contend); "
+                    "--runtime "
                     "mp runs worker processes over shared-memory frame "
                     "tables for true multi-core scaling.")
     parser.add_argument("--runtime", choices=("sim", "native", "mp"),
@@ -236,6 +238,16 @@ def run_main(argv=None) -> int:
             "intrusive doubly-linked LRU list (move-to-front on hit) under "
             f"the {row.name} lock discipline, not the configured "
             f"{row.policy_name}") + "]")
+    if args.runtime == "native":
+        # What the contention rows below can show on this interpreter.
+        from repro.runtime.native import gil_enabled
+        print("[native threads, gil_enabled() = True: one thread runs "
+              "Python at a time and hands the GIL over between "
+              "transactions, so the contention figures show almost no "
+              "contention whatever the system]" if gil_enabled() else
+              "[native threads, gil_enabled() = False: threads run in "
+              "parallel, so the contention figures count real "
+              "simultaneous lock requests]")
     if result.controller is not None:
         print(render_table(
             ["stat", "value"],

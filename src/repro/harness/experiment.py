@@ -226,9 +226,10 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
                  work_rng) -> Generator[Wait, None, None]:
     thread = slot.thread
     # The per-access loop below runs once per page: its callees are
-    # looked up once per thread.
-    maybe_yield = thread.maybe_yield
-    access = manager.access
+    # looked up once per thread. Its settle step is the sim thread's
+    # maybe_yield; a native thread keeps no simulated time and has none.
+    maybe_yield = getattr(thread, "maybe_yield", None)
+    request = manager.request
     jitter = work_rng.random
     if stagger_us > 0:
         yield from thread.sleep_blocked(stagger_us)
@@ -249,9 +250,13 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
             # access patterns that no real system exhibits. The draw
             # is ``random.uniform(0.75, 1.25)``'s own formula.
             thread.pending_us += work_us * (0.75 + 0.5 * jitter())
-            if (yield from access(slot, page, index in writes)):
+            served = request(slot, page, index in writes)
+            if served is not True:  # a continuation: it may wait
+                served = yield from served
+            if served:
                 hits += 1
-            yield from maybe_yield(quantum_us)
+            if maybe_yield is not None:
+                yield from maybe_yield(quantum_us)
         log.record(TransactionOutcome(
             kind=transaction.kind, started_at_us=started,
             finished_at_us=sim.now, accesses=len(transaction.pages),
@@ -298,8 +303,9 @@ def run_experiment(config: ExperimentConfig,
     ``runtime="native"`` runs the identical handler/manager/policy
     code on real OS threads (:mod:`repro.runtime.native`): blocking
     means blocking an OS thread and ``elapsed_us`` is wall-clock time —
-    a micro-benchmark of *genuine* ``threading.Lock`` contention on the
-    host's cores. The checker is sim-only, the observer is wrapped in a
+    a micro-benchmark of ``threading.Lock`` costs on the host (with
+    the GIL on, the threads take turns and rarely contend). The checker
+    is sim-only, the observer is wrapped in a
     :class:`~repro.runtime.native.ThreadSafeObserver`, and
     ``max_sim_time_us`` becomes the join timeout (the deadlock guard).
     Results are *not* deterministic run-to-run (the kernel schedules),

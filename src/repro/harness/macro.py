@@ -4,9 +4,9 @@ Where :mod:`repro.harness.experiment` replays pre-flattened page
 traces, :func:`run_macro` drives the :mod:`repro.db.exec` operators —
 scans, B-tree walks, joins, inserts — against a real
 :class:`~repro.bufmgr.manager.BufferManager`, with every fetch going
-through :meth:`~repro.bufmgr.manager.BufferManager.access_pinned` and
-operators holding pins across their lifetimes. Three execution modes
-share one thread body:
+through :meth:`~repro.bufmgr.manager.BufferManager.request` with
+``keep_pin`` and operators holding pins across their lifetimes. Three
+execution modes share one thread body:
 
 * ``runtime="sim"`` — the deterministic discrete-event simulator;
   ``macro.json`` built from a sim run is byte-identical across
@@ -149,6 +149,9 @@ def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
                 quantum_us: float, stagger_us: float, work_rng,
                 rows_box: List[int]) -> Generator[object, None, None]:
     """One back-end: pull plans, execute them, record outcomes."""
+    # The per-statement settle step: the sim thread's maybe_yield; a
+    # native thread keeps no simulated time and has none.
+    maybe_yield = getattr(thread, "maybe_yield", None)
     if stagger_us > 0:
         yield from thread.sleep_blocked(stagger_us)
     for query in plans:
@@ -165,7 +168,8 @@ def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
             # ``random.uniform(0.75, 1.25)``'s own formula).
             thread.pending_us += (user_work_us * (1 + rows)
                                   * (0.75 + 0.5 * work_rng.random()))
-            yield from thread.maybe_yield(quantum_us)
+            if maybe_yield is not None:
+                yield from maybe_yield(quantum_us)
         log.record(TransactionOutcome(
             kind=query.kind, started_at_us=started,
             finished_at_us=runtime.now,

@@ -21,15 +21,20 @@ That empty-iterable convention is the bridge that lets one body of
 generator code drive both backends: ``yield from lock.acquire(thread)``
 suspends the simulated process in the sim backend, while in the native
 backend ``acquire`` has already blocked-and-returned by the time the
-(empty) delegation happens.
+(empty) delegation happens. Where nothing can wait, the core skips the
+generator altogether: a hit that cannot wait is a plain call
+(:meth:`~repro.bufmgr.manager.BufferManager.request`), and only a
+request that may wait hands back a generator continuation.
 
 The protocols are deliberately minimal — ``MutexLock`` is the
 paper's ``Lock()``/``TryLock()`` pair with
 :class:`~repro.sync.stats.LockStats`, ``ThreadContext`` is the charge/
-spend/wait/yield surface of a transaction-processing thread, and a
+spend/wait/yield surface both backends' threads share, and a
 :class:`Runtime` is the clock (``now``) plus the two factories lower
 layers need (bare events and locks), the ``observer``/``checker``
-attachment points, and the run lifecycle the harness driver
+attachment points, ``realizes_costs`` (whether accumulated costs
+become time; a pool's handler reads it once, to drop a ``spend``
+nothing would see), and the run lifecycle the harness driver
 (:mod:`repro.harness.driver`) walks: pool, thread and disk factories,
 ``prepare``, ``mutex`` and ``join``. The observer's hooks are those of
 :class:`repro.obs.observer.Observer`.
@@ -122,7 +127,9 @@ class ThreadContext(Protocol):
 
     ``runtime`` points back at the owning :class:`Runtime`, which is
     how instrumented code reaches the clock and the observer/checker
-    without importing a backend.
+    without importing a backend. The per-access settle step is not
+    here: the simulator's thread has its own ``maybe_yield``, and a
+    native thread keeps no simulated time and has none.
     """
 
     name: str
@@ -139,8 +146,6 @@ class ThreadContext(Protocol):
     def wait(self, event: WaitEvent) -> Waits: ...
 
     def sleep_blocked(self, duration_us: float) -> Waits: ...
-
-    def maybe_yield(self, quantum_us: float) -> Iterable[Wait]: ...
 
     def yield_cpu(self) -> Iterable[Wait]: ...
 
@@ -173,6 +178,10 @@ class Runtime(Protocol):
 
     observer: Optional[Any]
     checker: Optional[Any]
+    #: Whether ``thread.pending_us`` becomes time: True on the
+    #: simulator; False on native, where real instructions already
+    #: took real time and nothing reads the sum. Fixed per backend.
+    realizes_costs: bool
 
     @property
     def now(self) -> float:

@@ -1,9 +1,10 @@
 """Native backend: the same BP-Wrapper core on real OS threads.
 
 Implements the :mod:`repro.runtime.base` protocols over
-:mod:`threading` so the identical handler/manager code measures
-*genuine* lock contention on the host's cores instead of simulated
-microseconds:
+:mod:`threading` so the identical handler/manager code measures real
+``threading.Lock`` costs on the host instead of simulated
+microseconds. With the GIL on, the threads take turns rather than
+overlap, so they rarely contend (:func:`gil_enabled`):
 
 * :class:`NativeLock` — a ``threading.Lock`` with the paper's
   ``Lock()``/``TryLock()`` semantics, a spinning ``try_acquire`` with
@@ -403,9 +404,6 @@ class NativeThread:
         time.sleep(duration_us / 1_000_000.0)
         return _NO_EVENTS
 
-    def maybe_yield(self, quantum_us: float) -> tuple:
-        return _NO_EVENTS
-
     def yield_cpu(self) -> tuple:
         # sched_yield analogue: gives the GIL (and the core) away so
         # peers make progress at transaction boundaries.
@@ -446,6 +444,9 @@ class NativeRuntime:
     """Wall-clock runtime: monotonic microsecond clock + factories."""
 
     name = "native"
+    #: Modeled costs are never realized: real instructions take real
+    #: time (see :class:`NativeThread`).
+    realizes_costs = False
 
     def __init__(self, observer: Optional[Any] = None) -> None:
         self._origin = time.monotonic()

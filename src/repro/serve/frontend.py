@@ -236,6 +236,9 @@ class ServeFrontend:
         work_rng = stream_rng(config.seed, "serve-work", session_index)
         user_work_us = config.machine.costs.user_work_us
         quantum_us = config.machine.costs.scheduler_quantum_us
+        # The per-access settle step: the sim thread's maybe_yield; a
+        # native thread keeps no simulated time and has none.
+        maybe_yield = getattr(thread, "maybe_yield", None)
         stagger_us = self._run.stagger_us("serve-stagger", session_index)
         if stagger_us > 0:
             yield from thread.sleep_blocked(stagger_us)
@@ -295,10 +298,12 @@ class ServeFrontend:
                     thread.pending_us += (
                         user_work_us * (0.75 + 0.5 * work_rng.random()))
                     shard = self.shards[self.shard_for(page)]
-                    hit = yield from shard.manager.access(
-                        slots[shard.shard_id], page)
+                    hit = shard.manager.request(slots[shard.shard_id], page)
+                    if hit is not True:  # a continuation: it may wait
+                        hit = yield from hit
                     hits += 1 if hit else 0
-                    yield from thread.maybe_yield(quantum_us)
+                    if maybe_yield is not None:
+                        yield from maybe_yield(quantum_us)
             finally:
                 home.done()
             completed_us = runtime.now

@@ -155,6 +155,9 @@ class Simulator:
     byte-for-byte the uninstrumented one.
     """
 
+    #: Accumulated charges become simulated time (Runtime protocol).
+    realizes_costs = True
+
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Callable[[], Any]]] = []
         self._now = 0.0

@@ -21,6 +21,7 @@ replays the same scenario on a real OS thread.
 from __future__ import annotations
 
 import gc
+import inspect
 import time
 import weakref
 
@@ -32,7 +33,7 @@ from repro.check.checker import CorrectnessChecker
 from repro.control.state import ControlState
 from repro.core.bpwrapper import DirectHandler, ThreadSlot
 from repro.db.storage import DiskArray
-from repro.errors import BufferError_
+from repro.errors import BufferError_, ConfigError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350
@@ -45,6 +46,10 @@ from repro.sync.locks import SimLock
 
 P = PageId("t", 1)
 Q = PageId("t", 2)
+
+#: The two ways in: the generator adapter, and the plain-call request
+#: with the continuation it returns when it may wait.
+ENTRIES = ["access", "request"]
 
 
 def build_rig(sim, capacity=8, disk=None):
@@ -67,6 +72,20 @@ def make_thread(sim, index=0, n_cpus=2, pool=None):
 def frames_accounted(manager):
     """Every frame is resident, free, or legitimately mid-install."""
     return manager.resident_count + len(manager._free) == manager.capacity
+
+
+def fetch(manager, slot, page, entry, continuations):
+    """One request for ``page`` through ``entry``: the generator
+    ``access``, or the plain-call ``request`` and the continuation it
+    hands back (recorded in ``continuations``)."""
+    if entry == "access":
+        return (yield from manager.access(slot, page))
+    served = manager.request(slot, page)
+    if served is True:
+        return served
+    assert inspect.isgenerator(served)
+    continuations.append(served)
+    return (yield from served)
 
 
 def park_on_io(manager, page):
@@ -260,34 +279,44 @@ class TestAbortedAccess:
         assert frames_accounted(manager)
         manager.check_invariants(expect_no_pins=True)
 
-    def test_aborted_hit_wait_releases_pin(self, sim):
-        """Close a reader parked on io_done: its hit-path pin unwinds."""
-        manager, _ = build_rig(sim)
-        manager.warm_with([P])
-        desc = park_on_io(manager, P)
-        slot, _ = make_thread(sim)
+    def test_aborted_hit_wait_releases_pin(self):
+        """Close a reader parked on io_done: its hit-path pin unwinds,
+        whether the reader went through ``access`` or is driving the
+        continuation ``request`` handed it."""
+        for entry in ENTRIES:
+            sim = Simulator()
+            manager, _ = build_rig(sim)
+            manager.warm_with([P])
+            desc = park_on_io(manager, P)
+            slot, _ = make_thread(sim)
+            continuations = []
 
-        def reader():
-            yield from manager.access(slot, P)
-            raise AssertionError("the aborted access must not complete")
+            def reader():
+                yield from fetch(manager, slot, P, entry, continuations)
+                raise AssertionError("the aborted access must not complete")
 
-        body = reader()
-        slot.thread.start(body)
-        sim.run(until=50.0)
-        assert desc.pin_count == 1
-        body.close()
-        assert desc.pin_count == 0
-        manager.check_invariants(expect_no_pins=True)
+            body = reader()
+            slot.thread.start(body)
+            sim.run(until=50.0)
+            assert desc.pin_count == 1
+            body.close()
+            assert desc.pin_count == 0, entry
+            assert len(continuations) == (entry == "request")
+            assert all(inspect.getgeneratorstate(continuation)
+                       == inspect.GEN_CLOSED
+                       for continuation in continuations)
+            manager.check_invariants(expect_no_pins=True)
 
-    @pytest.mark.parametrize("system, before", [("pg2Q", []),
-                                                ("pgBat", [Q])],
-                             ids=["pg2Q", "pgBat"])
+    @pytest.mark.parametrize("system, before, entry", [
+        ("pg2Q", [], "access"), ("pgBat", [Q], "access"),
+        ("pg2Q", [], "request"), ("pgBat", [Q], "request")],
+        ids=["pg2Q", "pgBat", "pg2Q-request", "pgBat-request"])
     def test_aborted_hit_parked_in_handler_releases_pin(self, sim, system,
-                                                        before):
+                                                        before, entry):
         """Close a reader parked inside ``handler.hit`` on a replacement
         lock another thread holds: pg2Q's per-hit ``Lock()``, and
         pgBat's Fig. 4 line 13 (a full queue behind a failed TryLock).
-        The hit is served in the manager's own frame, so its pin must
+        The hit's pin is held by the request's continuation, so it must
         unwind through the handler's suspension point too."""
         build = build_system(system, sim, 8, ALTIX_350, queue_size=2,
                              batch_threshold=2)
@@ -304,11 +333,14 @@ class TestAbortedAccess:
             yield from holder_slot.thread.sleep_blocked(100.0)
             lock.release(holder_slot.thread)
 
+        continuations = []
+
         def reader():
             yield from reader_slot.thread.sleep_blocked(5.0)
             # pgBat: Q's hit only records; P's fills the queue.
             for page in before + [P]:
-                yield from manager.access(reader_slot, page)
+                yield from fetch(manager, reader_slot, page, entry,
+                                 continuations)
             raise AssertionError("the aborted access must not complete")
 
         body = reader()
@@ -320,6 +352,10 @@ class TestAbortedAccess:
         assert lock.queue_length == 1  # parked on the held lock
         body.close()
         assert desc.pin_count == 0
+        # Q's recording hit was served inline; only P's waited.
+        assert len(continuations) == (entry == "request")
+        assert all(inspect.getgeneratorstate(continuation)
+                   == inspect.GEN_CLOSED for continuation in continuations)
         manager.check_invariants(expect_no_pins=True)
         sim.run()
         assert not lock.held
@@ -510,6 +546,63 @@ class TestInvalidate:
         with pytest.raises(BufferError_, match="without matching pin"):
             manager.release(desc)
         assert desc.pin_count == 0
+        manager.check_invariants(expect_no_pins=True)
+
+
+class TestRequestSplit:
+    """A hit that cannot wait is served by the plain-call request; a
+    raise from the handler on that inline path still drops the pin."""
+
+    @staticmethod
+    def rig(runtime, system):
+        runtime = runtime()
+        build = build_system(system, runtime, 8, ALTIX_350, queue_size=4,
+                             batch_threshold=4)
+        runtime.prepare(build.manager)
+        build.manager.warm_with([P, Q])
+        thread = runtime.create_thread(runtime.create_pool(1),
+                                       name="reader")
+        return runtime, build.manager, build.handler.new_slot(thread, 0)
+
+    @pytest.mark.parametrize("runtime", [Simulator, NativeRuntime],
+                             ids=["sim", "native"])
+    @pytest.mark.parametrize("system", ["pgclock", "pgBatPre"])
+    def test_inline_hit_returns_true_not_a_generator(self, runtime,
+                                                     system):
+        """pgclock's hit, and pgBatPre's below its threshold."""
+        runtime, manager, slot = self.rig(runtime, system)
+        outcomes = []
+
+        def reader():
+            served = manager.request(slot, P, is_write=True)
+            outcomes.append(served)
+            if inspect.isgenerator(served):
+                yield from served
+
+        slot.thread.start(reader())
+        if isinstance(runtime, Simulator):
+            runtime.run()
+        else:
+            assert slot.thread.join(5.0)
+            assert slot.thread.error is None
+        assert outcomes == [True]
+        desc = manager.lookup(P)
+        assert desc.dirty and desc.pin_count == 0
+        assert manager.stats.hits == manager.stats.accesses == 1
+        manager.check_invariants(expect_no_pins=True)
+
+    @pytest.mark.parametrize("runtime", [Simulator, NativeRuntime],
+                             ids=["sim", "native"])
+    def test_handler_raise_on_the_inline_path_drops_the_pin(self,
+                                                           runtime):
+        """A batched queue overflow raised through the manager."""
+        runtime, manager, slot = self.rig(runtime, "pgBatPre")
+        other = manager.lookup(Q)
+        for _ in range(slot.queue.capacity):
+            slot.queue.record(other, Q)
+        with pytest.raises(ConfigError, match="overflow"):
+            manager.request(slot, P)
+        assert manager.lookup(P).pin_count == 0
         manager.check_invariants(expect_no_pins=True)
 
 

@@ -6,11 +6,13 @@ makes does not spread at all. Each system runs a miss-free tablescan on
 one :class:`~repro.runtime.native.NativeRuntime` thread twice, at two
 sizes, under ``sys.settrace``; the difference of the "call" events over
 the difference of the accesses is the per-access count, with the run's
-fixed set-up and join cancelled out.
+fixed set-up and join cancelled out. The same difference over the calls
+whose code is a generator's counts the generator frames an access makes.
 """
 
 from __future__ import annotations
 
+import inspect
 import sys
 import threading
 
@@ -18,19 +20,28 @@ import pytest
 
 from repro.harness.experiment import ExperimentConfig, run_experiment
 
-#: Upper bounds on the calls per access, just above the counts with
-#: every fixed cost an attribute add (pgBatPre 3.76, pgclock 5.11,
-#: pg2Q 19.11); one more Python call per access breaks each of them.
-MAX_CALLS = {"pgBatPre": 3.85, "pgclock": 5.15, "pg2Q": 19.15}
+#: Upper bounds on the calls per access, just above the counts of a
+#: hit served inline by a plain-call request, with no settle step on
+#: native (pgBatPre 2.76, pgclock 3.11, pg2Q 18.11); one more Python
+#: call per access breaks each of them.
+MAX_CALLS = {"pgBatPre": 2.85, "pgclock": 3.15, "pg2Q": 18.15}
+
+#: Upper bound on the generator frames per access of a hit that never
+#: waits (pgBatPre 0.09 with its commits, pgclock 0.03): a hit served
+#: through a generator reads 1 or more.
+MAX_GENERATOR_CALLS = 0.1
 
 
-def _calls(system: str, accesses: int) -> int:
-    calls = 0
+def _calls(system: str, accesses: int) -> tuple:
+    """(calls, generator calls) of one run."""
+    calls = generator_calls = 0
 
     def tracer(frame, event, arg):
-        nonlocal calls
+        nonlocal calls, generator_calls
         if event == "call":
             calls += 1
+            if frame.f_code.co_flags & inspect.CO_GENERATOR:
+                generator_calls += 1
 
     config = ExperimentConfig(
         system=system, workload="tablescan",
@@ -47,18 +58,25 @@ def _calls(system: str, accesses: int) -> int:
         threading.settrace(None)
     assert result.misses == 0
     assert result.total_accesses == accesses
-    return calls
+    return calls, generator_calls
 
 
 def calls_per_access(system: str, small: int = 1_000,
-                     large: int = 3_000) -> float:
-    return (_calls(system, large) - _calls(system, small)) / (large - small)
+                     large: int = 3_000) -> tuple:
+    """(calls, generator calls) per access of ``system``'s hits."""
+    few, many = _calls(system, small), _calls(system, large)
+    return tuple((b - a) / (large - small) for a, b in zip(few, many))
 
 
 @pytest.fixture(scope="module")
-def counts():
+def per_access():
     return {system: calls_per_access(system)
             for system in ("pgBatPre", "pgclock", "pg2Q")}
+
+
+@pytest.fixture(scope="module")
+def counts(per_access):
+    return {system: calls for system, (calls, _) in per_access.items()}
 
 
 def test_batched_hit_costs_no_more_calls_than_a_lock_free_hit(counts):
@@ -72,3 +90,8 @@ def test_lock_per_hit_costs_no_more_calls_than_before(counts):
 @pytest.mark.parametrize("system", ["pgBatPre", "pgclock"])
 def test_unlocked_hit_costs_no_more_calls_than_before(counts, system):
     assert counts[system] <= MAX_CALLS[system], counts
+
+
+@pytest.mark.parametrize("system", ["pgBatPre", "pgclock"])
+def test_unlocked_hit_makes_no_generator_frame(per_access, system):
+    assert per_access[system][1] <= MAX_GENERATOR_CALLS, per_access

@@ -35,12 +35,26 @@ ENTRY_POINTS = {
 }
 
 
+def protocol_members(protocol) -> set:
+    """The public names ``protocol`` declares: annotations and methods."""
+    return {name for name in (*protocol.__annotations__, *vars(protocol))
+            if not name.startswith("_")}
+
+
 @pytest.mark.parametrize("runtime", [Simulator(), NativeRuntime()])
 def test_both_backends_implement_the_whole_lifecycle(runtime):
     assert isinstance(runtime, Runtime)
-    assert isinstance(runtime.create_thread(runtime.create_pool(1)),
-                      ThreadContext)
+    thread = runtime.create_thread(runtime.create_pool(1))
+    assert isinstance(thread, ThreadContext)
     assert isinstance(runtime.create_lock(), MutexLock)
+    # The thread protocol holds only what both backends use: the
+    # per-access settle step (maybe_yield) is the simulator's own.
+    members = protocol_members(ThreadContext)
+    assert members == {"name", "runtime", "pending_us", "charge", "spend",
+                       "run_for", "wait", "sleep_blocked", "yield_cpu"}
+    assert [name for name in sorted(members)
+            if not hasattr(thread, name)] == []
+    assert hasattr(thread, "maybe_yield") == isinstance(runtime, Simulator)
 
 
 class TestAccessOrderedPrewarm:
