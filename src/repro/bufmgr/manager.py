@@ -204,10 +204,6 @@ class BufferManager:
         aborted mid-wait (native join-deadline abort, failure
         injection), the pin is released before unwinding.
         """
-        stats = self.stats
-        stats.accesses += 1
-        if is_write:
-            stats.write_accesses += 1
         checker = self.sim.checker
         if checker is not None:
             # The checker sees the exact global arrival order — the
@@ -215,6 +211,10 @@ class BufferManager:
             checker.on_access(slot.thread_id, page, is_write)
         if self.simulate_bucket_locks:
             return self._bucket_locked(slot, page, is_write, keep_pin)
+        stats = self.stats
+        stats.accesses += 1
+        if is_write:
+            stats.write_accesses += 1
         thread = slot.thread
         thread.pending_us += self.costs.hash_lookup_us
         desc = self.table.lookup(page)
@@ -297,7 +297,9 @@ class BufferManager:
         """The request's probe under its bucket's simulated lock (the
         ablation of ``simulate_bucket_locks``), then the request: the
         probe happens while holding the lock, as in a real chained
-        hash table."""
+        hash table. The access is counted after the lock wait, where
+        its hit or miss is, so a measurement window that opens during
+        the wait counts both or neither."""
         thread = slot.thread
         bucket_lock = self.table.bucket_locks[self.table.bucket_index(page)]
         yield from bucket_lock.acquire(thread)
@@ -305,10 +307,14 @@ class BufferManager:
         desc = self.table.lookup(page)
         yield from thread.spend()
         bucket_lock.release(thread)
+        stats = self.stats
+        stats.accesses += 1
+        if is_write:
+            stats.write_accesses += 1
         if desc is None:
             return (yield from self._serve_miss(slot, page, is_write,
                                                 keep_pin))
-        self.stats.hits += 1
+        stats.hits += 1
         desc.pins.append(True)
         thread.pending_us += self.costs.pin_unpin_us
         return (yield from self._continue_hit(slot, desc, page, is_write,

@@ -40,7 +40,7 @@ from repro.runtime.base import (MutexLock, Runtime, ThreadContext, Wait,
 from repro.sync.stats import LockStats
 
 __all__ = ["ThreadSlot", "ReplacementHandler", "DirectHandler",
-           "BatchedHandler", "LockFreeHitHandler"]
+           "PlainDirectHandler", "BatchedHandler", "LockFreeHitHandler"]
 
 
 class ThreadSlot:
@@ -75,8 +75,8 @@ class ReplacementHandler(ABC):
 
     #: Whether the pool's runtime turns ``thread.pending_us`` into time
     #: (:attr:`~repro.runtime.base.Runtime.realizes_costs`); :meth:`build`
-    #: copies it from the runtime. A hit that takes no lock reads it to
-    #: skip a ``spend`` that nothing would see.
+    #: copies it from the runtime. A hit that takes no lock and every
+    #: locked section read it to skip a ``spend`` that nothing would see.
     realizes_costs = True
 
     def __init__(self, policy: ReplacementPolicy, lock: MutexLock,
@@ -103,15 +103,17 @@ class ReplacementHandler(ABC):
         policy = make_policy(capacity)
         locks = [cls.new_lock(runtime, lock_name, costs) for lock_name
                  in (f"replacement-{name}", *cls.extra_locks)]
-        handler = cls.suited_to(policy)(
+        handler = cls.suited_to(policy, runtime.realizes_costs)(
             policy, locks[0], MetadataCacheModel(costs), costs, control,
             *locks[1:])
         handler.realizes_costs = runtime.realizes_costs
         return handler
 
     @classmethod
-    def suited_to(cls, policy: ReplacementPolicy) -> type:
-        """The class to wrap ``policy`` in (``DirectHandler`` decides)."""
+    def suited_to(cls, policy: ReplacementPolicy,
+                  realizes_costs: bool) -> type:
+        """The class to wrap ``policy`` in on a runtime that does (or
+        does not) realize costs (``DirectHandler`` decides)."""
         return cls
 
     @staticmethod
@@ -187,7 +189,8 @@ class ReplacementHandler(ABC):
         # invalidate other threads' prefetches.
         slot.thread.pending_us += 2 * self.costs.replacement_op_us
         self.cache.note_commit(slot.thread_id)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self.lock.release(slot.thread)
 
     # -- shared helpers -------------------------------------------------------------
@@ -226,7 +229,8 @@ class ReplacementHandler(ABC):
             return
         yield from self.lock.acquire(slot.thread)
         self._commit_locked(slot)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self.lock.release(slot.thread)
 
     def _commit_locked(self, slot: ThreadSlot,
@@ -284,18 +288,27 @@ class ReplacementHandler(ABC):
 
 class DirectHandler(ReplacementHandler):
     """One lock acquisition per hit — the paper's contended baseline
-    (``pg2Q``), optionally with prefetching (``pgPre``)."""
+    (``pg2Q``), optionally with prefetching (``pgPre``).
+
+    Its hit is the modelled one: a generator that records the access,
+    charges the prefetch and cache warm-up, commits the one-entry
+    queue under the lock and realizes the time spent. On a runtime
+    that realizes no costs :meth:`build` picks
+    :class:`PlainDirectHandler` instead, whose hit is a plain call.
+    """
 
     name = "direct"
 
     @classmethod
-    def suited_to(cls, policy: ReplacementPolicy) -> type:
+    def suited_to(cls, policy: ReplacementPolicy,
+                  realizes_costs: bool) -> type:
         # Without batching the policy's own discipline decides: clock-
         # family hits never touch the lock (and prefetching would have
         # nothing to hide, so the flag is ignored — as in the paper,
         # where pgclock is stock PostgreSQL); every other policy locks.
-        lock_free = policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT
-        return LockFreeHitHandler if lock_free else DirectHandler
+        if policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT:
+            return LockFreeHitHandler
+        return DirectHandler if realizes_costs else PlainDirectHandler
 
     def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
             ) -> Waits:
@@ -307,8 +320,46 @@ class DirectHandler(ReplacementHandler):
         self._warmup_charge(slot, 1)
         self._commit_locked(slot)
         self.cache.note_commit(slot.thread_id)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self.lock.release(slot.thread)
+
+
+class PlainDirectHandler(DirectHandler):
+    """:class:`DirectHandler` on a runtime that realizes no costs
+    (native): a hit is one plain call that takes the lock, replays the
+    access into the policy and releases the lock.
+
+    Nothing is modelled, because nothing would read it: no queue round
+    trip, no cost adds, no cache model, no ``spend``. What a result
+    reads still moves as a one-entry commit moves it: the queue's
+    ``commits``, ``total_drained`` and ``total_stale`` (so
+    ``mean_batch_size`` and ``stale_queue_entries`` are unchanged),
+    and the lock's stats. The commit's ownership guard and §IV-B tag
+    check stay. A pool that prefetches (``pgPre``, or a live
+    ``control.prefetch`` flip) takes the modelled hit, because its
+    prefetch counts come from the cache model.
+    """
+
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
+            ) -> Iterable[Wait]:
+        if self.control.prefetch:
+            return super().hit(slot, desc, tag)
+        thread = slot.thread
+        lock = self.lock
+        lock.acquire(thread)  # blocks at call time on this runtime
+        if lock.owner is not thread:
+            raise SimulationError(
+                "commit attempted without holding the replacement lock")
+        queue = slot.queue
+        queue.commits += 1
+        queue.total_drained += 1
+        if desc.valid and desc.tag == tag:
+            self.policy.on_hit(tag)
+        else:
+            queue.total_stale += 1
+        lock.release(thread)
+        return ()
 
 
 class BatchedHandler(ReplacementHandler):
@@ -342,8 +393,9 @@ class BatchedHandler(ReplacementHandler):
         the ``batch`` queued hits; block only on a full queue."""
         self._maybe_prefetch(slot, batch)
         thread = slot.thread
-        # Realize accumulated work so TryLock sees true logical time.
-        yield from thread.spend()
+        if self.realizes_costs:
+            # Realize accumulated work so TryLock sees true logical time.
+            yield from thread.spend()
         lock = self.lock
         blocking = False
         if not lock.try_acquire(thread):              # Fig. 4 line 8
@@ -352,7 +404,8 @@ class BatchedHandler(ReplacementHandler):
             blocking = True
             yield from lock.acquire(thread)           # Fig. 4 line 13
         started = self._replay_held(slot, batch)      # Fig. 4 lines 15-17
-        yield from thread.spend()
+        if self.realizes_costs:
+            yield from thread.spend()
         self._end_commit(slot, started, batch, blocking)
 
     def _replay_held(self, slot: ThreadSlot, batch: int) -> float:

@@ -33,11 +33,11 @@ spend/wait/yield surface both backends' threads share, and a
 :class:`Runtime` is the clock (``now``) plus the two factories lower
 layers need (bare events and locks), the ``observer``/``checker``
 attachment points, ``realizes_costs`` (whether accumulated costs
-become time; a pool's handler reads it once, to drop a ``spend``
-nothing would see), and the run lifecycle the harness driver
-(:mod:`repro.harness.driver`) walks: pool, thread and disk factories,
-``prepare``, ``mutex`` and ``join``. The observer's hooks are those of
-:class:`repro.obs.observer.Observer`.
+become time; a pool's handler reads it once, to drop the ``spend``
+calls and cost modelling nothing would see), and the run lifecycle
+the harness driver (:mod:`repro.harness.driver`) walks: pool, thread
+and disk factories, ``prepare``, ``mutex`` and ``join``. The
+observer's hooks are those of :class:`repro.obs.observer.Observer`.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ class MutexLock(Protocol):
 
     name: str
     stats: "LockStats"
+    #: The holding thread, or None: a plain attribute the holder
+    #: writes on grant and clears on release.
+    owner: Optional["ThreadContext"]
 
     @property
     def held(self) -> bool: ...
@@ -180,7 +183,8 @@ class Runtime(Protocol):
     checker: Optional[Any]
     #: Whether ``thread.pending_us`` becomes time: True on the
     #: simulator; False on native, where real instructions already
-    #: took real time and nothing reads the sum. Fixed per backend.
+    #: took real time, nothing reads the sum and every blocking call
+    #: blocks at call time. Fixed per backend.
     realizes_costs: bool
 
     @property

@@ -147,17 +147,15 @@ class NativeLock:
         self.stats = LockStats()
         self._lock = threading.Lock()
         self._meta = threading.Lock()
-        self._owner: Optional["NativeThread"] = None
+        #: The holding thread, or None: written by the holder on grant,
+        #: cleared on release, read as a plain attribute.
+        self.owner: Optional["NativeThread"] = None
         self._waiting = 0
         self._acquired_at = 0.0
 
     @property
     def held(self) -> bool:
         return self._lock.locked()
-
-    @property
-    def owner(self) -> Optional["NativeThread"]:
-        return self._owner
 
     @property
     def queue_length(self) -> int:
@@ -187,7 +185,7 @@ class NativeLock:
         stats = self.stats
         if got:
             # As in acquire: one pass through the mutex.
-            self._owner = thread
+            self.owner = thread
             self._acquired_at = self.runtime.now
             with self._meta:
                 stats.try_attempts += 1
@@ -206,16 +204,16 @@ class NativeLock:
     def acquire(self, thread: "NativeThread") -> tuple:
         """Blocking ``Lock()``. Blocks the OS thread at call time and
         returns the empty iterable (``yield from`` convention)."""
-        if self._owner is thread:
+        if self.owner is thread:
             raise LockError(
                 f"thread {thread.name!r} re-acquired non-reentrant "
                 f"lock {self.name!r}")
         thread.pending_us += self.grant_cost_us
         stats = self.stats
         if self._lock.acquire(blocking=False):
-            # Only the holder writes _owner and _acquired_at, so they
+            # Only the holder writes owner and _acquired_at, so they
             # need no mutex; the counters take one pass through it.
-            self._owner = thread
+            self.owner = thread
             self._acquired_at = self.runtime.now
             with self._meta:
                 stats.requests += 1
@@ -232,7 +230,7 @@ class NativeLock:
                                         self._waiting)
         self._lock.acquire()
         granted_at = self.runtime.now
-        self._owner = thread
+        self.owner = thread
         self._acquired_at = granted_at
         with self._meta:
             self._waiting -= 1
@@ -244,8 +242,8 @@ class NativeLock:
         return _NO_EVENTS
 
     def release(self, thread: "NativeThread") -> None:
-        if self._owner is not thread:
-            owner = self._owner.name if self._owner else None
+        if self.owner is not thread:
+            owner = self.owner.name if self.owner else None
             raise LockError(
                 f"thread {thread.name!r} released lock {self.name!r} "
                 f"owned by {owner!r}")
@@ -258,7 +256,7 @@ class NativeLock:
                 stats.max_hold_us = hold
             if hold > stats.window_max_hold_us:
                 stats.window_max_hold_us = hold
-        self._owner = None
+        self.owner = None
         observer = self.runtime.observer
         if observer is not None:
             observer.on_lock_hold(self.name, thread.name, self._acquired_at,

@@ -78,17 +78,15 @@ class SimLock:
         #: CPU cost of one ``TryLock`` attempt.
         self.try_cost_us = try_cost_us
         self.stats = LockStats()
-        self._owner: Optional[CpuBoundThread] = None
+        #: The holding thread, or None: written on grant, cleared on
+        #: release, read as a plain attribute.
+        self.owner: Optional[CpuBoundThread] = None
         self._waiters: Deque[CpuBoundThread] = deque()
         self._acquired_at = 0.0
 
     @property
     def held(self) -> bool:
-        return self._owner is not None
-
-    @property
-    def owner(self) -> Optional[CpuBoundThread]:
-        return self._owner
+        return self.owner is not None
 
     @property
     def queue_length(self) -> int:
@@ -107,7 +105,7 @@ class SimLock:
         """
         self.stats.try_attempts += 1
         thread.pending_us += self.try_cost_us
-        if self._owner is not None:
+        if self.owner is not None:
             self.stats.try_failures += 1
             observer = self.sim.observer
             if observer is not None:
@@ -128,7 +126,7 @@ class SimLock:
         generator that realises the charge through the engine and then
         grants or blocks.
         """
-        if self._owner is thread:
+        if self.owner is thread:
             raise LockError(
                 f"thread {thread.name!r} re-acquired non-reentrant "
                 f"lock {self.name!r}")
@@ -136,7 +134,7 @@ class SimLock:
         # observed at the caller's true logical time, and pending charges
         # must not be billed inside the holding window.
         spent = thread.spend()
-        if not spent and self._owner is None:
+        if not spent and self.owner is None:
             self.stats.requests += 1
             thread.pending_us += self.grant_cost_us
             self._grant(thread)
@@ -148,7 +146,7 @@ class SimLock:
         """:meth:`acquire` after a yielding spend or on a held lock."""
         yield from spent
         self.stats.requests += 1
-        if self._owner is None:
+        if self.owner is None:
             thread.pending_us += self.grant_cost_us
             self._grant(thread)
             return
@@ -183,7 +181,7 @@ class SimLock:
             except GeneratorExit:
                 self._abandon(thread)
                 raise
-            if self._owner is None:
+            if self.owner is None:
                 thread.pending_us += self.grant_cost_us
                 self._grant(thread)
                 break
@@ -194,8 +192,8 @@ class SimLock:
 
     def release(self, thread: CpuBoundThread) -> None:
         """Release the lock to free state, waking the oldest waiter."""
-        if self._owner is not thread:
-            owner = self._owner.name if self._owner else None
+        if self.owner is not thread:
+            owner = self.owner.name if self.owner else None
             raise LockError(
                 f"thread {thread.name!r} released lock {self.name!r} "
                 f"owned by {owner!r}")
@@ -207,7 +205,7 @@ class SimLock:
             stats.max_hold_us = hold
         if hold > stats.window_max_hold_us:
             stats.window_max_hold_us = hold
-        self._owner = None
+        self.owner = None
         observer = self.sim.observer
         if observer is not None:
             observer.on_lock_hold(self.name, thread.name, self._acquired_at,
@@ -231,7 +229,7 @@ class SimLock:
         woken = None
         if thread in self._waiters:
             self._waiters.remove(thread)
-        elif self._owner is None and self._waiters:
+        elif self.owner is None and self._waiters:
             next_thread = self._waiters.popleft()
             woken = next_thread.name
             next_thread.wake()
@@ -240,7 +238,7 @@ class SimLock:
             checker.on_lock_abandoned(self.name, thread.name, woken)
 
     def _grant(self, thread: CpuBoundThread) -> None:
-        self._owner = thread
+        self.owner = thread
         self._acquired_at = self.sim._now
         self.stats.acquisitions += 1
         checker = self.sim.checker

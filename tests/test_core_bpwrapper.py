@@ -11,16 +11,20 @@ from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
 from repro.control.state import ControlState
 from repro.core.bpwrapper import (BatchedHandler, DirectHandler,
-                                  LockFreeHitHandler, ThreadSlot)
+                                  LockFreeHitHandler, PlainDirectHandler,
+                                  ThreadSlot)
 from repro.core.fifoqueue import AccessQueue
 from repro.core.lossy import LossyBatchedHandler
 from repro.errors import ConfigError
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
 from repro.hardware.machines import ALTIX_350
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.systems import build_system, system_spec
 from repro.policies.clock import ClockPolicy
 from repro.policies.lru import LRUPolicy
+from repro.runtime.base import drive
+from repro.runtime.native import NativeRuntime
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
 from repro.simcore.engine import Simulator
 from repro.sync.locks import SimLock
@@ -507,6 +511,81 @@ class TestHitContract:
         assert not inspect.isgenerator(waits)
         assert policy.reference_bit(page)
         assert lock.stats.requests == 0
+
+
+class TestPlainDirectHit:
+    """On a runtime that realizes no costs, pg2Q's hit is one plain
+    call: lock, tag check, policy op, unlock."""
+
+    def pool(self, system="pg2Q"):
+        """A native pool whose 2Q holds pages 0-3 in Am (LRU first),
+        and a slot on a native thread."""
+        runtime = NativeRuntime()
+        build = build_system(system, runtime, 8, ALTIX_350)
+        pages = [PageId("t", block) for block in range(12)]
+        build.manager.warm_with(pages)       # 0-3 leave for A1out
+        build.manager.warm_with(pages[:4])   # and come back into Am
+        thread = runtime.create_thread(runtime.create_pool(1), seed=0)
+        return build, ThreadSlot(thread, 0, queue_size=64), pages
+
+    @staticmethod
+    def order(policy):
+        return (policy.a1in_keys, policy.a1out_keys,
+                policy.am_keys)
+
+    def test_chosen_only_where_costs_are_not_realized(self):
+        build, _, _ = self.pool()
+        assert type(build.handler) is PlainDirectHandler
+        sim_build = build_system("pg2Q", Simulator(), 8, ALTIX_350)
+        assert type(sim_build.handler) is DirectHandler
+
+    def test_live_hit_reaches_the_policy_as_one_commit(self):
+        build, slot, pages = self.pool()
+        handler, lock, queue = build.handler, build.lock, slot.queue
+        page = pages[0]
+        assert build.manager.policy.am_keys[0] == page
+        assert handler.hit(slot, build.manager.lookup(page), page) == ()
+        assert build.manager.policy.am_keys[-1] == page
+        assert (queue.commits, queue.total_drained, queue.total_stale) \
+            == (1, 1, 0)
+        assert lock.owner is None and not lock.held
+        assert (lock.stats.requests, lock.stats.acquisitions) == (1, 1)
+
+    def test_stale_tag_is_counted_and_never_reaches_the_policy(self):
+        build, slot, pages = self.pool()
+        handler, lock, queue = build.handler, build.lock, slot.queue
+        page = pages[0]
+        desc = build.manager.lookup(page)
+        desc.retag(PageId("t", 99))
+        before = self.order(build.manager.policy)
+        waits = handler.hit(slot, desc, page)
+        assert waits == () and not inspect.isgenerator(waits)
+        assert self.order(build.manager.policy) == before
+        assert (queue.commits, queue.total_drained, queue.total_stale) \
+            == (1, 1, 1)
+        assert lock.owner is None and not lock.held
+
+    def test_prefetching_pool_takes_the_modelled_hit(self):
+        build, slot, pages = self.pool("pgPre")
+        drive(build.manager.access(slot, pages[0]))
+        assert build.handler.cache.prefetches_issued == 1
+
+    def test_live_prefetch_flip_takes_the_modelled_hit(self):
+        build, slot, pages = self.pool()
+        drive(build.manager.access(slot, pages[0]))
+        assert build.handler.cache.prefetches_issued == 0
+        build.control.prefetch = True
+        drive(build.manager.access(slot, pages[1]))
+        assert build.handler.cache.prefetches_issued >= 1
+        assert slot.queue.commits == 2
+
+    def test_native_pgpre_run_issues_prefetches(self):
+        result = run_experiment(ExperimentConfig(
+            system="pgPre", workload="tablescan",
+            workload_kwargs={"n_tables": 2, "pages_per_table": 50},
+            runtime="native", n_processors=1, n_threads=1,
+            target_accesses=500, warmup_fraction=0.0, seed=42))
+        assert result.prefetches_issued >= 1
 
 
 class TestPrefetching:

@@ -134,6 +134,18 @@ class TestBucketLocks:
         assert locked.throughput_tps == pytest.approx(
             plain.throughput_tps, rel=0.03)
 
+    @pytest.mark.parametrize("system", ["pg2Q", "pgclock", "pgBatPre"])
+    def test_windowed_hit_ratio_stays_at_most_one(self, system):
+        # An access is counted after its bucket-lock wait, where its
+        # hit is: a window opening while threads wait there counts
+        # both or neither (here it once read 1.0009).
+        result = run_experiment(ExperimentConfig(
+            system=system, workload="dbt1", n_processors=4,
+            target_accesses=4_000, seed=3, simulate_bucket_locks=True))
+        assert result.misses == 0
+        assert result.hits <= result.accesses
+        assert result.hit_ratio <= 1.0
+
     def test_bucket_lock_stats_exposed(self, tiny_machine):
         sim = Simulator()
         build = build_system("pgclock", sim, 64, tiny_machine,

@@ -21,14 +21,16 @@ import pytest
 from repro.harness.experiment import ExperimentConfig, run_experiment
 
 #: Upper bounds on the calls per access, just above the counts of a
-#: hit served inline by a plain-call request, with no settle step on
-#: native (pgBatPre 2.76, pgclock 3.11, pg2Q 18.11); one more Python
-#: call per access breaks each of them.
-MAX_CALLS = {"pgBatPre": 2.85, "pgclock": 3.15, "pg2Q": 18.15}
+#: hit served inline by a plain-call request, with no settle step and
+#: no ``spend`` on native (pgBatPre 2.668, pgclock 3.11, pg2Q 7.11: the
+#: request, the hit, the lock's acquire and release with one clock
+#: read each, and the policy op); one more Python call per access
+#: breaks each of them.
+MAX_CALLS = {"pgBatPre": 2.70, "pgclock": 3.15, "pg2Q": 7.15}
 
 #: Upper bound on the generator frames per access of a hit that never
-#: waits (pgBatPre 0.09 with its commits, pgclock 0.03): a hit served
-#: through a generator reads 1 or more.
+#: waits (pgBatPre 0.09 with its commits, pgclock and pg2Q 0.03): a hit
+#: served through a generator reads 1 or more.
 MAX_GENERATOR_CALLS = 0.1
 
 
@@ -85,6 +87,10 @@ def test_batched_hit_costs_no_more_calls_than_a_lock_free_hit(counts):
 
 def test_lock_per_hit_costs_no_more_calls_than_before(counts):
     assert counts["pg2Q"] <= MAX_CALLS["pg2Q"], counts
+
+
+def test_lock_per_hit_makes_no_generator_frame(per_access):
+    assert per_access["pg2Q"][1] <= MAX_GENERATOR_CALLS, per_access
 
 
 @pytest.mark.parametrize("system", ["pgBatPre", "pgclock"])
