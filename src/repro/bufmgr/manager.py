@@ -305,7 +305,8 @@ class BufferManager:
         yield from bucket_lock.acquire(thread)
         thread.pending_us += self.costs.hash_lookup_us
         desc = self.table.lookup(page)
-        yield from thread.spend()
+        if self.sim.realizes_costs:
+            yield from thread.spend()
         bucket_lock.release(thread)
         stats = self.stats
         stats.accesses += 1

@@ -381,12 +381,19 @@ class BatchedHandler(ReplacementHandler):
         entries = queue._entries
         batch = len(entries) + 1
         if batch > queue.capacity:
-            raise ConfigError(OVERFLOW)
+            return self._hit_full(slot, desc, tag)
         entries.append((desc, tag))
         slot.thread.pending_us += self.costs.queue_record_us
         if batch < self.control.batch_threshold:      # Fig. 4 line 7
             return ()
         return self._commit(slot, batch)
+
+    def _hit_full(self, slot: ThreadSlot, desc: BufferDesc,
+                  tag: BufferTag) -> Iterable[Wait]:
+        """A hit that finds its queue full. Under Fig. 4 none does: the
+        hit that filled it blocked for the lock (line 13) and drained
+        it."""
+        raise ConfigError(OVERFLOW)
 
     def _commit(self, slot: ThreadSlot, batch: int) -> Waits:
         """Fig. 4 lines 8-18: the threshold is reached, so try to commit

@@ -25,12 +25,10 @@ The ``dropped_accesses`` counter plus the hit-ratio deferral study in
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.tags import BufferTag
 from repro.core.bpwrapper import BatchedHandler, ThreadSlot
-from repro.runtime.base import Wait, Waits
+from repro.runtime.base import Waits
 
 __all__ = ["LossyBatchedHandler"]
 
@@ -47,23 +45,21 @@ class LossyBatchedHandler(BatchedHandler):
         #: lock busy.
         self.dropped_accesses = 0
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Iterable[Wait]:
-        if slot.queue.full:
-            return self._flush_or_drop(slot, desc, tag)
-        return super().hit(slot, desc, tag)
-
-    def _flush_or_drop(self, slot: ThreadSlot, desc: BufferDesc,
-                       tag: BufferTag) -> Waits:
+    def _hit_full(self, slot: ThreadSlot, desc: BufferDesc,
+                  tag: BufferTag) -> Waits:
         """Try once to flush the full queue; if the lock is busy, lose
-        this access."""
-        yield from slot.thread.spend()
+        this access. A hit that finds room is :class:`BatchedHandler`'s
+        own, which reads the queue length once and calls this only when
+        the queue is full."""
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         if not self.lock.try_acquire(slot.thread):
             self.dropped_accesses += 1
             slot.thread.pending_us += self.costs.queue_record_us
             return
         batch = len(slot.queue)
         started = self._replay_held(slot, batch)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self._end_commit(slot, started, batch, False)
-        yield from super().hit(slot, desc, tag)
+        yield from self.hit(slot, desc, tag)

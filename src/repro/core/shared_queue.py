@@ -76,7 +76,8 @@ class SharedQueueHandler(ReplacementHandler):
         else:
             self.dropped_records += 1
         over_threshold = len(self.shared_queue) >= self.control.batch_threshold
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self.record_lock.release(slot.thread)
         if not over_threshold:
             return
@@ -85,7 +86,8 @@ class SharedQueueHandler(ReplacementHandler):
                 return
             yield from self.lock.acquire(slot.thread)
         yield from self._drain_and_commit(slot)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self.lock.release(slot.thread)
         self._control_tick(slot)
 
@@ -107,7 +109,8 @@ class SharedQueueHandler(ReplacementHandler):
         yield from self.record_lock.acquire(slot.thread)
         entries: List[QueueEntry] = self.shared_queue.drain()
         slot.thread.pending_us += self.costs.queue_record_us
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         self.record_lock.release(slot.thread)
         self._warmup_charge(slot, max(1, len(entries)))
         self._commit_locked(slot, self.shared_queue, entries)

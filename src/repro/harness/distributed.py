@@ -57,7 +57,9 @@ class DistributedHandler(ReplacementHandler):
         locks = [cls.new_lock(runtime, f"partition-{i}", costs)
                  for i in range(n_partitions)]
         caches = [MetadataCacheModel(costs) for _ in range(n_partitions)]
-        return cls(policy, locks, caches, costs, control)
+        handler = cls(policy, locks, caches, costs, control)
+        handler.realizes_costs = runtime.realizes_costs
+        return handler
 
     def _route(self, page: BufferTag):
         index = self.policy.partition_of(page)
@@ -81,7 +83,8 @@ class DistributedHandler(ReplacementHandler):
         if self.policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT:
             self.policy.on_hit(tag)
             slot.thread.pending_us += self.costs.ref_bit_us
-            yield from slot.thread.spend()
+            if self.realizes_costs:
+                yield from slot.thread.spend()
             return
         yield from lock.acquire(slot.thread)
         slot.thread.pending_us += cache.warmup_cost(slot.thread_id, 1)
@@ -89,7 +92,8 @@ class DistributedHandler(ReplacementHandler):
         slot.thread.pending_us += self.costs.replacement_op_us
         cache.note_commit(slot.thread_id)
         self._report(slot, index)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         lock.release(slot.thread)
 
     def acquire_for_miss(self, slot: ThreadSlot, page: BufferTag
@@ -104,5 +108,6 @@ class DistributedHandler(ReplacementHandler):
         self._report(slot, index)
         slot.thread.pending_us += 2 * self.costs.replacement_op_us
         cache.note_commit(slot.thread_id)
-        yield from slot.thread.spend()
+        if self.realizes_costs:
+            yield from slot.thread.spend()
         lock.release(slot.thread)

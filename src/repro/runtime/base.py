@@ -29,12 +29,13 @@ request that may wait hands back a generator continuation.
 The protocols are deliberately minimal — ``MutexLock`` is the
 paper's ``Lock()``/``TryLock()`` pair with
 :class:`~repro.sync.stats.LockStats`, ``ThreadContext`` is the charge/
-spend/wait/yield surface both backends' threads share, and a
+wait/yield surface both backends' threads share (``spend``, which
+realizes charges as time, is the simulator thread's own), and a
 :class:`Runtime` is the clock (``now``) plus the two factories lower
 layers need (bare events and locks), the ``observer``/``checker``
 attachment points, ``realizes_costs`` (whether accumulated costs
-become time; a pool's handler reads it once, to drop the ``spend``
-calls and cost modelling nothing would see), and the run lifecycle
+become time; a pool's handler and the manager read it, to drop the
+``spend`` calls and cost modelling nothing would see), and the run lifecycle
 the harness driver (:mod:`repro.harness.driver`) walks: pool, thread
 and disk factories, ``prepare``, ``mutex`` and ``join``. The
 observer's hooks are those of :class:`repro.obs.observer.Observer`.
@@ -118,21 +119,22 @@ class MutexLock(Protocol):
 class ThreadContext(Protocol):
     """One transaction-processing thread as the core sees it.
 
-    CPU costs are *accumulated* in :attr:`pending_us` and realized (as
-    simulated time, or dropped on the floor by the native backend,
-    where real instructions already took real time) by ``yield from
-    thread.spend()``. A cost validated non-negative when its owner was
-    built (every :class:`~repro.hardware.costs.CostModel` constant, a
-    lock's grant and try costs) is a plain ``thread.pending_us +=
-    cost``; any other value goes through :meth:`charge`, which rejects
-    a negative cost first. Blocking operations — :meth:`wait`,
-    :meth:`sleep_blocked`, the yield family — are blocking generators.
+    CPU costs are *accumulated* in :attr:`pending_us`. A cost
+    validated non-negative when its owner was built (every
+    :class:`~repro.hardware.costs.CostModel` constant, a lock's grant
+    and try costs) is a plain ``thread.pending_us += cost``; any other
+    value goes through :meth:`charge`, which rejects a negative cost
+    first. Blocking operations — :meth:`wait`, :meth:`sleep_blocked`,
+    :meth:`yield_cpu` — are blocking generators.
 
     ``runtime`` points back at the owning :class:`Runtime`, which is
     how instrumented code reaches the clock and the observer/checker
-    without importing a backend. The per-access settle step is not
-    here: the simulator's thread has its own ``maybe_yield``, and a
-    native thread keeps no simulated time and has none.
+    without importing a backend. What turns the sum into time is not
+    here: the simulator's thread realizes it with its own ``yield from
+    thread.spend()`` (and ``run_for``), which code calls only where
+    :attr:`Runtime.realizes_costs` holds, and settles each access with
+    its own ``maybe_yield``. A native thread keeps no simulated time:
+    real instructions already took real time, and it has neither.
     """
 
     name: str
@@ -141,10 +143,6 @@ class ThreadContext(Protocol):
     pending_us: float
 
     def charge(self, cost_us: float) -> None: ...
-
-    def spend(self) -> Iterable[Wait]: ...
-
-    def run_for(self, cost_us: float) -> Iterable[Wait]: ...
 
     def wait(self, event: WaitEvent) -> Waits: ...
 

@@ -378,13 +378,6 @@ class NativeThread:
         if cost_us < 0:
             raise SimulationError(f"negative charge: {cost_us}")
 
-    def spend(self) -> tuple:
-        return _NO_EVENTS
-
-    def run_for(self, cost_us: float) -> tuple:
-        self.charge(cost_us)
-        return _NO_EVENTS
-
     # -- blocking ----------------------------------------------------------
 
     def wait(self, event: NativeEvent) -> tuple:

@@ -333,7 +333,7 @@ class CpuBoundThread:
         parked, make its next park a zero delay instead."""
         if self._parked:
             self._parked = False
-            self.sim._schedule(0.0, self.process._resume)
+            self.sim._schedule(0.0, self.process)
         else:
             self._woken = True
 

@@ -1,11 +1,13 @@
 """Core discrete-event simulation engine: a heap of wake-ups.
 
 The engine follows the classic event-list design: a priority queue of
-``(time, sequence, callback)`` entries, popped in order, with simulated
-time jumping from entry to entry. Each entry resumes exactly one thing.
-User code is written as Python generators ("processes") that yield
-when they need to wait: a bare float is a private delay, and
-:data:`PARKED` means something else will resume the process.
+``(time, sequence, target)`` entries, popped in order, with simulated
+time jumping from entry to entry. Each entry resumes exactly one thing:
+a :class:`Process`, which the run loop resumes itself, or a plain
+callback (a timer), which it calls. User code is written as Python
+generators ("processes") that yield when they need to wait: a bare
+float is a private delay, and :data:`PARKED` means something else will
+resume the process.
 
 Example::
 
@@ -22,8 +24,10 @@ Design notes
 ------------
 * **Determinism.** Every heap entry carries a monotonically increasing
   sequence number used to break timestamp ties, so the execution order
-  of simultaneous wake-ups is fully reproducible. Every push goes
-  through :meth:`Simulator._schedule`.
+  of simultaneous wake-ups is fully reproducible. A process's float
+  delay is pushed by :meth:`Simulator.run` itself, inline; every other
+  push (a spawn, a wake, a timer) goes through
+  :meth:`Simulator._schedule`. Both take the next sequence number.
 * **No wall-clock anywhere.** The simulator never consults real time;
   the reproduction's entire point is that contention is measured in
   simulated microseconds, immune to the GIL.
@@ -55,8 +59,8 @@ from repro.errors import SimulationError
 
 __all__ = ["Event", "Process", "Simulator", "PARKED"]
 
-#: What a process yields when something else will resume it: a heap
-#: entry targeting its ``Process._resume`` (a wake or a timer).
+#: What a process yields when something else will resume it: a wake
+#: (a heap entry holding the process) or a timer that resumes it.
 PARKED = object()
 
 
@@ -97,9 +101,13 @@ ProcessBody = Generator[Any, None, Any]
 class Process:
     """Drives a generator from heap entries.
 
-    The body yields a bare float, a private delay resumed by one heap
-    entry, or :data:`PARKED`, when something else (a wake or a timer)
-    will push the entry that calls :meth:`_resume`.
+    The body yields a bare float, a private delay, or :data:`PARKED`,
+    when something else (a wake or a timer) will resume it. A heap
+    entry holding the process resumes it: :meth:`Simulator.run` sends
+    into the body itself and pushes a float delay back as
+    ``(now + delay, next seq, process)``. :meth:`_resume` is the same
+    step for a callback (a timer) that resumes the process from its
+    own entry.
     """
 
     __slots__ = ("sim", "name", "_body", "_alive")
@@ -114,7 +122,7 @@ class Process:
         self.name = name or getattr(body, "__name__", "process")
         self._body = body
         self._alive = True
-        sim._schedule(0.0, self._resume)
+        sim._schedule(0.0, self)
 
     @property
     def alive(self) -> bool:
@@ -122,6 +130,7 @@ class Process:
         return self._alive
 
     def _resume(self) -> None:
+        """Resume the body outside the run loop's own step (a timer)."""
         if not self._alive:
             return
         try:
@@ -133,14 +142,17 @@ class Process:
             self._alive = False
             raise
         if target.__class__ is float:
-            # Hot path: a private delay (charge/spend) is one heap
-            # entry resuming this process.
-            self.sim._schedule(target, self._resume)
+            self.sim._schedule(target, self)
         elif target is not PARKED:
-            self._alive = False
-            raise SimulationError(
-                f"process {self.name!r} yielded {target!r}; processes "
-                "may only yield a float delay or PARKED")
+            raise self._bad_yield(target)
+
+    def _bad_yield(self, target: Any) -> SimulationError:
+        """Mark the process dead; the error for a yield that is neither
+        a float delay nor :data:`PARKED`."""
+        self._alive = False
+        return SimulationError(
+            f"process {self.name!r} yielded {target!r}; processes "
+            "may only yield a float delay or PARKED")
 
 
 class Simulator:
@@ -159,7 +171,9 @@ class Simulator:
     realizes_costs = True
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callable[[], Any]]] = []
+        #: ``(time, seq, target)``: ``target`` is a :class:`Process`
+        #: (resumed by the run loop) or a callback (called).
+        self._heap: List[Tuple[float, int, Any]] = []
         self._now = 0.0
         self._seq = 0
         self._events_processed = 0
@@ -187,13 +201,14 @@ class Simulator:
         (diagnostics only)."""
         return self._events_processed
 
-    def _schedule(self, delay: float, callback: Callable[[], Any]) -> None:
-        """Push the one heap entry that calls ``callback()`` after
-        ``delay``: every push goes through here."""
+    def _schedule(self, delay: float,
+                  target: "Process | Callable[[], Any]") -> None:
+        """Push the one heap entry that resumes ``target`` (a
+        :class:`Process`) or calls it (a callback) after ``delay``."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (self._now + delay, seq, callback))
+        heappush(self._heap, (self._now + delay, seq, target))
 
     def event(self) -> Event:
         """Convenience constructor for a bare :class:`Event`."""
@@ -280,6 +295,10 @@ class Simulator:
         When stopped by ``until``, the clock is advanced exactly to
         ``until`` and any entries at later timestamps stay queued. An
         exception raised by a process body propagates from here.
+
+        A process entry is resumed here, not through
+        :meth:`Process._resume`: a wake-up costs the body's own frames
+        and nothing else, and its float delay is pushed inline.
         """
         # Localized binds: the loop body runs once per heap entry
         # (hundreds of millions per grid), so every attribute lookup
@@ -287,18 +306,44 @@ class Simulator:
         # locally and folded back on exit (it is diagnostics-only).
         heap = self._heap
         pop = heappop
+        push = heappush
+        process_class = Process
+        parked = PARKED
         processed = 0
-        self._horizon = inf if until is None else until
+        self._horizon = limit = inf if until is None else until
         try:
             while heap:
                 when = heap[0][0]
-                if until is not None and when > until:
+                if when > limit:
                     self._now = until
                     return until
                 entry = pop(heap)
                 self._now = when
                 processed += 1
-                entry[2]()
+                process = entry[2]
+                if process.__class__ is not process_class:
+                    process()  # a timer or another plain callback
+                    continue
+                # Process._resume, inlined.
+                if not process._alive:
+                    continue
+                try:
+                    target = process._body.send(None)
+                except StopIteration:
+                    process._alive = False
+                    continue
+                except BaseException:
+                    process._alive = False
+                    raise
+                if target.__class__ is float:
+                    if target < 0:
+                        self._schedule(target, process)  # raises
+                    # The body may have moved the clock in place: the
+                    # delay runs from the current time, not from `when`.
+                    self._seq = seq = self._seq + 1
+                    push(heap, (self._now + target, seq, process))
+                elif target is not parked:
+                    raise process._bad_yield(target)
         finally:
             self._events_processed += processed
             self._horizon = -inf

@@ -10,7 +10,7 @@ import pytest
 from repro.hardware.costs import CostModel
 from repro.hardware.machines import MachineSpec
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore.engine import Simulator
+from repro.simcore.engine import Process, Simulator
 
 
 @pytest.fixture
@@ -46,12 +46,17 @@ def at():
 def step():
     """``step(sim)`` pops and runs the single next heap entry, outside
     ``Simulator.run``: the horizon stays -inf, so nothing advances in
-    place and one step is exactly one heap entry."""
+    place and one step is exactly one heap entry. A process entry is
+    resumed (``Process._resume``, the run loop's step), a callback
+    entry called."""
     def pop_one(sim: Simulator) -> None:
-        when, _seq, callback = heappop(sim._heap)
+        when, _seq, target = heappop(sim._heap)
         sim._now = when
         sim._events_processed += 1
-        callback()
+        if isinstance(target, Process):
+            target._resume()
+        else:
+            target()
     return pop_one
 
 

@@ -475,8 +475,9 @@ class TestInPlaceAdvanceDifferential:
                              ids=["fuzz", "trace-disk-bgwriter", "macro",
                                   "serve", "disk-queue-lock-bgwriter"])
     def test_on_equals_off(self, run, heap_only, monkeypatch):
-        # Every entry popped was pushed through Simulator._schedule: a
-        # push that bypassed it would break pops + queued == pushes.
+        # Every entry popped was pushed by the engine's own heappush
+        # (through Simulator._schedule or the run loop's inline push):
+        # a push that bypassed it would break pops + queued == pushes.
         # Only the run's own simulators count (a generator of an
         # earlier test, closed by the garbage collector mid-run, may
         # still hand a processor on in its own).
@@ -484,23 +485,22 @@ class TestInPlaceAdvanceDifferential:
         pushes = collections.Counter()
         pops = collections.Counter()
         init = Simulator.__init__
-        schedule = Simulator._schedule
 
         def tracking_init(self):
             init(self)
-            sims[id(self)] = self
+            sims[id(self._heap)] = self
 
-        def counting_schedule(self, delay, callback):
-            if sims.get(id(self)) is self:
-                pushes[id(self)] += 1
-            schedule(self, delay, callback)
+        def counting_push(heap, item):
+            if id(heap) in sims:
+                pushes[id(heap)] += 1
+            heapq.heappush(heap, item)
 
         def counting_pop(heap):
             pops[id(heap)] += 1
             return heapq.heappop(heap)
 
         monkeypatch.setattr(Simulator, "__init__", tracking_init)
-        monkeypatch.setattr(Simulator, "_schedule", counting_schedule)
+        monkeypatch.setattr(engine, "heappush", counting_push)
         monkeypatch.setattr(engine, "heappop", counting_pop)
 
         def outcome():
@@ -510,7 +510,7 @@ class TestInPlaceAdvanceDifferential:
             record, checker = run()
             for sim in sims.values():
                 assert (pops[id(sim._heap)] + len(sim._heap)
-                        == pushes[id(sim)])
+                        == pushes[id(sim._heap)])
             verdict = None
             if checker is not None:
                 checker.finalize()

@@ -155,7 +155,7 @@ class TestSleep:
 
         proc = sim.spawn(body())
         step(sim)
-        assert sim._heap == [(3.0, 2, proc._resume)]
+        assert sim._heap == [(3.0, 2, proc)]
         sim.run()
         assert sim.events_processed == 2 and sim.now == 3.0
 
@@ -192,8 +192,9 @@ class TestHeapEntries:
         assert event.waiters == [thread]
         seq = sim._seq
         event.succeed()
-        # The wake entry at (now, next seq), resuming the waiter.
-        assert sim._heap == [(3.0, seq + 1, thread.process._resume)]
+        # The wake entry at (now, next seq), holding the waiter's
+        # process.
+        assert sim._heap == [(3.0, seq + 1, thread.process)]
         processed = sim.events_processed
         sim.run()
         assert woke == [3.0] and sim.events_processed == processed + 1
@@ -302,6 +303,93 @@ class TestFailureSurfacing:
             sim.run()
         at(sim, 5.0, noop)
         assert sim.run() == 6.0
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """The names of the processes ``Process._resume`` resumed."""
+    names = []
+    resume = Process._resume
+
+    def counting(self):
+        names.append(self.name)
+        resume(self)
+
+    monkeypatch.setattr(Process, "_resume", counting)
+    return names
+
+
+def start_then(sim, path, tail):
+    """Start process ``"p"``, whose body waits once and then runs
+    ``tail()``: on ``"loop"`` a float delay, which the run loop resumes
+    itself; on ``"timer"`` a ``sleep_blocked``, whose timer resumes the
+    parked thread through ``Process._resume``."""
+    if path == "loop":
+        def body():
+            yield 1.0
+            yield from tail()
+        return sim.spawn(body(), name="p")
+    thread = CpuBoundThread(ProcessorPool(sim, 1, 0.0), "p")
+
+    def body():
+        yield from thread.sleep_blocked(1.0)
+        yield from tail()
+    return thread.start(body())
+
+
+#: ``Process._resume`` calls per path: the loop resumes inline.
+RESUMED = {"loop": [], "timer": ["p"]}
+
+
+@pytest.mark.parametrize("path", ["loop", "timer"])
+class TestResumeErrorPaths:
+    """A wake-up's failure paths behave the same whether the run loop
+    resumes the process or a timer does."""
+
+    def test_int_yield_names_the_process(self, sim, path, resumes):
+        def tail():
+            yield 3
+
+        process = start_then(sim, path, tail)
+        with pytest.raises(SimulationError,
+                           match="process 'p' yielded 3; processes may "
+                                 "only yield a float delay or PARKED"):
+            sim.run()
+        assert not process.alive and resumes == RESUMED[path]
+
+    def test_negative_delay_is_rejected(self, sim, path, resumes):
+        def tail():
+            yield -1.0
+
+        start_then(sim, path, tail)
+        with pytest.raises(SimulationError,
+                           match="cannot schedule into the past: -1.0"):
+            sim.run()
+        assert sim._heap == [] and resumes == RESUMED[path]
+
+    def test_finished_body_schedules_nothing(self, sim, path, resumes):
+        def tail():
+            return
+            yield
+
+        process = start_then(sim, path, tail)
+        sim.run()
+        # The spawn and the wait were the only pushes.
+        assert sim._seq == 2 and sim._heap == []
+        assert sim.events_processed == 2 and sim.now == 1.0
+        assert not process.alive and resumes == RESUMED[path]
+
+    def test_raising_body_dies_and_its_error_leaves_run(self, sim, path,
+                                                         resumes):
+        def tail():
+            raise RuntimeError("boom")
+            yield
+
+        process = start_then(sim, path, tail)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert not process.alive and sim.now == 1.0
+        assert resumes == RESUMED[path]
 
 
 class TestEnginePeekAndBudget:
