@@ -252,8 +252,11 @@ def wall_budget_exceeded(runtime: str, budget_us: float,
 
 def check_lock_costs(name: str, grant_cost_us: float,
                      try_cost_us: float) -> None:
-    """Reject a negative grant or try cost when a lock is built: both
-    lock kinds add them to ``thread.pending_us`` unchecked."""
+    """Reject a negative grant or try cost when a lock is built.
+
+    ``SimLock`` adds them to ``thread.pending_us`` unchecked;
+    ``NativeLock`` never adds them but rejects the same values, so a
+    configuration is valid on both runtimes or on neither."""
     for field, value in (("grant_cost_us", grant_cost_us),
                          ("try_cost_us", try_cost_us)):
         if value < 0:

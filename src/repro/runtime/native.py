@@ -23,8 +23,14 @@ Concurrency model
 -----------------
 The replacement lock serializes every structure mutation (policy
 state, hash-table insert/remove, frame pool) exactly as it does in
-PostgreSQL, so the only extra synchronization the native path needs
-is a small internal mutex per :class:`NativeLock` guarding its stats.
+PostgreSQL. A :class:`NativeLock`'s own stats need little more: every
+field but the two ``TryLock()`` counters is written only by the
+holder, while it holds the ``threading.Lock`` the stats describe, so
+the lock's acquire/release orders those writes on a free-threaded
+build as well as under the GIL. A small internal mutex per lock guards
+only what a non-holder writes: the waiter count and the ``TryLock()``
+counters. The one exception is the harness's warm-up snapshot, which
+resets ``window_max_hold_us`` and copies the stats without the lock.
 Pin/unpin take no lock at all, where PostgreSQL takes the buffer
 header lock: a descriptor's pins are entries of a list, and
 ``list.append`` / ``del pins[i]`` are single C operations, atomic under
@@ -57,6 +63,7 @@ import random
 import sys
 import threading
 import time
+from time import monotonic as _monotonic
 from typing import Any, Generator, Optional
 
 from repro.errors import ConfigError, LockError, SimulationError
@@ -128,9 +135,24 @@ class NativeLock:
     Accounting matches :class:`~repro.sync.locks.SimLock`: a *request*
     is a blocking ``acquire`` or a successful ``try_acquire``; a
     *contention* is a request that could not be satisfied immediately;
-    wait and hold times come from the runtime's monotonic microsecond
-    clock. All stats mutations go through one internal mutex so
-    concurrent updates never lose counts.
+    wait and hold times are microseconds on the runtime's clock
+    (:attr:`NativeRuntime.now`), read here straight from
+    :func:`time.monotonic` against the runtime's origin.
+
+    Every :class:`~repro.sync.stats.LockStats` field but
+    ``try_attempts`` and ``try_failures`` is written only by the holder,
+    while it holds the ``threading.Lock`` the stats describe, so the
+    lock's own acquire/release orders those writes and no increment is
+    lost, with or without the GIL. A contended request is therefore
+    counted when it is granted, not when it blocks. Only what a
+    non-holder writes goes through the internal mutex: the waiter count
+    and the two ``TryLock()`` counters. The one exception is the
+    harness's warm-up snapshot (``_Window.begin`` in
+    :mod:`repro.harness.experiment`), which resets
+    ``window_max_hold_us`` and copies the stats without the lock.
+
+    The grant and try costs are checked at construction, as on the
+    simulator, and otherwise unused: real instructions take real time.
     """
 
     #: Non-blocking attempts one ``try_acquire`` makes before failing.
@@ -142,11 +164,13 @@ class NativeLock:
         check_lock_costs(name, grant_cost_us, try_cost_us)
         self.runtime = runtime
         self.name = name
-        self.grant_cost_us = grant_cost_us
-        self.try_cost_us = try_cost_us
         self.stats = LockStats()
         self._lock = threading.Lock()
+        #: Guards what a non-holder writes: ``_waiting`` and the
+        #: ``try_attempts`` / ``try_failures`` counters.
         self._meta = threading.Lock()
+        #: The runtime clock's zero, in :func:`time.monotonic` seconds.
+        self._origin = runtime._origin
         #: The holding thread, or None: written by the holder on grant,
         #: cleared on release, read as a plain attribute.
         self.owner: Optional["NativeThread"] = None
@@ -169,9 +193,8 @@ class NativeLock:
         short jittered busy-wait between them, then failure. Never
         deschedules — the property Fig. 4's batch-threshold path
         relies on."""
-        thread.pending_us += self.try_cost_us
         acquire = self._lock.acquire
-        got = acquire(blocking=False)
+        got = acquire(False)
         if not got:
             rng = thread.rng
             for _ in range(self.SPIN_TRIES - 1):
@@ -179,22 +202,20 @@ class NativeLock:
                 # spinners without giving up the processor.
                 for _spin in range(rng.randrange(16, 64)):
                     pass
-                got = acquire(blocking=False)
+                got = acquire(False)
                 if got:
                     break
         stats = self.stats
-        if got:
-            # As in acquire: one pass through the mutex.
-            self.owner = thread
-            self._acquired_at = self.runtime.now
-            with self._meta:
-                stats.try_attempts += 1
-                stats.requests += 1
-                stats.acquisitions += 1
-            return True
         with self._meta:
             stats.try_attempts += 1
-            stats.try_failures += 1
+            if not got:
+                stats.try_failures += 1
+        if got:
+            self.owner = thread
+            self._acquired_at = (_monotonic() - self._origin) * 1_000_000.0
+            stats.requests += 1
+            stats.acquisitions += 1
+            return True
         observer = self.runtime.observer
         if observer is not None:
             observer.on_try_lock_failure(self.name, thread.name,
@@ -208,34 +229,32 @@ class NativeLock:
             raise LockError(
                 f"thread {thread.name!r} re-acquired non-reentrant "
                 f"lock {self.name!r}")
-        thread.pending_us += self.grant_cost_us
-        stats = self.stats
-        if self._lock.acquire(blocking=False):
-            # Only the holder writes owner and _acquired_at, so they
-            # need no mutex; the counters take one pass through it.
+        if self._lock.acquire(False):
             self.owner = thread
-            self._acquired_at = self.runtime.now
-            with self._meta:
-                stats.requests += 1
-                stats.acquisitions += 1
-            return _NO_EVENTS
-        blocked_at = self.runtime.now
-        with self._meta:
+            self._acquired_at = (_monotonic() - self._origin) * 1_000_000.0
+            stats = self.stats
             stats.requests += 1
-            stats.contentions += 1
+            stats.acquisitions += 1
+            return _NO_EVENTS
+        blocked_at = (_monotonic() - self._origin) * 1_000_000.0
+        with self._meta:
             self._waiting += 1
+            waiting = self._waiting
         observer = self.runtime.observer
         if observer is not None:
             observer.on_lock_contention(self.name, thread.name, blocked_at,
-                                        self._waiting)
+                                        waiting)
         self._lock.acquire()
-        granted_at = self.runtime.now
+        granted_at = (_monotonic() - self._origin) * 1_000_000.0
         self.owner = thread
         self._acquired_at = granted_at
         with self._meta:
             self._waiting -= 1
-            stats.total_wait_us += granted_at - blocked_at
-            stats.acquisitions += 1
+        stats = self.stats
+        stats.requests += 1
+        stats.contentions += 1
+        stats.total_wait_us += granted_at - blocked_at
+        stats.acquisitions += 1
         if observer is not None:
             observer.on_lock_wait(self.name, thread.name, blocked_at,
                                   granted_at)
@@ -247,19 +266,19 @@ class NativeLock:
             raise LockError(
                 f"thread {thread.name!r} released lock {self.name!r} "
                 f"owned by {owner!r}")
-        released_at = self.runtime.now
-        hold = released_at - self._acquired_at
-        with self._meta:
-            stats = self.stats
-            stats.total_hold_us += hold
-            if hold > stats.max_hold_us:
-                stats.max_hold_us = hold
-            if hold > stats.window_max_hold_us:
-                stats.window_max_hold_us = hold
+        released_at = (_monotonic() - self._origin) * 1_000_000.0
+        acquired_at = self._acquired_at
+        hold = released_at - acquired_at
+        stats = self.stats
+        stats.total_hold_us += hold
+        if hold > stats.max_hold_us:
+            stats.max_hold_us = hold
+        if hold > stats.window_max_hold_us:
+            stats.window_max_hold_us = hold
         self.owner = None
         observer = self.runtime.observer
         if observer is not None:
-            observer.on_lock_hold(self.name, thread.name, self._acquired_at,
+            observer.on_lock_hold(self.name, thread.name, acquired_at,
                                   released_at, self._waiting)
         self._lock.release()
 

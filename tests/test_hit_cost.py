@@ -22,13 +22,13 @@ from repro.harness.experiment import ExperimentConfig, run_experiment
 
 #: Upper bounds on the calls per access, just above the counts of a
 #: hit served inline by a plain-call request, with no settle step and
-#: no ``spend`` on native (pgBatPre 2.668, pgclock 3.11, pg2Q 7.11: the
-#: request, the hit, the lock's acquire and release with one clock
-#: read each, and the policy op; pgBatLossy 2.637, pgBat's own hit,
-#: which reads the queue length once); one more Python call per access
-#: breaks each of them.
-MAX_CALLS = {"pgBatPre": 2.70, "pgclock": 3.15, "pg2Q": 7.15,
-             "pgBatLossy": 2.67}
+#: no ``spend`` on native (pgBatPre 2.606, pgclock 3.11, pg2Q 5.11: the
+#: request, the hit, the lock's acquire and release, which read the
+#: clock without a call, and the policy op; pgBatLossy 2.575, pgBat's
+#: own hit, which reads the queue length once); one more Python call
+#: per access breaks each of them.
+MAX_CALLS = {"pgBatPre": 2.64, "pgclock": 3.15, "pg2Q": 5.15,
+             "pgBatLossy": 2.61}
 
 #: Upper bound on the generator frames per access of a hit that never
 #: waits (pgBatPre 0.09 with its commits, pgclock and pg2Q 0.03): a hit
