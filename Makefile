@@ -3,7 +3,7 @@
 
 .PHONY: install test lint check oracle native-smoke bench-scaling \
 	trace analyze dashboard serve serve-smoke telemetry macro tune \
-	tune-smoke ledger bench repro quick charts csv clean
+	tune-smoke ledger bench shapes repro quick charts csv clean
 
 install:
 	pip install -e .
@@ -161,6 +161,17 @@ ledger:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# The paper's shapes: every table/figure benchmark at scale 1, each
+# asserting its claim (pgBat ~ pgclock in Fig. 6, ...), without the
+# perf ledger and the mp scaling sweep. ~110 s on a 2-CPU host. Run it
+# with `make oracle` after any change that moves the sim or a workload,
+# and before re-recording benchmarks/oracle.json. CI runs exactly this
+# as the shapes job.
+shapes:
+	REPRO_BENCH_SCALE=1 timeout 900 env PYTHONPATH=src python -m pytest \
+		-q benchmarks/ --benchmark-only \
+		--ignore=benchmarks/ledger --ignore=benchmarks/bench_scaling.py
 
 # Regenerate every paper artifact as plain tables (fast to read, slow
 # to run: ~3-5 minutes at full scale).

@@ -27,20 +27,17 @@ class Relation:
                 f"relation {name!r} needs >= 1 page, got {n_pages}")
         self.name = name
         self.n_pages = n_pages
-        # Built once: workloads name a page per access, and every name
-        # of one page is then the same object.
-        self._pages = [PageId(name, block) for block in range(n_pages)]
+        #: All pages in block order, built once: every name of one page
+        #: is the same object, and generators that compute an in-range
+        #: block index this tuple directly.
+        self.pages = tuple(PageId(name, block) for block in range(n_pages))
 
     def page(self, block: int) -> PageId:
         if not 0 <= block < self.n_pages:
             raise WorkloadError(
                 f"block {block} out of range for {self.name!r} "
                 f"({self.n_pages} pages)")
-        return self._pages[block]
-
-    def pages(self) -> Iterator[PageId]:
-        """All pages in block order."""
-        return iter(self._pages)
+        return self.pages[block]
 
     def __repr__(self) -> str:
         return f"Relation({self.name!r}, {self.n_pages})"
@@ -76,4 +73,4 @@ class Schema:
 
     def all_pages(self) -> Iterator[PageId]:
         for relation in self._relations.values():
-            yield from relation.pages()
+            yield from relation.pages

@@ -25,6 +25,7 @@ paper); window defaults to 1 % of capacity; main area is SLRU with an
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Iterable, Optional
 
 from repro.errors import PolicyError
@@ -121,12 +122,17 @@ class TinyLFUPolicy(ReplacementPolicy):
 
     def on_miss(self, key: PageKey) -> Optional[PageKey]:
         self._check_miss_key(key, key in self)
+        if (self.resident_count >= self.capacity
+                and self._first_evictable(chain(
+                    self._window, self._probation, self._protected)) is None):
+            # Pinned solid: fail before the page touches the sketch.
+            raise self._no_victim()
         self.sketch.increment(key)
         self._window[key] = None
         if self.resident_count <= self.capacity:
             self._rebalance_window_no_eviction()
             return None
-        return self._evict_one()
+        return self._evict_one(key)
 
     def on_remove(self, key: PageKey) -> None:
         for segment in (self._window, self._probation, self._protected):
@@ -146,10 +152,12 @@ class TinyLFUPolicy(ReplacementPolicy):
             del self._window[candidate]
             self._probation[candidate] = None
 
-    def _evict_one(self) -> PageKey:
-        """Pool over capacity: apply the TinyLFU admission duel."""
+    def _evict_one(self, incoming: PageKey) -> PageKey:
+        """Pool over capacity: apply the TinyLFU admission duel. The
+        incoming page is never the candidate: it has no frame to lose."""
         candidate = self._first_evictable(self._window)
-        if candidate is not None and len(self._window) > self.window_capacity:
+        if (candidate is not None and candidate != incoming
+                and len(self._window) > self.window_capacity):
             del self._window[candidate]
             victim = (self._first_evictable(self._probation)
                       or self._first_evictable(self._protected))
@@ -163,8 +171,8 @@ class TinyLFUPolicy(ReplacementPolicy):
                 return victim
             self.rejected_admissions += 1
             return candidate
-        # Window within budget (or pinned solid): evict from the main
-        # area, falling back to the window.
+        # Window within budget (or pinned solid but for the incoming
+        # page): evict from the main area, falling back to the window.
         victim = (self._first_evictable(self._probation)
                   or self._first_evictable(self._protected)
                   or self._first_evictable(self._window))
@@ -179,7 +187,7 @@ class TinyLFUPolicy(ReplacementPolicy):
         else:
             del self._protected[key]
 
-    def _first_evictable(self, segment: "OrderedDict[PageKey, None]"
+    def _first_evictable(self, segment: Iterable[PageKey]
                          ) -> Optional[PageKey]:
         for key in segment:
             if self._evictable(key):

@@ -12,6 +12,7 @@ timer-driven refill loop.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -105,13 +106,19 @@ class TenantState:
         self.spec = spec
         self.bucket = TokenBucket(spec.quota_per_sec, spec.quota_burst,
                                   mutex=mutex)
-        self._space = tenant_space(spec.index)
+        space = tenant_space(spec.index)
+        self._pages = [PageId(space, block) for block in range(spec.pages)]
+        # Draw tables, built once: a page is one bisect and one index.
         # permute_seed = tenant index: every tenant concentrates its
         # traffic on a *different* subset of its private pages.
-        self._zipf = ZipfGenerator(spec.pages, spec.skew, permute=True,
-                                   permute_seed=spec.index + 1)
-        self._hot_zipf = (ZipfGenerator(hot_pages, hot_skew)
-                          if hot_pages > 0 else None)
+        zipf = ZipfGenerator(spec.pages, spec.skew, permute=True,
+                             permute_seed=spec.index + 1)
+        self._private = (zipf.cdf, zipf.table(self._pages))
+        self._hot = None
+        if hot_pages > 0:
+            hot_zipf = ZipfGenerator(hot_pages, hot_skew)
+            self._hot = (hot_zipf.cdf, hot_zipf.table(
+                [PageId(HOT_SPACE, block) for block in range(hot_pages)]))
         self._hot_fraction = hot_fraction
         # -- counters (written by this tenant's sessions) ------------------
         self.admitted = 0
@@ -129,18 +136,20 @@ class TenantState:
 
     def next_pages(self, rng: random.Random, count: int) -> List[PageId]:
         """The ordered page accesses of one client request."""
-        pages: List[PageId] = []
-        for _ in range(count):
-            if (self._hot_zipf is not None
-                    and rng.random() < self._hot_fraction):
-                pages.append(PageId(HOT_SPACE, self._hot_zipf.sample(rng)))
-            else:
-                pages.append(PageId(self._space, self._zipf.sample(rng)))
-        return pages
+        uniform = rng.random
+        private_cdf, private = self._private
+        if self._hot is None:
+            return [private[bisect_right(private_cdf, uniform())]
+                    for _ in range(count)]
+        hot_cdf, hot = self._hot
+        fraction = self._hot_fraction
+        return [hot[bisect_right(hot_cdf, uniform())]
+                if uniform() < fraction
+                else private[bisect_right(private_cdf, uniform())]
+                for _ in range(count)]
 
     def private_pages(self) -> List[PageId]:
-        return [PageId(self._space, block)
-                for block in range(self.spec.pages)]
+        return list(self._pages)
 
     # -- reporting ---------------------------------------------------------
 

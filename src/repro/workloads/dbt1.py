@@ -20,8 +20,9 @@ search / best sellers / new products / shopping cart / order inquiry).
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Iterator, List, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator, List
 
 from repro.bufmgr.tags import PageId
 from repro.db.relations import Relation, Schema
@@ -54,16 +55,14 @@ class _BTree:
         key_fraction = min(max(key_fraction, 0.0), 1.0 - 1e-9)
         internal = 1 + int(key_fraction * self.fanout)
         leaf = self.fanout + 1 + int(key_fraction * self.n_leaves)
-        return [self.relation.page(0), self.relation.page(internal),
-                self.relation.page(leaf)]
+        pages = self.relation.pages  # key_fraction < 1: both in range
+        return [pages[0], pages[internal], pages[leaf]]
 
     def leaf_range(self, key_fraction: float, n_leaves: int) -> List[PageId]:
         """An index range scan: one probe then consecutive leaves."""
         pages = self.probe(key_fraction)
         first_leaf = pages[-1].block
-        last = min(self.relation.n_pages, first_leaf + n_leaves)
-        pages.extend(self.relation.page(b)
-                     for b in range(first_leaf + 1, last))
+        pages += self.relation.pages[first_leaf + 1:first_leaf + n_leaves]
         return pages
 
 
@@ -96,25 +95,23 @@ class DBT1Workload(Workload):
         ])
         self._item_btree = _BTree(self._item_idx, fanout=10)
         self._customer_btree = _BTree(self._customer_idx, fanout=10)
-        self._item_zipf = ZipfGenerator(
+        item_zipf = ZipfGenerator(
             self._item.n_pages, item_theta, permute=True,
             permute_seed=seed ^ 0x5EED)
-        self._customer_zipf = ZipfGenerator(
+        customer_zipf = ZipfGenerator(
             self._customer.n_pages, customer_theta, permute=True,
             permute_seed=seed ^ 0xCAFE)
-        # (weight, builder) pairs approximating the TPC-W browsing mix.
-        self._mix: List[Tuple[float, Callable[[random.Random],
-                                              Transaction]]] = [
-            (0.16, self._tx_home),
-            (0.17, self._tx_product_detail),
-            (0.20, self._tx_search),
-            (0.05, self._tx_best_sellers),
-            (0.05, self._tx_new_products),
-            (0.14, self._tx_shopping_cart),
-            (0.12, self._tx_order_inquiry),
-            (0.11, self._tx_buy_request),
-        ]
-        self._weights = [weight for weight, _ in self._mix]
+        self._cdfs = (item_zipf.cdf, customer_zipf.cdf)
+        # Draw tables, built once per workload and shared by every
+        # thread's stream.
+        self._item_table = item_zipf.table(self._item.pages)
+        self._customer_table = customer_zipf.table(self._customer.pages)
+        # The TPC-W browsing mix, approximated.
+        self._kinds = ["home", "product_detail", "search", "best_sellers",
+                       "new_products", "shopping_cart", "order_inquiry",
+                       "buy_request"]
+        self._cum_weights = list(accumulate(
+            [0.16, 0.17, 0.20, 0.05, 0.05, 0.14, 0.12, 0.11]))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -124,96 +121,87 @@ class DBT1Workload(Workload):
 
     def transaction_stream(self, thread_index: int
                            ) -> Iterator[Transaction]:
+        # One loop, one uniform per Zipf draw and one list index per
+        # page, consuming the stream's draws in the order the
+        # transactions name their pages.
         rng = stream_rng(self.seed, self.name, "thread", thread_index)
-        builders = [builder for _, builder in self._mix]
-        while True:
-            builder = rng.choices(builders, weights=self._weights)[0]
-            yield builder(rng)
-
-    # -- page helpers ---------------------------------------------------------
-
-    def _hot_item(self, rng: random.Random) -> PageId:
-        return self._item.page(self._item_zipf.sample(rng))
-
-    def _customer_page(self, rng: random.Random) -> PageId:
-        return self._customer.page(self._customer_zipf.sample(rng))
-
-    def _recent_orders(self, rng: random.Random, n: int) -> List[PageId]:
+        random, choices = rng.random, rng.choices
+        randint, randrange = rng.randint, rng.randrange
+        bisect = bisect_right
+        kinds, cum_weights = self._kinds, self._cum_weights
+        item_cdf, customer_cdf = self._cdfs
+        items, customers = self._item_table, self._customer_table
+        item_probe = self._item_btree.probe
+        item_range = self._item_btree.leaf_range
+        customer_probe = self._customer_btree.probe
+        authors = self._author.pages
         # Order pages age: recency-skewed over the last quarter.
-        window = max(1, self._orders.n_pages // 4)
-        start = self._orders.n_pages - window
-        return [self._orders.page(start + rng.randrange(window))
-                for _ in range(n)]
-
-    # -- transaction builders ----------------------------------------------------
-
-    def _tx_home(self, rng: random.Random) -> Transaction:
-        pages = self._customer_btree.probe(rng.random())
-        pages.append(self._customer_page(rng))
-        pages.extend(self._item_btree.probe(rng.random()))
-        pages.extend(self._hot_item(rng) for _ in range(5))
-        return Transaction("home", pages)
-
-    def _tx_product_detail(self, rng: random.Random) -> Transaction:
-        pages = self._item_btree.probe(rng.random())
-        item = self._hot_item(rng)
-        pages.append(item)
-        pages.append(self._author.page(item.block % self._author.n_pages))
-        # Related items panel.
-        pages.extend(self._hot_item(rng) for _ in range(4))
-        return Transaction("product_detail", pages)
-
-    def _tx_search(self, rng: random.Random) -> Transaction:
-        pages = self._item_btree.leaf_range(rng.random(),
-                                            n_leaves=rng.randint(3, 8))
-        pages.extend(self._hot_item(rng) for _ in range(10))
-        return Transaction("search", pages)
-
-    def _tx_best_sellers(self, rng: random.Random) -> Transaction:
-        # TPC-W's best-seller query aggregates over recent orders and
-        # their line items — a genuine range scan. The one-touch
-        # order_line sweep is the scan pollution that separates 2Q/LIRS
-        # from clock at every buffer size (Fig. 8).
-        pages = self._item_btree.probe(0.0)
-        pages.extend(self._recent_orders(rng, 24))
-        scan_len = max(12, self._order_line.n_pages // 30)
-        start = rng.randrange(self._order_line.n_pages)
-        pages.extend(
-            self._order_line.page((start + i) % self._order_line.n_pages)
-            for i in range(scan_len))
-        pages.extend(self._hot_item(rng) for _ in range(12))
-        return Transaction("best_sellers", pages)
-
-    def _tx_new_products(self, rng: random.Random) -> Transaction:
-        pages = self._item_btree.leaf_range(rng.random(),
-                                            n_leaves=rng.randint(6, 12))
-        pages.extend(self._hot_item(rng) for _ in range(8))
-        return Transaction("new_products", pages)
-
-    def _tx_shopping_cart(self, rng: random.Random) -> Transaction:
-        pages = self._customer_btree.probe(rng.random())
-        pages.append(self._customer_page(rng))
-        pages.extend(self._item_btree.probe(rng.random()))
-        pages.extend(self._hot_item(rng) for _ in range(3))
-        return Transaction("shopping_cart", pages)
-
-    def _tx_order_inquiry(self, rng: random.Random) -> Transaction:
-        pages = self._customer_btree.probe(rng.random())
-        pages.append(self._customer_page(rng))
-        pages.extend(self._recent_orders(rng, 3))
-        line_base = rng.randrange(self._order_line.n_pages)
-        pages.extend(
-            self._order_line.page((line_base + i) % self._order_line.n_pages)
-            for i in range(3))
-        return Transaction("order_inquiry", pages)
-
-    def _tx_buy_request(self, rng: random.Random) -> Transaction:
-        pages = self._customer_btree.probe(rng.random())
-        pages.append(self._customer_page(rng))
-        pages.extend(self._hot_item(rng) for _ in range(4))
-        # The order insert dirties the order pages it touches.
-        first_order = len(pages)
-        pages.extend(self._recent_orders(rng, 2))
-        return Transaction(
-            "buy_request", pages,
-            write_indices=frozenset(range(first_order, len(pages))))
+        orders = self._orders.pages
+        window = max(1, len(orders) // 4)
+        recent = len(orders) - window
+        lines = self._order_line.pages
+        n_lines = len(lines)
+        scan_len = max(12, n_lines // 30)
+        # buy_request's order insert dirties the two order pages it
+        # touches, after a customer probe, the customer and 4 items.
+        buy_writes, no_writes = frozenset([8, 9]), frozenset()
+        while True:
+            kind = choices(kinds, cum_weights=cum_weights)[0]
+            writes = no_writes
+            if kind == "home":
+                pages = customer_probe(random())
+                pages.append(customers[bisect(customer_cdf, random())])
+                pages += item_probe(random())
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(5)]
+            elif kind == "product_detail":
+                pages = item_probe(random())
+                item = items[bisect(item_cdf, random())]
+                pages += (item, authors[item.block % len(authors)])
+                # Related items panel.
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(4)]
+            elif kind == "search":
+                pages = item_range(random(), randint(3, 8))
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(10)]
+            elif kind == "best_sellers":
+                # TPC-W's best-seller query aggregates over recent orders
+                # and their line items — a genuine range scan. The
+                # one-touch order_line sweep is the scan pollution that
+                # separates 2Q/LIRS from clock at every buffer size
+                # (Fig. 8).
+                pages = item_probe(0.0)
+                pages += [orders[recent + randrange(window)]
+                          for _ in range(24)]
+                start = randrange(n_lines)
+                pages += [lines[(start + i) % n_lines]
+                          for i in range(scan_len)]
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(12)]
+            elif kind == "new_products":
+                pages = item_range(random(), randint(6, 12))
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(8)]
+            elif kind == "shopping_cart":
+                pages = customer_probe(random())
+                pages.append(customers[bisect(customer_cdf, random())])
+                pages += item_probe(random())
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(3)]
+            elif kind == "order_inquiry":
+                pages = customer_probe(random())
+                pages.append(customers[bisect(customer_cdf, random())])
+                pages += [orders[recent + randrange(window)]
+                          for _ in range(3)]
+                start = randrange(n_lines)
+                pages += [lines[(start + i) % n_lines] for i in range(3)]
+            else:
+                pages = customer_probe(random())
+                pages.append(customers[bisect(customer_cdf, random())])
+                pages += [items[bisect(item_cdf, random())]
+                          for _ in range(4)]
+                pages += [orders[recent + randrange(window)]
+                          for _ in range(2)]
+                writes = buy_writes
+            yield Transaction(kind, pages, write_indices=writes)

@@ -19,10 +19,10 @@ Mix weights follow TPC-C: new-order 45 %, payment 43 %, order-status
 
 from __future__ import annotations
 
-import random
-from typing import Iterator, List, Tuple
+from bisect import bisect_right
+from itertools import accumulate
+from typing import Iterator
 
-from repro.bufmgr.tags import PageId
 from repro.db.relations import Relation, Schema
 from repro.db.transactions import Transaction
 from repro.errors import WorkloadError
@@ -31,28 +31,6 @@ from repro.workloads.base import Workload
 from repro.workloads.zipf import ZipfGenerator
 
 __all__ = ["DBT2Workload"]
-
-
-class _TxBuilder:
-    """Accumulates page accesses, remembering which ones are writes."""
-
-    def __init__(self) -> None:
-        self._pages: List[PageId] = []
-        self._writes: set = set()
-
-    def read(self, page: PageId) -> None:
-        self._pages.append(page)
-
-    def write(self, page: PageId) -> None:
-        self._writes.add(len(self._pages))
-        self._pages.append(page)
-
-    def read_all(self, pages) -> None:
-        self._pages.extend(pages)
-
-    def build(self, kind: str) -> Transaction:
-        return Transaction(kind, self._pages,
-                           write_indices=frozenset(self._writes))
 
 
 class DBT2Workload(Workload):
@@ -95,19 +73,39 @@ class DBT2Workload(Workload):
             self._orders, self._order_line, self._new_order, self._history,
             self._item, self._customer_idx,
         ])
-        self._item_zipf = ZipfGenerator(item_pages, item_theta,
-                                        permute=True,
-                                        permute_seed=seed ^ 0x17EA)
-        self._customer_zipf = ZipfGenerator(self.CUSTOMER_PAGES,
-                                            customer_theta)
-        self._stock_zipf = ZipfGenerator(self.STOCK_PAGES, 0.9)
-        self._mix: List[Tuple[float, str]] = [
-            (0.45, "new_order"),
-            (0.43, "payment"),
-            (0.04, "order_status"),
-            (0.04, "delivery"),
-            (0.04, "stock_level"),
-        ]
+        item_zipf = ZipfGenerator(item_pages, item_theta, permute=True,
+                                  permute_seed=seed ^ 0x17EA)
+        customer_zipf = ZipfGenerator(self.CUSTOMER_PAGES, customer_theta)
+        stock_zipf = ZipfGenerator(self.STOCK_PAGES, 0.9)
+        self._cdfs = (item_zipf.cdf, customer_zipf.cdf, stock_zipf.cdf)
+        # Draw tables, built once per workload and shared by every
+        # thread's stream: the item table, and one customer and one
+        # stock table per warehouse (Zipf within the warehouse).
+        self._item_table = item_zipf.table(self._item.pages)
+        self._customer_tables = [
+            customer_zipf.table(self._customer.pages[
+                wh * self.CUSTOMER_PAGES:(wh + 1) * self.CUSTOMER_PAGES])
+            for wh in range(w)]
+        self._stock_tables = [
+            stock_zipf.table(self._stock.pages[
+                wh * self.STOCK_PAGES:(wh + 1) * self.STOCK_PAGES])
+            for wh in range(w)]
+        self._kinds = ["new_order", "payment", "order_status",
+                       "delivery", "stock_level"]
+        self._cum_weights = list(accumulate([0.45, 0.43, 0.04, 0.04, 0.04]))
+        # The write indices of each transaction shape: new_order per line
+        # count (district, each line's stock, then the order, new-order
+        # and order-line inserts), payment's two customer paths, and
+        # delivery (per district: new_order, orders, customer).
+        self._new_order_writes = {
+            n: frozenset([1, *range(5, 4 + 2 * n, 2),
+                          *range(4 + 2 * n, 6 + 2 * n + (n + 4) // 5)])
+            for n in range(5, 16)}
+        self._payment_writes = (frozenset([0, 1, 3, 4]),
+                                frozenset([0, 1, 5, 6]))
+        self._delivery_writes = frozenset(
+            index for d in range(10) for index in (1 + 4 * d, 2 + 4 * d,
+                                                   4 + 4 * d))
 
     # -- plumbing ------------------------------------------------------------
 
@@ -117,141 +115,125 @@ class DBT2Workload(Workload):
 
     def transaction_stream(self, thread_index: int
                            ) -> Iterator[Transaction]:
+        # One loop, one uniform per Zipf draw and one list index per
+        # page: the draws are interleaved with ``randint``/``randrange``
+        # on one Mersenne Twister stream, so they cannot be taken in
+        # blocks without reordering the stream.
         rng = stream_rng(self.seed, self.name, "thread", thread_index)
-        home = thread_index % self.n_warehouses
+        random, choices = rng.random, rng.choices
+        randint, randrange = rng.randint, rng.randrange
+        bisect = bisect_right
+        kinds, cum_weights = self._kinds, self._cum_weights
+        n_warehouses = self.n_warehouses
+        remote = n_warehouses > 1
+        remote_prob = self.remote_warehouse_prob
+        home = thread_index % n_warehouses
+        warehouse = self._warehouse.pages[home]
+        district = self._district.pages[home]
+        customer_idx = self._customer_idx.pages
+        home_idx = customer_idx[home % len(customer_idx)]
+        item_cdf, customer_cdf, stock_cdf = self._cdfs
+        items = self._item_table
+        customer_tables = self._customer_tables
+        stock_tables = self._stock_tables
+        home_customers = customer_tables[home]
+        home_stock = stock_tables[home]
+        # The append rings: block ``home * pages + position % pages``.
+        orders, orders_n = self._orders.pages, self.ORDERS_PAGES
+        new_order, new_order_n = self._new_order.pages, self.NEW_ORDER_PAGES
+        lines, lines_n = self._order_line.pages, self.ORDER_LINE_PAGES
+        history, history_n = self._history.pages, self.HISTORY_PAGES
+        orders_base = home * orders_n
+        new_order_base = home * new_order_n
+        lines_base = home * lines_n
+        history_base = home * history_n
+        stock, stock_n = self._stock.pages, self.STOCK_PAGES
+        stock_base = home * stock_n
+        new_order_writes = self._new_order_writes
+        payment_writes = self._payment_writes
+        delivery_writes = self._delivery_writes
         # Per-thread insert cursor into the append rings, offset so
         # threads start writing at different positions.
         cursor = thread_index * 1009
-        kinds = [kind for _, kind in self._mix]
-        weights = [weight for weight, _ in self._mix]
-        builders = {
-            "new_order": self._tx_new_order,
-            "payment": self._tx_payment,
-            "order_status": self._tx_order_status,
-            "delivery": self._tx_delivery,
-            "stock_level": self._tx_stock_level,
-        }
         while True:
-            kind = rng.choices(kinds, weights=weights)[0]
-            transaction, cursor = builders[kind](rng, home, cursor)
-            yield transaction
-
-    # -- page helpers ------------------------------------------------------------
-
-    def _pick_warehouse(self, rng: random.Random, home: int) -> int:
-        if (self.n_warehouses > 1
-                and rng.random() < self.remote_warehouse_prob):
-            other = rng.randrange(self.n_warehouses - 1)
-            return other + 1 if other >= home else other
-        return home
-
-    def _customer_page(self, rng: random.Random, warehouse: int) -> PageId:
-        offset = self._customer_zipf.sample(rng)
-        return self._customer.page(warehouse * self.CUSTOMER_PAGES + offset)
-
-    def _stock_page(self, rng: random.Random, warehouse: int) -> PageId:
-        offset = self._stock_zipf.sample(rng)
-        return self._stock.page(warehouse * self.STOCK_PAGES + offset)
-
-    def _ring_page(self, relation: Relation, warehouse: int,
-                   pages_per_warehouse: int, position: int) -> PageId:
-        block = (warehouse * pages_per_warehouse
-                 + position % pages_per_warehouse)
-        return relation.page(block)
-
-    # -- transaction builders -------------------------------------------------------
-
-    def _tx_new_order(self, rng: random.Random, home: int,
-                      cursor: int) -> Tuple[Transaction, int]:
-        tx = _TxBuilder()
-        tx.read(self._warehouse.page(home))
-        tx.write(self._district.page(home))      # d_next_o_id update
-        tx.read(self._customer_idx.page(home % self._customer_idx.n_pages))
-        tx.read(self._customer_page(rng, home))
-        n_lines = rng.randint(5, 15)
-        for _ in range(n_lines):
-            supply = self._pick_warehouse(rng, home)
-            tx.read(self._item.page(self._item_zipf.sample(rng)))
-            tx.write(self._stock_page(rng, supply))  # s_quantity update
-        # Inserts: orders tail, new_order tail, a few order_line pages.
-        tx.write(self._ring_page(self._orders, home,
-                                 self.ORDERS_PAGES, cursor // 10))
-        tx.write(self._ring_page(self._new_order, home,
-                                 self.NEW_ORDER_PAGES, cursor // 10))
-        for i in range((n_lines + 4) // 5):
-            tx.write(self._ring_page(self._order_line, home,
-                                     self.ORDER_LINE_PAGES,
-                                     cursor // 3 + i))
-        return tx.build("new_order"), cursor + 1
-
-    def _tx_payment(self, rng: random.Random, home: int,
-                    cursor: int) -> Tuple[Transaction, int]:
-        warehouse = self._pick_warehouse(rng, home)
-        tx = _TxBuilder()
-        tx.write(self._warehouse.page(home))     # w_ytd update
-        tx.write(self._district.page(home))      # d_ytd update
-        tx.read(self._customer_idx.page(
-            warehouse % self._customer_idx.n_pages))
-        if rng.random() < 0.60:
-            tx.write(self._customer_page(rng, warehouse))
-        else:
-            # Lookup by last name: extra index + a couple of candidates.
-            tx.read(self._customer_idx.page(
-                (warehouse * 2 + 1) % self._customer_idx.n_pages))
-            tx.read(self._customer_page(rng, warehouse))
-            tx.write(self._customer_page(rng, warehouse))
-        tx.write(self._ring_page(self._history, home,
-                                 self.HISTORY_PAGES, cursor // 12))
-        return tx.build("payment"), cursor + 1
-
-    def _tx_order_status(self, rng: random.Random, home: int,
-                         cursor: int) -> Tuple[Transaction, int]:
-        pages: List[PageId] = [
-            self._customer_idx.page(home % self._customer_idx.n_pages),
-            self._customer_page(rng, home),
-        ]
-        recent = cursor // 10
-        for i in range(3):
-            pages.append(self._ring_page(self._orders, home,
-                                         self.ORDERS_PAGES, recent - i))
-        for i in range(4):
-            pages.append(self._ring_page(self._order_line, home,
-                                         self.ORDER_LINE_PAGES,
-                                         cursor // 3 - i))
-        return Transaction("order_status", pages), cursor
-
-    def _tx_delivery(self, rng: random.Random, home: int,
-                     cursor: int) -> Tuple[Transaction, int]:
-        tx = _TxBuilder()
-        tx.read(self._warehouse.page(home))
-        oldest = max(0, cursor // 10 - self.NEW_ORDER_PAGES)
-        for district in range(10):
-            tx.write(self._ring_page(self._new_order, home,
-                                     self.NEW_ORDER_PAGES,
-                                     oldest + district))  # delete row
-            tx.write(self._ring_page(self._orders, home,
-                                     self.ORDERS_PAGES,
-                                     oldest + district))  # carrier id
-            tx.read(self._ring_page(self._order_line, home,
-                                    self.ORDER_LINE_PAGES,
-                                    (oldest + district) * 2))
-            tx.write(self._customer_page(rng, home))      # c_balance
-        return tx.build("delivery"), cursor + 1
-
-    def _tx_stock_level(self, rng: random.Random, home: int,
-                        cursor: int) -> Tuple[Transaction, int]:
-        # Stock-level joins the last 20 orders' lines against the stock
-        # table — effectively a scan. The one-touch stock sweep is
-        # classic scan pollution: it flushes reference-bit and LRU
-        # caches but is absorbed by 2Q's A1in / LIRS's HIR queue.
-        pages: List[PageId] = [self._district.page(home)]
-        for i in range(20):
-            pages.append(self._ring_page(self._order_line, home,
-                                         self.ORDER_LINE_PAGES,
-                                         cursor // 3 - i))
-        scan_start = (cursor * 7) % self.STOCK_PAGES
-        base = home * self.STOCK_PAGES
-        for i in range(40):
-            pages.append(self._stock.page(
-                base + (scan_start + i) % self.STOCK_PAGES))
-        return Transaction("stock_level", pages), cursor + 1
+            kind = choices(kinds, cum_weights=cum_weights)[0]
+            if kind == "new_order":
+                pages = [warehouse, district, home_idx,
+                         home_customers[bisect(customer_cdf, random())]]
+                n_lines = randint(5, 15)
+                for _ in range(n_lines):
+                    supply = home_stock
+                    if remote and random() < remote_prob:
+                        other = randrange(n_warehouses - 1)
+                        supply = stock_tables[other + 1 if other >= home
+                                              else other]
+                    pages += (items[bisect(item_cdf, random())],
+                              supply[bisect(stock_cdf, random())])
+                # Inserts: orders tail, new_order tail, a few order_line
+                # pages.
+                pages += (orders[orders_base + cursor // 10 % orders_n],
+                          new_order[new_order_base
+                                    + cursor // 10 % new_order_n])
+                pages += [lines[lines_base + (cursor // 3 + i) % lines_n]
+                          for i in range((n_lines + 4) // 5)]
+                yield Transaction(kind, pages,
+                                  write_indices=new_order_writes[n_lines])
+                cursor += 1
+            elif kind == "payment":
+                wh = home
+                if remote and random() < remote_prob:
+                    other = randrange(n_warehouses - 1)
+                    wh = other + 1 if other >= home else other
+                customers = customer_tables[wh]
+                pages = [warehouse, district,
+                         customer_idx[wh % len(customer_idx)]]
+                if random() < 0.60:
+                    pages.append(customers[bisect(customer_cdf, random())])
+                    writes = payment_writes[0]
+                else:
+                    # Lookup by last name: extra index + a couple of
+                    # candidates.
+                    pages += (
+                        customer_idx[(wh * 2 + 1) % len(customer_idx)],
+                        customers[bisect(customer_cdf, random())],
+                        customers[bisect(customer_cdf, random())])
+                    writes = payment_writes[1]
+                pages.append(history[history_base
+                                     + cursor // 12 % history_n])
+                yield Transaction(kind, pages, write_indices=writes)
+                cursor += 1
+            elif kind == "order_status":
+                recent, line = cursor // 10, cursor // 3
+                pages = [home_idx,
+                         home_customers[bisect(customer_cdf, random())]]
+                pages += [orders[orders_base + (recent - i) % orders_n]
+                          for i in range(3)]
+                pages += [lines[lines_base + (line - i) % lines_n]
+                          for i in range(4)]
+                yield Transaction(kind, pages)
+            elif kind == "delivery":
+                pages = [warehouse]
+                oldest = max(0, cursor // 10 - new_order_n)
+                for position in range(oldest, oldest + 10):
+                    pages += (  # delete row, carrier id, lines, c_balance
+                        new_order[new_order_base + position % new_order_n],
+                        orders[orders_base + position % orders_n],
+                        lines[lines_base + position * 2 % lines_n],
+                        home_customers[bisect(customer_cdf, random())])
+                yield Transaction(kind, pages, write_indices=delivery_writes)
+                cursor += 1
+            else:
+                # Stock-level joins the last 20 orders' lines against the
+                # stock table — effectively a scan. The one-touch stock
+                # sweep is classic scan pollution: it flushes
+                # reference-bit and LRU caches but is absorbed by 2Q's
+                # A1in / LIRS's HIR queue.
+                line = cursor // 3
+                scan_start = cursor * 7 % stock_n
+                pages = [district]
+                pages += [lines[lines_base + (line - i) % lines_n]
+                          for i in range(20)]
+                pages += [stock[stock_base + (scan_start + i) % stock_n]
+                          for i in range(40)]
+                yield Transaction(kind, pages)
+                cursor += 1

@@ -58,7 +58,7 @@ class TableScanWorkload(Workload):
     def transaction_stream(self, thread_index: int
                            ) -> Iterator[Transaction]:
         table = self._tables[thread_index % self.n_tables]
-        scan_pages = list(table.pages())
+        scan_pages = list(table.pages)
         while True:
             yield Transaction("full_scan", scan_pages,
                               work_factor=self.SCAN_WORK_FACTOR)

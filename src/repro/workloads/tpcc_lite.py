@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterator, List, Tuple
 
 from repro.db.exec.btree import BTreeIndex
@@ -110,11 +111,8 @@ class TpccLiteWorkload(Workload):
             self.CUSTOMER_PAGES * ROWS_PER_PAGE, customer_theta)
         self._stock_zipf = ZipfGenerator(
             self.STOCK_PAGES * ROWS_PER_PAGE, 0.9)
-        self._mix: List[Tuple[float, str]] = [
-            (0.45, "new_order"),
-            (0.45, "payment"),
-            (0.10, "order_status"),
-        ]
+        self._kinds = ["new_order", "payment", "order_status"]
+        self._cum_weights = list(accumulate([0.45, 0.45, 0.10]))
 
     # -- workload contract ---------------------------------------------------
 
@@ -132,15 +130,14 @@ class TpccLiteWorkload(Workload):
         rng = stream_rng(self.seed, self.name, "thread", thread_index)
         home = thread_index % self.n_warehouses
         cursor = thread_index * 1009
-        kinds = [kind for _, kind in self._mix]
-        weights = [weight for weight, _ in self._mix]
+        kinds, cum_weights = self._kinds, self._cum_weights
         builders = {
             "new_order": self._plan_new_order,
             "payment": self._plan_payment,
             "order_status": self._plan_order_status,
         }
         while True:
-            kind = rng.choices(kinds, weights=weights)[0]
+            kind = rng.choices(kinds, cum_weights=cum_weights)[0]
             query, cursor = builders[kind](rng, home, cursor)
             yield query
 

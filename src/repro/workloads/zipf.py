@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import List, Optional
+from typing import List, Sequence, TypeVar
 
 from repro.errors import WorkloadError
 
 __all__ = ["ZipfGenerator"]
+
+T = TypeVar("T")
 
 
 class ZipfGenerator:
@@ -44,28 +46,38 @@ class ZipfGenerator:
                                  theta)
         cdf = np.cumsum(weights)
         cdf /= cdf[-1]
-        self._cdf = cdf
-        # Draws search plain Python lists: ``bisect`` over the same
+        # Draws search a plain Python list: ``bisect`` over the same
         # float64 values returns exactly what ``np.searchsorted(...,
         # side="right")`` would, without numpy's per-call dispatch.
-        self._cdf_list: List[float] = cdf.tolist()
-        self._perm: Optional[List[int]] = None
+        self.cdf: List[float] = cdf.tolist()
+        self._perm: Sequence[int] = range(n)
         if permute:
             perm_rng = np.random.default_rng(permute_seed)
             self._perm = perm_rng.permutation(n).tolist()
+        self._ranks = self.table(range(n))
+
+    def table(self, values: Sequence[T]) -> List[T]:
+        """The draw table over ``values``: ``table[bisect_right(cdf, u)]``
+        is the value of the rank drawn by the uniform ``u``.
+
+        Entry ``i`` holds ``values[perm[i]]``; one more entry repeats the
+        last, standing for ``u == 1.0``, which ``random()`` never
+        returns. Build tables once and index them per draw.
+        """
+        if len(values) != self.n:
+            raise WorkloadError(
+                f"zipf table needs {self.n} values, got {len(values)}")
+        table = [values[rank] for rank in self._perm]
+        table.append(table[-1])
+        return table
 
     def sample(self, rng: random.Random) -> int:
         """One draw, consuming exactly one uniform from ``rng``."""
-        rank = bisect_right(self._cdf_list, rng.random())
-        if rank >= self.n:  # guard the u == 1.0 edge
-            rank = self.n - 1
-        if self._perm is not None:
-            return self._perm[rank]
-        return rank
+        return self._ranks[bisect_right(self.cdf, rng.random())]
 
     def probability_of_rank(self, rank: int) -> float:
         """P(draw == rank-th hottest) — used by tests."""
         if not 0 <= rank < self.n:
             raise WorkloadError(f"rank {rank} out of range [0, {self.n})")
-        previous = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - previous)
+        previous = self.cdf[rank - 1] if rank > 0 else 0.0
+        return self.cdf[rank] - previous

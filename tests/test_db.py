@@ -26,7 +26,7 @@ class TestRelation:
 
     def test_pages_iterates_in_order(self):
         relation = Relation("t", 3)
-        assert list(relation.pages()) == [PageId("t", block)
+        assert list(relation.pages) == [PageId("t", block)
                                           for block in range(3)]
 
     def test_zero_pages_rejected(self):

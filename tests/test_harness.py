@@ -242,7 +242,7 @@ class TestThinkTime:
             def transaction_stream(self, thread_index):
                 while True:
                     yield Transaction("think",
-                                      list(self._relation.pages()),
+                                      list(self._relation.pages),
                                       think_time_us=self.think_us)
 
         def throughput(think_us):

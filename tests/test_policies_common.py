@@ -8,6 +8,7 @@ evictable, removal works, and stand-alone accounting is consistent.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -245,3 +246,69 @@ class TestPolicyHypothesis:
                     for block in range(2 * capacity + 2)]
                    for policy in (batched, looped)]
         assert victims[0] == victims[1]
+
+
+#: One step of the pinning property: access a block (``on_hit`` if
+#: resident, else ``on_miss``), pin or unpin one block, or pin every
+#: resident page.
+PIN_STEPS = st.one_of(
+    st.tuples(st.just("access"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("pin"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("unpin"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("pin_all"), st.just(0)),
+    st.tuples(st.just("unpin_all"), st.just(0)),
+)
+
+
+@pytest.mark.parametrize("name", ALL_POLICIES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8),
+       st.lists(PIN_STEPS, max_size=120))
+def test_pins_are_never_evicted_under_a_changing_pin_set(name, capacity,
+                                                         steps):
+    """The replacer contract under pins (SNIPPETS.md snippet 1): with a
+    ``set_evictable_predicate`` pin set that changes between steps, a
+    miss never evicts a pinned page, residency stays within capacity and
+    ``resident_count`` matches the resident set; with every resident
+    page pinned and the pool full, a miss raises ``PolicyError`` and
+    leaves the policy as it was."""
+    policy = make_policy(name, capacity)
+    pinned = set()
+    policy.set_evictable_predicate(lambda key: key not in pinned)
+    resident = set()
+    for op, block in steps:
+        key = ("s", block)
+        if op == "pin":
+            pinned.add(key)
+        elif op == "unpin":
+            pinned.discard(key)
+        elif op == "pin_all":
+            pinned |= resident
+        elif op == "unpin_all":
+            pinned.clear()
+        elif key in resident:
+            policy.on_hit(key)
+        elif len(resident) == capacity and resident <= pinned:
+            before = copy.deepcopy(policy)
+            order = list(policy.resident_keys())
+            with pytest.raises(PolicyError):
+                policy.on_miss(key)
+            assert list(policy.resident_keys()) == order
+            assert key not in policy
+            # Unchanged: the same victims from here on as a copy taken
+            # before the failed miss.
+            pinned.clear()
+            probe = [("fresh", index) for index in range(capacity + 1)]
+            after = copy.deepcopy(policy)
+            assert [after.on_miss(k) for k in probe] == \
+                [before.on_miss(k) for k in probe]
+            pinned |= resident
+        else:
+            victim = policy.on_miss(key)
+            if victim is not None:
+                assert victim in resident and victim not in pinned, \
+                    (victim, pinned)
+                resident.discard(victim)
+            resident.add(key)
+        assert set(policy.resident_keys()) == resident
+        assert policy.resident_count == len(resident) <= capacity

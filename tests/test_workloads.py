@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -16,6 +17,16 @@ from repro.workloads import (DBT1Workload, DBT2Workload, SyntheticTrace,
                              TableScanWorkload, TraceWorkload, ZipfGenerator,
                              available_workloads, make_workload)
 from repro.workloads.base import merged_trace
+
+
+class FixedUniform:
+    """An rng whose every ``random()`` is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def take_transactions(workload, thread_index, count):
@@ -100,21 +111,32 @@ class TestZipf:
 
     @pytest.mark.parametrize("permute", [False, True])
     def test_unit_interval_edges_match_reference(self, permute):
-        class Fixed:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         n = 10
         zipf = ZipfGenerator(n, 0.9, permute=permute, permute_seed=11)
         # A u equal to a CDF entry belongs to the next rank (side
         # "right"); u == 1.0 is the last entry: clamped to the last rank.
         edges = [0.0, float(self.reference_cdf(n, 0.9)[3]),
                  math.nextafter(1.0, 0.0), 1.0]
-        assert [zipf.sample(Fixed(u)) for u in edges] == \
+        assert [zipf.sample(FixedUniform(u)) for u in edges] == \
             self.searchsorted_reference(n, 0.9, permute, edges)
+
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_table_draw_is_the_sampled_value(self, permute):
+        """``table[bisect_right(cdf, u)]`` names ``values[sample]`` for
+        every uniform, the u == 1.0 sentinel included."""
+        from bisect import bisect_right
+        zipf = ZipfGenerator(10, 0.9, permute=permute, permute_seed=11)
+        values = [f"page{rank}" for rank in range(10)]
+        table = zipf.table(values)
+        assert len(table) == 11
+        rng = random.Random(4)
+        uniforms = [rng.random() for _ in range(2_000)] + [0.0, 1.0]
+        for u in uniforms:
+            assert table[bisect_right(zipf.cdf, u)] == \
+                values[zipf.sample(FixedUniform(u))]
+        with pytest.raises(WorkloadError):
+            zipf.table(values[:-1])
 
 
 class TestRegistry:
@@ -348,3 +370,82 @@ class TestDbt1BTree:
         from repro.workloads.dbt1 import _BTree
         with pytest.raises(WorkloadError):
             _BTree(Relation("idx", 5), fanout=10)
+
+
+#: sha256 of the first 3,000 transactions of three thread streams per
+#: workload (seed 42), keyed "<workload>[-<warehouses>]-<thread>".
+STREAM_DIGESTS = {
+    "dbt2-10-0":
+        "7e5cb9fcc424f977b492d65777f30a64aa4a5e631c6f47615b87e1eb929dabb4",
+    "dbt2-10-1":
+        "352100bf59a6b9d70a481e632c16c6b510b9c79e9ebf1b3bf374eea901917eee",
+    "dbt2-10-31":
+        "04a0073f26ccbaffb8920630f3a2de260a042183e4de8fa210c5bf27109d7f70",
+    "dbt2-50-0":
+        "ee915dbbf57ae100a2106a3b095ab42ca791d64765853421f91a20738188e51f",
+    "dbt2-50-1":
+        "b933da94318603c406d69c68261b639ad6b326df0dc0910285beb7d42292d77e",
+    "dbt2-50-31":
+        "e5170915d5746ef265d86c3bc50849dd904d15e54c246f2ced1bdef010b2b523",
+    "dbt1-0":
+        "b0d7f807799eec38b026064f2fc8bf6120883bd8f7c89bc6ed886222e1c60513",
+    "dbt1-1":
+        "fcbf6cf5fdcf3439e3ec36bcfab07120320401339d60192752df0ed1b8f0ebe2",
+    "dbt1-31":
+        "b89a86ccb768ae4d01859091112cacf06addc527f587ffa2db0f56489b065e49",
+    "tpcc_lite-0":
+        "587ef5f08e8d7632242fc3c0c34fab3ee446472fe9ae836dd1f7c506a08b706e",
+    "tpcc_lite-1":
+        "1dcbb7daea2c466f44d0ed6fcb5a5f7655e0a8c2d0b91c914f6fb8224c54277a",
+    "tpcc_lite-31":
+        "133552221200d85c3f054bbc31cbf22824aae1dbf267520d457e103a6827c13c",
+}
+
+#: sha256 of 2,000 ``TenantState.next_pages(rng, 4)`` requests.
+TENANT_PAGES_DIGEST = (
+    "0c91b622405dc455401fb1476884003c429919a8f83047e7625d00f5271bb523")
+
+
+def _stream_digest(workload, thread_index, count=3_000):
+    """sha256 over the first ``count`` transactions of one stream: the
+    kind, the page list, the sorted write indices, the think time and
+    the work factor of each."""
+    digest = hashlib.sha256()
+    for tx in take_transactions(workload, thread_index, count):
+        digest.update(repr((
+            tx.kind, [(page.space, page.block) for page in tx.pages],
+            sorted(tx.write_indices), tx.think_time_us, tx.work_factor,
+        )).encode())
+    return digest.hexdigest()
+
+
+class TestStreamIdentity:
+    """The streams are pinned draw for draw: a generator rewrite must
+    consume the same ``random.Random`` calls in the same order and name
+    the same pages, or every run digest downstream moves."""
+
+    WORKLOADS = {
+        "dbt2-10": ("dbt2", {"n_warehouses": 10}),
+        "dbt2-50": ("dbt2", {"n_warehouses": 50}),
+        "dbt1": ("dbt1", {}),
+        "tpcc_lite": ("tpcc_lite", {}),
+    }
+
+    @pytest.mark.parametrize("key", sorted(WORKLOADS))
+    @pytest.mark.parametrize("thread_index", [0, 1, 31])
+    def test_stream_digest(self, key, thread_index):
+        name, kwargs = self.WORKLOADS[key]
+        workload = make_workload(name, seed=42, **kwargs)
+        assert _stream_digest(workload, thread_index) == \
+            STREAM_DIGESTS[f"{key}-{thread_index}"]
+
+    def test_tenant_pages_digest(self):
+        from repro.serve.tenants import TenantSpec, TenantState
+        tenant = TenantState(TenantSpec(3, "tenant03", 128, 0.8, None, 8),
+                             hot_pages=16, hot_fraction=0.1, hot_skew=0.6)
+        rng = random.Random(42)
+        digest = hashlib.sha256()
+        for _ in range(2_000):
+            digest.update(repr([(page.space, page.block) for page
+                                in tenant.next_pages(rng, 4)]).encode())
+        assert digest.hexdigest() == TENANT_PAGES_DIGEST
