@@ -180,7 +180,8 @@ repro:
 
 # Quarter-scale everything for quick iterations.
 quick:
-	REPRO_BENCH_SCALE=0.25 pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_SCALE=0.25 PYTHONPATH=src python -m pytest benchmarks/ \
+		--benchmark-only
 
 charts:
 	python -m repro.harness.cli fig2 fig6 fig8 --charts

@@ -42,7 +42,7 @@ if TYPE_CHECKING:  # avoid circular imports (bpwrapper) and keep the
 from repro.errors import BufferError_
 from repro.hardware.costs import CostModel
 from repro.policies.base import ReplacementPolicy
-from repro.runtime.base import Runtime, Wait, Waits
+from repro.runtime.base import Runtime, Waits
 from repro.util import CounterArithmetic
 
 __all__ = ["AccessStats", "BufferManager"]
@@ -183,16 +183,16 @@ class BufferManager:
         """One page request by ``slot``'s thread, as a plain call.
 
         A hit that cannot wait is served here and the result comes
-        back: ``True`` (``(True, desc)`` with ``keep_pin``, see
-        :meth:`access_pinned`). Any other request returns its
-        *continuation*, a generator to drive with ``yield from`` whose
-        value is the result (``False`` or ``(False, desc)`` on a miss).
-        A continuation comes back when the request may wait: the
-        frame's read is still in flight (``io_done``), the handler's
-        hit returned a non-empty iterable (a lock to take, time to
-        realize), the frame went stale and the page is retried as a
-        miss, or the page missed. The caller must drive a continuation
-        it is given: it owns the request's pin.
+        back: ``True``, or ``(True, desc)`` with ``keep_pin``, whose
+        caller owns the pin until :meth:`release`. Any other request
+        returns its *continuation*, a generator to drive with ``yield
+        from`` whose value is the result (``False`` or ``(False,
+        desc)`` on a miss). A continuation comes back when the request
+        may wait: the frame's read is still in flight (``io_done``),
+        the handler's hit may wait (a lock to take, time to realize;
+        its generator comes back as it is), the frame went stale and
+        the page is retried as a miss, or the page missed. The caller
+        must drive a continuation it is given: it owns the request's pin.
 
         ``is_write`` marks the page dirty; a dirty page's frame cannot
         be reused until its contents are written back to the disk
@@ -227,17 +227,15 @@ class BufferManager:
         pins.append(True)
         thread.pending_us += self.costs.pin_unpin_us
         if not desc.valid or desc.tag != page:
-            return self._continue_hit(slot, desc, page, is_write,
-                                      keep_pin, None)
+            return self._continue_hit(slot, desc, page, is_write, keep_pin)
         try:
-            waits = self.handler.hit(slot, desc, page)
+            served = self.handler.hit(slot, desc, page, is_write, keep_pin)
         except BaseException:
             desc.unpin()
             self._reclaim_orphan(desc)
             raise
-        if waits:
-            return self._continue_hit(slot, desc, page, is_write,
-                                      keep_pin, waits)
+        if served:
+            return served
         if is_write:
             desc.dirty = True
         if keep_pin:
@@ -246,34 +244,30 @@ class BufferManager:
         return True
 
     def _continue_hit(self, slot: "ThreadSlot", desc: BufferDesc,
-                      page: PageId, is_write: bool, keep_pin: bool,
-                      waits: Optional[Iterable[Wait]]) -> Waits:
-        """The rest of a pinned hit that may wait: ``waits`` is the
-        handler's non-empty iterable, or None when the frame was not
-        servable at the probe (its read in flight, or stale), so the
-        hit is checked here and the handler called only if it is."""
+                      page: PageId, is_write: bool, keep_pin: bool) -> Waits:
+        """The rest of a pinned hit whose frame was not servable at the
+        probe (its read in flight, or stale): the hit is checked here,
+        after any wait, and the handler called only if it holds."""
         try:
-            if waits is None:
-                if not desc.valid:
-                    # Another thread's read is in flight; wait for it
-                    # off-CPU. The pin keeps the frame ours while we
-                    # sleep. Capture the event first: under the native
-                    # backend the reader may complete (and clear
-                    # ``io_done``) between the validity check and the
-                    # wait; in the simulator the two statements are
-                    # atomic and the capture changes nothing.
-                    io_done = desc.io_done
-                    if io_done is not None:
-                        yield from slot.thread.wait(io_done)
-                if desc.tag == page and desc.valid:
-                    waits = self.handler.hit(slot, desc, page)
-            if waits:
-                yield from waits
+            if not desc.valid:
+                # Another thread's read is in flight; wait for it
+                # off-CPU. The pin keeps the frame ours while we
+                # sleep. Capture the event first: under the native
+                # backend the reader may complete (and clear
+                # ``io_done``) between the validity check and the
+                # wait; in the simulator the two statements are
+                # atomic and the capture changes nothing.
+                io_done = desc.io_done
+                if io_done is not None:
+                    yield from slot.thread.wait(io_done)
+            served = None
+            if desc.tag == page and desc.valid:
+                served = self.handler.hit(slot, desc, page, is_write, keep_pin)
         except BaseException:
             desc.unpin()
             self._reclaim_orphan(desc)
             raise
-        if waits is None:
+        if served is None:
             # The frame was retagged or invalidated (before the probe
             # or while we slept on its io_done): the page was never
             # actually served. Drop the pin, undo the hit accounting
@@ -285,12 +279,10 @@ class BufferManager:
             self.stats.stale_hit_retries += 1
             return (yield from self._serve_miss(slot, page, is_write,
                                                 keep_pin))
-        if is_write:
-            desc.dirty = True
-        if keep_pin:
-            return True, desc
-        del desc.pins[FIRST_PIN]
-        return True
+        # The handler's continuation owns the pin from here, or its
+        # tail finishes a hit that needed no wait.
+        return (yield from served or self.handler.finish_hit(
+            desc, is_write, keep_pin, ()))
 
     def _bucket_locked(self, slot: "ThreadSlot", page: PageId,
                        is_write: bool, keep_pin: bool) -> Waits:
@@ -319,7 +311,7 @@ class BufferManager:
         desc.pins.append(True)
         thread.pending_us += self.costs.pin_unpin_us
         return (yield from self._continue_hit(slot, desc, page, is_write,
-                                              keep_pin, None))
+                                              keep_pin))
 
     def access(self, slot: "ThreadSlot", page: PageId,
                is_write: bool = False, keep_pin: bool = False) -> Waits:
@@ -331,23 +323,8 @@ class BufferManager:
             served = yield from served
         return served
 
-    def access_pinned(self, slot: "ThreadSlot", page: PageId,
-                      is_write: bool = False) -> Waits:
-        """Like :meth:`access`, but the frame stays pinned.
-
-        Returns ``(hit, desc)`` with ``desc.pin_count`` elevated by one;
-        the caller owns that pin and must :meth:`release` (or
-        ``desc.unpin()``) when done with the page. Query-execution
-        operators hold their current page this way (through
-        :meth:`request` with ``keep_pin``) across their lifetime — a
-        scan keeps its page pinned between rows, a join keeps inner
-        and outer pinned — which is what makes pin-aware victim
-        selection load-bearing.
-        """
-        return self.access(slot, page, is_write, keep_pin=True)
-
     def release(self, desc: BufferDesc) -> None:
-        """Drop a pin taken by :meth:`access_pinned`."""
+        """Drop a pin a request took with ``keep_pin``."""
         desc.unpin()
 
     def _serve_miss(self, slot: "ThreadSlot", page: PageId,

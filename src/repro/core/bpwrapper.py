@@ -27,7 +27,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from repro.bufmgr.descriptors import BufferDesc
+from repro.bufmgr.descriptors import FIRST_PIN, BufferDesc
 from repro.bufmgr.tags import BufferTag
 from repro.control.state import ControlState
 from repro.core.fifoqueue import OVERFLOW, AccessQueue, QueueEntry
@@ -146,17 +146,33 @@ class ReplacementHandler(ABC):
     # -- hit path ------------------------------------------------------------
 
     @abstractmethod
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Iterable[Wait]:
-        """Handle replacement bookkeeping for a buffer hit.
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Iterable[Wait]:
+        """Handle replacement bookkeeping for a hit on pinned ``desc``.
 
-        Returns an iterable for the manager to ``yield from`` unless it
-        is empty: ``()`` (or ``thread.spend()``) when the hit cannot
-        block, a generator when it may — so a hit that only records
-        costs no generator frame, and the manager serves it inline
-        (:meth:`~repro.bufmgr.manager.BufferManager.request`). Work
-        before the first possible block runs at call time.
+        Returns ``()`` when the hit cannot block, and the manager serves
+        it inline (:meth:`~repro.bufmgr.manager.BufferManager.request`),
+        so a hit that only records costs no generator frame. A hit that
+        may block returns the request's continuation: a generator that
+        owns the pin, drops it on return, raise and close, and returns
+        the request's result (:meth:`finish_hit`). Work before the
+        first possible block runs at call time.
         """
+
+    def finish_hit(self, desc: BufferDesc, is_write: bool,
+                   keep_pin: bool, waits: Iterable[Wait]) -> Waits:
+        """A hit's continuation that owns its pin across ``waits``."""
+        try:
+            yield from waits
+        except BaseException:
+            desc.unpin()
+            raise
+        if is_write:
+            desc.dirty = True
+        if keep_pin:
+            return True, desc
+        del desc.pins[FIRST_PIN]
+        return True
 
     # -- miss path ------------------------------------------------------------
 
@@ -204,12 +220,11 @@ class ReplacementHandler(ABC):
         contention *worsen* throughput as processors are added rather
         than merely cap it (TableScan's 8->16 drop in Fig. 6).
         """
-        base = self.cache.warmup_cost(slot.thread_id, n_pages)
-        active_waiters = min(self.lock.queue_length,
-                             self.costs.coherence_waiter_cap)
-        degradation = (1.0 + self.costs.coherence_per_waiter
-                       * active_waiters)
-        slot.thread.pending_us += base * degradation
+        costs = self.costs
+        waiters = min(self.lock.queue_length, costs.coherence_waiter_cap)
+        slot.thread.pending_us += self.cache.warmup_cost(
+            slot.thread_id, n_pages) * (1.0 + costs.coherence_per_waiter
+                                        * waiters)
 
     def _maybe_prefetch(self, slot: ThreadSlot, n_pages: int) -> None:
         """Issue software prefetches if configured and not already warm."""
@@ -243,18 +258,13 @@ class ReplacementHandler(ABC):
 
         Every entry's tag is compared against the descriptor first;
         stale entries (page evicted or invalidated since enqueue) are
-        dropped, exactly as the PostgreSQL implementation does (§IV-B)
-        — and reported to the queue so committed-batch accounting
-        excludes them.
-
-        The batch is handled whole: one pass finds the live tags and
-        folds the per-entry costs into ``thread.pending_us`` in entry
-        order (``tag_check_us``, then ``replacement_op_us`` if the entry
-        is live — the float sum of charging them one by one, bit for
-        bit; both are :class:`~repro.hardware.costs.CostModel`
-        constants, validated at construction), and one
-        :meth:`~repro.policies.base.ReplacementPolicy.on_hits` replays
-        the live tags in FIFO order.
+        dropped, as PostgreSQL does (§IV-B), and reported to the queue
+        so committed-batch accounting excludes them. One pass folds
+        the per-entry costs into ``thread.pending_us`` in entry order
+        (``tag_check_us``, then ``replacement_op_us`` if the entry is
+        live: the float sum of charging them one by one, bit for bit),
+        and one :meth:`~repro.policies.base.ReplacementPolicy.on_hits`
+        replays the live tags in FIFO order.
         """
         thread = slot.thread
         if self.lock.owner is not thread:
@@ -290,10 +300,10 @@ class DirectHandler(ReplacementHandler):
     """One lock acquisition per hit — the paper's contended baseline
     (``pg2Q``), optionally with prefetching (``pgPre``).
 
-    Its hit is the modelled one: a generator that records the access,
-    charges the prefetch and cache warm-up, commits the one-entry
-    queue under the lock and realizes the time spent. On a runtime
-    that realizes no costs :meth:`build` picks
+    Its hit is the modelled one: the request's continuation, one
+    generator that charges the prefetch and cache warm-up, commits the
+    one entry under the lock in its own frame and finishes the request.
+    On a runtime that realizes no costs :meth:`build` picks
     :class:`PlainDirectHandler` instead, whose hit is a plain call.
     """
 
@@ -310,19 +320,54 @@ class DirectHandler(ReplacementHandler):
             return LockFreeHitHandler
         return DirectHandler if realizes_costs else PlainDirectHandler
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
-        slot.queue.record(desc, tag)
-        slot.thread.pending_us += self.costs.queue_record_us
-        self._maybe_prefetch(slot, 1)
-        # The lock itself charges its grant cost (SimLock.grant_cost_us).
-        yield from self.lock.acquire(slot.thread)
-        self._warmup_charge(slot, 1)
-        self._commit_locked(slot)
-        self.cache.note_commit(slot.thread_id)
-        if self.realizes_costs:
-            yield from slot.thread.spend()
-        self.lock.release(slot.thread)
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Waits:
+        # A one-entry record, _maybe_prefetch, _warmup_charge and
+        # _commit_locked, inlined, with every charge in their order.
+        thread, thread_id = slot.thread, slot.thread_id
+        costs, cache, lock = self.costs, self.cache, self.lock
+        try:
+            thread.pending_us += costs.queue_record_us
+            if self.control.prefetch and not cache.is_warm(thread_id):
+                thread.pending_us += cache.prefetch(thread_id, 1)
+            if self.realizes_costs:  # so a free lock is granted framelessly
+                yield from thread.spend()
+            yield from lock.acquire(thread)   # charges the grant cost
+            waiters = lock.queue_length
+            if waiters > costs.coherence_waiter_cap:
+                waiters = costs.coherence_waiter_cap
+            thread.pending_us += cache.warmup_cost(thread_id, 1) * (
+                1.0 + costs.coherence_per_waiter * waiters)
+            if lock.owner is not thread:
+                raise SimulationError(
+                    "commit attempted without holding the replacement lock")
+            checker = thread.runtime.checker
+            if checker is not None:
+                checker.on_commit(lock.name, thread.name, True)
+            queue = slot.queue
+            queue.commits += 1
+            queue.total_drained += 1
+            thread.pending_us += costs.tag_check_us
+            if desc.valid and desc.tag == tag:   # §IV-B's tag check
+                thread.pending_us += costs.replacement_op_us
+                self.policy.on_hit(tag)
+            else:
+                queue.total_stale += 1
+            if checker is not None:
+                checker.on_policy_commit(self.policy)
+            cache.note_commit(thread_id)
+            if self.realizes_costs:
+                yield from thread.spend()
+            lock.release(thread)
+        except BaseException:
+            desc.unpin()
+            raise
+        if is_write:
+            desc.dirty = True
+        if keep_pin:
+            return True, desc
+        del desc.pins[FIRST_PIN]
+        return True
 
 
 class PlainDirectHandler(DirectHandler):
@@ -341,10 +386,10 @@ class PlainDirectHandler(DirectHandler):
     prefetch counts come from the cache model.
     """
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Iterable[Wait]:
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Iterable[Wait]:
         if self.control.prefetch:
-            return super().hit(slot, desc, tag)
+            return super().hit(slot, desc, tag, is_write, keep_pin)
         thread = slot.thread
         lock = self.lock
         lock.acquire(thread)  # blocks at call time on this runtime
@@ -373,20 +418,22 @@ class BatchedHandler(ReplacementHandler):
     #: reverses.
     blocks_when_full = True
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Iterable[Wait]:
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Iterable[Wait]:
         # Fig. 4 lines 5-6: AccessQueue.record, inlined — recording is
         # all a hit below the threshold does.
         queue = slot.queue
         entries = queue._entries
         batch = len(entries) + 1
         if batch > queue.capacity:
-            return self._hit_full(slot, desc, tag)
+            return self.finish_hit(desc, is_write, keep_pin,
+                                   self._hit_full(slot, desc, tag))
         entries.append((desc, tag))
         slot.thread.pending_us += self.costs.queue_record_us
         if batch < self.control.batch_threshold:      # Fig. 4 line 7
             return ()
-        return self._commit(slot, batch)
+        return self.finish_hit(desc, is_write, keep_pin,
+                               self._commit(slot, batch))
 
     def _hit_full(self, slot: ThreadSlot, desc: BufferDesc,
                   tag: BufferTag) -> Iterable[Wait]:
@@ -456,8 +503,8 @@ class LockFreeHitHandler(DirectHandler):
         # path. Resolved once here so the per-hit cost is one call.
         self._hit_op = getattr(policy, "on_hit_relaxed", policy.on_hit)
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Iterable[Wait]:
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Iterable[Wait]:
         self._hit_op(tag)
         thread = slot.thread
         thread.pending_us += self.costs.ref_bit_us
@@ -465,5 +512,6 @@ class LockFreeHitHandler(DirectHandler):
             # Realize the (tiny) cost inside the pinned section so
             # simulated time stays faithful even on long hit streaks;
             # no lock, no blocking.
-            return thread.spend()
+            waits = thread.spend()
+            return waits and self.finish_hit(desc, is_write, keep_pin, waits)
         return ()

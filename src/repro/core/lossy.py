@@ -50,7 +50,7 @@ class LossyBatchedHandler(BatchedHandler):
         """Try once to flush the full queue; if the lock is busy, lose
         this access. A hit that finds room is :class:`BatchedHandler`'s
         own, which reads the queue length once and calls this only when
-        the queue is full."""
+        the queue is full (and finishes the request after it)."""
         if self.realizes_costs:
             yield from slot.thread.spend()
         if not self.lock.try_acquire(slot.thread):
@@ -62,4 +62,8 @@ class LossyBatchedHandler(BatchedHandler):
         if self.realizes_costs:
             yield from slot.thread.spend()
         self._end_commit(slot, started, batch, False)
-        yield from self.hit(slot, desc, tag)
+        # The flush emptied the queue: this hit opens the next batch.
+        slot.queue._entries.append((desc, tag))
+        slot.thread.pending_us += self.costs.queue_record_us
+        if self.control.batch_threshold <= 1:         # Fig. 4 line 7
+            yield from self._commit(slot, 1)

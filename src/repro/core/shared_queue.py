@@ -64,8 +64,13 @@ class SharedQueueHandler(ReplacementHandler):
 
     # -- hit path ------------------------------------------------------------
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Waits:
+        return self.finish_hit(desc, is_write, keep_pin,
+                               self._append(slot, desc, tag))
+
+    def _append(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
+                ) -> Waits:
         # Appending requires synchronization — the cost the paper's
         # private queues avoid.
         yield from self.record_lock.acquire(slot.thread)

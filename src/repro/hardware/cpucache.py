@@ -68,10 +68,6 @@ class MetadataCacheModel:
         self.prefetches_valid_at_use = 0
         self.prefetches_invalidated = 0
 
-    @property
-    def version(self) -> int:
-        return self._version
-
     def prefetch(self, thread_id: int, n_pages: int) -> float:
         """Record a prefetch by ``thread_id`` covering ``n_pages`` nodes.
 

@@ -77,8 +77,12 @@ class DistributedHandler(ReplacementHandler):
                               lock.owner is slot.thread)
             checker.on_policy_commit(self.policy.partitions[index])
 
-    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag
-            ) -> Waits:
+    def hit(self, slot: ThreadSlot, desc: BufferDesc, tag: BufferTag,
+            is_write: bool = False, keep_pin: bool = False) -> Waits:
+        return self.finish_hit(desc, is_write, keep_pin,
+                               self._update(slot, tag))
+
+    def _update(self, slot: ThreadSlot, tag: BufferTag) -> Waits:
         index, lock, cache = self._route(tag)
         if self.policy.lock_discipline is LockDiscipline.LOCK_FREE_HIT:
             self.policy.on_hit(tag)

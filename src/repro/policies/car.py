@@ -87,56 +87,49 @@ class CARPolicy(ReplacementPolicy):
     # -- eviction ----------------------------------------------------------------
 
     def _replace(self) -> PageKey:
-        """CAR's replace(): sweep the clocks until a victim is found."""
-        # Bounded sweeps: every non-victim iteration either clears a ref
-        # bit or rotates a pinned page; cap generously and raise if every
-        # page is pinned.
+        """CAR's replace(): sweep the clocks until a victim is found.
+
+        A pinned head is rotated past. A clock whose every page is
+        pinned (a full turn of pinned heads in a row) is left to the
+        other, so a miss fails only when no page is evictable, and then
+        with the clocks turned back: it leaves the policy as it was.
+        """
+        heads = (next(iter(self._t1), None), next(iter(self._t2), None))
+        pinned = [0, 0]   # pinned heads rotated past in a row, per clock
         budget = 4 * (len(self._t1) + len(self._t2)) + 4
         while budget > 0:
             budget -= 1
-            if len(self._t1) >= max(1.0, self._p) and self._t1:
-                head = next(iter(self._t1))
-                if not self._evictable(head):
-                    self._t1.move_to_end(head)
-                    continue
-                if self._ref[head]:
+            t1 = self._t1 and pinned[0] < len(self._t1)
+            t2 = self._t2 and pinned[1] < len(self._t2)
+            if t1 and (len(self._t1) >= max(1.0, self._p) or not t2):
+                index, clock = 0, self._t1
+            elif t2:
+                index, clock = 1, self._t2
+            else:
+                break
+            head = next(iter(clock))
+            if not self._evictable(head):
+                clock.move_to_end(head)
+                pinned[index] += 1
+                continue
+            pinned[index] = 0
+            if self._ref[head]:
+                self._ref[head] = False
+                if index:
+                    clock.move_to_end(head)
+                else:
                     # Referenced in T1: proven reuse, promote to T2.
-                    self._ref[head] = False
-                    del self._t1[head]
+                    del clock[head]
                     self._t2[head] = None
-                    continue
-                del self._t1[head]
-                del self._ref[head]
-                self._b1[head] = None
-                return head
-            if self._t2:
-                head = next(iter(self._t2))
-                if not self._evictable(head):
-                    self._t2.move_to_end(head)
-                    continue
-                if self._ref[head]:
-                    self._ref[head] = False
-                    self._t2.move_to_end(head)
-                    continue
-                del self._t2[head]
-                del self._ref[head]
-                self._b2[head] = None
-                return head
-            if self._t1:
-                # p says prefer T2 but T2 is empty: fall back to T1.
-                head = next(iter(self._t1))
-                if not self._evictable(head):
-                    self._t1.move_to_end(head)
-                    continue
-                if self._ref[head]:
-                    self._ref[head] = False
-                    del self._t1[head]
-                    self._t2[head] = None
-                    continue
-                del self._t1[head]
-                del self._ref[head]
-                self._b1[head] = None
-                return head
+                    pinned[1] = 0
+                continue
+            del clock[head]
+            del self._ref[head]
+            (self._b2 if index else self._b1)[head] = None
+            return head
+        for clock, head in zip((self._t1, self._t2), heads):
+            while head in clock and next(iter(clock)) != head:
+                clock.move_to_end(next(iter(clock)))
         raise self._no_victim()
 
     # -- structural invariants ----------------------------------------------

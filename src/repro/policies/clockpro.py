@@ -149,16 +149,28 @@ class ClockProPolicy(ReplacementPolicy):
     # -- hands -----------------------------------------------------------------
 
     def _run_hand_cold(self) -> PageKey:
-        """Sweep HAND_cold until a resident cold victim is evicted."""
+        """Sweep HAND_cold until a resident cold victim is evicted.
+
+        A lap of the ring that finds no unpinned cold page demotes an
+        unpinned hot page for the hand to take. With none, the miss
+        fails with the hand where it was: it leaves the policy as it
+        was.
+        """
+        start = self._hand_cold
+        passed = 0   # nodes passed in a row with nothing to evict or age
         budget = 8 * max(1, len(self._nodes)) + 8
         while budget > 0 and self._hand_cold is not None:
             budget -= 1
             node = self._hand_cold
             self._hand_cold = node.next
-            if node.status != _COLD:
+            if node.status != _COLD or not self._evictable(node.key):
+                passed += 1
+                if passed > len(self._nodes):
+                    if not self._demote_unpinned_hot():
+                        break
+                    passed = 0
                 continue
-            if not self._evictable(node.key):
-                continue
+            passed = 0
             if node.ref:
                 node.ref = False
                 if node.in_test:
@@ -185,7 +197,23 @@ class ClockProPolicy(ReplacementPolicy):
                 self._unlink(node)
                 del self._nodes[node.key]
             return node.key
+        self._hand_cold = start
         raise self._no_victim()
+
+    def _demote_unpinned_hot(self) -> bool:
+        """Demote the first unpinned hot page from HAND_hot on, as
+        HAND_hot does an unreferenced one; False if there is none."""
+        node = self._hand_hot
+        for _ in range(len(self._nodes)):
+            if node.status == _HOT and self._evictable(node.key):
+                node.status = _COLD
+                node.ref = False
+                self._hot_count -= 1
+                self._cold_count += 1
+                self._hand_hot = node.next
+                return True
+            node = node.next
+        return False
 
     def _run_hand_hot(self) -> None:
         """Demote hot pages while the hot set exceeds its target."""

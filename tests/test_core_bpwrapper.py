@@ -9,6 +9,7 @@ import pytest
 from repro.bufmgr.descriptors import BufferDesc
 from repro.bufmgr.manager import BufferManager
 from repro.bufmgr.tags import PageId
+from repro.check.checker import CorrectnessChecker
 from repro.control.state import ControlState
 from repro.core.bpwrapper import (BatchedHandler, DirectHandler,
                                   LockFreeHitHandler, PlainDirectHandler,
@@ -475,13 +476,20 @@ class TestHitContract:
 
         def body():
             for _ in range(3):
+                # Pinned as the request pins it: a continuation owns
+                # the request's pin and drops it when it returns.
+                desc.pin()
                 waits = handler.hit(slot, desc, page)
                 kinds.append(inspect.isgenerator(waits))
-                yield from waits
+                if waits:
+                    assert (yield from waits) is True
+                else:
+                    desc.unpin()
 
         slot.thread.start(body())
         sim.run()
         assert kinds == [False, False, True]
+        assert desc.pin_count == 0
         assert lock.stats.acquisitions == 1
         assert len(slot.queue) == 0
         assert slot.queue.total_committed == 3
@@ -507,10 +515,114 @@ class TestHitContract:
                                      ControlState(64, 32, prefetch=False))
         manager = BufferManager(sim, 8, policy, handler, costs)
         slot, desc, page = self.one_page(sim, manager, 64)
-        waits = handler.hit(slot, desc, page)
-        assert not inspect.isgenerator(waits)
+        served = []
+
+        def body():
+            # Alone on the simulator, the hit's charge is realized in
+            # place: there is nothing to wait for.
+            served.append(handler.hit(slot, desc, page))
+            yield from ()
+
+        slot.thread.start(body())
+        sim.run()
+        assert served == [()]
         assert policy.reference_bit(page)
         assert lock.stats.requests == 0
+        # Outside a run the charge is a delay for the engine: the hit
+        # returns the request's continuation, which drops its pin.
+        desc.pin()
+        waits = handler.hit(slot, desc, page)
+        assert inspect.isgenerator(waits)
+        assert next(waits) == pytest.approx(costs.ref_bit_us)
+        with pytest.raises(StopIteration) as served:
+            next(waits)
+        assert served.value.value is True
+        assert desc.pin_count == 0 and lock.stats.requests == 0
+
+
+class TestModelledDirectHit:
+    """On the simulator, pg2Q's hit is the request's continuation: it
+    waits for the lock, commits its one entry in its own frame and
+    finishes the request. Its stale-entry branch and its abort are
+    reached only across that lock wait."""
+
+    @staticmethod
+    def rig(sim):
+        """A pg2Q pool whose 2Q holds pages 0-3 in Am (LRU first), a
+        holder that keeps the lock from 0 to 100 µs, and a reader slot
+        whose request for page 0 parks on it at 5 µs."""
+        build = build_system("pg2Q", sim, 8, ALTIX_350)
+        pages = [PageId("t", block) for block in range(12)]
+        build.manager.warm_with(pages)       # 0-3 leave for A1out
+        build.manager.warm_with(pages[:4])   # and come back into Am
+        pool = ProcessorPool(sim, 2, context_switch_us=0.5)
+        holder, reader = (
+            build.handler.new_slot(CpuBoundThread(pool, name=name), index)
+            for index, name in enumerate(("holder", "reader")))
+        lock = build.lock
+
+        def hold():
+            yield from lock.acquire(holder.thread)
+            yield from holder.thread.sleep_blocked(100.0)
+            lock.release(holder.thread)
+
+        outcomes = []
+
+        def read():
+            yield from reader.thread.sleep_blocked(5.0)
+            served = build.manager.request(reader, pages[0])
+            assert inspect.isgenerator(served)
+            outcomes.append((yield from served))
+
+        body = read()
+        holder.thread.start(hold())
+        reader.thread.start(body)
+        return build, reader, pages[0], body, outcomes
+
+    @staticmethod
+    def order(policy):
+        return (policy.a1in_keys, policy.a1out_keys, policy.am_keys)
+
+    @pytest.mark.parametrize("retag", [False, True],
+                             ids=["live", "stale"])
+    def test_entry_is_tag_checked_at_the_grant(self, sim, at, retag):
+        sim.checker = checker = CorrectnessChecker()
+        build, reader, page, _, outcomes = self.rig(sim)
+        policy, queue = build.manager.policy, reader.queue
+        desc = build.manager.lookup(page)
+        before = self.order(policy)
+        if retag:
+            at(sim, 50.0, lambda: desc.retag(PageId("t", 99)))
+        sim.run(until=60.0)
+        assert build.lock.queue_length == 1 and desc.pin_count == 1
+        sim.run()
+        assert outcomes == [True]
+        assert (queue.commits, queue.total_drained, queue.total_stale,
+                len(queue)) == (1, 1, int(retag), 0)
+        if retag:
+            assert self.order(policy) == before
+        else:
+            assert policy.am_keys[-1] == page != before[2][-1]
+        assert desc.pin_count == 0 and not build.lock.held
+        assert (checker.commit_checks, checker.invariant_checks) == (1, 1)
+        checker.finalize()
+
+    def test_hit_closed_in_the_lock_wait_leaves_no_trace(self, sim):
+        build, reader, page, body, outcomes = self.rig(sim)
+        lock, queue = build.lock, reader.queue
+        before = self.order(build.manager.policy)
+        sim.run(until=50.0)
+        assert lock.queue_length == 1
+        assert build.manager.lookup(page).pin_count == 1
+        body.close()
+        assert lock.queue_length == 0
+        build.manager.check_invariants(expect_no_pins=True)
+        sim.run()
+        assert outcomes == [] and not lock.held
+        assert (queue.commits, queue.total_drained, queue.total_stale,
+                len(queue)) == (0, 0, 0, 0)
+        assert self.order(build.manager.policy) == before
+        build.manager.check_invariants(expect_no_pins=True)
 
 
 class TestPlainDirectHit:

@@ -7,13 +7,20 @@ over hypothesis-generated traces catches bugs in either.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bufmgr.manager import BufferManager
+from repro.check.checker import CorrectnessChecker
 from repro.control.state import ControlState
 from repro.core.bpwrapper import (BatchedHandler, DirectHandler, ThreadSlot)
 from repro.hardware.costs import CostModel
 from repro.hardware.cpucache import MetadataCacheModel
+from repro.hardware.machines import ALTIX_350
+from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.policies.clock import ClockPolicy
 from repro.policies.gclock import GClockPolicy
 from repro.policies.lru import LRUPolicy
@@ -126,3 +133,32 @@ class TestBatchingPreservesAlgorithmState:
             None)
         if first_divergence is not None:
             assert first_divergence >= capacity
+
+
+#: sha256 of pgPre's sorted-JSON result record on the ``fig6_hit``
+#: configuration (dbt2 with 10 warehouses, Altix 350, 16 processors,
+#: seed 42) at 20,000 accesses. pgPre is the one simulated system whose
+#: lock-per-hit prefetches, and ``make oracle`` has no pgPre cell.
+PGPRE_DIGEST = ("6a99a3a6974e366ba40ed0109df510432f2605560c3794b2"
+                "32316ca6844ad75b")
+
+
+@pytest.mark.parametrize("checked", [False, True],
+                         ids=["plain", "checked"])
+def test_prefetching_lock_per_hit_result_is_pinned(checked):
+    """The modelled direct hit's prefetch gate, warm-up charge and
+    one-entry commit, pinned by the whole run's result record. The
+    checked run attaches the lock monitor and the commit-under-lock
+    check (the policy sweep would take half a minute here), which must
+    leave the record alone."""
+    config = ExperimentConfig(
+        system="pgPre", workload="dbt2",
+        workload_kwargs={"n_warehouses": 10}, machine=ALTIX_350,
+        n_processors=16, target_accesses=20_000, seed=42)
+    checker = CorrectnessChecker(check_policies=False) if checked else None
+    result = run_experiment(config, checker=checker)
+    record = json.dumps(result.to_dict(), sort_keys=True, default=str)
+    assert hashlib.sha256(record.encode()).hexdigest() == PGPRE_DIGEST
+    assert result.prefetches_issued > 0
+    if checked:
+        assert checker.commit_checks == result.total_accesses

@@ -12,7 +12,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import PolicyError
 from repro.policies import available_policies, make_policy
@@ -264,6 +264,14 @@ PIN_STEPS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=8),
        st.lists(PIN_STEPS, max_size=120))
+# Every page pinned: a failed miss once left CAR's clock and CLOCK-Pro's
+# cold hand turned.
+@example(capacity=3, steps=[("access", 0), ("access", 2), ("access", 3),
+                            ("pin_all", 0), ("access", 1)])
+# One unpinned page, promoted by its sweep (to CAR's T2, to CLOCK-Pro's
+# hot set): the sweep once kept to the pinned rest and failed the miss.
+@example(capacity=2, steps=[("access", 0), ("pin_all", 0), ("access", 1),
+                            ("access", 1), ("access", 2)])
 def test_pins_are_never_evicted_under_a_changing_pin_set(name, capacity,
                                                          steps):
     """The replacer contract under pins (SNIPPETS.md snippet 1): with a
