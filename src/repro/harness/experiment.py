@@ -226,9 +226,9 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
                  work_rng) -> Generator[Wait, None, None]:
     thread = slot.thread
     # The per-access loop below runs once per page: its callees are
-    # looked up once per thread. Its settle step is the sim thread's
-    # maybe_yield; a native thread keeps no simulated time and has none.
-    maybe_yield = getattr(thread, "maybe_yield", None)
+    # looked up once per thread. Its settle step is maybe_yield's test,
+    # inline; a native thread keeps no simulated time and has none.
+    settles = hasattr(thread, "maybe_yield")
     request = manager.request
     jitter = work_rng.random
     if stagger_us > 0:
@@ -255,8 +255,9 @@ def _thread_body(sim: Runtime, slot: ThreadSlot, manager,
                 served = yield from served
             if served:
                 hits += 1
-            if maybe_yield is not None:
-                yield from maybe_yield(quantum_us)
+            if settles and (thread.cpu_time + thread.pending_us
+                            - thread.yield_mark >= quantum_us):
+                yield from thread.yield_cpu()
         log.record(TransactionOutcome(
             kind=transaction.kind, started_at_us=started,
             finished_at_us=sim.now, accesses=len(transaction.pages),

@@ -149,9 +149,9 @@ def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
                 quantum_us: float, stagger_us: float, work_rng,
                 rows_box: List[int]) -> Generator[object, None, None]:
     """One back-end: pull plans, execute them, record outcomes."""
-    # The per-statement settle step: the sim thread's maybe_yield; a
-    # native thread keeps no simulated time and has none.
-    maybe_yield = getattr(thread, "maybe_yield", None)
+    # The per-statement settle step: the sim thread's maybe_yield test,
+    # inline; a native thread keeps no simulated time and has none.
+    settles = hasattr(thread, "maybe_yield")
     if stagger_us > 0:
         yield from thread.sleep_blocked(stagger_us)
     for query in plans:
@@ -168,8 +168,9 @@ def _query_body(runtime, thread, ctx: ExecContext, plans: Iterator,
             # ``random.uniform(0.75, 1.25)``'s own formula).
             thread.pending_us += (user_work_us * (1 + rows)
                                   * (0.75 + 0.5 * work_rng.random()))
-            if maybe_yield is not None:
-                yield from maybe_yield(quantum_us)
+            if settles and (thread.cpu_time + thread.pending_us
+                            - thread.yield_mark >= quantum_us):
+                yield from thread.yield_cpu()
         log.record(TransactionOutcome(
             kind=query.kind, started_at_us=started,
             finished_at_us=runtime.now,

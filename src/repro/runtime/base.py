@@ -133,7 +133,7 @@ class ThreadContext(Protocol):
     here: the simulator's thread realizes it with its own ``yield from
     thread.spend()`` (and ``run_for``), which code calls only where
     :attr:`Runtime.realizes_costs` holds, and settles each access with
-    its own ``maybe_yield``. A native thread keeps no simulated time:
+    ``maybe_yield``'s test, inline. A native thread keeps no simulated time:
     real instructions already took real time, and it has neither.
     """
 

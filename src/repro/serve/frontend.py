@@ -236,9 +236,9 @@ class ServeFrontend:
         work_rng = stream_rng(config.seed, "serve-work", session_index)
         user_work_us = config.machine.costs.user_work_us
         quantum_us = config.machine.costs.scheduler_quantum_us
-        # The per-access settle step: the sim thread's maybe_yield; a
+        # The per-access settle step: maybe_yield's test, inline; a
         # native thread keeps no simulated time and has none.
-        maybe_yield = getattr(thread, "maybe_yield", None)
+        settles = hasattr(thread, "maybe_yield")
         stagger_us = self._run.stagger_us("serve-stagger", session_index)
         if stagger_us > 0:
             yield from thread.sleep_blocked(stagger_us)
@@ -302,8 +302,9 @@ class ServeFrontend:
                     if hit is not True:  # a continuation: it may wait
                         hit = yield from hit
                     hits += 1 if hit else 0
-                    if maybe_yield is not None:
-                        yield from maybe_yield(quantum_us)
+                    if settles and (thread.cpu_time + thread.pending_us
+                                    - thread.yield_mark >= quantum_us):
+                        yield from thread.yield_cpu()
             finally:
                 home.done()
             completed_us = runtime.now

@@ -68,15 +68,26 @@ that fired while the thread was still spending. A
 :meth:`~CpuBoundThread.sleep_blocked` sets its own timer entry, which
 resumes the parked thread directly.
 
+A voluntary yield is one hand-off in one generator: queue, release
+(waking the head of the ready queue), park, re-dispatch.
+
+Start, body, exit
+-----------------
+A thread's process runs three generators in turn, each from the step
+that finished the one before: the start (the first processor acquire),
+the body, and the exit (spend the last charge, then release). No frame
+wraps the body, so a resume runs only the body's own frames.
+
 A thread closed while parked (:meth:`CpuBoundThread.abort`) leaves the
 queue it sits in; if a release already handed it the processor, the
 lock wakeup or the disk slot, it hands that on, so the live threads
-behind it lose nothing.
+behind it lose nothing. A processor it still holds is released.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Any, Deque, Generator, Optional
 
 from repro.errors import SimulationError
@@ -151,9 +162,14 @@ class ProcessorPool:
 
     def _queued(self, thread: "CpuBoundThread"):
         """Park in the ready queue until :meth:`_release` hands
-        ``thread`` a processor, then dispatch it."""
+        ``thread`` a processor (maybe before it parked), then dispatch."""
         try:
-            yield thread._park_mark()
+            if thread._woken:
+                thread._woken = False
+                yield 0.0
+            else:
+                thread._parked = True
+                yield PARKED
         except GeneratorExit:
             if thread in self._ready:
                 self._ready.remove(thread)
@@ -230,7 +246,9 @@ class CpuBoundThread:
         self._parked = False
         #: Woken before it parked: the next park is a zero delay.
         self._woken = False
-        self._last_yield_mark = 0.0
+        #: ``cpu_time + pending_us`` at the last yield_cpu or unblock:
+        #: the start of :meth:`maybe_yield`'s quantum.
+        self.yield_mark = 0.0
         self.process: Optional[Process] = None
         # Accounting.
         self.cpu_time = 0.0
@@ -321,7 +339,7 @@ class CpuBoundThread:
             yield from pool._dispatch(self)
         else:
             yield from pool._acquire(self, boost=True)
-        self._last_yield_mark = self.cpu_time
+        self.yield_mark = self.cpu_time
         now = sim._now
         self.blocked_time += now - blocked_at
         observer = sim.observer
@@ -333,18 +351,11 @@ class CpuBoundThread:
         parked, make its next park a zero delay instead."""
         if self._parked:
             self._parked = False
-            self.sim._schedule(0.0, self.process)
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim._now, seq, self.process))
         else:
             self._woken = True
-
-    def _park_mark(self) -> Any:
-        """What to yield to park: :data:`PARKED`, or a zero delay when
-        a wake already arrived."""
-        if self._woken:
-            self._woken = False
-            return 0.0
-        self._parked = True
-        return PARKED
 
     def sleep_blocked(self, duration_us: float) -> Generator[Any, None, None]:
         """Block off-CPU for a fixed duration (e.g. a disk I/O wait).
@@ -373,10 +384,10 @@ class CpuBoundThread:
         ``quantum_us`` of CPU time since it last gave up the processor.
 
         Returns an iterable for ``yield from``; below the quantum it is
-        the shared empty tuple (allocation-free early-out).
+        the shared empty tuple (allocation-free early-out). The tiers
+        make this same test inline, per access.
         """
-        if self.cpu_time + self.pending_us - self._last_yield_mark \
-                >= quantum_us:
+        if self.cpu_time + self.pending_us - self.yield_mark >= quantum_us:
             return self.yield_cpu()
         return _NO_EVENTS
 
@@ -386,13 +397,14 @@ class CpuBoundThread:
         Returns an iterable for ``yield from``; with no ready peers the
         shared empty tuple comes back and no generator is created.
         """
-        self._last_yield_mark = self.cpu_time + self.pending_us
-        if self.pool.ready_count == 0:
+        self.yield_mark = self.cpu_time + self.pending_us
+        if not self.pool._ready:
             return _NO_EVENTS
         return self._reschedule()
 
     def _reschedule(self) -> Generator[Any, None, None]:
-        """The slow path of :meth:`yield_cpu`: queue, wait, re-dispatch.
+        """The slow path of :meth:`yield_cpu`, in one generator: queue,
+        wait, re-dispatch.
 
         The thread queues before it releases: if the queue emptied
         meanwhile, the release hands the processor straight back (a
@@ -403,38 +415,58 @@ class CpuBoundThread:
         pool._ready.append(self)
         pool._release()
         self._running = False
-        yield from pool._queued(self)
+        # pool._queued(self), inlined.
+        try:
+            if self._woken:
+                self._woken = False
+                yield 0.0
+            else:
+                self._parked = True
+                yield PARKED
+        except GeneratorExit:
+            if self in pool._ready:
+                pool._ready.remove(self)
+            else:
+                pool._release()  # hand the processor it was given on
+            raise
+        yield from pool._dispatch(self)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self, body: Generator[Any, None, None]) -> Process:
-        """Begin executing ``body`` on this thread."""
+        """Begin executing ``body`` on this thread, between its start
+        and its exit (module docstring)."""
         if self.process is not None:
             raise SimulationError(f"thread {self.name!r} already started")
-        self.process = self.sim.spawn(self._main(body), name=self.name)
+        self.process = Process(self.sim, self._start(), name=self.name,
+                               then=(body, self._exit()))
         return self.process
 
     def abort(self) -> None:
-        """Close the body where it is parked, after a failed run.
+        """Close the body where it is parked, after a failed run, and
+        release a processor the thread still holds.
 
         ``GeneratorExit`` unwinds the body's close-safe sections (a
         hit's pin, a lock-queue entry, a ready-queue or disk slot); the
-        unrealised charge is dropped so the exit path yields nothing.
+        unrealised charge is dropped. A thread whose own body raised
+        only releases its processor here.
         """
         process = self.process
-        if process is None or not process.alive:
+        if process is None:
             return
-        process._alive = False
         self.pending_us = 0.0
-        process._body.close()
+        if process._alive:
+            process._alive = False
+            process._body.close()
+        if self._running:
+            self.pool._release()
+            self._running = False
 
-    def _main(self, body: Generator[Any, None, None]
-              ) -> Generator[Any, None, None]:
-        try:
-            yield from self.pool._acquire(self)
-            yield from body
-        finally:
-            yield from self.spend()
-            if self._running:
-                self.pool._release()
-                self._running = False
+    def _start(self) -> Generator[Any, None, None]:
+        yield from self.pool._acquire(self)
+
+    def _exit(self) -> Generator[Any, None, None]:
+        yield from self.spend()
+        if self._running:
+            self.pool._release()
+            self._running = False

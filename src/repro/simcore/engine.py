@@ -25,9 +25,11 @@ Design notes
 * **Determinism.** Every heap entry carries a monotonically increasing
   sequence number used to break timestamp ties, so the execution order
   of simultaneous wake-ups is fully reproducible. A process's float
-  delay is pushed by :meth:`Simulator.run` itself, inline; every other
-  push (a spawn, a wake, a timer) goes through
-  :meth:`Simulator._schedule`. Both take the next sequence number.
+  delay is pushed inline by whatever resumed it (:meth:`Simulator.run`,
+  or :meth:`Process._resume` for a timer), and a wake by
+  :meth:`~repro.simcore.cpu.CpuBoundThread.wake`; every other push (a
+  spawn, a timer) goes through :meth:`Simulator._schedule`. Each takes
+  the next sequence number.
 * **No wall-clock anywhere.** The simulator never consults real time;
   the reproduction's entire point is that contention is measured in
   simulated microseconds, immune to the GIL.
@@ -38,7 +40,8 @@ Design notes
   wakes every parked waiter in the order they parked, one entry each.
   See :mod:`repro.simcore.cpu`.
 * **Failures propagate.** An exception raised by a process body leaves
-  :meth:`Simulator.run` at once; a finished body schedules nothing.
+  :meth:`Simulator.run` at once; a finished body starts the process's
+  next body in the same step, and the last one schedules nothing.
 * **In-place advance.** A CPU charge whose wake time is strictly
   earlier than every queued entry, and not past the run's horizon
   (``until``), may move ``_now`` itself instead of yielding a float
@@ -99,34 +102,37 @@ ProcessBody = Generator[Any, None, Any]
 
 
 class Process:
-    """Drives a generator from heap entries.
+    """Drives ``body``, then each of ``then``, from heap entries.
 
-    The body yields a bare float, a private delay, or :data:`PARKED`,
+    A body yields a bare float, a private delay, or :data:`PARKED`,
     when something else (a wake or a timer) will resume it. A heap
-    entry holding the process resumes it: :meth:`Simulator.run` sends
-    into the body itself and pushes a float delay back as
-    ``(now + delay, next seq, process)``. :meth:`_resume` is the same
-    step for a callback (a timer) that resumes the process from its
-    own entry.
+    entry holding the process resumes the current body:
+    :meth:`Simulator.run` sends into it itself and pushes a float delay
+    back as ``(now + delay, next seq, process)``. :meth:`_resume` is
+    the same step for a callback (a timer). A finished body's
+    successor starts in that same step (:meth:`_next_body`).
     """
 
-    __slots__ = ("sim", "name", "_body", "_alive")
+    __slots__ = ("sim", "name", "_body", "_then", "_alive")
 
     def __init__(self, sim: "Simulator", body: ProcessBody,
-                 name: str = "") -> None:
-        if not hasattr(body, "send"):
-            raise SimulationError(
-                f"Process body must be a generator, got {type(body).__name__}"
-            )
+                 name: str = "", then: Tuple[ProcessBody, ...] = ()
+                 ) -> None:
+        for each in (body, *then):
+            if not hasattr(each, "send"):
+                raise SimulationError(
+                    "Process body must be a generator, got "
+                    f"{type(each).__name__}")
         self.sim = sim
         self.name = name or getattr(body, "__name__", "process")
         self._body = body
+        self._then = iter(then)
         self._alive = True
         sim._schedule(0.0, self)
 
     @property
     def alive(self) -> bool:
-        """Whether the generator has not yet finished."""
+        """Whether the last body has not yet finished."""
         return self._alive
 
     def _resume(self) -> None:
@@ -136,15 +142,35 @@ class Process:
         try:
             target = self._body.send(None)
         except StopIteration:
-            self._alive = False
-            return
+            target = self._next_body()
         except BaseException:
             self._alive = False
             raise
         if target.__class__ is float:
-            self.sim._schedule(target, self)
+            # The run loop's inline push (Simulator.run).
+            sim = self.sim
+            if target < 0:
+                sim._schedule(target, self)  # raises
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim._now + target, seq, self))
         elif target is not PARKED:
             raise self._bad_yield(target)
+
+    def _next_body(self) -> Any:
+        """The current body finished: start the next one in this same
+        step. Returns what it yields first, or :data:`PARKED` (nothing
+        to push) once the last body has finished."""
+        for body in self._then:
+            self._body = body
+            try:
+                return body.send(None)
+            except StopIteration:
+                continue
+            except BaseException:
+                self._alive = False
+                raise
+        self._alive = False
+        return PARKED
 
     def _bad_yield(self, target: Any) -> SimulationError:
         """Mark the process dead; the error for a yield that is neither
@@ -330,8 +356,7 @@ class Simulator:
                 try:
                     target = process._body.send(None)
                 except StopIteration:
-                    process._alive = False
-                    continue
+                    target = process._next_body()
                 except BaseException:
                     process._alive = False
                     raise

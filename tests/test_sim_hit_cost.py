@@ -36,13 +36,16 @@ PACKAGE = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
 INLINED = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 
 #: Upper bounds on (calls, generator frames) per access, just above the
-#: counts on CPython 3.11 (pg2Q 32.22 / 14.87, pgclock 13.07 / 6.11,
-#: pgBatPre 8.41 / 2.80). pg2Q's modelled hit is one generator that
+#: counts on CPython 3.11 (pg2Q 27.02 / 11.73, pgclock 9.39 / 4.08,
+#: pgBatPre 5.59 / 1.63). pg2Q's modelled hit is one generator that
 #: realizes its charge, takes the lock, commits its one entry in its
 #: own frame and finishes the request; one more call per hit breaks
-#: its bound.
-MAX_PER_ACCESS = {"pg2Q": (32.3, 14.95), "pgclock": (13.1, 6.15),
-                  "pgBatPre": (8.45, 2.85)}
+#: its bound. A resumed thread runs only its body's own frames, a
+#: voluntary yield is one generator and the per-access quantum test is
+#: inline: a frame wrapped around the body, resumed at every wake-up,
+#: breaks every bound.
+MAX_PER_ACCESS = {"pg2Q": (27.1, 11.8), "pgclock": (9.43, 4.12),
+                  "pgBatPre": (5.63, 1.68)}
 
 
 def _config(system: str, accesses: int) -> ExperimentConfig:

@@ -17,7 +17,7 @@ from repro.harness.macro import MacroConfig, run_macro
 from repro.obs import MetricsRegistry, Observer, TraceRecorder
 from repro.serve import ServeConfig, run_serve
 from repro.simcore.cpu import CpuBoundThread, ProcessorPool
-from repro.simcore import engine
+from repro.simcore import cpu, engine
 from repro.simcore.engine import Simulator
 
 
@@ -357,6 +357,109 @@ class TestAbort:
         assert pool.free_processors == 1
 
 
+class TestLifecycle:
+    """A thread's process runs its start (the first processor
+    acquire), its body and its exit (the last spend and the release)
+    in turn, each from the step that finished the one before."""
+
+    def test_queued_first_acquire_starts_body_after_dispatch(self, sim):
+        pool = ProcessorPool(sim, 1, context_switch_us=2.0)
+        log = []
+
+        def first(thread):
+            yield from thread.run_for(10.0)
+            log.append(("a", sim.now))
+
+        def second(thread):
+            log.append(("b-body", sim.now))
+            yield from thread.run_for(1.0)
+
+        a, b = CpuBoundThread(pool, "a"), CpuBoundThread(pool, "b")
+        a.start(first(a))
+        b.start(second(b))
+        # a: switch 0-2, runs 2-12, releases to b; b's switch 12-14 is
+        # still going at 13, so its body has not started.
+        sim.run(until=13.0)
+        assert log == [("a", 12.0)]
+        sim.run()
+        assert log == [("a", 12.0), ("b-body", 14.0)]
+        assert sim.now == 15.0 and pool.busy_time == 15.0
+        assert pool.free_processors == 1
+
+    def test_body_returning_at_once_realises_charge_before_release(
+            self, sim):
+        pool = ProcessorPool(sim, 1, 0.0)
+        log = []
+
+        def charges_and_returns(thread):
+            thread.charge(5.0)
+            return
+            yield
+
+        def waits(thread):
+            log.append(("b", sim.now))
+            yield from thread.run_for(1.0)
+
+        a, b = run_threads(sim, pool, [charges_and_returns, waits])
+        # a's exit spends its 5 us before it releases the processor.
+        assert log == [("b", 5.0)] and sim.now == 6.0
+        assert a.cpu_time == 5.0 and a.pending_us == 0.0
+        assert pool.free_processors == 1
+
+    def test_raising_body_leaves_run_and_join_frees_every_processor(
+            self, sim):
+        pool = ProcessorPool(sim, 2, 0.0)
+
+        def crashes(thread):
+            yield from thread.run_for(3.0)
+            thread.charge(2.0)
+            raise RuntimeError("boom")
+
+        def works(thread):
+            yield from thread.run_for(10.0)
+
+        threads = [CpuBoundThread(pool, f"t{index}") for index in range(4)]
+        for thread, body in zip(threads, [crashes, works, works, works]):
+            thread.start(body(thread))
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.join(threads, [], budget_us=1000.0)
+        # The raise left run at 3, its 2 us charge dropped unrealised;
+        # t1 was mid-body, t2 and t3 queued for their first processor.
+        assert sim.now == 3.0
+        assert threads[0].cpu_time == 3.0 and threads[0].pending_us == 0.0
+        assert (pool.free_processors, pool.ready_count) == (2, 0)
+        assert not any(thread.process.alive for thread in threads)
+
+    @pytest.mark.parametrize("where", ["first-acquire", "mid-body",
+                                       "voluntary-yield"])
+    def test_abort(self, sim, where):
+        pool = ProcessorPool(sim, 1, 0.0)
+        done = []
+
+        def body(thread):
+            yield from thread.run_for(4.0 if thread.name == "a" else 10.0)
+            yield from thread.yield_cpu()
+            yield from thread.run_for(4.0 if thread.name == "a" else 0.0)
+            done.append((thread.name, sim.now))
+
+        a, b = CpuBoundThread(pool, "a"), CpuBoundThread(pool, "b")
+        a.start(body(a))
+        b.start(body(b))
+        # a runs 0-4 and yields to b, which runs from 4 to 14.
+        until, aborted, expected = {
+            "first-acquire": (2.0, b, [("a", 8.0)]),
+            "mid-body": (2.0, a, [("b", 12.0)]),
+            "voluntary-yield": (5.0, a, [("b", 14.0)]),
+        }[where]
+        sim.run(until=until)
+        aborted.abort()
+        assert not aborted.process.alive
+        sim.run()
+        assert done == expected
+        assert (pool.free_processors, pool.ready_count) == (1, 0)
+        assert a.voluntary_yields == (where == "voluntary-yield")
+
+
 class TestInPlaceAdvance:
     def test_spend_ending_at_queued_event_goes_through_heap(self, sim, at):
         """A wake time equal to ``heap[0]``'s is not advanced in place:
@@ -475,12 +578,13 @@ class TestInPlaceAdvanceDifferential:
                              ids=["fuzz", "trace-disk-bgwriter", "macro",
                                   "serve", "disk-queue-lock-bgwriter"])
     def test_on_equals_off(self, run, heap_only, monkeypatch):
-        # Every entry popped was pushed by the engine's own heappush
-        # (through Simulator._schedule or the run loop's inline push):
-        # a push that bypassed it would break pops + queued == pushes.
-        # Only the run's own simulators count (a generator of an
-        # earlier test, closed by the garbage collector mid-run, may
-        # still hand a processor on in its own).
+        # Every entry popped was pushed by a heappush the simulator
+        # binds (the engine's: Simulator._schedule and the inline
+        # pushes of a float delay; the CPU model's: a wake), and every
+        # one of them is counted: a push that bypassed them would
+        # break pops + queued == pushes. Only the run's own simulators
+        # count (a generator of an earlier test, closed by the garbage
+        # collector mid-run, may still hand a processor on in its own).
         sims = {}
         pushes = collections.Counter()
         pops = collections.Counter()
@@ -500,7 +604,8 @@ class TestInPlaceAdvanceDifferential:
             return heapq.heappop(heap)
 
         monkeypatch.setattr(Simulator, "__init__", tracking_init)
-        monkeypatch.setattr(engine, "heappush", counting_push)
+        for module in (engine, cpu):
+            monkeypatch.setattr(module, "heappush", counting_push)
         monkeypatch.setattr(engine, "heappop", counting_pop)
 
         def outcome():

@@ -2,9 +2,9 @@
 
 The simulator's twin of ``tests/test_hit_cost.py``. A heap entry that
 holds a process is resumed by :meth:`Simulator.run` itself, which also
-pushes the body's float delay inline: a wake-up makes no
-``Process._resume`` frame, and ``Simulator._schedule`` runs only for
-the pushes that are not a delay (a wake, a spawn, a timer). A
+pushes the body's float delay inline, and :meth:`CpuBoundThread.wake`
+pushes its own entry: a wake-up makes no ``Process._resume`` frame,
+and ``Simulator._schedule`` runs only for a spawn or a timer. A
 disk-less pgclock tablescan runs on the simulator twice, at two sizes,
 under ``sys.settrace``; the call events of those three code objects,
 differenced between the runs, cancel the fixed set-up (spawns, the
@@ -74,5 +74,6 @@ def test_a_wake_up_makes_no_resume_frame(delta):
 
 
 def test_float_delays_push_inline(delta):
-    # Only a wake of a parked thread still schedules.
-    assert delta["schedule"] <= delta["wake"], delta
+    # Float delays and wakes push inline; the spawns and the start-up
+    # stagger's timers, the only calls left, cancel in the difference.
+    assert delta["schedule"] == 0, delta
